@@ -55,11 +55,6 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad vector {text!r}") from None
 
 
-def _parse_phi(label: str) -> DenominatorSpec | tuple:
-    kind, p = parse_phi_label(label)
-    return kind, p
-
-
 def _parse_startup(text: str):
     if text == "exact":
         return ExactStartup()

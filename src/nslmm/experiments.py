@@ -4,9 +4,16 @@ micro-benchmark.
 
 The sweep machinery is vectorized: a batch of independent runs (one per
 combination of initial value, step size and threshold) advances in lockstep
-as numpy arrays, with property monitors evaluated on the fly.  Elementwise
-arithmetic matches the scalar stepping kernels, so a batch element agrees
-with the corresponding single run to round-off.
+as numpy arrays, with property monitors evaluated on the fly; bounds and
+monotonicity directions may differ per element.  Elementwise arithmetic
+matches the scalar stepping kernels, so a batch element agrees with the
+corresponding single run to round-off, and it does not depend on which
+other elements share its batch.
+
+Sharpness bisection uses that independence: every initial value's threshold
+bracket advances together, one sweep over (rows still bisecting x step
+sizes) per bisection iteration, cut into chunks of at most
+``MAX_SWEEP_ELEMENTS`` elements to bound memory.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ import numpy as np
 
 from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
 from .errors import ConfigurationError
-from .integrate import (ExactStartup, RecordMode, RunConfig as _RunConfig,
-                        RungeKuttaStartup, integrate, reference_solution)
+from .integrate import (STARTER_FOR_ORDER, ExactStartup, RecordMode,
+                        RunConfig as _RunConfig, RungeKuttaStartup, integrate,
+                        reference_solution)
 from .methods import (Method, MultistepMethod, effective_ssp_coefficient,
                       get_method)
-from .problems import (OdeProblem, exact_solution, fe_property_bound,
-                       logistic_fe_bounds)
+from .problems import (SEIR_CONTACT_RATE, OdeProblem, exact_solution,
+                       fe_property_bound, logistic_fe_bounds)
 
 # ---------------------------------------------------------------------------
 # convergence studies
@@ -211,9 +219,10 @@ def _batch_fe_bounds(problem: OdeProblem, y0s: np.ndarray) -> np.ndarray:
     if problem.name == "seir":
         totals = y0s.sum(axis=1)
         with np.errstate(divide="ignore"):
-            inv = np.where(totals > 0,
-                           1.0 / (5.0 * np.where(totals > 0, totals, 1.0)),
-                           np.inf)
+            inv = np.where(
+                totals > 0,
+                1.0 / (SEIR_CONTACT_RATE * np.where(totals > 0, totals, 1.0)),
+                np.inf)
         return np.minimum(inv, 1.0)
     raise ConfigurationError(f"no vectorized Euler bound for {problem.name}")
 
@@ -247,7 +256,6 @@ def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
     if startup == "auto":
         startup = ExactStartup() if problem.exact is not None else None
         if startup is None:
-            from .integrate import STARTER_FOR_ORDER
             rk_id, kind = STARTER_FOR_ORDER[method.design_order]
             startup = RungeKuttaStartup(rk=rk_id, phi_kind=kind)
     if isinstance(startup, ExactStartup):
@@ -270,6 +278,15 @@ def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
     return block
 
 
+def _rows_all(mask: np.ndarray) -> np.ndarray:
+    """``mask.all(axis=1)`` for a (B, m) mask, column by column: numpy
+    reduces over a short last axis several times slower."""
+    out = mask[:, 0].copy()
+    for k in range(1, mask.shape[1]):
+        out &= mask[:, k]
+    return out
+
+
 def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                            phi_kind: PhiKind, bounds: np.ndarray,
                            dts: np.ndarray, y0s: np.ndarray, n_steps,
@@ -281,10 +298,14 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     """Advance a batch of runs in lockstep and monitor preserved properties.
 
     Per batch element i: threshold bounds[i], step size dts[i], initial
-    state y0s[i], horizon n_steps[i] steps.  ``lower``/``upper`` are scalar
-    bounds applied to every component; ``weak_direction`` is +1 (windowed
-    increase), -1 (decrease) or 0 (skip).  Elements stop evolving once every
-    requested check has failed or their horizon is reached.
+    state y0s[i], horizon n_steps[i] steps.  ``lower``/``upper`` are bounds
+    applied to every component and ``weak_direction`` is +1 (windowed
+    increase), -1 (decrease) or 0 (skip); each is either one value for the
+    whole batch or an array of shape (B,).  In an array a missing bound is
+    -inf/+inf, and an element with both bounds missing has no bound check.
+    An in-horizon state with a non-finite component violates every check
+    requested for its element.  Elements stop evolving once every check
+    requested for them has failed or their horizon is reached.
     """
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
@@ -300,9 +321,37 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
     ring = _batch_startup(problem, method, y0s, dts, startup)
 
+    def edge(bound, sign: float) -> np.ndarray:
+        # the bound widened by a 1e-12 relative tolerance, per element
+        if bound is None:
+            return np.full(B, sign * np.inf)
+        bound = np.broadcast_to(np.asarray(bound, dtype=float), (B,))
+        return bound + sign * 1e-12 * np.maximum(1.0, np.abs(bound))
+
     check_bounds_on = lower is not None or upper is not None
-    check_weak = weak_direction != 0
+    if check_bounds_on:
+        lo_edge = edge(lower, -1.0)
+        hi_edge = edge(upper, +1.0)
+        bound_req = ~(np.isneginf(lo_edge) & np.isposinf(hi_edge))
+        # finite edges make one pair of comparisons also fail NaN and
+        # infinite states; full (B, m) arrays compare several times faster
+        # than a broadcast (B, 1) column
+        big = np.finfo(float).max
+        lo_edge = np.repeat(np.fmax(lo_edge, -big)[:, None], m, axis=1)
+        hi_edge = np.repeat(np.fmin(hi_edge, big)[:, None], m, axis=1)
+    else:
+        bound_req = np.zeros(B, dtype=bool)
+    direction = np.broadcast_to(np.asarray(weak_direction, dtype=int), (B,))
+    weak_req = direction != 0
+    weak_inc = direction > 0
+    weak_dec = direction < 0
+    check_weak = bool(weak_req.any())
     check_inv = invariant_weights is not None
+    # an element finishes once every check requested for it has failed; one
+    # with nothing to check runs to its horizon
+    bound_free = ~bound_req
+    weak_free = ~weak_req
+    checked = bound_req | weak_req
 
     bound_viol = np.zeros(B, dtype=bool)
     weak_viol = np.zeros(B, dtype=bool)
@@ -313,18 +362,11 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         gamma = np.asarray(invariant_weights, dtype=float)
         level = ring[0] @ gamma
 
-    tol_lo = 1e-12 * max(1.0, abs(lower)) if lower is not None else 0.0
-    tol_hi = 1e-12 * max(1.0, abs(upper)) if upper is not None else 0.0
-
     def record(state: np.ndarray, step_idx: int, in_horizon: np.ndarray):
         nonlocal inv_dev
         if check_bounds_on:
-            v = np.zeros(B, dtype=bool)
-            if lower is not None:
-                v |= (state < lower - tol_lo).any(axis=1)
-            if upper is not None:
-                v |= (state > upper + tol_hi).any(axis=1)
-            v &= in_horizon
+            v = ~_rows_all((state >= lo_edge) & (state <= hi_edge))
+            v &= in_horizon & bound_req
             newly = v & ~bound_viol
             first_bound[newly] = step_idx
             bound_viol[:] |= v
@@ -346,14 +388,8 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         for n in range(s - 1, max_steps):
             step_idx = n + 1
             in_horizon = step_idx <= n_steps
-            finished = np.ones(B, dtype=bool)
-            if check_bounds_on:
-                finished &= bound_viol
-            if check_weak:
-                finished &= weak_viol
-            if not (check_bounds_on or check_weak):
-                finished[:] = False
-            active = in_horizon & ~finished
+            finished = (bound_viol | bound_free) & (weak_viol | weak_free)
+            active = in_horizon & ~(finished & checked)
             if not active.any():
                 break
 
@@ -371,11 +407,12 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 window = ring[:, :, weak_component]
                 comp = new[:, weak_component]
                 tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
-                if weak_direction > 0:
-                    v = comp < window.min(axis=0) - tol_w
-                else:
-                    v = comp > window.max(axis=0) + tol_w
-                v &= active
+                v = ~_rows_all(np.isfinite(new))
+                if weak_inc.any():
+                    v |= weak_inc & (comp < window.min(axis=0) - tol_w)
+                if weak_dec.any():
+                    v |= weak_dec & (comp > window.max(axis=0) + tol_w)
+                v &= active & weak_req
                 newly = v & ~weak_viol
                 first_weak[newly] = step_idx
                 weak_viol[:] |= v
@@ -435,6 +472,12 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
 
 BOUNDEDNESS = "boundedness"
 WEAK_MONOTONICITY = "weak-monotonicity"
+
+#: most elements one sharpness sweep holds.  A six-step SEIR ring of this
+#: many elements takes 3 MB; on a 400 x 1000 SEIR grid, chunks of 2**12 to
+#: 2**14 elements ran about 1.7 times faster than chunks of 2**17, whose
+#: arrays no longer fit the processor caches
+MAX_SWEEP_ELEMENTS = 2 ** 14
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float,
@@ -503,6 +546,15 @@ def _sharpness_checks(problem: OdeProblem, y0: np.ndarray,
     raise ConfigurationError(f"no sharpness property set for {problem.name}")
 
 
+def _stack_checks(checks: Sequence[dict]) -> dict:
+    """Per-row check dicts -> one array per bound or direction any row
+    uses, holding -inf/+inf/0 for the rows without it."""
+    return {key: np.array([c.get(key, missing) for c in checks])
+            for key, missing in (("lower", -np.inf), ("upper", np.inf),
+                                 ("weak_direction", 0))
+            if any(key in c for c in checks)}
+
+
 def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
                         phi_kind: PhiKind, y0_states: np.ndarray,
                         dt_grid: np.ndarray, t_end: float, prop: str,
@@ -519,36 +571,83 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     at the sufficient threshold by construction); a row where it fails even
     there is marked "below-range", and one where it still holds at the top
     is censored at the top ("at-range-top").
+
+    All rows bisect in lockstep: one sweep tests the lower ends of every
+    row, one the upper ends of the rows that pass, and each bisection
+    iteration is one sweep over (rows still bisecting x step sizes), each
+    element with its own row's threshold and checks.  Every row sees the
+    midpoints ``bisect_threshold`` would give it alone, so the rows equal
+    a row-by-row bisection exactly.  A sweep holds at most
+    ``MAX_SWEEP_ELEMENTS`` elements; larger ones run in chunks of rows.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
     y0_states = np.asarray(y0_states, dtype=float)
     dt_grid = np.asarray(dt_grid, dtype=float)
     n_dt = dt_grid.size
+    if n_dt == 0:
+        raise ValueError("dt_grid is empty")
     n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
+    n_rows = y0_states.shape[0]
 
-    rows = []
-    for i in range(y0_states.shape[0]):
-        y0 = y0_states[i]
-        label = float(labels[i]) if labels is not None else float(y0[0])
-        sufficient = (effective_ssp_coefficient(method)
-                      * fe_property_bound(problem, y0))
-        checks = _sharpness_checks(problem, y0, prop, weak_component)
-        tiled = np.tile(y0, (n_dt, 1))
+    label_values = [float(labels[i]) if labels is not None
+                    else float(y0_states[i, 0]) for i in range(n_rows)]
+    sufficient = np.array([effective_ssp_coefficient(method)
+                           * fe_property_bound(problem, y0)
+                           for y0 in y0_states])
+    checks = [_sharpness_checks(problem, y0, prop, weak_component)
+              for y0 in y0_states]
+    per_row = _stack_checks(checks)
+    # one problem monitors the same component in every row
+    column = checks[0].get("weak_component", 0) if checks else 0
+    rows_per_sweep = max(1, MAX_SWEEP_ELEMENTS // n_dt)
 
-        def holds(bound_value: float) -> bool:
+    def holds(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Whether ``prop`` holds for row rows[k] at thresholds[k] for every
+        step size."""
+        out = np.empty(rows.size, dtype=bool)
+        for start in range(0, rows.size, rows_per_sweep):
+            chunk = rows[start:start + rows_per_sweep]
+            k = chunk.size
             outcome = run_preservation_sweep(
-                problem, method, phi_kind, np.full(n_dt, bound_value),
-                dt_grid, tiled, n_steps, startup=startup, **checks)
-            if prop == BOUNDEDNESS:
-                return not outcome.bound_violated.any()
-            return not outcome.weak_violated.any()
+                problem, method, phi_kind,
+                np.repeat(thresholds[start:start + k], n_dt),
+                np.tile(dt_grid, k), np.repeat(y0_states[chunk], n_dt, axis=0),
+                np.tile(n_steps, k), startup=startup, weak_component=column,
+                **{key: np.repeat(v[chunk], n_dt)
+                   for key, v in per_row.items()})
+            violated = (outcome.bound_violated if prop == BOUNDEDNESS
+                        else outcome.weak_violated)
+            out[start:start + k] = ~violated.reshape(k, n_dt).any(axis=1)
+        return out
 
-        value, status = bisect_threshold(
-            holds, interval_scale[0] * sufficient,
-            interval_scale[1] * sufficient, tol, max_iter)
-        rows.append(SharpnessRow(label, sufficient, value, prop, status))
+    # the same steps as bisect_threshold, for every row at once
+    lo = interval_scale[0] * sufficient
+    hi = interval_scale[1] * sufficient
+    values = np.full(n_rows, np.nan)
+    statuses = ["below-range"] * n_rows
+    rows = np.arange(n_rows)
+    rows = rows[holds(rows, lo[rows])]
+    at_top = holds(rows, hi[rows])
+    for i in rows[at_top]:
+        values[i], statuses[i] = hi[i], "at-range-top"
+    bisecting = rows[~at_top]
+    active = bisecting
+    for _ in range(max_iter):
+        active = active[hi[active] - lo[active] > tol]
+        if active.size == 0:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        ok = holds(active, mid)
+        lo[active[ok]] = mid[ok]
+        hi[active[~ok]] = mid[~ok]
+    for i in bisecting:
+        values[i], statuses[i] = 0.5 * (lo[i] + hi[i]), "ok"
 
+    rows_out = tuple(
+        SharpnessRow(label_values[i], float(sufficient[i]), float(values[i]),
+                     prop, statuses[i])
+        for i in range(n_rows))
     config = {
         "problem": problem.name,
         "params": dict(problem.params),
@@ -559,7 +658,7 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
         "dt_grid": [float(dt_grid.min()), float(dt_grid.max()), int(n_dt)],
         "tol": tol,
     }
-    return SharpnessReport(rows=tuple(rows), config=config)
+    return SharpnessReport(rows=rows_out, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ for the epidemic system).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -108,6 +109,9 @@ class Trajectory:
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of steps N with t0 + N dt = t_end, rejecting misaligned grids."""
+    if not all(math.isfinite(v) for v in (t0, t_end, dt)):
+        raise ConfigurationError(
+            f"t0, t_end and dt must be finite (got {t0!r}, {t_end!r}, {dt!r})")
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
     span = t_end - t0

@@ -54,6 +54,17 @@ def test_solve_misaligned_grid_exit_2(capsys):
     assert "error:" in err
 
 
+def test_solve_infinite_t_end_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", "logistic", "--params", "c=2",
+        "--y0", "1", "--method", "sspms64", "--phi", "phi8",
+        "--dt", "0.5", "--t-end", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_solve_unknown_flag_exit_2(capsys):
     code, _out, _err = run_cli(capsys, *FIG3_ARGS, "--frobnicate")
     assert code == 2

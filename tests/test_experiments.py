@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 import nslmm as n
-from nslmm import (BOUNDEDNESS, ConfigurationError,
+from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
                    ErrorNorm, ExactReference, PhiKind, RK4Reference,
                    convergence_study, get_method, observed_order,
                    phi_benchmark, sharpness_bisection)
-from nslmm.experiments import (bisect_threshold,
+from nslmm import experiments
+from nslmm.experiments import (_sharpness_checks, bisect_threshold,
                                logistic_preservation_grid,
                                run_preservation_sweep,
                                seir_conservation_sweep)
-from nslmm.problems import logistic_fe_bounds
+from nslmm.problems import OdeProblem, logistic_fe_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,140 @@ def test_sharpness_rejects_unknown_property(logistic2):
                             "positivity")
 
 
+def _row_by_row(problem, method, kind, y0s, dts, t_end, prop,
+                interval_scale=(1e-4, 10.0), tol=1e-4, max_iter=60,
+                weak_component=0):
+    """Oracle: ``bisect_threshold`` per row over single-row sweeps."""
+    n_steps = np.ceil(t_end / dts - 1e-9).astype(int)
+    results = []
+    for y0 in y0s:
+        sufficient = (n.effective_ssp_coefficient(method)
+                      * n.fe_property_bound(problem, y0))
+        checks = _sharpness_checks(problem, y0, prop, weak_component)
+
+        def holds(value):
+            outcome = run_preservation_sweep(
+                problem, method, kind, np.full(dts.size, value), dts,
+                np.tile(y0, (dts.size, 1)), n_steps, **checks)
+            violated = (outcome.bound_violated if prop == BOUNDEDNESS
+                        else outcome.weak_violated)
+            return not violated.any()
+
+        results.append((sufficient, *bisect_threshold(
+            holds, interval_scale[0] * sufficient,
+            interval_scale[1] * sufficient, tol, max_iter)))
+    return results
+
+
+def _assert_matches_oracle(report, oracle):
+    assert len(report.rows) == len(oracle)
+    for row, (sufficient, value, status) in zip(report.rows, oracle):
+        assert row.status == status
+        assert row.sufficient_bound == sufficient
+        if status == "below-range":
+            assert math.isnan(row.empirical_bound)
+        else:
+            assert row.empirical_bound == value
+
+
+LOGISTIC_Y0S = np.array([[0.3], [1.0], [1.9], [2.0], [2.5], [4.0]])
+
+
+@pytest.mark.parametrize("max_iter", [60, 4])
+@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
+def test_lockstep_sharpness_equals_row_by_row_logistic(logistic2, prop,
+                                                       max_iter):
+    # max_iter=4 stops every bracket before it reaches tol
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, prop, tol=1e-3,
+                                 max_iter=max_iter)
+    oracle = _row_by_row(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts,
+                         30.0, prop, tol=1e-3, max_iter=max_iter)
+    _assert_matches_oracle(report, oracle)
+    assert {r.status for r in report.rows} == {"ok", "at-range-top"}
+
+
+def test_lockstep_sharpness_range_edges(logistic2):
+    # y0 <= 1.9 hold only up to about the sufficient threshold (below
+    # range), y0 = 2 is the fixed point and y0 = 4 holds beyond 1.5 times
+    # it (at range top), y0 = 2.5 bisects
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    scale = (1.1, 1.5)
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, BOUNDEDNESS, tol=1e-3,
+                                 interval_scale=scale)
+    oracle = _row_by_row(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts,
+                         30.0, BOUNDEDNESS, tol=1e-3, interval_scale=scale)
+    _assert_matches_oracle(report, oracle)
+    assert [r.status for r in report.rows] == [
+        "below-range", "below-range", "below-range", "at-range-top", "ok",
+        "at-range-top"]
+
+
+def test_lockstep_sharpness_equals_row_by_row_seir(seir0):
+    m = get_method("sspms43")
+    labels = np.array([0.01, 0.2, 0.6, 0.95])
+    states = np.stack([1.0 - labels, np.zeros_like(labels), labels,
+                       np.zeros_like(labels)], axis=1)
+    dts = np.geomspace(0.5, 3.0, 8)
+    report = sharpness_bisection(seir0, m, PhiKind.PHI7, states, dts, 20.0,
+                                 BOUNDEDNESS, labels=labels, tol=1e-3)
+    oracle = _row_by_row(seir0, m, PhiKind.PHI7, states, dts, 20.0,
+                         BOUNDEDNESS, tol=1e-3)
+    _assert_matches_oracle(report, oracle)
+    assert [r.y0_label for r in report.rows] == list(labels)
+
+
+@pytest.mark.parametrize("cap,largest", [(1, 12), (2 * 12 + 1, 2 * 12)])
+def test_lockstep_sharpness_chunked_sweeps(logistic2, monkeypatch, cap,
+                                           largest):
+    # a cap below one row's dt grid still sweeps one row at a time; a cap
+    # of two rows splits the six rows into three chunks
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    whole = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                dts, 30.0, WEAK_MONOTONICITY, tol=1e-3)
+    sizes = []
+    original = experiments.run_preservation_sweep
+
+    def counting(*args, **kwargs):
+        sizes.append(len(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", cap)
+    chunked = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                  dts, 30.0, WEAK_MONOTONICITY, tol=1e-3)
+    assert chunked.to_csv() == whole.to_csv()
+    assert max(sizes) == largest
+    _assert_matches_oracle(chunked, _row_by_row(
+        logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts, 30.0,
+        WEAK_MONOTONICITY, tol=1e-3))
+
+
+def test_lockstep_sharpness_sweeps_once_per_iteration(logistic2, monkeypatch):
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    calls = []
+    original = experiments.run_preservation_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, BOUNDEDNESS, tol=1e-3)
+    # lower ends, upper ends, then one sweep per halving of the widest
+    # bracket (ten times the sufficient threshold at most)
+    widest = 10.0 * max(r.sufficient_bound for r in report.rows)
+    assert len(calls) <= 2 + math.ceil(math.log2(widest / 1e-3))
+    assert calls[0] == LOGISTIC_Y0S.shape[0] * dts.size
+
+
 # ---------------------------------------------------------------------------
 # batched sweeps
 # ---------------------------------------------------------------------------
@@ -236,6 +373,79 @@ def test_sweep_detects_violations_with_oversized_threshold(logistic2):
         lower=2.0, weak_direction=-1)
     assert outcome.bound_violated.all()
     assert outcome.first_bound_step[0] > 0
+
+
+def _outcome_fields(outcome):
+    return (outcome.bound_violated, outcome.weak_violated,
+            outcome.invariant_max_dev, outcome.first_bound_step,
+            outcome.first_weak_step, outcome.final_states)
+
+
+def test_sweep_array_checks_equal_scalar_calls(logistic2):
+    # four groups of elements with their own checks, oversized thresholds
+    # so that some of them fail
+    m = get_method("sspms42")
+    groups = [
+        (np.array([0.3, 1.2]), dict(lower=0.0, upper=2.0, weak_direction=+1)),
+        (np.array([2.5, 4.0]), dict(lower=2.0, weak_direction=-1)),
+        (np.array([0.5, 1.5]), dict(upper=1.5)),
+        (np.array([0.2, 0.8]), dict(weak_direction=+1)),
+    ]
+    dts = np.array([0.7, 2.0])
+    bounds = np.array([0.4, 1.3])
+    parts = [run_preservation_sweep(logistic2, m, PhiKind.PHI5, bounds, dts,
+                                    y0s[:, None], 40, **checks)
+             for y0s, checks in groups]
+    lower = np.repeat([0.0, 2.0, -np.inf, -np.inf], 2)
+    upper = np.repeat([2.0, np.inf, 1.5, np.inf], 2)
+    direction = np.repeat([1, -1, 0, 1], 2)
+    whole = run_preservation_sweep(
+        logistic2, m, PhiKind.PHI5, np.tile(bounds, 4), np.tile(dts, 4),
+        np.concatenate([y0s for y0s, _ in groups])[:, None], 40,
+        lower=lower, upper=upper, weak_direction=direction)
+    assert whole.bound_violated.any() and whole.weak_violated.any()
+    assert not (whole.bound_violated.all() and whole.weak_violated.all())
+    for got, parts_field in zip(_outcome_fields(whole),
+                                zip(*map(_outcome_fields, parts))):
+        assert np.array_equal(got, np.concatenate(parts_field),
+                              equal_nan=True)
+
+
+def test_sweep_nan_initial_state_violates_every_check(logistic2):
+    m = get_method("sspms42")
+    outcome = run_preservation_sweep(
+        logistic2, m, PhiKind.PHI5, np.array([0.3, 0.3]),
+        np.array([0.5, 0.5]), np.array([[np.nan], [1.0]]), 20,
+        lower=0.0, upper=2.0, weak_direction=+1)
+    assert list(outcome.bound_violated) == [True, False]
+    assert list(outcome.weak_violated) == [True, False]
+    assert outcome.first_bound_step[0] == 0
+    assert outcome.first_weak_step[0] == m.steps
+
+
+def test_sweep_overflow_violates_lower_only_check():
+    # u' = u^2 blows up upward: the states overflow to +inf and never cross
+    # the lower bound, yet the non-finite state counts as a violation
+    def exact(t, y0):
+        y = np.asarray(y0, dtype=float)[..., 0]
+        return (y / (1.0 - y * np.asarray(t, dtype=float)))[..., None]
+
+    problem = OdeProblem(name="quadratic", dimension=1, params={},
+                         rhs=lambda u: u * u, exact=exact)
+    m = get_method("sspms42")
+    dt, n_steps = 0.5, 200
+    outcome = run_preservation_sweep(
+        problem, m, PhiKind.IDENTITY, np.array([1.0]), np.array([dt]),
+        np.array([[0.1]]), n_steps, startup=n.ExactStartup(), lower=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = n.integrate(n.RunConfig(
+            problem=problem, method=m, phi=n.DenominatorSpec(PhiKind.IDENTITY),
+            dt=dt, t_end=n_steps * dt, y0=[0.1], startup=n.ExactStartup()))
+    finite = np.isfinite(traj.states[:, 0])
+    assert (traj.states[finite, 0] >= 0.0).all()
+    assert not finite.all()
+    assert outcome.bound_violated[0]
+    assert outcome.first_bound_step[0] == np.argmin(finite)
 
 
 def test_logistic_preservation_grid_small():
