@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -35,6 +36,12 @@ from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
 from .problems import fe_property_bound, make_problem
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite (got {value!r})")
+    return value
+
+
 def _parse_params(text: str | None) -> dict:
     params = {}
     if text:
@@ -44,15 +51,19 @@ def _parse_params(text: str | None) -> dict:
             if "=" not in item:
                 raise ConfigurationError(f"bad parameter assignment {item!r}")
             key, value = item.split("=", 1)
-            params[key.strip()] = float(value)
+            params[key.strip()] = _finite(float(value),
+                                          f"parameter {key.strip()}")
     return params
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise ConfigurationError(f"bad vector {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"vector {text!r} must be finite")
+    return values
 
 
 def _parse_startup(text: str):
@@ -100,7 +111,7 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
     if name in ("bound-below", "bound-above"):
         if len(parts) < 2:
             raise ConfigurationError(f"{name} needs a level, e.g. {name}:2")
-        level = float(parts[1])
+        level = _finite(float(parts[1]), f"{name} level")
         component = int(parts[2]) if len(parts) > 2 else None
         key = "lower" if name == "bound-below" else "upper"
         return token, lambda traj: qualprops.check_bounds(
@@ -124,7 +135,12 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
     raise ConfigurationError(f"unknown check {token!r}")
 
 
+def _b_fe_arg(args) -> float | None:
+    return None if args.b_fe is None else _finite(args.b_fe, "--b-fe")
+
+
 def _resolve_phi_spec(args, method, problem, y0) -> DenominatorSpec:
+    b_fe = _b_fe_arg(args)
     if args.standard:
         return DenominatorSpec(PhiKind.IDENTITY)
     kind, p = parse_phi_label(args.phi)
@@ -132,7 +148,8 @@ def _resolve_phi_spec(args, method, problem, y0) -> DenominatorSpec:
         return DenominatorSpec(PhiKind.IDENTITY)
     if args.bound is not None:
         return DenominatorSpec(kind, bound=args.bound, p=p)
-    b_fe = args.b_fe if args.b_fe is not None else fe_property_bound(problem, y0)
+    if b_fe is None:
+        b_fe = fe_property_bound(problem, y0)
     return make_phi_for_method(method, b_fe, kind, p)
 
 
@@ -146,6 +163,8 @@ def _cmd_solve(args) -> int:
     method = get_method(args.method)
     y0 = _parse_vector(args.y0)
     phi = _resolve_phi_spec(args, method, problem, y0)
+    checks = [_parse_check(token, problem, method, y0)
+              for token in args.check or []]
     startup = _parse_startup(args.startup) if args.startup else None
     record = (RecordMode.FINAL_STATE_ONLY if args.final_only
               else RecordMode.FULL_TRAJECTORY)
@@ -156,8 +175,7 @@ def _cmd_solve(args) -> int:
     _write_output(traj.to_csv(), args.out)
 
     all_hold = True
-    for token in args.check or []:
-        label, runner = _parse_check(token, problem, method, y0)
+    for _label, runner in checks:
         report = runner(traj)
         all_hold &= report.holds
         sys.stderr.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
@@ -197,7 +215,7 @@ def _cmd_convergence(args) -> int:
             phi = kind
     startup = _parse_startup(args.startup) if args.startup else None
     report = convergence_study(problem, method, phi, dts, args.t_end, y0,
-                               reference, norm=norm, b_fe=args.b_fe,
+                               reference, norm=norm, b_fe=_b_fe_arg(args),
                                startup=startup, t0=args.t0)
     _write_output(report.to_csv(), args.out)
     return 0

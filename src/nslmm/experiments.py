@@ -5,10 +5,10 @@ micro-benchmark.
 The sweep machinery is vectorized: a batch of independent runs (one per
 combination of initial value, step size and threshold) advances in lockstep
 as numpy arrays, with property monitors evaluated on the fly; bounds and
-monotonicity directions may differ per element.  Elementwise arithmetic
-matches the scalar stepping kernels, so a batch element agrees with the
-corresponding single run to round-off, and it does not depend on which
-other elements share its batch.
+monotonicity directions may differ per element.  A batch steps through the
+kernels of a single run (``integrate._ms_step`` and its slope ring, one
+``rhs`` call per step for all elements; ``integrate._rk_step``), so each
+element equals its single run bit for bit, whatever else shares its batch.
 
 Sharpness bisection uses that independence: every initial value's threshold
 bracket advances together, one sweep over (rows still bisecting x step
@@ -22,6 +22,7 @@ import math
 import os
 import statistics
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,8 @@ import numpy as np
 from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
 from .errors import ConfigurationError
 from .integrate import (STARTER_FOR_ORDER, ExactStartup, RecordMode,
-                        RunConfig as _RunConfig, RungeKuttaStartup, integrate,
+                        RunConfig as _RunConfig, RungeKuttaStartup, _ms_step,
+                        _rk_step, _scaled_terms, integrate,
                         reference_solution)
 from .methods import (Method, MultistepMethod, effective_ssp_coefficient,
                       get_method)
@@ -227,23 +229,6 @@ def _batch_fe_bounds(problem: OdeProblem, y0s: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"no vectorized Euler bound for {problem.name}")
 
 
-def _batch_rk_step(stages, h: np.ndarray, rhs, u: np.ndarray) -> np.ndarray:
-    values = [u]
-    slopes: list = [None]
-    for stage in stages:
-        acc = None
-        for src, a, b in stage:
-            contrib = a * values[src]
-            if b != 0.0:
-                if slopes[src] is None:
-                    slopes[src] = rhs(values[src])
-                contrib = contrib + (h * b) * slopes[src]
-            acc = contrib if acc is None else acc + contrib
-        values.append(acc)
-        slopes.append(None)
-    return values[-1]
-
-
 def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
                    dts: np.ndarray, startup) -> np.ndarray:
     """Startup block of shape (s, B, m) for a batched multistep run."""
@@ -271,8 +256,8 @@ def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
         h = np.asarray(phi_value(startup.phi_kind, bounds_rk, dts,
                                  startup.p)).reshape(B, 1)
         for i in range(1, s):
-            block[i] = _batch_rk_step(rk.float_stages, h, problem.rhs,
-                                      block[i - 1])
+            block[i] = _rk_step(rk.float_stages, h, problem.rhs,
+                                block[i - 1])
     else:
         raise ConfigurationError(f"unsupported batch startup {startup!r}")
     return block
@@ -319,7 +304,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         phis = dts.copy()
     else:
         phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
-    ring = _batch_startup(problem, method, y0s, dts, startup)
+    block = _batch_startup(problem, method, y0s, dts, startup)
 
     def edge(bound, sign: float) -> np.ndarray:
         # the bound widened by a 1e-12 relative tolerance, per element
@@ -360,7 +345,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     inv_dev = np.zeros(B)
     if check_inv:
         gamma = np.asarray(invariant_weights, dtype=float)
-        level = ring[0] @ gamma
+        level = block[0] @ gamma
 
     def record(state: np.ndarray, step_idx: int, in_horizon: np.ndarray):
         nonlocal inv_dev
@@ -375,13 +360,14 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             dev = np.abs(state @ gamma - target)
             inv_dev = np.maximum(inv_dev, np.where(in_horizon, dev, 0.0))
 
-    full_horizon = np.ones(B, dtype=bool)
     for i in range(s):
-        record(ring[i], i, (i <= n_steps) & full_horizon)
+        record(block[i], i, i <= n_steps)
 
-    terms = method.terms
+    # the state and slope rings of the shared kernel, newest first
+    states = deque(block[::-1], maxlen=s)
+    slopes = deque([None] * s, maxlen=s)
+    scaled = _scaled_terms(method.terms, phis[:, None])
     max_steps = int(n_steps.max())
-    top = s - 1
     # violated elements may blow up before they freeze; their inf/nan
     # arithmetic is elementwise and never poisons the others
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,18 +379,12 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             if not active.any():
                 break
 
-            acc = None
-            for j, a, b in terms:
-                u = ring[(top - (j - 1)) % s]
-                contrib = a * u
-                if b != 0.0:
-                    contrib = contrib + (phis * b)[:, None] * rhs(u)
-                acc = contrib if acc is None else acc + contrib
-            current = ring[top]
-            new = np.where(active[:, None], acc, current)
+            acc = _ms_step(scaled, rhs, states, slopes)
+            new = (acc if active.all()
+                   else np.where(active[:, None], acc, states[0]))
 
             if check_weak:
-                window = ring[:, :, weak_component]
+                window = np.array([u[:, weak_component] for u in states])
                 comp = new[:, weak_component]
                 tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
                 v = ~_rows_all(np.isfinite(new))
@@ -417,15 +397,14 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 first_weak[newly] = step_idx
                 weak_viol[:] |= v
             record(new, step_idx, in_horizon)
-
-            top = (top + 1) % s
-            ring[top] = new
+            states.appendleft(new)
+            slopes.appendleft(None)
 
     return SweepOutcome(bound_violated=bound_viol, weak_violated=weak_viol,
                         invariant_max_dev=inv_dev,
                         first_bound_step=first_bound,
                         first_weak_step=first_weak,
-                        final_states=ring[top].copy())
+                        final_states=states[0].copy())
 
 
 def logistic_preservation_grid(c: float, y0_values: np.ndarray,

@@ -171,8 +171,12 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         e = u[..., 1]
         i = u[..., 2]
         infection = SEIR_CONTACT_RATE * s * i
-        return np.stack(
-            [pi - infection, infection - e, e - i, i], axis=-1)
+        out = np.empty(np.shape(u))
+        out[..., 0] = pi - infection
+        out[..., 1] = infection - e
+        out[..., 2] = e - i
+        out[..., 3] = i
+        return out
 
     def bound_rule(y0):
         y = np.asarray(y0, dtype=float)

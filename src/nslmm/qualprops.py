@@ -9,7 +9,8 @@ for a linear invariant the negated absolute drift from its target line.
 
 Round-off at a pinned boundary is not a violation: bound and windowed checks
 use a relative tolerance of 1e-12, and invariant drift is allowed to grow
-linearly with the step count.
+linearly with the step count.  A non-finite (NaN or infinite) checked value
+always is: the first one can be the first violation, and its margin is -inf.
 """
 
 from __future__ import annotations
@@ -88,15 +89,17 @@ def check_bounds(traj: Trajectory, component: int | None = None,
         cols = states
         col_ids = list(range(m))
 
-    margin = np.full(cols.shape, np.inf)
-    viol = np.zeros(cols.shape, dtype=bool)
+    # fmin keeps the -inf of a non-finite value where a NaN difference
+    # would otherwise win
+    viol = ~np.isfinite(cols)
+    margin = np.where(viol, -np.inf, np.inf)
     if upper is not None:
         mu = upper - cols
-        margin = np.minimum(margin, mu)
+        margin = np.fmin(margin, mu)
         viol |= mu < -_tol(upper)
     if lower is not None:
         ml = cols - lower
-        margin = np.minimum(margin, ml)
+        margin = np.fmin(margin, ml)
         viol |= ml < -_tol(lower)
 
     first = None
@@ -104,7 +107,8 @@ def check_bounds(traj: Trajectory, component: int | None = None,
         step, col = np.unravel_index(int(np.argmax(viol)), viol.shape)
         k = col_ids[col]
         value = float(cols[step, col])
-        which = upper if (upper is not None and value > upper) else lower
+        which = (upper if lower is None or (upper is not None and value > upper)
+                 else lower)
         first = Violation(step=int(traj.first_index + step), component=k,
                           value=value, bound=float(which))
     descriptor = {
@@ -133,28 +137,33 @@ def check_weak_monotonicity(traj: Trajectory, component: int, window: int,
     series = states[:, component]
     windows = np.lib.stride_tricks.sliding_window_view(series[:-1], window)
     tols = VIOLATION_RTOL * np.maximum(1.0, np.abs(series[window:]))
-    if direction == "increase":
-        ref = windows.min(axis=1)
-        margin = series[window:] - ref
-    else:
-        ref = windows.max(axis=1)
-        margin = ref - series[window:]
-    viol = margin < -tols
+    with np.errstate(invalid="ignore"):  # inf - inf: handled below
+        if direction == "increase":
+            ref = windows.min(axis=1)
+            margin = series[window:] - ref
+        else:
+            ref = windows.max(axis=1)
+            margin = ref - series[window:]
+    # by iterate index; a non-finite iterate violates even inside the first
+    # window, where it has no window extremum to report
+    finite = np.isfinite(series)
+    viol = ~finite
+    viol[window:] |= margin < -tols
     first = None
     if viol.any():
         i = int(np.argmax(viol))
-        first = Violation(step=int(traj.first_index + window + i),
-                          component=component,
-                          value=float(series[window + i]),
-                          bound=float(ref[i]))
+        first = Violation(step=int(traj.first_index + i),
+                          component=component, value=float(series[i]),
+                          bound=float(ref[i - window]) if i >= window
+                          else float("nan"))
     descriptor = {
         "kind": f"weakmon-{direction}",
         "component": component,
         "window": window,
     }
+    worst = float(margin.min()) if finite.all() else -np.inf
     return PropertyReport(descriptor=descriptor, holds=first is None,
-                          first_violation=first,
-                          worst_margin=float(margin.min()))
+                          first_violation=first, worst_margin=worst)
 
 
 def check_classical_monotonicity(traj: Trajectory, component: int,
@@ -178,7 +187,7 @@ def check_linear_invariant(traj: Trajectory, weights: Sequence[float],
     dev = values - target
     n_steps = max(1, traj.first_index + states.shape[0] - 1)
     tol = VIOLATION_RTOL * n_steps
-    abs_dev = np.abs(dev)
+    abs_dev = np.where(np.isnan(dev), np.inf, np.abs(dev))
     first = None
     if (abs_dev > tol).any():
         i = int(np.argmax(abs_dev > tol))

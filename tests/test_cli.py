@@ -65,6 +65,30 @@ def test_solve_infinite_t_end_exit_2(capsys):
     assert err.count("\n") == 1
 
 
+def _assert_one_line_finite_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_nan_start_exit_2(capsys):
+    # this run used to report both checks as held, with a NaN margin
+    _assert_one_line_finite_error(*run_cli(
+        capsys, "solve", "--problem", "logistic", "--params", "c=2",
+        "--y0", "nan", "--method", "sspms64", "--dt", "0.5", "--t-end", "15",
+        "--check", "bound-below:2", "--check", "weakmon-dec", "--strict"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--y0", "1,inf"), ("--params", "c=nan"), ("--check", "bound-below:inf"),
+    ("--b-fe", "nan"), ("--b-fe", "inf")])
+def test_solve_non_finite_input_exit_2(capsys, flag, value):
+    # a repeated flag overrides the earlier value; --check adds one
+    _assert_one_line_finite_error(*run_cli(capsys, *FIG3_ARGS, flag, value))
+
+
 def test_solve_unknown_flag_exit_2(capsys):
     code, _out, _err = run_cli(capsys, *FIG3_ARGS, "--frobnicate")
     assert code == 2

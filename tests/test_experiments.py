@@ -13,7 +13,10 @@ from nslmm.experiments import (_sharpness_checks, bisect_threshold,
                                logistic_preservation_grid,
                                run_preservation_sweep,
                                seir_conservation_sweep)
+from nslmm.integrate import STARTER_FOR_ORDER
 from nslmm.problems import OdeProblem, logistic_fe_bounds
+
+from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +365,58 @@ def test_sweep_final_states_match_scalar_runs(logistic2):
             record=n.RecordMode.FINAL_STATE_ONLY))
         assert outcome.final_states[i] == pytest.approx(
             traj.final_state, rel=1e-13)
+
+
+def _mixed_batch(problem):
+    """Four elements with their own y0, dt, horizon and threshold."""
+    if problem.name == "logistic":
+        y0s = np.array([[0.3], [1.1], [2.6], [0.05]])
+    else:
+        infected = np.array([0.2, 0.01, 0.6, 0.35])
+        y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                        0.0 * infected], axis=1)
+    dts = np.array([0.05, 0.2, 0.35, 0.1])
+    n_steps = np.array([40, 25, 12, 33])
+    return y0s, dts, n_steps
+
+
+@pytest.mark.parametrize("method_id", n.MULTISTEP_IDS)
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+def test_batch_element_equals_scalar_run_bitwise(method_id, problem_name):
+    # logistic starts from the closed form, SEIR from the Runge-Kutta
+    # starter; both paths step through the same kernels
+    problem = n.make_problem(problem_name)
+    m = get_method(method_id)
+    kind = ORDER_MATCHED_PHI[m.design_order]
+    y0s, dts, n_steps = _mixed_batch(problem)
+    bounds = np.array([n.effective_ssp_coefficient(m)
+                       * n.fe_property_bound(problem, y0) for y0 in y0s])
+    outcome = run_preservation_sweep(problem, m, kind, bounds, dts, y0s,
+                                     n_steps)
+    for i in range(len(dts)):
+        traj = n.integrate(n.RunConfig(
+            problem=problem, method=m,
+            phi=n.DenominatorSpec(kind, bound=float(bounds[i])),
+            dt=float(dts[i]), t_end=float(n_steps[i] * dts[i]), y0=y0s[i],
+            record=n.RecordMode.FINAL_STATE_ONLY))
+        assert (outcome.final_states[i] == traj.final_state).all(), i
+
+
+@pytest.mark.parametrize("method_id", n.MULTISTEP_IDS)
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+def test_sweep_makes_one_rhs_call_per_step(method_id, problem_name):
+    problem, calls = counting_rhs(n.make_problem(problem_name))
+    m = get_method(method_id)
+    y0s, dts, n_steps = _mixed_batch(problem)
+    run_preservation_sweep(problem, m, PhiKind.PHI8, np.full(4, 0.1), dts,
+                           y0s, n_steps)
+    starter = 0
+    if problem_name == "seir":
+        rk = get_method(STARTER_FOR_ORDER[m.design_order][0])
+        per_step = len({src for stage in rk.float_stages
+                        for src, _a, b in stage if b != 0.0})
+        starter = (m.steps - 1) * per_step
+    assert calls[0] - starter == slope_evaluations(m, int(n_steps.max()))
 
 
 def test_sweep_detects_violations_with_oversized_threshold(logistic2):

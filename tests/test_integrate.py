@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nslmm.integrate  # noqa: F401  (the submodule, looked up below)
-from nslmm import (ConfigurationError, DenominatorSpec, ExactStartup,
-                   PhiKind, RecordMode, RunConfig,
+from nslmm import (MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
+                   ExactStartup, PhiKind, RecordMode, RunConfig,
                    RungeKuttaStartup, eval_phi, exact_solution,
                    forward_euler_step, get_method, integrate,
                    make_phi_for_method, nslmm_step, nsrk_step,
                    reference_solution, seir_problem)
 from nslmm.problems import OdeProblem
 
-from conftest import ORDER_MATCHED_PHI
+from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
 
 # "nslmm.integrate" the module, not the same-named driver function that
 # nslmm/__init__ re-exports
@@ -177,6 +177,18 @@ def test_identity_and_patched_transform_agree_bitwise(logistic2, monkeypatch):
                      0.0125, 1.0, [1.0])
     patched = integrate(cfg_ns)
     assert np.array_equal(ref.states, patched.states)
+
+
+@pytest.mark.parametrize("method_id", MULTISTEP_IDS)
+def test_run_makes_one_rhs_call_per_step(logistic2, method_id):
+    # after the closed-form startup, each step evaluates the slope of one
+    # new state; the slopes it reads of older states are cached
+    problem, calls = counting_rhs(logistic2)
+    m = get_method(method_id)
+    n_steps = 50
+    integrate(_config(problem, m, make_phi_for_method(m, 0.5, PhiKind.PHI8),
+                      0.02, n_steps * 0.02, [0.4]))
+    assert calls[0] == slope_evaluations(m, n_steps)
 
 
 def test_misaligned_grid_rejected(logistic2):

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import math
 import pytest
 
-from nslmm import (CATALOG, MULTISTEP_IDS, MultistepMethod, RungeKuttaMethod,
-                   effective_ssp_coefficient, get_method, ssp_coefficient,
+from nslmm import (CATALOG, MULTISTEP_IDS, RUNGE_KUTTA_IDS, MultistepMethod,
+                   RungeKuttaMethod, effective_ssp_coefficient, get_method, ssp_coefficient,
                    validate_method)
 
 
@@ -113,3 +113,84 @@ def test_multistep_order_conditions(method_id):
     method = get_method(method_id)
     residuals = _order_condition_residuals(method, method.design_order)
     assert max(abs(r) for r in residuals) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Runge-Kutta order conditions, through the Butcher form
+# ---------------------------------------------------------------------------
+
+
+def _butcher(rk: RungeKuttaMethod):
+    """(A, b, c) of a Shu-Osher method, in exact fractions.
+
+    Stage value v_i = u + h * sum_k W[i][k] f(v_k); substituting the
+    earlier stage values into v_i = sum_k (a v_k + h b f(v_k)) gives
+    W[i] = sum_k a W[k] + b e_k, since every stage's a sum to 1.  The
+    slopes are taken at v_0 .. v_(S-1), so A is rows 0 .. S-1 of W and b
+    is row S.
+    """
+    n = rk.stage_count
+    weights = [[F(0)] * n]
+    for stage in rk.stages:
+        row = [F(0)] * n
+        for src, a, b in stage:
+            row = [r + F(a) * w for r, w in zip(row, weights[src])]
+            row[src] += F(b)
+        weights.append(row)
+    A = weights[:n]
+    return A, weights[n], [sum(row) for row in A]
+
+
+def _grow(tree):
+    """Every rooted tree with one vertex more than ``tree``; a tree is the
+    sorted tuple of its subtrees."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for grown in _grow(child):
+            yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+
+def _rooted_trees(order: int) -> set:
+    trees = {()}
+    for _ in range(order - 1):
+        trees = {g for t in trees for g in _grow(t)}
+    return trees
+
+
+def _order_residuals(A, b, order: int) -> list:
+    """b . Phi(t) - 1/gamma(t) over the rooted trees t of one order."""
+    def weight(tree):  # elementary weight vector of the stages
+        out = [F(1)] * len(b)
+        for child in tree:
+            inner = weight(child)
+            out = [o * sum(a * w for a, w in zip(row, inner))
+                   for o, row in zip(out, A)]
+        return out
+
+    def size(tree):
+        return 1 + sum(size(c) for c in tree)
+
+    def density(tree):
+        return size(tree) * math.prod(density(c) for c in tree)
+
+    return [sum(bi * wi for bi, wi in zip(b, weight(t))) - F(1, density(t))
+            for t in _rooted_trees(order)]
+
+
+def test_rooted_tree_counts():
+    assert [len(_rooted_trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+
+
+@pytest.mark.parametrize("method_id", RUNGE_KUTTA_IDS)
+def test_runge_kutta_order_conditions(method_id):
+    rk = get_method(method_id)
+    A, b, c = _butcher(rk)
+    assert all(A[i][k] == 0 for i in range(len(A)) for k in range(i, len(A)))
+    conditions = [r for q in range(1, rk.design_order + 1)
+                  for r in _order_residuals(A, b, q)]
+    assert len(conditions) == {2: 2, 3: 4, 4: 8}[rk.design_order]
+    assert all(r == 0 for r in conditions)
+    # the bushy trees among them, written with the abscissae c
+    for q in range(1, rk.design_order + 1):
+        assert sum(bi * ci ** (q - 1) for bi, ci in zip(b, c)) == F(1, q)
+    assert any(r != 0 for r in _order_residuals(A, b, rk.design_order + 1))

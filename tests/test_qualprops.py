@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nslmm import (PhiKind, QualitativeProperty, RunConfig,
+from nslmm import (DenominatorSpec, PhiKind, QualitativeProperty, RunConfig,
                    Trajectory, check_bounds, check_classical_monotonicity,
                    check_linear_invariant, check_property,
                    check_weak_monotonicity, fe_property_bound, get_method,
@@ -166,6 +166,61 @@ def test_single_euler_step_conserves_the_sum(seir0, seir_y0):
     from nslmm import forward_euler_step
     out = forward_euler_step(seir0, seir_y0, 0.1)
     assert float(out.sum()) == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# non-finite states
+# ---------------------------------------------------------------------------
+
+
+def _three_checks(traj, window=2):
+    level = float(traj.states[0, 0])
+    return (check_bounds(traj, 0, lower=0.0, upper=2.0),
+            check_weak_monotonicity(traj, 0, window, "increase"),
+            check_linear_invariant(traj, [1.0], 0.0, level))
+
+
+def test_nan_row_violates_every_monitor():
+    # every check holds on the finite rows
+    traj = _traj([0.5, 0.5, np.nan, 0.5, 0.5, 0.5])
+    for report in _three_checks(traj):
+        assert not report.holds
+        assert report.first_violation.step == 2
+        assert np.isnan(report.first_violation.value)
+        assert report.worst_margin == -np.inf
+
+
+def test_infinite_value_violates_a_one_sided_bound():
+    report = check_bounds(_traj([0.5, np.inf, 1.0]), 0, lower=0.0)
+    assert not report.holds
+    assert report.first_violation.step == 1
+    assert report.worst_margin == -np.inf
+
+
+def test_nan_start_violates_every_monitor(logistic2):
+    m = get_method("sspms64")
+    traj = integrate(RunConfig(
+        problem=logistic2, method=m,
+        phi=make_phi_for_method(m, 0.5, PhiKind.PHI8), dt=0.5, t_end=15.0,
+        y0=[np.nan]))
+    for report in _three_checks(traj, window=m.steps):
+        assert not report.holds
+        assert report.first_violation.step == 0
+        assert report.worst_margin == -np.inf
+
+
+def test_run_to_minus_infinity_fails_every_monitor(logistic2):
+    # the untransformed two-step-order method at dt = 3 leaves [0, 2] and
+    # overflows to -inf
+    m = get_method("sspms42")
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(RunConfig(
+            problem=logistic2, method=m, phi=DenominatorSpec(PhiKind.IDENTITY),
+            dt=3.0, t_end=60.0, y0=[0.5]))
+    assert np.isneginf(traj.final_state[0])
+    for report in _three_checks(traj, window=m.steps):
+        assert not report.holds
+        assert report.worst_margin == -np.inf
 
 
 # ---------------------------------------------------------------------------
