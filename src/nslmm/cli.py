@@ -85,7 +85,11 @@ def _parse_grid(text: str, default_spacing: str = "lin") -> np.ndarray:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise ConfigurationError(f"bad grid {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo = _finite(float(parts[0]), f"grid start in {text!r}")
+        hi = _finite(float(parts[1]), f"grid end in {text!r}")
+        n = int(parts[2])
+        if n < 1:
+            raise ConfigurationError(f"grid {text!r} needs at least one point")
         spacing = parts[3] if len(parts) == 4 else default_spacing
         if spacing == "log":
             return np.geomspace(lo, hi, n)

@@ -8,12 +8,15 @@ as numpy arrays, with property monitors evaluated on the fly; bounds and
 monotonicity directions may differ per element.  A batch steps through the
 kernels of a single run (``integrate._ms_step`` and its slope ring, one
 ``rhs`` call per step for all elements; ``integrate._rk_step``), so each
-element equals its single run bit for bit, whatever else shares its batch.
+element's states equal its single run bit for bit, whatever else shares its
+batch.  A large batch advances in blocks of elements whose state arrays
+hold at most ``MAX_SWEEP_ELEMENTS`` values, small enough for the rings of
+states and slopes to stay in the processor caches.
 
 Sharpness bisection uses that independence: every initial value's threshold
 bracket advances together, one sweep over (rows still bisecting x step
-sizes) per bisection iteration, cut into chunks of at most
-``MAX_SWEEP_ELEMENTS`` elements to bound memory.
+sizes) per bisection iteration, cut into chunks of rows whose state arrays
+also hold at most ``MAX_SWEEP_ELEMENTS`` values.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ import numpy as np
 
 from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
 from .errors import ConfigurationError
-from .integrate import (STARTER_FOR_ORDER, ExactStartup, RecordMode,
-                        RunConfig as _RunConfig, RungeKuttaStartup, _ms_step,
-                        _rk_step, _scaled_terms, integrate,
-                        reference_solution)
+from .integrate import (ExactStartup, RecordMode, RunConfig as _RunConfig,
+                        RungeKuttaStartup, _ms_step, _rk_step, _scaled_terms,
+                        default_startup, integrate, reference_solution)
 from .methods import (Method, MultistepMethod, effective_ssp_coefficient,
                       get_method)
 from .problems import (SEIR_CONTACT_RATE, OdeProblem, exact_solution,
@@ -239,10 +241,7 @@ def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
     if s == 1:
         return block
     if startup == "auto":
-        startup = ExactStartup() if problem.exact is not None else None
-        if startup is None:
-            rk_id, kind = STARTER_FOR_ORDER[method.design_order]
-            startup = RungeKuttaStartup(rk=rk_id, phi_kind=kind)
+        startup = default_startup(problem, method)
     if isinstance(startup, ExactStartup):
         for i in range(1, s):
             block[i] = problem.exact(i * dts, y0s)
@@ -253,8 +252,9 @@ def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
         else:
             bounds_rk = (effective_ssp_coefficient(rk)
                          * _batch_fe_bounds(problem, y0s))
-        h = np.asarray(phi_value(startup.phi_kind, bounds_rk, dts,
-                                 startup.p)).reshape(B, 1)
+        h = np.reshape(phi_value(startup.phi_kind, bounds_rk, dts, startup.p),
+                       (B, 1))
+        h = np.repeat(h, m, axis=1)
         for i in range(1, s):
             block[i] = _rk_step(rk.float_stages, h, problem.rhs,
                                 block[i - 1])
@@ -290,7 +290,13 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     -inf/+inf, and an element with both bounds missing has no bound check.
     An in-horizon state with a non-finite component violates every check
     requested for its element.  Elements stop evolving once every check
-    requested for them has failed or their horizon is reached.
+    requested for them has failed or their horizon is reached; the
+    invariant is monitored while an element evolves.
+
+    The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
+    elements, each block to its own last active step, so that a block's
+    rings of states and slopes stay in the processor caches.  Elements are
+    independent, so the blocks show in no result.
     """
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
@@ -304,7 +310,6 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         phis = dts.copy()
     else:
         phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
-    block = _batch_startup(problem, method, y0s, dts, startup)
 
     def edge(bound, sign: float) -> np.ndarray:
         # the bound widened by a 1e-12 relative tolerance, per element
@@ -319,11 +324,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         hi_edge = edge(upper, +1.0)
         bound_req = ~(np.isneginf(lo_edge) & np.isposinf(hi_edge))
         # finite edges make one pair of comparisons also fail NaN and
-        # infinite states; full (B, m) arrays compare several times faster
-        # than a broadcast (B, 1) column
+        # infinite states
         big = np.finfo(float).max
-        lo_edge = np.repeat(np.fmax(lo_edge, -big)[:, None], m, axis=1)
-        hi_edge = np.repeat(np.fmin(hi_edge, big)[:, None], m, axis=1)
+        lo_edge = np.fmax(lo_edge, -big)
+        hi_edge = np.fmin(hi_edge, big)
     else:
         bound_req = np.zeros(B, dtype=bool)
     direction = np.broadcast_to(np.asarray(weak_direction, dtype=int), (B,))
@@ -332,79 +336,97 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     weak_dec = direction < 0
     check_weak = bool(weak_req.any())
     check_inv = invariant_weights is not None
-    # an element finishes once every check requested for it has failed; one
-    # with nothing to check runs to its horizon
-    bound_free = ~bound_req
-    weak_free = ~weak_req
-    checked = bound_req | weak_req
-
-    bound_viol = np.zeros(B, dtype=bool)
-    weak_viol = np.zeros(B, dtype=bool)
-    first_bound = np.full(B, -1, dtype=np.int64)
-    first_weak = np.full(B, -1, dtype=np.int64)
-    inv_dev = np.zeros(B)
     if check_inv:
         gamma = np.asarray(invariant_weights, dtype=float)
-        level = block[0] @ gamma
+        level = y0s @ gamma
 
-    def record(state: np.ndarray, step_idx: int, in_horizon: np.ndarray):
-        nonlocal inv_dev
+    out = SweepOutcome(bound_violated=np.zeros(B, dtype=bool),
+                       weak_violated=np.zeros(B, dtype=bool),
+                       invariant_max_dev=np.zeros(B),
+                       first_bound_step=np.full(B, -1, dtype=np.int64),
+                       first_weak_step=np.full(B, -1, dtype=np.int64),
+                       final_states=np.empty((B, m)))
+
+    def advance(sl: slice) -> None:
+        """Step the elements ``sl`` to their last active step and write
+        their results into ``out``."""
+        bound_viol = out.bound_violated[sl]
+        weak_viol = out.weak_violated[sl]
+        first_bound = out.first_bound_step[sl]
+        first_weak = out.first_weak_step[sl]
+        inv_dev = out.invariant_max_dev[sl]
+        horizon, dt = n_steps[sl], dts[sl]
+        b_req, w_req = bound_req[sl], weak_req[sl]
+        inc, dec = weak_inc[sl], weak_dec[sl]
+        # an element finishes once every check requested for it has failed;
+        # one with nothing to check runs to its horizon
+        b_free, w_free, want = ~b_req, ~w_req, b_req | w_req
+        # full (b, m) operands: numpy multiplies and compares two full
+        # arrays several times faster than an array and a (b, 1) column
         if check_bounds_on:
-            v = ~_rows_all((state >= lo_edge) & (state <= hi_edge))
-            v &= in_horizon & bound_req
-            newly = v & ~bound_viol
-            first_bound[newly] = step_idx
-            bound_viol[:] |= v
-        if check_inv:
-            target = level + invariant_drift * (step_idx * dts)
-            dev = np.abs(state @ gamma - target)
-            inv_dev = np.maximum(inv_dev, np.where(in_horizon, dev, 0.0))
+            lo = np.repeat(lo_edge[sl, None], m, axis=1)
+            hi = np.repeat(hi_edge[sl, None], m, axis=1)
+        scaled = _scaled_terms(method.terms,
+                               np.repeat(phis[sl, None], m, axis=1))
 
-    for i in range(s):
-        record(block[i], i, i <= n_steps)
+        def record(state: np.ndarray, step_idx: int, live: np.ndarray):
+            if check_bounds_on:
+                v = ~_rows_all((state >= lo) & (state <= hi))
+                v &= live & b_req
+                newly = v & ~bound_viol
+                first_bound[newly] = step_idx
+                bound_viol[:] |= v
+            if check_inv:
+                target = level[sl] + invariant_drift * (step_idx * dt)
+                dev = np.abs(state @ gamma - target)
+                np.maximum(inv_dev, np.where(live, dev, 0.0), out=inv_dev)
 
-    # the state and slope rings of the shared kernel, newest first
-    states = deque(block[::-1], maxlen=s)
-    slopes = deque([None] * s, maxlen=s)
-    scaled = _scaled_terms(method.terms, phis[:, None])
-    max_steps = int(n_steps.max())
-    # violated elements may blow up before they freeze; their inf/nan
-    # arithmetic is elementwise and never poisons the others
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(s - 1, max_steps):
-            step_idx = n + 1
-            in_horizon = step_idx <= n_steps
-            finished = (bound_viol | bound_free) & (weak_viol | weak_free)
-            active = in_horizon & ~(finished & checked)
-            if not active.any():
-                break
+        block = _batch_startup(problem, method, y0s[sl], dt, startup)
+        for i in range(s):
+            record(block[i], i, i <= horizon)
 
-            acc = _ms_step(scaled, rhs, states, slopes)
-            new = (acc if active.all()
-                   else np.where(active[:, None], acc, states[0]))
+        # the state and slope rings of the shared kernel, newest first
+        states = deque(block[::-1], maxlen=s)
+        slopes = deque([None] * s, maxlen=s)
+        # violated elements may blow up before they freeze; their inf/nan
+        # arithmetic is elementwise and never poisons the others
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(s - 1, int(horizon.max())):
+                step_idx = n + 1
+                finished = (bound_viol | b_free) & (weak_viol | w_free)
+                active = (step_idx <= horizon) & ~(finished & want)
+                if not active.any():
+                    break
 
-            if check_weak:
-                window = np.array([u[:, weak_component] for u in states])
-                comp = new[:, weak_component]
-                tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
-                v = ~_rows_all(np.isfinite(new))
-                if weak_inc.any():
-                    v |= weak_inc & (comp < window.min(axis=0) - tol_w)
-                if weak_dec.any():
-                    v |= weak_dec & (comp > window.max(axis=0) + tol_w)
-                v &= active & weak_req
-                newly = v & ~weak_viol
-                first_weak[newly] = step_idx
-                weak_viol[:] |= v
-            record(new, step_idx, in_horizon)
-            states.appendleft(new)
-            slopes.appendleft(None)
+                acc = _ms_step(scaled, rhs, states, slopes)
+                new = (acc if active.all()
+                       else np.where(active[:, None], acc, states[0]))
 
-    return SweepOutcome(bound_violated=bound_viol, weak_violated=weak_viol,
-                        invariant_max_dev=inv_dev,
-                        first_bound_step=first_bound,
-                        first_weak_step=first_weak,
-                        final_states=states[0].copy())
+                if check_weak:
+                    window = np.array([u[:, weak_component] for u in states])
+                    comp = new[:, weak_component]
+                    tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
+                    v = ~_rows_all(np.isfinite(new))
+                    if inc.any():
+                        v |= inc & (comp < window.min(axis=0) - tol_w)
+                    if dec.any():
+                        v |= dec & (comp > window.max(axis=0) + tol_w)
+                    v &= active & w_req
+                    newly = v & ~weak_viol
+                    first_weak[newly] = step_idx
+                    weak_viol[:] |= v
+                record(new, step_idx, active)
+                states.appendleft(new)
+                slopes.appendleft(None)
+        out.final_states[sl] = states[0]
+
+    # blocks of near-equal size: a one-element block would take numpy's
+    # one-row path for ``state @ gamma``, whose rounding can differ from
+    # the many-row one
+    n_blocks = -(-B // max(1, MAX_SWEEP_ELEMENTS // m))
+    for k in range(n_blocks):
+        advance(slice(k * B // n_blocks, (k + 1) * B // n_blocks))
+    return out
 
 
 def logistic_preservation_grid(c: float, y0_values: np.ndarray,
@@ -452,10 +474,14 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
 BOUNDEDNESS = "boundedness"
 WEAK_MONOTONICITY = "weak-monotonicity"
 
-#: most elements one sharpness sweep holds.  A six-step SEIR ring of this
-#: many elements takes 3 MB; on a 400 x 1000 SEIR grid, chunks of 2**12 to
-#: 2**14 elements ran about 1.7 times faster than chunks of 2**17, whose
-#: arrays no longer fit the processor caches
+#: most values (elements x state dimension) in one state array of a sweep
+#: block or a sharpness chunk.  A block's arrays then take 128 KB each and
+#: its six-step rings of states and slopes stay in a 2 MB L2 cache.  On a
+#: SEIR sweep of 2e4 elements (m = 4), blocks of 2**14 or 2**15 values ran
+#: about 20% faster than one block, 2**13 about 10%, and 2**12 slower (the
+#: per-step Python work grows with the block count); on a 400 x 1000 SEIR
+#: grid, sharpness chunks of 2**12 to 2**14 elements ran about 1.7 times
+#: faster than chunks of 2**17
 MAX_SWEEP_ELEMENTS = 2 ** 14
 
 
@@ -557,7 +583,8 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     element with its own row's threshold and checks.  Every row sees the
     midpoints ``bisect_threshold`` would give it alone, so the rows equal
     a row-by-row bisection exactly.  A sweep holds at most
-    ``MAX_SWEEP_ELEMENTS`` elements; larger ones run in chunks of rows.
+    ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension); larger
+    ones run in chunks of rows.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
@@ -579,7 +606,7 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     per_row = _stack_checks(checks)
     # one problem monitors the same component in every row
     column = checks[0].get("weak_component", 0) if checks else 0
-    rows_per_sweep = max(1, MAX_SWEEP_ELEMENTS // n_dt)
+    rows_per_sweep = max(1, MAX_SWEEP_ELEMENTS // (n_dt * problem.dimension))
 
     def holds(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
         """Whether ``prop`` holds for row rows[k] at thresholds[k] for every

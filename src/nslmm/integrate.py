@@ -11,9 +11,9 @@ for the epidemic system).
 batched sweep in ``experiments``.  Beside the ring of the last s states it
 keeps a ring of their slopes, each evaluated the first time a term needs
 it, so a run makes one ``rhs`` call per step plus at most s - 1 for the
-startup states.  h*beta_j is formed once per run (a float, or a (B, 1)
-column for a batch) and the accumulation order is fixed, so cached slopes
-give the same bits as fresh ones.  ``_rk_step`` is the one Runge-Kutta
+startup states.  h*beta_j is formed once per run (a float, or a (B, m)
+array of per-element step sizes for a batch) and the accumulation order is
+fixed, so cached slopes give the same bits as fresh ones.  ``_rk_step`` is the one Runge-Kutta
 kernel of both paths.
 """
 
@@ -141,7 +141,7 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 def _scaled_terms(terms, h) -> list:
     """(j, alpha_j, h*beta_j) per term, with None where beta_j is zero;
-    ``h`` is a float or a (B, 1) column of per-element step sizes."""
+    ``h`` is a float or a (B, m) array of per-element step sizes."""
     return [(j, a, h * b if b != 0.0 else None) for j, a, b in terms]
 
 
@@ -222,9 +222,16 @@ def resolve_startup(config: RunConfig) -> StartupPolicy | None:
         return None
     if config.startup is not None:
         return config.startup
-    if config.problem.exact is not None:
+    return default_startup(config.problem, config.method)
+
+
+def default_startup(problem: OdeProblem,
+                    method: MultistepMethod) -> StartupPolicy:
+    """The closed-form solution when the problem has one, otherwise the
+    Runge-Kutta starter matching the method's design order."""
+    if problem.exact is not None:
         return ExactStartup()
-    order = config.method.design_order
+    order = method.design_order
     if order not in STARTER_FOR_ORDER:
         raise ConfigurationError(
             f"no default starter for order {order}; set startup explicitly")

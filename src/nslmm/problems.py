@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import UnsupportedError
+from .errors import ConfigurationError, UnsupportedError
 
 #: sentinel for "preserved for every step size" (kept finite so that bound
 #: arithmetic stays in ordinary floats)
@@ -92,10 +92,14 @@ def exact_solution(problem: OdeProblem, t, y0) -> np.ndarray:
 
 
 def fe_property_bound(problem: OdeProblem, y0) -> float:
-    """Largest Euler step provably preserving the problem's properties."""
+    """Largest Euler step provably preserving the problem's properties;
+    a state with a non-finite component has none."""
     if problem.bound_rule is None:
         raise UnsupportedError(f"{problem.name} has no Euler property bound")
     y0 = np.asarray(y0, dtype=float)
+    if not np.isfinite(y0).all():
+        raise ConfigurationError(
+            f"no Euler property bound at the non-finite state {y0.tolist()}")
     return problem.bound_rule(y0)
 
 

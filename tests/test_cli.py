@@ -213,6 +213,33 @@ def test_sharpness_cli_smoke(capsys):
     assert len(lines) == 3
 
 
+SHARPNESS_ARGS = ["sharpness", "--problem", "logistic", "--params", "c=2",
+                  "--method", "sspms42", "--phi", "phi5", "--t-end", "10"]
+
+
+@pytest.mark.parametrize("y0_grid, dt_grid", [
+    ("nan:1:3", "0.5:3:5:log"), ("0.1:1:3", "0.5:inf:4:lin"),
+    ("-inf:1:3", "0.5:3:5:log")])
+def test_sharpness_non_finite_grid_end_exit_2(capsys, y0_grid, dt_grid):
+    # these used to exit 0 with NaN rows or rows censored at ten times the
+    # bound
+    _assert_one_line_finite_error(*run_cli(
+        capsys, *SHARPNESS_ARGS, f"--y0-grid={y0_grid}",
+        f"--dt-grid={dt_grid}"))
+
+
+@pytest.mark.parametrize("y0_grid, dt_grid", [
+    ("0.1:1:0", "0.5:3:5:log"), ("0.1:1:3", "0.5:3:-2:log")])
+def test_sharpness_empty_grid_exit_2(capsys, y0_grid, dt_grid):
+    # an empty y0 grid used to write a header-only CSV
+    code, out, err = run_cli(capsys, *SHARPNESS_ARGS, f"--y0-grid={y0_grid}",
+                             f"--dt-grid={dt_grid}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least one point" in err
+    assert err.count("\n") == 1
+
+
 def test_bench_cli_smoke(capsys):
     code, out, _err = run_cli(capsys, "bench", "--kinds", "phi3,identity",
                               "--n-evals", "1000000", "--reps", "1")

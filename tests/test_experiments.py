@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -501,6 +502,111 @@ def test_sweep_overflow_violates_lower_only_check():
     assert not finite.all()
     assert outcome.bound_violated[0]
     assert outcome.first_bound_step[0] == np.argmin(finite)
+
+
+def _assert_same_outcome(got, want):
+    for got_field, want_field in zip(_outcome_fields(got),
+                                     _outcome_fields(want)):
+        assert got_field.shape == want_field.shape
+        assert np.array_equal(got_field, want_field, equal_nan=True)
+
+
+def test_blocked_sweep_equals_one_block_logistic(logistic2, monkeypatch):
+    # per-element checks, mixed horizons and a NaN start; oversized
+    # thresholds make some elements fail and freeze early
+    m = get_method("sspms43")
+    y0s = np.array([[0.3], [1.2], [2.5], [np.nan], [0.5], [1.5], [0.2],
+                    [0.8], [4.0], [1.9], [0.05]])
+    B = len(y0s)
+    dts = np.linspace(0.2, 2.5, B)
+    bounds = np.linspace(0.1, 1.4, B)
+    n_steps = np.array([30, 7, 45, 12, 2, 38, 25, 40, 9, 33, 1])
+    lower = np.array([0.0, 0.0, 2.0, 0.0, -np.inf, -np.inf, 0.0, -np.inf,
+                      2.0, 0.0, -np.inf])
+    upper = np.array([2.0, 2.0, np.inf, 2.0, 1.5, 1.5, 2.0, np.inf,
+                      np.inf, 2.0, np.inf])
+    direction = np.array([1, 1, -1, 1, 0, 0, 1, 1, -1, 0, 1])
+
+    def sweep():
+        return run_preservation_sweep(
+            logistic2, m, PhiKind.PHI7, bounds, dts, y0s, n_steps,
+            lower=lower, upper=upper, weak_direction=direction)
+
+    whole = sweep()
+    assert whole.bound_violated.any() and whole.weak_violated.any()
+    assert not whole.bound_violated.all()
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 4)
+    _assert_same_outcome(sweep(), whole)
+
+
+def test_blocked_sweep_equals_one_block_seir_drift(monkeypatch):
+    # Runge-Kutta starter, an invariant with drift, and checks that stop
+    # some elements inside their horizon: the invariant of a stopped element
+    # must not depend on how long the rest of its block runs
+    problem, calls = counting_rhs(n.seir_problem(0.4))
+    m = get_method("sspms64")
+    infected = np.linspace(0.05, 0.9, 10)
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    dts = np.linspace(0.05, 0.9, 10)[::-1]
+    bounds = np.linspace(0.05, 2.0, 10)
+    n_steps = np.array([40, 12, 60, 25, 8, 55, 30, 6, 48, 20])
+
+    def sweep():
+        return run_preservation_sweep(
+            problem, m, PhiKind.PHI8, bounds, dts, y0s, n_steps,
+            lower=0.0, weak_direction=-1, weak_component=0,
+            invariant_weights=np.ones(4), invariant_drift=0.4)
+
+    whole = sweep()
+    one_block_calls = calls[0]
+    stopped = whole.bound_violated & (whole.first_bound_step < n_steps)
+    assert stopped.any() and not stopped.all()
+    assert np.isfinite(whole.invariant_max_dev).all()
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 4 * 3)
+    blocked = sweep()
+    assert calls[0] - one_block_calls > one_block_calls  # four blocks ran
+    _assert_same_outcome(blocked, whole)
+
+
+def test_seir_conservation_sweep_is_one_public_call(monkeypatch):
+    # nine elements in blocks of at most four run as three blocks of three,
+    # not 4 + 4 + 1: numpy's matrix product takes another path for one row,
+    # and its rounding of the last element's invariant differs here
+    m = get_method("sspms64")
+    order = [0, 1, 2, 4, 5, 6, 7, 8, 3]
+    infected = np.linspace(0.1, 0.9, 9)[order]
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    dts = np.geomspace(0.05, 2.0, 9)[order]
+    whole = seir_conservation_sweep(m, PhiKind.PHI8, y0s, dts, n_steps=50)
+    sizes = []
+    original = experiments.run_preservation_sweep
+
+    def counting(*args, **kwargs):
+        sizes.append(len(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 4 * 4)
+    blocked = seir_conservation_sweep(m, PhiKind.PHI8, y0s, dts, n_steps=50)
+    assert sizes == [9]
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("path", ["integrate", "sweep"])
+def test_no_default_starter_is_a_configuration_error(seir0, seir_y0, path):
+    m = dataclasses.replace(get_method("sspms42"), design_order=5)
+    with pytest.raises(ConfigurationError,
+                       match="no default starter for order 5"):
+        if path == "integrate":
+            n.integrate(n.RunConfig(
+                problem=seir0, method=m,
+                phi=n.DenominatorSpec(PhiKind.PHI5, bound=0.1), dt=0.5,
+                t_end=5.0, y0=seir_y0))
+        else:
+            run_preservation_sweep(seir0, m, PhiKind.PHI5, np.array([0.1]),
+                                   np.array([0.5]), seir_y0[None, :], 10)
 
 
 def test_logistic_preservation_grid_small():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nslmm import (UNCONDITIONAL_BOUND, UnsupportedError, default_properties,
-                   eval_rhs, exact_solution, fe_property_bound,
-                   forward_euler_step, logistic_problem, make_problem)
+from nslmm import (UNCONDITIONAL_BOUND, ConfigurationError, UnsupportedError,
+                   default_properties, eval_rhs, exact_solution,
+                   fe_property_bound, forward_euler_step, logistic_problem,
+                   make_problem)
 from nslmm.problems import PropertyKind, logistic_fe_bounds
 
 
@@ -75,6 +76,16 @@ def test_fe_property_bound_seir(seir0, seir_y0):
     assert fe_property_bound(seir0, seir_y0) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         fe_property_bound(seir0, [0.5, -0.1, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("problem_name, y0", [
+    ("logistic", [np.nan]), ("logistic", [np.inf]), ("logistic", [-np.inf]),
+    ("seir", [0.8, np.nan, 0.2, 0.0]), ("seir", [np.inf, 0.0, 0.2, 0.0])])
+def test_fe_property_bound_rejects_non_finite_state(problem_name, y0):
+    # logistic used to return 1/c for NaN (min() drops the comparison) and
+    # SEIR returned NaN
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        fe_property_bound(make_problem(problem_name), y0)
 
 
 def test_logistic_fe_bounds_vectorized():
