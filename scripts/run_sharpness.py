@@ -51,11 +51,7 @@ def main(argv=None):
     name, params = cfg["problem"]
     problem = n.make_problem(name, params)
     labels = np.linspace(*cfg["y0_range"], n_y0)
-    if name == "logistic":
-        states = labels[:, None]
-    else:
-        states = np.stack([1.0 - labels, np.zeros_like(labels),
-                           labels, np.zeros_like(labels)], axis=1)
+    states = problem.sharpness_states(labels)
     if args.full:
         dt_grid = np.linspace(*cfg["dt_range"], n_dt)
     else:

@@ -112,21 +112,32 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
     window = method.steps if isinstance(method, MultistepMethod) else 1
     parts = token.split(":")
     name = parts[0]
+
+    def component_at(i: int, default):
+        if len(parts) <= i:
+            return default
+        component = int(parts[i])
+        if not 0 <= component < problem.dimension:
+            raise ConfigurationError(
+                f"{token}: component {component} is not an index of a state "
+                f"of length {problem.dimension}")
+        return component
+
     if name in ("bound-below", "bound-above"):
         if len(parts) < 2:
             raise ConfigurationError(f"{name} needs a level, e.g. {name}:2")
         level = _finite(float(parts[1]), f"{name} level")
-        component = int(parts[2]) if len(parts) > 2 else None
+        component = component_at(2, None)
         key = "lower" if name == "bound-below" else "upper"
         return token, lambda traj: qualprops.check_bounds(
             traj, component, **{key: level})
     if name in ("weakmon-inc", "weakmon-dec"):
-        component = int(parts[1]) if len(parts) > 1 else 0
+        component = component_at(1, 0)
         direction = "increase" if name == "weakmon-inc" else "decrease"
         return token, lambda traj: qualprops.check_weak_monotonicity(
             traj, component, window, direction)
     if name in ("mon-inc", "mon-dec"):
-        component = int(parts[1]) if len(parts) > 1 else 0
+        component = component_at(1, 0)
         direction = "increase" if name == "mon-inc" else "decrease"
         return token, lambda traj: qualprops.check_classical_monotonicity(
             traj, component, direction)
@@ -236,16 +247,10 @@ def _cmd_sharpness(args) -> int:
     y0_grid = _parse_grid(args.y0_grid)
     dt_spacing = "lin" if args.linear_dt else "log"
     dt_grid = _parse_grid(args.dt_grid, default_spacing=dt_spacing)
-    if problem.name == "logistic":
-        states = y0_grid[:, None]
-        labels = y0_grid
-    else:
-        states = np.stack([1.0 - y0_grid, np.zeros_like(y0_grid),
-                           y0_grid, np.zeros_like(y0_grid)], axis=1)
-        labels = y0_grid
     report = sharpness_bisection(
-        problem, method, kind, states, dt_grid, args.t_end, args.property,
-        labels=labels, tol=args.tol, weak_component=args.weak_component)
+        problem, method, kind, problem.sharpness_states(y0_grid), dt_grid,
+        args.t_end, args.property, labels=y0_grid, tol=args.tol,
+        weak_component=args.weak_component)
     _write_output(report.to_csv(), args.out)
     return 0
 

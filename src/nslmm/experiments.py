@@ -5,13 +5,14 @@ micro-benchmark.
 The sweep machinery is vectorized: a batch of independent runs (one per
 combination of initial value, step size and threshold) advances in lockstep
 as numpy arrays, with property monitors evaluated on the fly; bounds and
-monotonicity directions may differ per element.  A batch steps through the
-kernels of a single run (``integrate._ms_step`` and its slope ring, one
-``rhs`` call per step for all elements; ``integrate._rk_step``), so each
-element's states equal its single run bit for bit, whatever else shares its
-batch.  A large batch advances in blocks of elements whose state arrays
-hold at most ``MAX_SWEEP_ELEMENTS`` values, small enough for the rings of
-states and slopes to stay in the processor caches.
+monotonicity directions may differ per element.  A batch starts and steps
+through the routines of a single run (``integrate._startup_states``, and
+``integrate._ms_step`` with its slope ring, one ``rhs`` call per step for
+all elements), so each element's states equal its single run bit for bit,
+whatever else shares its batch.  A large batch advances in blocks of
+elements whose state arrays hold at most ``MAX_SWEEP_ELEMENTS`` values,
+small enough for the rings of states and slopes to stay in the processor
+caches.
 
 Sharpness bisection uses that independence: every initial value's threshold
 bracket advances together, one sweep over (rows still bisecting x step
@@ -22,11 +23,9 @@ also hold at most ``MAX_SWEEP_ELEMENTS`` values.
 from __future__ import annotations
 
 import math
-import os
 import statistics
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -35,13 +34,12 @@ import numpy as np
 
 from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
 from .errors import ConfigurationError
-from .integrate import (ExactStartup, RecordMode, RunConfig as _RunConfig,
-                        RungeKuttaStartup, _ms_step, _rk_step, _scaled_terms,
-                        default_startup, integrate, reference_solution)
-from .methods import (Method, MultistepMethod, effective_ssp_coefficient,
-                      get_method)
-from .problems import (SEIR_CONTACT_RATE, OdeProblem, exact_solution,
-                       fe_property_bound, logistic_fe_bounds)
+from .integrate import (RecordMode, RunConfig as _RunConfig, _ms_step,
+                        _scaled_terms, _startup_states, default_startup,
+                        integrate, reference_solution)
+from .methods import Method, MultistepMethod, effective_ssp_coefficient
+from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
+                       exact_solution, fe_property_bound)
 
 # ---------------------------------------------------------------------------
 # convergence studies
@@ -116,15 +114,6 @@ def observed_order(errors: Sequence[float],
     return out
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("NSLMM_THREADS", "").strip()
-    try:
-        workers = int(raw) if raw else 1
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, n_jobs))
-
-
 def convergence_study(problem: OdeProblem, method: Method, phi,
                       dt_list: Sequence[float], t_end: float, y0,
                       reference, norm: ErrorNorm | None = None,
@@ -174,12 +163,7 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
         traj = integrate(config)
         return apply_norm(traj.final_state - ref_final, norm)
 
-    workers = _worker_count(len(dts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(run_one, dts))
-    else:
-        errors = [run_one(dt) for dt in dts]
+    errors = [run_one(dt) for dt in dts]
 
     orders: list[float | None] = [None]
     if len(errors) > 1:
@@ -217,52 +201,6 @@ class SweepOutcome:
     final_states: np.ndarray
 
 
-def _batch_fe_bounds(problem: OdeProblem, y0s: np.ndarray) -> np.ndarray:
-    if problem.name == "logistic":
-        return logistic_fe_bounds(problem.params["c"], y0s[:, 0])
-    if problem.name == "seir":
-        totals = y0s.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            inv = np.where(
-                totals > 0,
-                1.0 / (SEIR_CONTACT_RATE * np.where(totals > 0, totals, 1.0)),
-                np.inf)
-        return np.minimum(inv, 1.0)
-    raise ConfigurationError(f"no vectorized Euler bound for {problem.name}")
-
-
-def _batch_startup(problem: OdeProblem, method: Method, y0s: np.ndarray,
-                   dts: np.ndarray, startup) -> np.ndarray:
-    """Startup block of shape (s, B, m) for a batched multistep run."""
-    s = method.steps if isinstance(method, MultistepMethod) else 1
-    B, m = y0s.shape
-    block = np.empty((s, B, m))
-    block[0] = y0s
-    if s == 1:
-        return block
-    if startup == "auto":
-        startup = default_startup(problem, method)
-    if isinstance(startup, ExactStartup):
-        for i in range(1, s):
-            block[i] = problem.exact(i * dts, y0s)
-    elif isinstance(startup, RungeKuttaStartup):
-        rk = get_method(startup.rk) if isinstance(startup.rk, str) else startup.rk
-        if startup.bound is not None:
-            bounds_rk = np.full(B, float(startup.bound))
-        else:
-            bounds_rk = (effective_ssp_coefficient(rk)
-                         * _batch_fe_bounds(problem, y0s))
-        h = np.reshape(phi_value(startup.phi_kind, bounds_rk, dts, startup.p),
-                       (B, 1))
-        h = np.repeat(h, m, axis=1)
-        for i in range(1, s):
-            block[i] = _rk_step(rk.float_stages, h, problem.rhs,
-                                block[i - 1])
-    else:
-        raise ConfigurationError(f"unsupported batch startup {startup!r}")
-    return block
-
-
 def _rows_all(mask: np.ndarray) -> np.ndarray:
     """``mask.all(axis=1)`` for a (B, m) mask, column by column: numpy
     reduces over a short last axis several times slower."""
@@ -291,7 +229,8 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     An in-horizon state with a non-finite component violates every check
     requested for its element.  Elements stop evolving once every check
     requested for them has failed or their horizon is reached; the
-    invariant is monitored while an element evolves.
+    invariant is monitored while an element evolves.  ``startup`` is a
+    startup policy, or "auto" for ``integrate.default_startup``.
 
     The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
     elements, each block to its own last active step, so that a block's
@@ -303,6 +242,12 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     dts = np.asarray(dts, dtype=float)
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), (B,))
     n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (B,))
+    if not 0 <= weak_component < m:
+        raise ConfigurationError(
+            f"weak_component {weak_component} is not a component index "
+            f"of a state of length {m}")
+    if startup == "auto":
+        startup = default_startup(problem, method)
     s = method.steps
     rhs = problem.rhs
 
@@ -381,12 +326,13 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 dev = np.abs(state @ gamma - target)
                 np.maximum(inv_dev, np.where(live, dev, 0.0), out=inv_dev)
 
-        block = _batch_startup(problem, method, y0s[sl], dt, startup)
-        for i in range(s):
-            record(block[i], i, i <= horizon)
+        startup_states = _startup_states(problem, method, startup, y0s[sl],
+                                         dt)
+        for i, state in enumerate(startup_states):
+            record(state, i, i <= horizon)
 
         # the state and slope rings of the shared kernel, newest first
-        states = deque(block[::-1], maxlen=s)
+        states = deque(reversed(startup_states), maxlen=s)
         slopes = deque([None] * s, maxlen=s)
         # violated elements may blow up before they freeze; their inf/nan
         # arithmetic is elementwise and never poisons the others
@@ -440,11 +386,11 @@ def logistic_preservation_grid(c: float, y0_values: np.ndarray,
     problem = logistic_problem(c)
     yv, dv = np.meshgrid(np.asarray(y0_values, float),
                          np.asarray(dt_values, float), indexing="ij")
-    yv = yv.ravel()
-    dv = dv.ravel()
-    bounds = effective_ssp_coefficient(method) * logistic_fe_bounds(c, yv)
+    y0s = yv.ravel()[:, None]
+    bounds = (effective_ssp_coefficient(method)
+              * fe_property_bound(problem, y0s))
     return run_preservation_sweep(
-        problem, method, phi_kind, bounds, dv, yv[:, None], n_steps,
+        problem, method, phi_kind, bounds, dv.ravel(), y0s, n_steps,
         startup="auto", lower=0.0, upper=c,
         weak_direction=+1, weak_component=0)
 
@@ -457,9 +403,8 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
     batch of epidemic runs; startup via the matching-order starter."""
     from .problems import seir_problem
     problem = seir_problem(influx)
-    B = y0s.shape[0]
     bounds = (effective_ssp_coefficient(method)
-              * _batch_fe_bounds(problem, y0s))
+              * fe_property_bound(problem, y0s))
     outcome = run_preservation_sweep(
         problem, method, phi_kind, bounds, dts, y0s, n_steps,
         startup="auto", invariant_weights=np.ones(problem.dimension),
@@ -470,9 +415,6 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
 # ---------------------------------------------------------------------------
 # bound sharpness by bisection
 # ---------------------------------------------------------------------------
-
-BOUNDEDNESS = "boundedness"
-WEAK_MONOTONICITY = "weak-monotonicity"
 
 #: most values (elements x state dimension) in one state array of a sweep
 #: block or a sharpness chunk.  A block's arrays then take 128 KB each and
@@ -530,27 +472,6 @@ class SharpnessReport:
         return "\n".join(lines) + "\n"
 
 
-def _sharpness_checks(problem: OdeProblem, y0: np.ndarray,
-                      prop: str, weak_component: int) -> dict:
-    if problem.name == "logistic":
-        c = problem.params["c"]
-        y = y0[0]
-        if prop == BOUNDEDNESS:
-            if y <= c:
-                return {"lower": 0.0, "upper": c}
-            return {"lower": c}
-        direction = +1 if y < c else -1
-        return {"weak_direction": direction, "weak_component": 0}
-    if problem.name == "seir":
-        if prop == BOUNDEDNESS:
-            checks = {"lower": 0.0}
-            if problem.params["influx"] == 0.0:
-                checks["upper"] = float(y0.sum())
-            return checks
-        return {"weak_direction": -1, "weak_component": weak_component}
-    raise ConfigurationError(f"no sharpness property set for {problem.name}")
-
-
 def _stack_checks(checks: Sequence[dict]) -> dict:
     """Per-row check dicts -> one array per bound or direction any row
     uses, holding -inf/+inf/0 for the rows without it."""
@@ -588,20 +509,29 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigurationError(
+            f"t_end must be positive and finite (got {t_end!r})")
+    if not tol >= 0:
+        raise ConfigurationError(f"tol must be nonnegative (got {tol!r})")
     y0_states = np.asarray(y0_states, dtype=float)
     dt_grid = np.asarray(dt_grid, dtype=float)
     n_dt = dt_grid.size
     if n_dt == 0:
         raise ValueError("dt_grid is empty")
+    if not (np.isfinite(dt_grid).all() and (dt_grid > 0).all()):
+        raise ConfigurationError("dt_grid must hold positive finite steps")
     n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
     n_rows = y0_states.shape[0]
 
     label_values = [float(labels[i]) if labels is not None
                     else float(y0_states[i, 0]) for i in range(n_rows)]
-    sufficient = np.array([effective_ssp_coefficient(method)
-                           * fe_property_bound(problem, y0)
-                           for y0 in y0_states])
-    checks = [_sharpness_checks(problem, y0, prop, weak_component)
+    sufficient = (effective_ssp_coefficient(method)
+                  * fe_property_bound(problem, y0_states))
+    if problem.sharpness_checks is None:
+        raise ConfigurationError(
+            f"no sharpness property set for {problem.name}")
+    checks = [problem.sharpness_checks(y0, prop, weak_component)
               for y0 in y0_states]
     per_row = _stack_checks(checks)
     # one problem monitors the same component in every row

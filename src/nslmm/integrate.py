@@ -5,7 +5,8 @@ A multistep run needs s starting iterates u^0..u^(s-1).  These come either
 from the problem's closed-form solution or from a transformed one-step
 Runge-Kutta starter, mirroring how the two model problems are handled in
 practice (closed form for the logistic equation, a matching-order starter
-for the epidemic system).
+for the epidemic system).  ``_startup_states`` builds them for one run or
+for a batch of runs alike.
 
 ``_ms_step`` is the one multistep kernel of the scalar driver here and the
 batched sweep in ``experiments``.  Beside the ring of the last s states it
@@ -27,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .denominator import DenominatorSpec, PhiKind, eval_phi
+from .denominator import DenominatorSpec, PhiKind, eval_phi, phi_value
 from .errors import ConfigurationError
 from .methods import (Method, MultistepMethod, RungeKuttaMethod,
                       effective_ssp_coefficient, get_method)
@@ -180,8 +181,9 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
                     [None] * method.steps)
 
 
-def _rk_step(stages, h: float, rhs, u: np.ndarray) -> np.ndarray:
-    """One Shu-Osher Runge-Kutta step; slope values cached per stage source."""
+def _rk_step(stages, h, rhs, u: np.ndarray) -> np.ndarray:
+    """One Shu-Osher Runge-Kutta step; slope values cached per stage source.
+    ``h`` is a float, or a (B, m) array of per-element step sizes."""
     values = [u]
     slopes: list = [None]
     for stage in stages:
@@ -239,39 +241,47 @@ def default_startup(problem: OdeProblem,
     return RungeKuttaStartup(rk=rk_id, phi_kind=kind)
 
 
-def _starter_spec(policy: RungeKuttaStartup, problem: OdeProblem,
-                  y0: np.ndarray) -> tuple[RungeKuttaMethod, DenominatorSpec]:
-    rk = get_method(policy.rk) if isinstance(policy.rk, str) else policy.rk
-    if not isinstance(rk, RungeKuttaMethod):
-        raise ConfigurationError(f"starter {policy.rk!r} is not a Runge-Kutta method")
-    if policy.phi_kind is PhiKind.IDENTITY:
-        return rk, DenominatorSpec(PhiKind.IDENTITY)
-    bound = policy.bound
-    if bound is None:
-        b_fe = fe_property_bound(problem, y0)
-        bound = effective_ssp_coefficient(rk) * b_fe
-    return rk, DenominatorSpec(policy.phi_kind, bound=bound, p=policy.p)
+def _startup_states(problem: OdeProblem, method: MultistepMethod,
+                    policy: StartupPolicy, y0: np.ndarray, dt) -> list:
+    """u^0..u^(s-1) of a multistep run under a startup policy.
 
-
-def _startup_states(config: RunConfig, s: int, y0: np.ndarray) -> list[np.ndarray]:
-    policy = resolve_startup(config)
+    ``y0`` is one state of shape (m,) with a float ``dt``, or a batch of
+    shape (B, m) with a (B,) array of per-element ``dt``; each returned
+    state has the shape of ``y0``.
+    """
+    s = method.steps
     states = [y0]
     if s == 1:
         return states
     if isinstance(policy, ExactStartup):
-        if config.problem.exact is None:
+        if problem.exact is None:
             raise ConfigurationError(
-                f"{config.problem.name} has no closed-form solution for startup")
-        for i in range(1, s):
-            states.append(exact_solution(config.problem, i * config.dt, y0))
-    elif isinstance(policy, RungeKuttaStartup):
-        rk, spec = _starter_spec(policy, config.problem, y0)
-        h = float(eval_phi(spec, config.dt))
-        for _ in range(1, s):
-            states.append(_rk_step(rk.float_stages, h, config.problem.rhs,
-                                   states[-1]))
-    else:
+                f"{problem.name} has no closed-form solution for startup")
+        return states + [exact_solution(problem, i * dt, y0)
+                         for i in range(1, s)]
+    if not isinstance(policy, RungeKuttaStartup):
         raise ConfigurationError(f"unknown startup policy {policy!r}")
+    rk = get_method(policy.rk) if isinstance(policy.rk, str) else policy.rk
+    if not isinstance(rk, RungeKuttaMethod):
+        raise ConfigurationError(
+            f"starter {policy.rk!r} is not a Runge-Kutta method")
+    kind = policy.phi_kind
+    bound = None
+    if kind is not PhiKind.IDENTITY:
+        bound = policy.bound
+        if bound is None:
+            bound = (effective_ssp_coefficient(rk)
+                     * fe_property_bound(problem, y0))
+        # checks the kind, p and an explicit threshold; the thresholds the
+        # Euler rule gives are positive and finite
+        DenominatorSpec(kind, bound=float(np.min(bound)), p=policy.p)
+    h = phi_value(kind, bound, dt, policy.p)
+    if y0.ndim == 2:
+        # a full (B, m) array: numpy multiplies two full arrays several
+        # times faster than an array and a (B, 1) column
+        h = np.repeat(np.reshape(h, (-1, 1)), y0.shape[1], axis=1)
+    for _ in range(1, s):
+        states.append(_rk_step(rk.float_stages, h, problem.rhs, states[-1]))
     return states
 
 
@@ -293,7 +303,8 @@ def integrate(config: RunConfig) -> Trajectory:
         if n < s - 1:
             raise ConfigurationError(
                 f"{n} steps cannot accommodate {s - 1} startup values")
-        startup = _startup_states(config, s, y0)
+        startup = _startup_states(problem, method, resolve_startup(config),
+                                  y0, config.dt)
         recorded = list(startup) if full else [startup[-1]]
         states = deque(reversed(startup), maxlen=s)
         slopes = deque([None] * s, maxlen=s)

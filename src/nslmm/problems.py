@@ -9,6 +9,10 @@ Two built-in problems:
   rate 5 and unit transition rates, optionally with a constant influx of
   susceptibles.  Euler preserves nonnegativity and (for zero influx) the
   component sum for dt <= min(1/(5 M), 1), M the initial component sum.
+
+Each problem carries its own structure as closures: the Euler bound rule
+(elementwise over a batch of states), its preserved property set, the
+checks of a sharpness sweep and the states a sharpness grid labels.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from .errors import ConfigurationError, UnsupportedError
 UNCONDITIONAL_BOUND = float(np.finfo(float).max)
 
 SEIR_CONTACT_RATE = 5.0
+
+#: the properties a sharpness sweep bisects on
+BOUNDEDNESS = "boundedness"
+WEAK_MONOTONICITY = "weak-monotonicity"
 
 
 class PropertyKind(Enum):
@@ -60,9 +68,16 @@ class OdeProblem:
     ``rhs`` must be vectorized over leading axes (input shape (..., m) ->
     output (..., m)) and deterministic.  ``exact``, when present, maps an
     elapsed time t (scalar or array) and an initial state to the solution
-    state; ``exact(0, y0) == y0``.  ``bound_rule`` maps an initial state to
-    the Euler property bound B_FE.  ``bound_proven`` records whether that
-    bound is backed by a proof for the given parameters.
+    state; ``exact(0, y0) == y0``.  ``bound_rule`` maps states of shape
+    (..., m) to their Euler property bounds B_FE, elementwise.
+    ``bound_proven`` records whether that bound is backed by a proof for the
+    given parameters.
+
+    ``property_set`` maps an initial state to the provably preserved
+    properties; ``sharpness_checks(y0, prop, weak_component)`` maps one
+    initial state to the ``run_preservation_sweep`` checks of a sharpness
+    sweep on ``prop``; ``sharpness_states`` maps an array of sharpness-grid
+    labels to initial states of shape (n, m).
     """
 
     name: str
@@ -72,6 +87,9 @@ class OdeProblem:
     exact: Callable | None = None
     bound_rule: Callable | None = None
     bound_proven: bool = True
+    property_set: Callable | None = None
+    sharpness_checks: Callable | None = None
+    sharpness_states: Callable | None = None
 
 
 def eval_rhs(problem: OdeProblem, u) -> np.ndarray:
@@ -91,16 +109,20 @@ def exact_solution(problem: OdeProblem, t, y0) -> np.ndarray:
     return problem.exact(t, y0)
 
 
-def fe_property_bound(problem: OdeProblem, y0) -> float:
-    """Largest Euler step provably preserving the problem's properties;
-    a state with a non-finite component has none."""
+def fe_property_bound(problem: OdeProblem, y0):
+    """Largest Euler step provably preserving the problem's properties: a
+    float for one state of shape (m,), an array of shape (B,) for a batch
+    of shape (B, m).  A state with a non-finite component has none."""
     if problem.bound_rule is None:
         raise UnsupportedError(f"{problem.name} has no Euler property bound")
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
+        rows = y0.reshape(-1, y0.shape[-1])
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
         raise ConfigurationError(
-            f"no Euler property bound at the non-finite state {y0.tolist()}")
-    return problem.bound_rule(y0)
+            f"no Euler property bound at the non-finite state {bad.tolist()}")
+    bound = problem.bound_rule(y0)
+    return float(bound) if y0.ndim == 1 else bound
 
 
 def forward_euler_step(problem: OdeProblem, u, dt: float) -> np.ndarray:
@@ -135,12 +157,34 @@ def logistic_problem(c: float) -> OdeProblem:
         return np.stack([out + np.zeros_like(t)], axis=-1)
 
     def bound_rule(y0):
-        y = float(np.asarray(y0, dtype=float)[..., 0])
-        if y < 0:
-            return UNCONDITIONAL_BOUND
-        if y == 0:
-            return 1.0 / c
-        return min(1.0 / c, 1.0 / y)
+        return logistic_fe_bounds(c, y0[..., 0])
+
+    def property_set(y0):
+        y = y0[0]
+        if 0 <= y <= c:
+            return [QualitativeProperty(PropertyKind.BOUND_BELOW, 0, 0.0),
+                    QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, c),
+                    QualitativeProperty(
+                        PropertyKind.WEAK_MONOTONE_INCREASE, 0)]
+        if y > c:
+            return [QualitativeProperty(PropertyKind.BOUND_BELOW, 0, c),
+                    QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, y),
+                    QualitativeProperty(
+                        PropertyKind.WEAK_MONOTONE_DECREASE, 0)]
+        return [QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, y),
+                QualitativeProperty(PropertyKind.WEAK_MONOTONE_DECREASE, 0)]
+
+    def sharpness_checks(y0, prop, weak_component):
+        y = y0[0]
+        if prop == BOUNDEDNESS:
+            if y <= c:
+                return {"lower": 0.0, "upper": c}
+            return {"lower": c}
+        direction = +1 if y < c else -1
+        return {"weak_direction": direction, "weak_component": 0}
+
+    def sharpness_states(labels):
+        return labels[:, None]
 
     return OdeProblem(
         name="logistic",
@@ -149,6 +193,9 @@ def logistic_problem(c: float) -> OdeProblem:
         rhs=rhs,
         exact=exact,
         bound_rule=bound_rule,
+        property_set=property_set,
+        sharpness_checks=sharpness_checks,
+        sharpness_states=sharpness_states,
     )
 
 
@@ -183,13 +230,36 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         return out
 
     def bound_rule(y0):
-        y = np.asarray(y0, dtype=float)
-        if np.any(y < 0):
+        if np.any(y0 < 0):
             raise ValueError("SEIR state components must be nonnegative")
-        total = float(y.sum(axis=-1))
-        if total == 0:
-            return 1.0
-        return min(1.0 / (SEIR_CONTACT_RATE * total), 1.0)
+        totals = y0.sum(axis=-1)
+        with np.errstate(divide="ignore"):
+            inv = np.where(
+                totals > 0,
+                1.0 / (SEIR_CONTACT_RATE * np.where(totals > 0, totals, 1.0)),
+                np.inf)
+        return np.minimum(inv, 1.0)
+
+    def property_set(y0):
+        props = [QualitativeProperty(PropertyKind.BOUND_BELOW, k, 0.0)
+                 for k in range(4)]
+        props.append(QualitativeProperty(
+            PropertyKind.LINEAR_INVARIANT, component=None,
+            level=float(y0.sum()), weights=(1.0,) * 4, drift=pi))
+        return props
+
+    def sharpness_checks(y0, prop, weak_component):
+        if prop == BOUNDEDNESS:
+            checks = {"lower": 0.0}
+            if pi == 0.0:
+                checks["upper"] = float(y0.sum())
+            return checks
+        return {"weak_direction": -1, "weak_component": weak_component}
+
+    def sharpness_states(labels):
+        # labels are initial infected fractions of a population of one
+        zeros = np.zeros_like(labels)
+        return np.stack([1.0 - labels, zeros, labels, zeros], axis=1)
 
     return OdeProblem(
         name="seir",
@@ -201,51 +271,32 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         # the Euler bound is proven for zero influx; with influx > 0 the same
         # formula (with M the sum at the supplied state) is reused unproven
         bound_proven=(pi == 0.0),
+        property_set=property_set,
+        sharpness_checks=sharpness_checks,
+        sharpness_states=sharpness_states,
     )
 
 
 # ---------------------------------------------------------------------------
-# registry and default property sets
+# registry and property sets
 # ---------------------------------------------------------------------------
 
 def make_problem(name: str, params: Mapping[str, float] | None = None) -> OdeProblem:
     params = dict(params or {})
     if name == "logistic":
-        return logistic_problem(params.pop("c", 2.0))
-    if name == "seir":
+        prob = logistic_problem(params.pop("c", 2.0))
+    elif name == "seir":
         prob = seir_problem(params.pop("influx", params.pop("pi", 0.0)))
-        if params:
-            raise ValueError(f"unknown seir parameters: {sorted(params)}")
-        return prob
-    raise ValueError(f"unknown problem {name!r} (known: logistic, seir)")
+    else:
+        raise ValueError(f"unknown problem {name!r} (known: logistic, seir)")
+    if params:
+        raise ValueError(f"unknown {name} parameters: {sorted(params)}")
+    return prob
 
 
 def default_properties(problem: OdeProblem, y0) -> list[QualitativeProperty]:
-    """The provably preserved property set for a problem and initial state."""
-    y0 = np.asarray(y0, dtype=float)
-    props: list[QualitativeProperty] = []
-    if problem.name == "logistic":
-        c = problem.params["c"]
-        y = y0[0]
-        if 0 <= y <= c:
-            props.append(QualitativeProperty(PropertyKind.BOUND_BELOW, 0, 0.0))
-            props.append(QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, c))
-            props.append(QualitativeProperty(PropertyKind.WEAK_MONOTONE_INCREASE, 0))
-        elif y > c:
-            props.append(QualitativeProperty(PropertyKind.BOUND_BELOW, 0, c))
-            props.append(QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, y))
-            props.append(QualitativeProperty(PropertyKind.WEAK_MONOTONE_DECREASE, 0))
-        else:
-            props.append(QualitativeProperty(PropertyKind.BOUND_ABOVE, 0, y))
-            props.append(QualitativeProperty(PropertyKind.WEAK_MONOTONE_DECREASE, 0))
-    elif problem.name == "seir":
-        for k in range(problem.dimension):
-            props.append(QualitativeProperty(PropertyKind.BOUND_BELOW, k, 0.0))
-        props.append(QualitativeProperty(
-            PropertyKind.LINEAR_INVARIANT,
-            component=None,
-            level=float(y0.sum()),
-            weights=(1.0,) * problem.dimension,
-            drift=problem.params["influx"],
-        ))
-    return props
+    """The provably preserved property set for a problem and initial state
+    (empty for a problem that states none)."""
+    if problem.property_set is None:
+        return []
+    return problem.property_set(np.asarray(y0, dtype=float))

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nslmm.cli import build_parser, main
 
@@ -276,3 +279,163 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["solve", "--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# bad sharpness inputs and parameters
+# ---------------------------------------------------------------------------
+
+SMALL_SHARPNESS = ["sharpness", "--method", "sspms42", "--phi", "phi5",
+                   "--y0-grid", "0.1:0.5:2", "--dt-grid", "0.5:3:3:log"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-end", "-5"), ("--t-end", "nan"), ("--t-end", "inf"),
+    ("--t-end", "0"), ("--tol", "nan"), ("--tol", "-1e-4")])
+def test_sharpness_bad_horizon_or_tolerance_exit_2(capsys, flag, value):
+    # a horizon of no steps used to report every row at the top of its
+    # search range, ten times the sufficient bound
+    argv = SMALL_SHARPNESS + ["--problem", "logistic", "--params", "c=2",
+                              "--t-end", "5"]
+    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("component", ["9", "4", "-1"])
+def test_sharpness_weak_component_out_of_range_exit_2(capsys, component):
+    # component 9 of a SEIR state used to end in an IndexError traceback
+    code, out, err = run_cli(
+        capsys, *SMALL_SHARPNESS, "--problem", "seir", "--t-end", "5",
+        "--property", "weak-monotonicity", f"--weak-component={component}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "weak_component" in err
+
+
+def test_sharpness_zero_step_exit_2(capsys):
+    # a zero step gave an unbounded step count and exit 0
+    code, out, err = run_cli(
+        capsys, *SMALL_SHARPNESS[:-2], "--dt-grid=0:1:2:lin", "--problem",
+        "seir", "--t-end", "5")
+    assert code == 2
+    assert out == ""
+    assert "positive finite steps" in err
+
+
+@pytest.mark.parametrize("check", ["weakmon-inc:9", "mon-dec:1",
+                                   "bound-below:0:-1"])
+def test_solve_check_component_out_of_range_exit_2(capsys, check):
+    # weakmon-inc:9 used to end in an IndexError traceback
+    code, out, err = run_cli(capsys, *FIG3_ARGS, "--check", check)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not an index" in err
+    assert err.count("\n") == 1
+
+
+def test_solve_unknown_logistic_parameter_exit_2(capsys):
+    # d=3 used to be ignored silently
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", "logistic", "--params", "c=2,d=3",
+        "--y0", "1", "--method", "sspms42", "--dt", "0.5", "--t-end", "5")
+    assert code == 2
+    assert out == ""
+    assert "unknown logistic parameters: ['d']" in err
+
+
+# ---------------------------------------------------------------------------
+# argument fuzzing
+# ---------------------------------------------------------------------------
+
+_BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0"]
+
+#: per slot: (valid values, faulty values); None leaves an optional flag
+#: out and True sets a switch
+_SOLVE_SLOTS = {
+    "--method": (["sspms42", "sspms43", "sspms64", "ssprk22", "ssprk104"],
+                 ["bogus"]),
+    "--phi": ([None, "phi5", "phi7", "phi8", "identity", "phi-general:5"],
+              ["phiX", "phi-general:3", "phi-general:x"]),
+    "--b-fe": ([None, "0.5"], _BAD_NUMBERS),
+    "--bound": ([None, "0.3"], _BAD_NUMBERS),
+    "--dt": (["0.5", "0.25"], _BAD_NUMBERS + ["0.3"]),
+    "--t-end": (["5", "2.5"], _BAD_NUMBERS),
+    "--check": ([None, "bound-below:0", "bound-above:2:0", "weakmon-inc",
+                 "weakmon-dec:0", "mon-inc:0", "sum"],
+                ["weakmon-inc:9", "weakmon-dec:-1", "bound-below:0:9",
+                 "mon-inc:9", "bound-above:nan", "bound-below", "bogus"]),
+    "--strict": ([None, True], []),
+    "--final-only": ([None, True], []),
+    "--standard": ([None, True], []),
+}
+_PROBLEM_SLOTS = {
+    "logistic": {
+        "--params": ([None, "c=2", "c=500"],
+                     [f"c={v}" for v in _BAD_NUMBERS] + ["c=2,d=3", "c"]),
+        "--y0": (["1", "3", "0", "-1"], ["nan", "inf", "1,2"]),
+        "--startup": ([None, "exact", "nsrk:ssprk22:phi5"],
+                      ["nsrk:sspms42:phi5", "nsrk:ssprk22", "bogus"]),
+    },
+    "seir": {
+        "--params": ([None, "influx=0", "influx=0.1"],
+                     ["influx=-1", "influx=nan", "c=2"]),
+        "--y0": (["0.8,0,0.2,0", "0.5,0.1,0.3,0.1", "0,0,0,0"],
+                 ["0.8,nan,0.2,0", "-0.1,0,1.1,0", "1,2", "1"]),
+        "--startup": ([None, "nsrk:ssprk22:phi5", "nsrk:ssprk104:phi8"],
+                      ["exact", "nsrk:ssprk22:phi-general:3"]),
+    },
+}
+_SHARPNESS_SLOTS = {
+    "--method": (["sspms42", "sspms43", "sspms64"], ["ssprk22", "bogus"]),
+    "--phi": ([None, "phi5", "phi7", "phi8"],
+              ["identity", "phi-general:5", "phiX"]),
+    "--y0-grid": (["0.1:0.5:2", "0.3"],
+                  ["nan:1:2", "0.1:0.5:0", "0.1,nan", "0.1:0.5"]),
+    "--dt-grid": (["0.5:3:3:log", "0.5:3:2:lin"],
+                  ["0:1:2:lin", "-1:1:2:lin", "0.5:inf:2", "0.5:3:0",
+                   "0.5:3:3:cubic"]),
+    "--linear-dt": ([None, True], []),
+    "--t-end": (["5", "2"], _BAD_NUMBERS),
+    "--property": ([None, "boundedness", "weak-monotonicity"], ["bogus"]),
+    "--weak-component": ([None, "0", "2"], ["9", "4", "-1"]),
+    "--tol": ([None, "1e-2", "0.05"], ["nan", "-1"]),
+    "--params": ([None], ["c=nan", "influx=-1", "c=2,d=3"]),
+}
+
+
+@st.composite
+def _argv(draw, command, slots):
+    """An argument vector with one or two slots drawn from the faulty
+    values and the others from the valid ones."""
+    problem = draw(st.sampled_from(sorted(_PROBLEM_SLOTS)))
+    if command == "solve":
+        slots = {**slots, **_PROBLEM_SLOTS[problem]}
+    faulty = draw(st.sets(st.sampled_from(
+        sorted(k for k, (_good, bad) in slots.items() if bad)),
+        min_size=1, max_size=2))
+    argv = [command, f"--problem={problem}"]
+    for name, (good, bad) in slots.items():
+        value = draw(st.sampled_from(bad if name in faulty else good))
+        if value is True:
+            argv.append(name)
+        elif value is not None:
+            argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=st.one_of(_argv("solve", _SOLVE_SLOTS),
+                      _argv("sharpness", _SHARPNESS_SLOTS)))
+def test_cli_fuzz_exits_cleanly(argv):
+    # every argument vector ends in an exit code, never in an exception;
+    # exit 1 is a failed --strict check, exit 2 one error line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert code != 1 or "--strict" in argv, argv
+    if code == 2:
+        err = err.getvalue()
+        assert err.startswith("error:") or "usage:" in err, argv

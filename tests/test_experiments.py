@@ -10,7 +10,7 @@ from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
                    convergence_study, get_method, observed_order,
                    phi_benchmark, sharpness_bisection)
 from nslmm import experiments
-from nslmm.experiments import (_sharpness_checks, bisect_threshold,
+from nslmm.experiments import (bisect_threshold,
                                logistic_preservation_grid,
                                run_preservation_sweep,
                                seir_conservation_sweep)
@@ -120,17 +120,6 @@ def test_convergence_reproducible_bytes(logistic2):
     assert a.encode() == b.encode()
 
 
-def test_convergence_thread_pool_matches_serial(logistic2, monkeypatch):
-    m = get_method("sspms64")
-    dts = [0.1 * 2.0 ** (-k) for k in range(4)]
-    serial = convergence_study(logistic2, m, PhiKind.PHI8, dts, 1.0, [1.0],
-                               ExactReference()).to_csv()
-    monkeypatch.setenv("NSLMM_THREADS", "3")
-    threaded = convergence_study(logistic2, m, PhiKind.PHI8, dts, 1.0, [1.0],
-                                 ExactReference()).to_csv()
-    assert serial == threaded
-
-
 def test_order_plateau_and_error_ranking(logistic2):
     # fourth-order six-step method, thresholds C*min(1/c, 1/y0): first-order
     # transforms plateau at 1, second-order at 2, and so on; within an order
@@ -216,7 +205,7 @@ def _row_by_row(problem, method, kind, y0s, dts, t_end, prop,
     for y0 in y0s:
         sufficient = (n.effective_ssp_coefficient(method)
                       * n.fe_property_bound(problem, y0))
-        checks = _sharpness_checks(problem, y0, prop, weak_component)
+        checks = problem.sharpness_checks(y0, prop, weak_component)
 
         def holds(value):
             outcome = run_preservation_sweep(
@@ -607,6 +596,90 @@ def test_no_default_starter_is_a_configuration_error(seir0, seir_y0, path):
         else:
             run_preservation_sweep(seir0, m, PhiKind.PHI5, np.array([0.1]),
                                    np.array([0.5]), seir_y0[None, :], 10)
+
+
+@pytest.mark.parametrize("path", ["integrate", "sweep"])
+def test_nan_start_with_runge_kutta_starter_is_a_configuration_error(
+        seir0, path):
+    # the starter's threshold needs the Euler bound at y0, and a NaN state
+    # has none; the batched path used to take a bound of 1.0 there
+    m = get_method("sspms42")
+    y0 = np.array([0.8, np.nan, 0.2, 0.0])
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        if path == "integrate":
+            n.integrate(n.RunConfig(
+                problem=seir0, method=m,
+                phi=n.DenominatorSpec(PhiKind.PHI5, bound=0.1), dt=0.5,
+                t_end=5.0, y0=y0))
+        else:
+            run_preservation_sweep(
+                seir0, m, PhiKind.PHI5, np.array([0.1, 0.1]),
+                np.array([0.5, 0.5]), np.array([[0.8, 0.0, 0.2, 0.0], y0]),
+                10)
+
+
+def test_nan_start_with_explicit_starter_bound_runs_and_violates(seir0):
+    m = get_method("sspms42")
+    starter = n.RungeKuttaStartup("ssprk22", PhiKind.PHI5, bound=0.2)
+    y0s = np.array([[0.8, 0.0, 0.2, 0.0], [0.8, np.nan, 0.2, 0.0]])
+    outcome = run_preservation_sweep(
+        seir0, m, PhiKind.PHI5, np.array([0.1, 0.1]), np.array([0.5, 0.5]),
+        y0s, 10, startup=starter, lower=0.0, weak_direction=-1)
+    assert list(outcome.bound_violated) == [False, True]
+    assert list(outcome.weak_violated) == [False, True]
+    traj = n.integrate(n.RunConfig(
+        problem=seir0, method=m,
+        phi=n.DenominatorSpec(PhiKind.PHI5, bound=0.1), dt=0.5, t_end=5.0,
+        y0=y0s[0], startup=starter,
+        record=n.RecordMode.FINAL_STATE_ONLY))
+    assert (outcome.final_states[0] == traj.final_state).all()
+
+
+@pytest.mark.parametrize("bound", [-0.2, np.nan, np.inf])
+@pytest.mark.parametrize("path", ["integrate", "sweep"])
+def test_bad_explicit_starter_bound_is_rejected(seir0, seir_y0, path, bound):
+    m = get_method("sspms42")
+    starter = n.RungeKuttaStartup("ssprk22", PhiKind.PHI5, bound=bound)
+    with pytest.raises(ValueError, match="positive finite bound"):
+        if path == "integrate":
+            n.integrate(n.RunConfig(
+                problem=seir0, method=m,
+                phi=n.DenominatorSpec(PhiKind.PHI5, bound=0.1), dt=0.5,
+                t_end=5.0, y0=seir_y0, startup=starter))
+        else:
+            run_preservation_sweep(seir0, m, PhiKind.PHI5, np.array([0.1]),
+                                   np.array([0.5]), seir_y0[None, :], 10,
+                                   startup=starter)
+
+
+@pytest.mark.parametrize("component", [-1, 4, 9])
+def test_sweep_rejects_weak_component_out_of_range(seir0, seir_y0, component):
+    with pytest.raises(ConfigurationError, match="weak_component"):
+        run_preservation_sweep(
+            seir0, get_method("sspms42"), PhiKind.PHI5, np.array([0.1]),
+            np.array([0.5]), seir_y0[None, :], 10, weak_direction=-1,
+            weak_component=component)
+
+
+@pytest.mark.parametrize("t_end, tol", [
+    (-5.0, 1e-4), (0.0, 1e-4), (np.nan, 1e-4), (np.inf, 1e-4),
+    (5.0, np.nan), (5.0, -1e-4)])
+def test_sharpness_rejects_bad_horizon_or_tolerance(logistic2, t_end, tol):
+    with pytest.raises(ConfigurationError):
+        sharpness_bisection(logistic2, get_method("sspms42"), PhiKind.PHI5,
+                            np.array([[1.0]]), np.array([0.5, 1.0]), t_end,
+                            BOUNDEDNESS, tol=tol)
+
+
+def test_sharpness_needs_the_problems_checks():
+    flat = OdeProblem(name="flat", dimension=1, params={},
+                      rhs=lambda u: 0.0 * u,
+                      exact=lambda t, y0: np.asarray(y0, float) + 0.0 * t,
+                      bound_rule=lambda y0: np.ones(np.shape(y0)[:-1]))
+    with pytest.raises(ConfigurationError, match="no sharpness property set"):
+        sharpness_bisection(flat, get_method("sspms42"), PhiKind.PHI5,
+                            np.array([[1.0]]), np.array([0.5]), 5.0,
+                            BOUNDEDNESS)
 
 
 def test_logistic_preservation_grid_small():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,7 @@ from nslmm import (UNCONDITIONAL_BOUND, ConfigurationError, UnsupportedError,
                    default_properties, eval_rhs, exact_solution,
                    fe_property_bound, forward_euler_step, logistic_problem,
                    make_problem)
-from nslmm.problems import PropertyKind, logistic_fe_bounds
+from nslmm.problems import OdeProblem, PropertyKind, logistic_fe_bounds
 
 
 def test_logistic_rhs_values(logistic2):
@@ -88,6 +90,32 @@ def test_fe_property_bound_rejects_non_finite_state(problem_name, y0):
         fe_property_bound(make_problem(problem_name), y0)
 
 
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+def test_fe_property_bound_batch_equals_rows(problem_name):
+    problem = make_problem(problem_name)
+    rng = np.random.default_rng(3)
+    if problem_name == "logistic":
+        y0s = np.concatenate([rng.uniform(-3.0, 50.0, 40),
+                              [0.0, -1.0, 2.0, 1e-300]])[:, None]
+    else:
+        y0s = rng.uniform(0.0, 1.0, (40, 4)) * rng.choice([1e-3, 1.0, 1e3],
+                                                         (40, 1))
+        y0s[0] = 0.0
+    batch = fe_property_bound(problem, y0s)
+    assert batch.shape == (len(y0s),)
+    rows = [fe_property_bound(problem, y0) for y0 in y0s]
+    assert all(type(b) is float for b in rows)
+    assert (batch == np.array(rows)).all()
+
+
+def test_fe_property_bound_batch_rejects_any_bad_row(seir0):
+    y0s = np.array([[0.8, 0.0, 0.2, 0.0], [0.8, np.nan, 0.2, 0.0]])
+    with pytest.raises(ConfigurationError, match=r"\[0\.8, nan, 0\.2, 0\.0\]"):
+        fe_property_bound(seir0, y0s)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fe_property_bound(seir0, np.abs(y0s[:1]) - [0.0, 0.1, 0.0, 0.0])
+
+
 def test_logistic_fe_bounds_vectorized():
     out = logistic_fe_bounds(2.0, np.array([1.0, 1000.0, -3.0, 0.0]))
     assert out[0] == pytest.approx(0.5)
@@ -160,6 +188,30 @@ def test_make_problem_registry():
         make_problem("logistic", {"c": -1.0})
     with pytest.raises(ValueError):
         make_problem("seir", {"influx": -0.5})
+
+
+def test_make_problem_rejects_unknown_logistic_parameters():
+    with pytest.raises(ValueError,
+                       match=r"unknown logistic parameters: \['d'\]"):
+        make_problem("logistic", {"c": 2.0, "d": 3.0})
+
+
+def test_problem_structure_survives_replace(logistic2, seir0):
+    labels = np.array([0.25, 0.5])
+    for problem in (logistic2, seir0):
+        copy = dataclasses.replace(problem, rhs=problem.rhs)
+        y0 = problem.sharpness_states(labels)[0]
+        assert default_properties(copy, y0) == default_properties(problem, y0)
+        assert copy.sharpness_checks is problem.sharpness_checks
+    assert logistic2.sharpness_states(labels).tolist() == [[0.25], [0.5]]
+    assert seir0.sharpness_states(labels).tolist() == [
+        [0.75, 0.0, 0.25, 0.0], [0.5, 0.0, 0.5, 0.0]]
+
+
+def test_custom_problem_states_no_properties():
+    flat = OdeProblem(name="flat", dimension=1, params={},
+                      rhs=lambda u: 0.0 * u)
+    assert default_properties(flat, [1.0]) == []
 
 
 def test_default_properties_logistic(logistic2):
