@@ -33,7 +33,8 @@ from .integrate import (ExactStartup, RecordMode, RunConfig,
                         RungeKuttaStartup, integrate)
 from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
                       get_method, ssp_coefficient, validate_method)
-from .problems import fe_property_bound, make_problem
+from .problems import (PropertyKind, default_properties, fe_property_bound,
+                       make_problem)
 
 
 def _finite(value: float, what: str) -> float:
@@ -142,11 +143,14 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
         return token, lambda traj: qualprops.check_classical_monotonicity(
             traj, component, direction)
     if name == "sum":
-        level = float(np.sum(y0))
-        drift = float(problem.params.get("influx", 0.0))
-        weights = np.ones(problem.dimension)
+        invariants = [prop for prop in default_properties(problem, y0)
+                      if prop.kind is PropertyKind.LINEAR_INVARIANT]
+        if not invariants:
+            raise ConfigurationError(
+                f"{token}: {problem.name} has no linear invariant")
+        inv = invariants[0]
         return token, lambda traj: qualprops.check_linear_invariant(
-            traj, weights, drift, level)
+            traj, inv.weights, inv.drift, inv.level)
     raise ConfigurationError(f"unknown check {token!r}")
 
 

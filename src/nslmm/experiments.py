@@ -12,12 +12,17 @@ all elements), so each element's states equal its single run bit for bit,
 whatever else shares its batch.  A large batch advances in blocks of
 elements whose state arrays hold at most ``MAX_SWEEP_ELEMENTS`` values,
 small enough for the rings of states and slopes to stay in the processor
-caches.
+caches.  Once few of a block's elements still evolve, the block is
+compacted: the stopped elements' results are written out and the rest go
+on in smaller arrays, so no step is spent on an element whose answer is
+known.
 
 Sharpness bisection uses that independence: every initial value's threshold
-bracket advances together, one sweep over (rows still bisecting x step
-sizes) per bisection iteration, cut into chunks of rows whose state arrays
-also hold at most ``MAX_SWEEP_ELEMENTS`` values.
+bracket advances together, two bisection levels per sweep (each row's
+midpoint and the next level's midpoint on either side), cut into chunks
+whose state arrays also hold at most ``MAX_SWEEP_ELEMENTS`` values.  All
+step sizes of one tested threshold form a group that stops at its first
+failing element, which already decides the threshold.
 """
 
 from __future__ import annotations
@@ -210,6 +215,11 @@ def _rows_all(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _take(keep: np.ndarray, *arrays) -> tuple:
+    """The entries ``keep`` of each array, passing None through."""
+    return tuple(None if a is None else a[keep] for a in arrays)
+
+
 def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                            phi_kind: PhiKind, bounds: np.ndarray,
                            dts: np.ndarray, y0s: np.ndarray, n_steps,
@@ -217,7 +227,8 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                            lower=None, upper=None,
                            weak_direction: int = 0, weak_component: int = 0,
                            invariant_weights=None,
-                           invariant_drift: float = 0.0) -> SweepOutcome:
+                           invariant_drift: float = 0.0,
+                           _groups=None) -> SweepOutcome:
     """Advance a batch of runs in lockstep and monitor preserved properties.
 
     Per batch element i: threshold bounds[i], step size dts[i], initial
@@ -234,8 +245,16 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
 
     The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
     elements, each block to its own last active step, so that a block's
-    rings of states and slopes stay in the processor caches.  Elements are
-    independent, so the blocks show in no result.
+    rings of states and slopes stay in the processor caches.  Once at most
+    ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
+    results are written out and the block goes on with the others alone,
+    unless it monitors an invariant.  Elements are independent, so neither
+    blocks nor compaction show in any result.
+
+    ``_groups`` (private) gives each element a nonnegative integer group id:
+    once every check requested for one element has failed, all elements of
+    its group stop too, and their results cover only the steps they made.
+    Whether a group has a failing element is the same with and without it.
     """
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
@@ -284,6 +303,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     if check_inv:
         gamma = np.asarray(invariant_weights, dtype=float)
         level = y0s @ gamma
+    groups = None
+    if _groups is not None:
+        groups = np.broadcast_to(np.asarray(_groups, dtype=np.intp), (B,))
+        n_groups = int(groups.max(initial=0)) + 1
 
     out = SweepOutcome(bound_violated=np.zeros(B, dtype=bool),
                        weak_violated=np.zeros(B, dtype=bool),
@@ -295,19 +318,22 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     def advance(sl: slice) -> None:
         """Step the elements ``sl`` to their last active step and write
         their results into ``out``."""
-        bound_viol = out.bound_violated[sl]
-        weak_viol = out.weak_violated[sl]
-        first_bound = out.first_bound_step[sl]
-        first_weak = out.first_weak_step[sl]
-        inv_dev = out.invariant_max_dev[sl]
-        horizon, dt = n_steps[sl], dts[sl]
-        b_req, w_req = bound_req[sl], weak_req[sl]
+        # the block's elements (global indices) and everything carried
+        # from step to step for them; a compaction gathers all of it
+        idx = np.arange(sl.start, sl.stop)
+        b = idx.size
+        horizon, b_req, w_req = n_steps[sl], bound_req[sl], weak_req[sl]
         inc, dec = weak_inc[sl], weak_dec[sl]
-        # an element finishes once every check requested for it has failed;
-        # one with nothing to check runs to its horizon
         b_free, w_free, want = ~b_req, ~w_req, b_req | w_req
+        group = None if groups is None else groups[sl]
+        bound_viol = np.zeros(b, dtype=bool)
+        weak_viol = np.zeros(b, dtype=bool)
+        first_bound = np.full(b, -1, dtype=np.int64)
+        first_weak = np.full(b, -1, dtype=np.int64)
+        inv_dev = np.zeros(b)
         # full (b, m) operands: numpy multiplies and compares two full
         # arrays several times faster than an array and a (b, 1) column
+        lo = hi = None
         if check_bounds_on:
             lo = np.repeat(lo_edge[sl, None], m, axis=1)
             hi = np.repeat(hi_edge[sl, None], m, axis=1)
@@ -322,12 +348,24 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 first_bound[newly] = step_idx
                 bound_viol[:] |= v
             if check_inv:
-                target = level[sl] + invariant_drift * (step_idx * dt)
+                # a block monitoring an invariant is never compacted, so
+                # it still holds the elements ``sl``
+                target = level[sl] + invariant_drift * (step_idx * dts[sl])
                 dev = np.abs(state @ gamma - target)
                 np.maximum(inv_dev, np.where(live, dev, 0.0), out=inv_dev)
 
+        def retire(sel) -> None:
+            """Write the results of the block's elements ``sel``."""
+            at = idx[sel]
+            out.bound_violated[at] = bound_viol[sel]
+            out.weak_violated[at] = weak_viol[sel]
+            out.invariant_max_dev[at] = inv_dev[sel]
+            out.first_bound_step[at] = first_bound[sel]
+            out.first_weak_step[at] = first_weak[sel]
+            out.final_states[at] = states[0][sel]
+
         startup_states = _startup_states(problem, method, startup, y0s[sl],
-                                         dt)
+                                         dts[sl])
         for i, state in enumerate(startup_states):
             record(state, i, i <= horizon)
 
@@ -339,13 +377,36 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(s - 1, int(horizon.max())):
                 step_idx = n + 1
-                finished = (bound_viol | b_free) & (weak_viol | w_free)
-                active = (step_idx <= horizon) & ~(finished & want)
-                if not active.any():
+                # an element finishes once every check requested for it
+                # has failed; one with nothing to check runs to its horizon
+                done = (bound_viol | b_free) & (weak_viol | w_free) & want
+                if group is not None and done.any():
+                    hit = np.zeros(n_groups, dtype=bool)
+                    hit[group[done]] = True
+                    done = hit[group]
+                active = (step_idx <= horizon) & ~done
+                n_active = np.count_nonzero(active)
+                if n_active == 0:
                     break
+                if not check_inv and n_active <= COMPACT_AT * active.size:
+                    # numpy's rounding of ``state @ gamma`` depends on the
+                    # row count, so only blocks without an invariant shrink
+                    retire(~active)
+                    (idx, horizon, b_req, w_req, inc, dec, group, lo, hi,
+                     bound_viol, weak_viol, first_bound, first_weak,
+                     inv_dev) = _take(
+                        active, idx, horizon, b_req, w_req, inc, dec, group,
+                        lo, hi, bound_viol, weak_viol, first_bound,
+                        first_weak, inv_dev)
+                    b_free, w_free, want = ~b_req, ~w_req, b_req | w_req
+                    scaled = [(j, a, *_take(active, hb))
+                              for j, a, hb in scaled]
+                    states = deque(_take(active, *states), maxlen=s)
+                    slopes = deque(_take(active, *slopes), maxlen=s)
+                    active = active[active]
 
                 acc = _ms_step(scaled, rhs, states, slopes)
-                new = (acc if active.all()
+                new = (acc if n_active == active.size
                        else np.where(active[:, None], acc, states[0]))
 
                 if check_weak:
@@ -364,7 +425,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 record(new, step_idx, active)
                 states.appendleft(new)
                 slopes.appendleft(None)
-        out.final_states[sl] = states[0]
+        retire(slice(None))
 
     # blocks of near-equal size: a one-element block would take numpy's
     # one-row path for ``state @ gamma``, whose rounding can differ from
@@ -425,6 +486,11 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
 #: grid, sharpness chunks of 2**12 to 2**14 elements ran about 1.7 times
 #: faster than chunks of 2**17
 MAX_SWEEP_ELEMENTS = 2 ** 14
+
+#: a sweep block is compacted (its stopped elements written out, the rest
+#: gathered into smaller arrays) once at most this fraction of its elements
+#: still evolves; 0 never compacts
+COMPACT_AT = 0.5
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float,
@@ -499,13 +565,18 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     is censored at the top ("at-range-top").
 
     All rows bisect in lockstep: one sweep tests the lower ends of every
-    row, one the upper ends of the rows that pass, and each bisection
-    iteration is one sweep over (rows still bisecting x step sizes), each
-    element with its own row's threshold and checks.  Every row sees the
-    midpoints ``bisect_threshold`` would give it alone, so the rows equal
-    a row-by-row bisection exactly.  A sweep holds at most
+    row, one the upper ends of the rows that pass, and each further sweep
+    makes two bisection iterations.  It tests every bisecting row's
+    midpoint together with the midpoint the next iteration needs on each
+    side whose half is still wider than ``tol`` (and only while
+    ``max_iter`` allows another iteration); the midpoint's verdict then
+    picks the side that counts.  Each tested threshold is one group of
+    elements, one per step size, with its own row's checks, and stops at
+    its first failing element.  Every row sees the midpoints
+    ``bisect_threshold`` would give it alone, so the rows equal a
+    row-by-row bisection exactly.  A sweep holds at most
     ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension); larger
-    ones run in chunks of rows.
+    ones run in chunks of tested thresholds.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
@@ -545,17 +616,26 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
         for start in range(0, rows.size, rows_per_sweep):
             chunk = rows[start:start + rows_per_sweep]
             k = chunk.size
+            # one group per tested threshold: its first failing step size
+            # decides it, and the others stop there
             outcome = run_preservation_sweep(
                 problem, method, phi_kind,
                 np.repeat(thresholds[start:start + k], n_dt),
                 np.tile(dt_grid, k), np.repeat(y0_states[chunk], n_dt, axis=0),
                 np.tile(n_steps, k), startup=startup, weak_component=column,
+                _groups=np.repeat(np.arange(k), n_dt),
                 **{key: np.repeat(v[chunk], n_dt)
                    for key, v in per_row.items()})
             violated = (outcome.bound_violated if prop == BOUNDEDNESS
                         else outcome.weak_violated)
             out[start:start + k] = ~violated.reshape(k, n_dt).any(axis=1)
         return out
+
+    def settle(rows: np.ndarray, points: np.ndarray, ok: np.ndarray):
+        # one bisection step: a point that holds becomes its row's lower
+        # end, one that fails its upper end
+        lo[rows[ok]] = points[ok]
+        hi[rows[~ok]] = points[~ok]
 
     # the same steps as bisect_threshold, for every row at once
     lo = interval_scale[0] * sufficient
@@ -569,14 +649,29 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
         values[i], statuses[i] = hi[i], "at-range-top"
     bisecting = rows[~at_top]
     active = bisecting
-    for _ in range(max_iter):
+    # two bisection levels per sweep: beside each row's midpoint, the sweep
+    # tests the midpoint the next level needs on either side whose bracket
+    # is still wider than tol; the midpoint's verdict picks which counts
+    for level in range(0, max_iter, 2):
         active = active[hi[active] - lo[active] > tol]
         if active.size == 0:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        ok = holds(active, mid)
-        lo[active[ok]] = mid[ok]
-        hi[active[~ok]] = mid[~ok]
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        more = level + 1 < max_iter
+        left = more & (mid - a_lo > tol)
+        right = more & (a_hi - mid > tol)
+        q_left = 0.5 * (a_lo[left] + mid[left])
+        q_right = 0.5 * (mid[right] + a_hi[right])
+        ok, ok_left, ok_right = np.split(
+            holds(np.concatenate([active, active[left], active[right]]),
+                  np.concatenate([mid, q_left, q_right])),
+            [active.size, active.size + q_left.size])
+        settle(active, mid, ok)
+        use = ~ok[left]
+        settle(active[left][use], q_left[use], ok_left[use])
+        use = ok[right]
+        settle(active[right][use], q_right[use], ok_right[use])
     for i in bisecting:
         values[i], statuses[i] = 0.5 * (lo[i] + hi[i]), "ok"
 

@@ -286,12 +286,19 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
 
 
 def integrate(config: RunConfig) -> Trajectory:
-    """Run a configured integration to t_end on an aligned uniform grid."""
+    """Run a configured integration to t_end on an aligned uniform grid.
+
+    A non-finite initial state is a configuration error, whatever the
+    startup.
+    """
     problem = config.problem
     y0 = np.asarray(config.y0, dtype=float)
     if y0.shape != (problem.dimension,):
         raise ConfigurationError(
             f"y0 has shape {y0.shape}, problem needs ({problem.dimension},)")
+    if not np.isfinite(y0).all():
+        raise ConfigurationError(
+            f"y0 {y0.tolist()} has a non-finite component")
     n = step_count(config.t0, config.t_end, config.dt)
     method = config.method
     full = config.record is RecordMode.FULL_TRAJECTORY

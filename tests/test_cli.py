@@ -108,6 +108,32 @@ def test_solve_checks_weakmon_and_sum(capsys):
     assert all(r["holds"] for r in reports)
 
 
+def test_solve_sum_reads_the_problems_invariant(capsys):
+    # with influx the invariant drifts at the influx rate from the initial
+    # component sum
+    code, _out, err = run_cli(
+        capsys, "solve", "--problem", "seir", "--params", "influx=0.3",
+        "--y0", "0.5,0.25,0.125,0.125", "--method", "sspms42", "--phi", "phi5",
+        "--dt", "0.25", "--t-end", "5", "--check", "sum")
+    assert code == 0
+    report = json.loads(err.splitlines()[0])
+    assert report["property"] == {"kind": "linear-invariant",
+                                  "weights": [1.0] * 4, "drift": 0.3,
+                                  "level": 1.0}
+
+
+def test_solve_sum_without_invariant_exit_2(capsys):
+    # logistic has no linear invariant; the check used to test a made-up
+    # one and report holds: false
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", "logistic", "--params", "c=2",
+        "--y0", "1", "--method", "sspms42", "--dt", "0.5", "--t-end", "5",
+        "--check", "sum")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sum: logistic has no linear invariant\n"
+
+
 def test_solve_output_file_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
@@ -403,19 +429,48 @@ _SHARPNESS_SLOTS = {
     "--tol": ([None, "1e-2", "0.05"], ["nan", "-1"]),
     "--params": ([None], ["c=nan", "influx=-1", "c=2,d=3"]),
 }
+_CONVERGENCE_SLOTS = {
+    "--method": (["sspms42", "sspms64", "ssprk22", "ssprk104"], ["bogus"]),
+    "--phi": ([None, "phi5", "phi8", "identity", "phi-general:5"],
+              ["phiX", "phi-general:3"]),
+    "--standard": ([None, True], []),
+    "--b-fe": ([None, "0.5"], _BAD_NUMBERS),
+    "--bound": ([None, "0.3"], _BAD_NUMBERS),
+    "--t0": ([None, "0"], ["nan", "inf"]),
+    "--t-end": (["1", "0.5"], _BAD_NUMBERS),
+    "--dt-list": ([None, "0.1,0.05"],
+                  ["0.05,0.1", "0.1,0.1", "0.1,nan", "0.1,x", "0.3,0.1"]),
+    "--dt-base": (["0.1", "0.05"], _BAD_NUMBERS),
+    "--halvings": ([None, "0", "2"], ["-1"]),
+    "--reference": (["exact", "rk4:0.01"],
+                    ["rk4:0", "rk4:nan", "rk4:-0.01", "rk4:0.3", "rk4:x",
+                     "bogus"]),
+    "--norm": ([None, "abs", "max", "euclidean"], ["bogus"]),
+}
+_VERIFY_PHI_SLOTS = {
+    "--phi": (["phi1", "phi5", "phi8", "phi-general:6", "identity"],
+              ["phiX", "phi-general:3", "phi-general:x"]),
+    "--bound": ([None, "1", "0.1"], _BAD_NUMBERS),
+    "--p": ([None, "1", "4", "9"], ["0", "-1", "x"]),
+    "--k-min": ([None, "4", "8"], ["20", "18", "x"]),
+    "--k-max": ([None, "18", "12"], ["3", "x"]),
+    "--strict": ([None, True], []),
+}
 
 
 @st.composite
 def _argv(draw, command, slots):
     """An argument vector with one or two slots drawn from the faulty
     values and the others from the valid ones."""
-    problem = draw(st.sampled_from(sorted(_PROBLEM_SLOTS)))
-    if command == "solve":
-        slots = {**slots, **_PROBLEM_SLOTS[problem]}
+    argv = [command]
+    if command != "verify-phi":
+        problem = draw(st.sampled_from(sorted(_PROBLEM_SLOTS)))
+        argv.append(f"--problem={problem}")
+        if command != "sharpness":
+            slots = {**slots, **_PROBLEM_SLOTS[problem]}
     faulty = draw(st.sets(st.sampled_from(
         sorted(k for k, (_good, bad) in slots.items() if bad)),
         min_size=1, max_size=2))
-    argv = [command, f"--problem={problem}"]
     for name, (good, bad) in slots.items():
         value = draw(st.sampled_from(bad if name in faulty else good))
         if value is True:
@@ -425,9 +480,11 @@ def _argv(draw, command, slots):
     return argv
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(argv=st.one_of(_argv("solve", _SOLVE_SLOTS),
-                      _argv("sharpness", _SHARPNESS_SLOTS)))
+                      _argv("sharpness", _SHARPNESS_SLOTS),
+                      _argv("convergence", _CONVERGENCE_SLOTS),
+                      _argv("verify-phi", _VERIFY_PHI_SLOTS)))
 def test_cli_fuzz_exits_cleanly(argv):
     # every argument vector ends in an exit code, never in an exception;
     # exit 1 is a failed --strict check, exit 2 one error line

@@ -251,6 +251,54 @@ def test_lockstep_sharpness_equals_row_by_row_logistic(logistic2, prop,
     assert {r.status for r in report.rows} == {"ok", "at-range-top"}
 
 
+@pytest.mark.parametrize("max_iter", [1, 3, 5])
+def test_lockstep_sharpness_odd_max_iter(logistic2, max_iter):
+    # an odd budget ends on a sweep that tests midpoints alone
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, BOUNDEDNESS, tol=1e-3,
+                                 max_iter=max_iter)
+    _assert_matches_oracle(report, _row_by_row(
+        logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts, 30.0, BOUNDEDNESS,
+        tol=1e-3, max_iter=max_iter))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_lockstep_sharpness_one_side_reaches_tol_first(logistic2, side):
+    # follow one row's row-by-row bisection to a first-of-sweep level whose
+    # halves differ in the last bits and whose midpoint picks ``side``, the
+    # narrower half; with tol equal to that half's width the row stops
+    # there, while the wider half would have taken another level
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    y0 = LOGISTIC_Y0S[4]
+    n_steps = np.ceil(30.0 / dts - 1e-9).astype(int)
+    checks = logistic2.sharpness_checks(y0, BOUNDEDNESS, 0)
+    sufficient = (n.effective_ssp_coefficient(m)
+                  * n.fe_property_bound(logistic2, y0))
+    lo, hi = 1e-4 * sufficient, 10.0 * sufficient
+    for level in range(0, 50):
+        mid = 0.5 * (lo + hi)
+        ok = not run_preservation_sweep(
+            logistic2, m, PhiKind.PHI5, np.full(dts.size, mid), dts,
+            np.tile(y0, (dts.size, 1)), n_steps,
+            **checks).bound_violated.any()
+        halves = (hi - mid, mid - lo) if ok else (mid - lo, hi - mid)
+        if (level % 2 == 0 and ok == (side == "right")
+                and halves[0] < halves[1]):
+            tol = halves[0]
+            break
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    else:
+        pytest.fail(f"no {side} level with unequal halves")
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, BOUNDEDNESS, tol=tol)
+    _assert_matches_oracle(report, _row_by_row(
+        logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts, 30.0, BOUNDEDNESS,
+        tol=tol))
+
+
 def test_lockstep_sharpness_range_edges(logistic2):
     # y0 <= 1.9 hold only up to about the sufficient threshold (below
     # range), y0 = 2 is the fixed point and y0 = 4 holds beyond 1.5 times
@@ -323,10 +371,11 @@ def test_lockstep_sharpness_sweeps_once_per_iteration(logistic2, monkeypatch):
     monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
     report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
                                  dts, 30.0, BOUNDEDNESS, tol=1e-3)
-    # lower ends, upper ends, then one sweep per halving of the widest
-    # bracket (ten times the sufficient threshold at most)
+    # lower ends, upper ends, then one sweep per two halvings of the
+    # widest bracket (ten times the sufficient threshold at most)
     widest = 10.0 * max(r.sufficient_bound for r in report.rows)
-    assert len(calls) <= 2 + math.ceil(math.log2(widest / 1e-3))
+    levels = math.ceil(math.log2(widest / 1e-3))
+    assert len(calls) <= 2 + math.ceil(levels / 2)
     assert calls[0] == LOGISTIC_Y0S.shape[0] * dts.size
 
 
@@ -556,6 +605,113 @@ def test_blocked_sweep_equals_one_block_seir_drift(monkeypatch):
     blocked = sweep()
     assert calls[0] - one_block_calls > one_block_calls  # four blocks ran
     _assert_same_outcome(blocked, whole)
+
+
+def _batch_sizes(problem):
+    """``problem`` with an rhs that records the batch size of each call."""
+    sizes = []
+
+    def rhs(u):
+        sizes.append(u.shape[0])
+        return problem.rhs(u)
+
+    return dataclasses.replace(problem, rhs=rhs), sizes
+
+
+def test_compacted_sweep_equals_uncompacted_logistic(logistic2, monkeypatch):
+    # the blocked test's batch: mixed horizons, per-element bounds and
+    # directions, a NaN start and elements that fail early
+    problem, sizes = _batch_sizes(logistic2)
+    m = get_method("sspms43")
+    y0s = np.array([[0.3], [1.2], [2.5], [np.nan], [0.5], [1.5], [0.2],
+                    [0.8], [4.0], [1.9], [0.05]])
+    B = len(y0s)
+    n_steps = np.array([30, 7, 45, 12, 2, 38, 25, 40, 9, 33, 1])
+    lower = np.array([0.0, 0.0, 2.0, 0.0, -np.inf, -np.inf, 0.0, -np.inf,
+                      2.0, 0.0, -np.inf])
+    upper = np.array([2.0, 2.0, np.inf, 2.0, 1.5, 1.5, 2.0, np.inf,
+                      np.inf, 2.0, np.inf])
+    direction = np.array([1, 1, -1, 1, 0, 0, 1, 1, -1, 0, 1])
+
+    def sweep():
+        sizes.clear()
+        return run_preservation_sweep(
+            problem, m, PhiKind.PHI7, np.linspace(0.1, 1.4, B),
+            np.linspace(0.2, 2.5, B), y0s, n_steps, lower=lower,
+            upper=upper, weak_direction=direction)
+
+    compacted = sweep()
+    assert min(sizes) < B
+    monkeypatch.setattr(experiments, "COMPACT_AT", 0.0)
+    whole = sweep()
+    assert set(sizes) == {B}
+    assert whole.bound_violated.any() and whole.weak_violated.any()
+    _assert_same_outcome(compacted, whole)
+
+
+def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
+    # Runge-Kutta starter, checks that stop some elements early and
+    # horizons that stop others; compaction fires several times in the one
+    # block, but never once an invariant is monitored
+    problem, sizes = _batch_sizes(seir0)
+    m = get_method("sspms64")
+    infected = np.linspace(0.05, 0.9, 12)
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    dts = np.linspace(0.05, 0.9, 12)[::-1]
+    bounds = np.linspace(0.05, 2.0, 12)
+    n_steps = np.array([40, 12, 60, 25, 8, 55, 30, 6, 48, 20, 70, 3])
+
+    def sweep(**invariant):
+        sizes.clear()
+        return run_preservation_sweep(
+            problem, m, PhiKind.PHI8, bounds, dts, y0s, n_steps, lower=0.0,
+            weak_direction=-1, weak_component=0, **invariant)
+
+    compacted = sweep()
+    assert len(set(sizes)) >= 3  # the full block and two compactions
+    assert compacted.bound_violated.any() and compacted.weak_violated.any()
+    sweep(invariant_weights=np.ones(4))
+    assert set(sizes) == {12}
+    monkeypatch.setattr(experiments, "COMPACT_AT", 0.0)
+    _assert_same_outcome(compacted, sweep())
+
+
+@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
+def test_grouped_sweep_decides_each_group_as_ungrouped(logistic2, prop):
+    # six rows at three thresholds each, one group per (row, threshold):
+    # a group stops at its first failing element, which decides it alone
+    m = get_method("sspms42")
+    dts = np.geomspace(0.5, 3.0, 12)
+    n_steps = np.ceil(30.0 / dts - 1e-9).astype(int)
+    rows = np.repeat(np.arange(len(LOGISTIC_Y0S)), 3)
+    sufficient = (n.effective_ssp_coefficient(m)
+                  * n.fe_property_bound(logistic2, LOGISTIC_Y0S))
+    thresholds = sufficient[rows] * np.tile([0.5, 1.5, 4.0], 6)
+    checks = experiments._stack_checks(
+        [logistic2.sharpness_checks(y0, prop, 0) for y0 in LOGISTIC_Y0S])
+    k, n_dt = rows.size, dts.size
+
+    def sweep(groups):
+        return run_preservation_sweep(
+            logistic2, m, PhiKind.PHI5, np.repeat(thresholds, n_dt),
+            np.tile(dts, k), np.repeat(LOGISTIC_Y0S[rows], n_dt, axis=0),
+            np.tile(n_steps, k), _groups=groups,
+            **{key: np.repeat(v[rows], n_dt) for key, v in checks.items()})
+
+    grouped = sweep(np.repeat(np.arange(k), n_dt))
+    alone = sweep(None)
+    field = "bound_violated" if prop == BOUNDEDNESS else "weak_violated"
+    decided = getattr(alone, field).reshape(k, n_dt).any(axis=1)
+    assert decided.any() and not decided.all()
+    assert np.array_equal(
+        getattr(grouped, field).reshape(k, n_dt).any(axis=1), decided)
+    # groups that never fail run as before; failing groups stop early
+    same = np.repeat(~decided, n_dt)
+    for got, want in zip(_outcome_fields(grouped), _outcome_fields(alone)):
+        assert np.array_equal(got[same], want[same], equal_nan=True)
+    assert (getattr(grouped, field).sum()
+            < getattr(alone, field).sum())
 
 
 def test_seir_conservation_sweep_is_one_public_call(monkeypatch):

@@ -264,6 +264,29 @@ def test_rk_startup_policy_explicit(seir0, seir_y0):
     assert sums == pytest.approx(np.ones(4), rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("startup", ["exact", "runge-kutta", "none"])
+def test_non_finite_y0_is_rejected_whatever_the_startup(logistic2, seir0,
+                                                        startup, bad):
+    # the closed-form and explicit-bound starters never ask for an Euler
+    # bound at y0, and a one-step method has no starter: these runs used to
+    # return non-finite trajectories
+    if startup == "exact":
+        method, problem, y0, policy = (get_method("sspms42"), logistic2,
+                                       [bad], ExactStartup())
+    elif startup == "runge-kutta":
+        method, problem, y0, policy = (
+            get_method("sspms42"), seir0, [0.8, bad, 0.2, 0.0],
+            RungeKuttaStartup("ssprk22", PhiKind.PHI5, bound=0.2))
+    else:
+        method, problem, y0, policy = (get_method("ssprk22"), logistic2,
+                                       [bad], None)
+    phi = DenominatorSpec(PhiKind.PHI5, bound=0.5)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        integrate(_config(problem, method, phi, 0.5, 5.0, y0,
+                          startup=policy))
+
+
 # ---------------------------------------------------------------------------
 # reference solver
 # ---------------------------------------------------------------------------
