@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 from mpmath import mp
 
-from .errors import UnsupportedError
+from .errors import ConfigurationError, UnsupportedError
 from .methods import Method, effective_ssp_coefficient
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -180,15 +180,29 @@ class SamplingPlan:
     span: float = 100.0
     span_points: int = 128
 
+    def _check_smallest_point(self, bound: float) -> None:
+        """bound * 2^-k_max, the smallest x of both grids, must be a normal
+        float: below it the grids underflow to subnormals and zeros."""
+        try:
+            x = math.ldexp(bound, -self.k_max)
+        except OverflowError:  # a k_max far below zero
+            x = math.inf
+        if not x >= np.finfo(float).tiny:
+            raise ConfigurationError(
+                f"k_max={self.k_max} with bound {bound!r} puts the smallest "
+                f"sample {x!r} below the smallest normal float")
+
     def dyadic_points(self, bound: float) -> np.ndarray:
         if self.k_max < self.k_min:
             raise ValueError("empty dyadic grid")
+        self._check_smallest_point(bound)
         ks = np.arange(self.k_min, self.k_max + 1)
         return bound * 2.0 ** (-ks.astype(float))
 
     def span_grid(self, bound: float) -> np.ndarray:
         if self.span_points < 1:
             raise ValueError("empty span grid")
+        self._check_smallest_point(bound)
         return np.geomspace(bound * 2.0 ** (-self.k_max),
                             self.span * bound, self.span_points)
 

@@ -40,8 +40,8 @@ import numpy as np
 from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
 from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig, _ms_step,
-                        _scaled_terms, _startup_states, default_startup,
-                        integrate, reference_solution)
+                        _run_steps, _scaled_terms, _startup_states,
+                        default_startup, integrate, reference_solution)
 from .methods import Method, MultistepMethod, effective_ssp_coefficient
 from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
                        exact_solution, fe_property_bound)
@@ -135,6 +135,11 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
         raise ValueError("dt_list is empty")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("dt_list must be strictly decreasing")
+
+    # every run's step is checked before the reference, which can take
+    # far longer than the runs it serves
+    for dt in dts:
+        _run_steps(method, t0, t_end, dt)
 
     y0 = np.asarray(y0, dtype=float)
     if norm is None:
@@ -232,10 +237,13 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     """Advance a batch of runs in lockstep and monitor preserved properties.
 
     Per batch element i: threshold bounds[i], step size dts[i], initial
-    state y0s[i], horizon n_steps[i] steps.  ``lower``/``upper`` are bounds
-    applied to every component and ``weak_direction`` is +1 (windowed
-    increase), -1 (decrease) or 0 (skip); each is either one value for the
-    whole batch or an array of shape (B,).  In an array a missing bound is
+    state y0s[i], horizon n_steps[i] steps.  ``dts`` has shape (B,) and
+    holds positive finite steps whose horizons n_steps * dts are finite;
+    ``bounds`` and ``n_steps`` are one value for the whole batch or arrays
+    of shape (B,).  ``lower``/``upper`` are bounds applied to every
+    component and ``weak_direction`` is +1 (windowed increase), -1
+    (decrease) or 0 (skip); each is either one value for the whole batch or
+    an array of shape (B,).  In an array a missing bound is
     -inf/+inf, and an element with both bounds missing has no bound check.
     An in-horizon state with a non-finite component violates every check
     requested for its element.  Elements stop evolving once every check
@@ -249,7 +257,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
     results are written out and the block goes on with the others alone,
     unless it monitors an invariant.  Elements are independent, so neither
-    blocks nor compaction show in any result.
+    blocks nor compaction show in any result.  A block owns the scratch
+    arrays of the in-place batch kernels (see ``integrate``), made once and
+    cut to size when it compacts.
 
     ``_groups`` (private) gives each element a nonnegative integer group id:
     once every check requested for one element has failed, all elements of
@@ -259,8 +269,26 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
     dts = np.asarray(dts, dtype=float)
-    bounds = np.broadcast_to(np.asarray(bounds, dtype=float), (B,))
-    n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (B,))
+    bounds = np.asarray(bounds, dtype=float)
+    n_steps = np.asarray(n_steps, dtype=int)
+    if dts.shape != (B,):
+        raise ConfigurationError(
+            f"dts has shape {dts.shape}, the batch needs ({B},)")
+    for name, value in (("bounds", bounds), ("n_steps", n_steps)):
+        if value.ndim and value.shape != (B,):
+            raise ConfigurationError(
+                f"{name} has shape {value.shape}, the batch needs ({B},) "
+                "or one value")
+    bounds = np.broadcast_to(bounds, (B,))
+    n_steps = np.broadcast_to(n_steps, (B,))
+    # a finite horizon keeps every invariant target finite; with no drift
+    # it is then exactly the initial level
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(dts).all() and (dts > 0).all()
+                and np.isfinite(n_steps * dts).all()):
+            raise ConfigurationError(
+                "dts must be positive and finite, and so must every "
+                "horizon n_steps * dts")
     if not 0 <= weak_component < m:
         raise ConfigurationError(
             f"weak_component {weak_component} is not a component index "
@@ -339,20 +367,37 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             hi = np.repeat(hi_edge[sl, None], m, axis=1)
         scaled = _scaled_terms(method.terms,
                                np.repeat(phis[sl, None], m, axis=1))
+        # the kernels' scratch: every term of a step is formed in it
+        scratch = (np.empty((b, m)), np.empty((b, m)))
+        if check_inv:
+            # a block monitoring an invariant is never compacted, so it
+            # keeps the elements ``sl`` and these buffers their size
+            block_level, block_dts = level[sl], dts[sl]
+            dev = np.empty(b)
+            target = block_level if invariant_drift == 0 else np.empty(b)
 
-        def record(state: np.ndarray, step_idx: int, live: np.ndarray):
+        def record(state: np.ndarray, step_idx: int, live):
+            """Monitor the bounds and the invariant of ``state``, the
+            states of step ``step_idx``, for the elements ``live`` (None:
+            all of them)."""
             if check_bounds_on:
                 v = ~_rows_all((state >= lo) & (state <= hi))
-                v &= live & b_req
+                v &= b_req if live is None else live & b_req
                 newly = v & ~bound_viol
                 first_bound[newly] = step_idx
                 bound_viol[:] |= v
             if check_inv:
-                # a block monitoring an invariant is never compacted, so
-                # it still holds the elements ``sl``
-                target = level[sl] + invariant_drift * (step_idx * dts[sl])
-                dev = np.abs(state @ gamma - target)
-                np.maximum(inv_dev, np.where(live, dev, 0.0), out=inv_dev)
+                if invariant_drift != 0:
+                    # level + drift * (step_idx * dt)
+                    np.multiply(step_idx, block_dts, out=target)
+                    np.multiply(invariant_drift, target, out=target)
+                    np.add(block_level, target, out=target)
+                np.matmul(state, gamma, out=dev)
+                np.subtract(dev, target, out=dev)
+                np.abs(dev, out=dev)
+                np.maximum(inv_dev,
+                           dev if live is None else np.where(live, dev, 0.0),
+                           out=inv_dev)
 
         def retire(sel) -> None:
             """Write the results of the block's elements ``sel``."""
@@ -365,9 +410,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             out.final_states[at] = states[0][sel]
 
         startup_states = _startup_states(problem, method, startup, y0s[sl],
-                                         dts[sl])
+                                         dts[sl], scratch)
         for i, state in enumerate(startup_states):
-            record(state, i, i <= horizon)
+            live = i <= horizon
+            record(state, i, None if live.all() else live)
 
         # the state and slope rings of the shared kernel, newest first
         states = deque(reversed(startup_states), maxlen=s)
@@ -403,11 +449,13 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                               for j, a, hb in scaled]
                     states = deque(_take(active, *states), maxlen=s)
                     slopes = deque(_take(active, *slopes), maxlen=s)
+                    scratch = tuple(buf[:n_active] for buf in scratch)
                     active = active[active]
 
-                acc = _ms_step(scaled, rhs, states, slopes)
-                new = (acc if n_active == active.size
-                       else np.where(active[:, None], acc, states[0]))
+                acc = _ms_step(scaled, rhs, states, slopes, scratch)
+                live = None if n_active == active.size else active
+                new = (acc if live is None
+                       else np.where(live[:, None], acc, states[0]))
 
                 if check_weak:
                     window = np.array([u[:, weak_component] for u in states])
@@ -418,11 +466,11 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                         v |= inc & (comp < window.min(axis=0) - tol_w)
                     if dec.any():
                         v |= dec & (comp > window.max(axis=0) + tol_w)
-                    v &= active & w_req
+                    v &= w_req if live is None else live & w_req
                     newly = v & ~weak_viol
                     first_weak[newly] = step_idx
                     weak_viol[:] |= v
-                record(new, step_idx, active)
+                record(new, step_idx, live)
                 states.appendleft(new)
                 slopes.appendleft(None)
         retire(slice(None))

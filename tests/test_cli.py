@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nslmm import experiments
 from nslmm.cli import build_parser, main
 
 
@@ -200,6 +202,43 @@ def test_convergence_missing_grid_exit_2(capsys):
     assert "error:" in err
 
 
+def _one_error_line_no_warning(capsys, *argv):
+    """Run the CLI with every warning an error; it must exit 2 with one
+    ``error:`` line and nothing on stdout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+#: a negative step with an RK4 reference that takes many seconds, and one
+#: whose reference overflows with numpy warnings
+BAD_STEP_CONVERGENCE = [
+    ["--problem", "seir", "--y0", "0.8,0,0.2,0", "--method", "sspms64",
+     "--dt-base", "-1", "--reference", "rk4:1e-5", "--t-end", "5"],
+    ["--problem", "logistic", "--y0", "-1", "--method", "sspms64",
+     "--standard", "--dt-base", "-1", "--reference", "rk4:0.01",
+     "--t-end", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_STEP_CONVERGENCE)
+def test_convergence_bad_step_exit_2_without_warning(capsys, argv):
+    _one_error_line_no_warning(capsys, "convergence", *argv)
+
+
+@pytest.mark.parametrize("argv", BAD_STEP_CONVERGENCE)
+def test_convergence_bad_step_never_reaches_the_reference(capsys,
+                                                          monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reference computed before the steps' checks")
+
+    monkeypatch.setattr(experiments, "reference_solution", unreachable)
+    _one_error_line_no_warning(capsys, "convergence", *argv)
+
+
 # ---------------------------------------------------------------------------
 # list / verify-phi / sharpness / bench
 # ---------------------------------------------------------------------------
@@ -229,6 +268,15 @@ def test_verify_phi_pass_and_fail(capsys):
     code, _out, err = run_cli(capsys, "verify-phi", "--phi", "phi8",
                               "--p", "5", "--strict")
     assert code == 1
+
+
+@pytest.mark.parametrize("phi, k_max", [("identity", "2000"),
+                                        ("phi8", "1100")])
+def test_verify_phi_underflowing_k_max_exit_2(capsys, phi, k_max):
+    # the identity used to fail its positivity check and exit 0, phi8 to
+    # end in an SVD error after numpy warnings
+    _one_error_line_no_warning(capsys, "verify-phi", "--phi", phi,
+                               "--k-max", k_max)
 
 
 def test_sharpness_cli_smoke(capsys):

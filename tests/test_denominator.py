@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nslmm import (CATALOG_KINDS, DenominatorSpec, PhiKind, SamplingPlan,
-                   UnsupportedError, eval_phi, get_method,
+from nslmm import (CATALOG_KINDS, ConfigurationError, DenominatorSpec,
+                   PhiKind, SamplingPlan, UnsupportedError, eval_phi,
+                   get_method,
                    make_phi_for_method, parse_phi_label, phi_bound,
                    phi_value, verify_phi_conditions)
 
@@ -196,6 +197,22 @@ def test_certification_rejects_bad_plans():
         verify_phi_conditions(spec, 0)
     with pytest.raises(ValueError):
         verify_phi_conditions(spec, 2, SamplingPlan(k_min=10, k_max=4))
+
+
+@pytest.mark.parametrize("bound, k_max, normal", [
+    (1.0, 1022, True), (1.0, 1023, False), (1.0, 2000, False),
+    (2.0, 1023, True), (1e-300, 20, True), (1e-300, 30, False)])
+def test_sampling_plan_refuses_grids_below_the_normal_floats(bound, k_max,
+                                                             normal):
+    # bound * 2^-k_max is the smallest sample of both grids
+    plan = SamplingPlan(k_max=k_max)
+    if normal:
+        assert plan.dyadic_points(bound).min() == bound * 2.0 ** -k_max
+        assert plan.span_grid(bound).min() > 0
+    else:
+        for grid in (plan.dyadic_points, plan.span_grid):
+            with pytest.raises(ConfigurationError, match="smallest normal"):
+                grid(bound)
 
 
 def test_parse_phi_label():

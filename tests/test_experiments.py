@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_convergence_exact_reference_needs_closed_form(seir0, seir_y0):
     with pytest.raises(ConfigurationError):
         convergence_study(seir0, m, PhiKind.PHI8, [0.1], 1.0, seir_y0,
                           ExactReference())
+
+
+@pytest.mark.parametrize("dts, t_end", [
+    ([0.5, -0.25], 1.0), ([0.5, 0.3], 1.0), ([np.inf, 0.5], 1.0),
+    ([0.25, 0.125], 0.5)])
+def test_convergence_checks_every_step_before_the_reference(
+        seir0, seir_y0, monkeypatch, dts, t_end):
+    # a negative, misaligned or infinite step, and 2 steps of 0.25 with
+    # no room for five startup values
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reference computed before the steps' checks")
+
+    monkeypatch.setattr(experiments, "reference_solution", unreachable)
+    with pytest.raises(ConfigurationError):
+        convergence_study(seir0, get_method("sspms64"), PhiKind.PHI8, dts,
+                          t_end, seir_y0, RK4Reference(1e-3))
 
 
 def test_convergence_norm_defaults(logistic2, seir0, seir_y0):
@@ -652,8 +669,18 @@ def test_compacted_sweep_equals_uncompacted_logistic(logistic2, monkeypatch):
 def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
     # Runge-Kutta starter, checks that stop some elements early and
     # horizons that stop others; compaction fires several times in the one
-    # block, but never once an invariant is monitored
+    # block, but never once an invariant is monitored.  The kernel's
+    # scratch shrinks with the block's states.
     problem, sizes = _batch_sizes(seir0)
+    kernel = experiments._ms_step
+    scratch_shapes = []
+
+    def spy(scaled, rhs, states, slopes, scratch=None):
+        scratch_shapes.append({states[0].shape,
+                               *(buf.shape for buf in scratch)})
+        return kernel(scaled, rhs, states, slopes, scratch)
+
+    monkeypatch.setattr(experiments, "_ms_step", spy)
     m = get_method("sspms64")
     infected = np.linspace(0.05, 0.9, 12)
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
@@ -670,6 +697,7 @@ def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
 
     compacted = sweep()
     assert len(set(sizes)) >= 3  # the full block and two compactions
+    assert all(len(shapes) == 1 for shapes in scratch_shapes)
     assert compacted.bound_violated.any() and compacted.weak_violated.any()
     sweep(invariant_weights=np.ones(4))
     assert set(sizes) == {12}
@@ -815,6 +843,42 @@ def test_sweep_rejects_weak_component_out_of_range(seir0, seir_y0, component):
             seir0, get_method("sspms42"), PhiKind.PHI5, np.array([0.1]),
             np.array([0.5]), seir_y0[None, :], 10, weak_direction=-1,
             weak_component=component)
+
+
+def _three_element_sweep(seir0, seir_y0, **kwargs):
+    args = {"bounds": np.full(3, 0.1), "dts": np.full(3, 0.5),
+            "n_steps": np.full(3, 10), **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_preservation_sweep(
+            seir0, get_method("sspms42"), PhiKind.PHI5, args["bounds"],
+            args["dts"], np.tile(seir_y0, (3, 1)), args["n_steps"],
+            lower=0.0, invariant_weights=np.ones(4))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dts", np.full(2, 0.5)), ("dts", 0.5), ("dts", np.full((3, 1), 0.5)),
+    ("bounds", np.full(2, 0.1)), ("n_steps", np.full(4, 10)),
+    ("n_steps", np.full((3, 1), 10))])
+def test_sweep_rejects_inputs_not_of_the_batch_shape(seir0, seir_y0, name,
+                                                      value):
+    # a 2-long dts used to fail in a numpy broadcast
+    with pytest.raises(ConfigurationError, match=f"{name} has shape"):
+        _three_element_sweep(seir0, seir_y0, **{name: value})
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, -0.1, 0.0, 1e308])
+def test_sweep_rejects_steps_not_positive_and_finite(seir0, seir_y0, dt):
+    # dt=inf used to give NaN outcomes and numpy warnings, dt=-0.1 a bare
+    # ValueError; 10 steps of 1e308 make a horizon that overflows
+    with pytest.raises(ConfigurationError, match="dts must be positive"):
+        _three_element_sweep(seir0, seir_y0,
+                             dts=np.array([0.5, dt, 0.25]))
+
+
+def test_sweep_takes_one_bound_and_horizon_for_the_batch(seir0, seir_y0):
+    one = _three_element_sweep(seir0, seir_y0, bounds=0.1, n_steps=10)
+    _assert_same_outcome(one, _three_element_sweep(seir0, seir_y0))
 
 
 @pytest.mark.parametrize("t_end, tol", [

@@ -1,4 +1,5 @@
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, strategies as st
 
 import nslmm.integrate  # noqa: F401  (the submodule, looked up below)
 from nslmm import (MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
-                   ExactStartup, PhiKind, RecordMode, RunConfig,
-                   RungeKuttaStartup, eval_phi, exact_solution,
+                   ExactStartup, MultistepMethod, PhiKind, RecordMode,
+                   RunConfig, RungeKuttaStartup, eval_phi, exact_solution,
                    forward_euler_step, get_method, integrate,
-                   make_phi_for_method, nslmm_step, nsrk_step,
-                   reference_solution, seir_problem)
+                   logistic_problem, make_phi_for_method, nslmm_step,
+                   nsrk_step, reference_solution, seir_problem)
 from nslmm.problems import OdeProblem
 
 from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
@@ -110,6 +111,87 @@ def test_rk33_phi7_phi8_agree_to_fourth_order(logistic2):
         dts.append(dt)
     slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.2)
+
+
+# ---------------------------------------------------------------------------
+# in-place batch kernels
+# ---------------------------------------------------------------------------
+
+#: the multistep methods and the Runge-Kutta methods that start them
+KERNEL_IDS = ["sspms42", "sspms43", "sspms64", "ssprk22", "ssprk33",
+              "ssprk104"]
+
+
+def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
+    """The states ``n`` steps of ``method``'s kernel return, from the
+    newest-first states ``start`` (one for a Runge-Kutta method), with a
+    float ``h`` or a per-element (B, m) array."""
+    out = []
+    if isinstance(method, MultistepMethod):
+        s = method.steps
+        states = deque(start, maxlen=s)
+        slopes = deque([None] * s, maxlen=s)
+        scaled = integrate_mod._scaled_terms(method.terms, h)
+        for _ in range(n):
+            new = integrate_mod._ms_step(scaled, rhs, states, slopes, scratch)
+            states.appendleft(new)
+            slopes.appendleft(None)
+            out.append(new)
+        return out
+    stages = integrate_mod._scaled_stages(method.float_stages, h)
+    u = start[0]
+    for _ in range(n):
+        u = integrate_mod._rk_step(stages, rhs, u, scratch)
+        out.append(u)
+    return out
+
+
+def _kernel_case(method_id, m, B=5):
+    """A method, an rhs of dimension m, newest-first batch start states of
+    shape (B, m), per-element step sizes (B,), their (B, m) array, and a
+    step count that runs every state through a multistep ring twice."""
+    method = get_method(method_id)
+    problem = logistic_problem(2.0) if m == 1 else seir_problem(0.0)
+    rng = np.random.default_rng(sum(map(ord, method_id)) + m)
+    count = method.steps if isinstance(method, MultistepMethod) else 1
+    start = [rng.uniform(0.05, 0.95, (B, m)) for _ in range(count)]
+    h = rng.uniform(0.01, 0.3, B)
+    s = method.steps if count > 1 else method.stage_count
+    return (method, problem.rhs, start, h, np.repeat(h[:, None], m, axis=1),
+            2 * s + 1)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("method_id", KERNEL_IDS)
+def test_in_place_batch_kernel_equals_single_state_bitwise(method_id, m):
+    method, rhs, start, h, h_batch, n = _kernel_case(method_id, m)
+    scratch = (np.empty(h_batch.shape), np.empty(h_batch.shape))
+    batch = _kernel_steps(method, rhs, start, h_batch, n, scratch)
+    for i in range(h.size):
+        single = _kernel_steps(method, rhs, [u[i] for u in start],
+                               float(h[i]), n)
+        for k in range(n):
+            assert single[k].shape == (m,)
+            assert (batch[k][i] == single[k]).all(), (i, k)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("method_id", KERNEL_IDS)
+def test_in_place_batch_kernel_returns_fresh_states(method_id, m):
+    # every state a step returns is its own array: it is unchanged by the
+    # 2s steps after it, and no scratch array is ever returned
+    method, rhs, start, _h, h_batch, n = _kernel_case(method_id, m)
+    scratch = (np.empty(h_batch.shape), np.empty(h_batch.shape))
+    start_before = [u.copy() for u in start]
+    got = _kernel_steps(method, rhs, start, h_batch, n, scratch)
+    want = _kernel_steps(method, rhs, start, h_batch, n)
+    for k, (new, ref) in enumerate(zip(got, want)):
+        assert not any(np.shares_memory(new, buf) for buf in scratch), k
+        assert not any(np.shares_memory(new, other)
+                       for other in got[k + 1:] + start), k
+        assert (new == ref).all(), k
+    for u, before in zip(start, start_before):
+        assert (u == before).all()
 
 
 # ---------------------------------------------------------------------------
