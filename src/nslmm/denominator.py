@@ -192,10 +192,23 @@ class SamplingPlan:
                 f"k_max={self.k_max} with bound {bound!r} puts the smallest "
                 f"sample {x!r} below the smallest normal float")
 
+    def _check_largest_point(self, bound: float) -> None:
+        """bound * 2^-k_min, the largest x of the dyadic grid, must be
+        finite: a grid of points above every float certifies nothing."""
+        try:
+            x = bound * 2.0 ** -self.k_min
+        except OverflowError:  # a k_min far below zero
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigurationError(
+                f"k_min={self.k_min} with bound {bound!r} makes the largest "
+                "sample bound * 2**-k_min overflow")
+
     def dyadic_points(self, bound: float) -> np.ndarray:
         if self.k_max < self.k_min:
             raise ValueError("empty dyadic grid")
         self._check_smallest_point(bound)
+        self._check_largest_point(bound)
         ks = np.arange(self.k_min, self.k_max + 1)
         return bound * 2.0 ** (-ks.astype(float))
 

@@ -9,7 +9,10 @@ monotonicity directions may differ per element.  A batch starts and steps
 through the routines of a single run (``integrate._startup_states``, and
 ``integrate._ms_step`` with its slope ring, one ``rhs`` call per step for
 all elements), so each element's states equal its single run bit for bit,
-whatever else shares its batch.  A large batch advances in blocks of
+whatever else shares its batch, given the same transformed step h.
+``phi_value`` on an array can round differently in the last bit from the
+same transform of one float (numpy's vectorised ``**``), and then so do
+the element's states.  A large batch advances in blocks of
 elements whose state arrays hold at most ``MAX_SWEEP_ELEMENTS`` values,
 small enough for the rings of states and slopes to stay in the processor
 caches.  Once few of a block's elements still evolve, the block is
@@ -769,19 +772,21 @@ def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
     """Median wall-clock time to evaluate each transform ``n_evals`` times.
 
     Evaluation is chunked over preallocated arrays; a running scalar
-    accumulator keeps the results observable.  Absolute numbers are
-    hardware-bound; only relative ordering is meaningful.
+    accumulator keeps the results observable.  The repetitions go round
+    robin over the kinds, so a change in the host's speed during the run
+    hits every kind alike.  Absolute numbers are hardware-bound; only
+    relative ordering is meaningful.
     """
     if n_evals < 10 ** 6:
         raise ValueError("n_evals must be at least 1e6")
     if kinds is None:
         kinds = list(CATALOG_KINDS) + [PhiKind.IDENTITY]
-    rows = []
-    for kind in kinds:
-        xs = np.full(min(chunk, n_evals), float(x))
-        times = []
-        guard = 0.0
-        for _ in range(reps):
+    kinds = list(kinds)
+    xs = np.full(min(chunk, n_evals), float(x))
+    times = [[] for _ in kinds]
+    guard = 0.0
+    for _ in range(reps):
+        for kind, kind_times in zip(kinds, times):
             remaining = n_evals
             start = time.perf_counter()
             while remaining > 0:
@@ -790,9 +795,10 @@ def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
                                 5 if kind is PhiKind.GENERAL_P else None)
                 guard += float(np.asarray(out).flat[0])
                 remaining -= block.size
-            times.append(time.perf_counter() - start)
-        label = kind.value if kind is not PhiKind.GENERAL_P else "phi-general:5"
-        rows.append(BenchmarkRow(label, n_evals, statistics.median(times)))
+            kind_times.append(time.perf_counter() - start)
     if not np.isfinite(guard):  # pragma: no cover
         raise RuntimeError("benchmark accumulator overflowed")
-    return BenchmarkReport(rows=tuple(rows))
+    return BenchmarkReport(rows=tuple(
+        BenchmarkRow(kind.value if kind is not PhiKind.GENERAL_P
+                     else "phi-general:5", n_evals, statistics.median(t))
+        for kind, t in zip(kinds, times)))

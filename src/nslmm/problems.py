@@ -218,15 +218,17 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
     pi = float(influx)
 
     def rhs(u):
-        s = u[..., 0]
-        e = u[..., 1]
-        i = u[..., 2]
+        # through the transpose, one state gives numpy scalars (indexing
+        # its last axis would give 0-d arrays, each numpy call on them
+        # costing a few times more) and a batch gives component rows
+        s, e, i, _ = u.T
         infection = SEIR_CONTACT_RATE * s * i
-        out = np.empty(np.shape(u))
-        out[..., 0] = pi - infection
-        out[..., 1] = infection - e
-        out[..., 2] = e - i
-        out[..., 3] = i
+        out = np.empty(u.shape)
+        cols = out.T
+        cols[0] = pi - infection
+        cols[1] = infection - e
+        cols[2] = e - i
+        cols[3] = i
         return out
 
     def bound_rule(y0):

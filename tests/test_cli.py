@@ -94,6 +94,14 @@ def test_solve_non_finite_input_exit_2(capsys, flag, value):
     _assert_one_line_finite_error(*run_cli(capsys, *FIG3_ARGS, flag, value))
 
 
+def test_solve_oversized_record_exit_2(capsys):
+    # 1e12 steps: refused before any state is recorded
+    _one_error_line_no_warning(
+        capsys, "solve", "--problem", "logistic", "--params", "c=2",
+        "--y0", "0.5", "--method", "sspms42", "--phi", "phi5",
+        "--dt", "1e-12", "--t-end", "1")
+
+
 def test_solve_unknown_flag_exit_2(capsys):
     code, _out, _err = run_cli(capsys, *FIG3_ARGS, "--frobnicate")
     assert code == 2
@@ -277,6 +285,13 @@ def test_verify_phi_underflowing_k_max_exit_2(capsys, phi, k_max):
     # end in an SVD error after numpy warnings
     _one_error_line_no_warning(capsys, "verify-phi", "--phi", phi,
                                "--k-max", k_max)
+
+
+@pytest.mark.parametrize("phi", ["identity", "phi8"])
+def test_verify_phi_overflowing_k_min_exit_2(capsys, phi):
+    # the identity used to warn of an overflow and pass with max_phi inf
+    _one_error_line_no_warning(capsys, "verify-phi", "--phi", phi,
+                               "--k-min=-3000", "--k-max=-2000")
 
 
 def test_sharpness_cli_smoke(capsys):

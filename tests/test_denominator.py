@@ -199,6 +199,20 @@ def test_certification_rejects_bad_plans():
         verify_phi_conditions(spec, 2, SamplingPlan(k_min=10, k_max=4))
 
 
+@pytest.mark.parametrize("bound, k_min, finite", [
+    (1.0, -1023, True), (2.0, -1023, False), (1.0, -3000, False),
+    (1e-300, -1000, True), (1e-300, -1100, False)])
+def test_sampling_plan_refuses_grids_above_the_floats(bound, k_min, finite):
+    # bound * 2^-k_min is the largest dyadic sample; at (1e-300, -1100) the
+    # product would be finite but the power of two overflows
+    plan = SamplingPlan(k_min=k_min, k_max=k_min + 10)
+    if finite:
+        assert plan.dyadic_points(bound).max() == bound * 2.0 ** -k_min
+    else:
+        with pytest.raises(ConfigurationError, match="largest sample"):
+            plan.dyadic_points(bound)
+
+
 @pytest.mark.parametrize("bound, k_max, normal", [
     (1.0, 1022, True), (1.0, 1023, False), (1.0, 2000, False),
     (2.0, 1023, True), (1e-300, 20, True), (1e-300, 30, False)])

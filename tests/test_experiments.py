@@ -938,6 +938,20 @@ def test_phi_benchmark_schema_and_guardrails():
     assert len(lines) == 3
 
 
+def test_phi_benchmark_interleaves_repetitions_across_kinds(monkeypatch):
+    calls = []
+
+    def record(kind, bound, x, p=None):
+        calls.append(kind)
+        return x
+
+    monkeypatch.setattr(experiments, "phi_value", record)
+    kinds = [PhiKind.PHI1, PhiKind.PHI3, PhiKind.IDENTITY]
+    report = phi_benchmark(kinds, n_evals=10 ** 6, reps=3)
+    assert calls == kinds * 3
+    assert [r.phi for r in report.rows] == ["phi1", "phi3", "identity"]
+
+
 def _bench_times():
     report = phi_benchmark(n_evals=4 * 10 ** 6, reps=3)
     return {row.phi: row.seconds for row in report.rows}

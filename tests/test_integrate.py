@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,9 +11,12 @@ from nslmm import (MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
                    ExactStartup, MultistepMethod, PhiKind, RecordMode,
                    RunConfig, RungeKuttaStartup, eval_phi, exact_solution,
                    forward_euler_step, get_method, integrate,
-                   logistic_problem, make_phi_for_method, nslmm_step,
-                   nsrk_step, reference_solution, seir_problem)
-from nslmm.problems import OdeProblem
+                   logistic_problem, make_phi_for_method, make_problem,
+                   nslmm_step, nsrk_step, reference_solution, seir_problem)
+from nslmm.denominator import phi_value
+from nslmm.integrate import STARTER_FOR_ORDER, Trajectory, record_bytes
+from nslmm.methods import effective_ssp_coefficient
+from nslmm.problems import OdeProblem, fe_property_bound
 
 from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
 
@@ -195,6 +199,109 @@ def test_in_place_batch_kernel_returns_fresh_states(method_id, m):
 
 
 # ---------------------------------------------------------------------------
+# single runs against Python-float coefficients
+# ---------------------------------------------------------------------------
+
+def _float_ms_step(method, rhs, history, h: float) -> np.ndarray:
+    """One multistep step with float alpha_j and h*beta_j, newest-first
+    ``history``, in the kernel's order of operations."""
+    acc = None
+    for j, a, b in method.terms:
+        u = history[j - 1]
+        contrib = a * u
+        if b != 0.0:
+            contrib = contrib + (h * b) * rhs(u)
+        acc = contrib if acc is None else acc + contrib
+    return acc
+
+
+def _float_rk_step(stages, rhs, u, h: float) -> np.ndarray:
+    values = [u]
+    for stage in stages:
+        acc = None
+        for src, a, b in stage:
+            contrib = a * values[src]
+            if b != 0.0:
+                contrib = contrib + (h * b) * rhs(values[src])
+            acc = contrib if acc is None else acc + contrib
+        values.append(acc)
+    return values[-1]
+
+
+def _float_run(problem, method, phi, dt, n, y0) -> list:
+    """Every state of an ``n``-step run under the default startup, stepped
+    with Python-float coefficients."""
+    rhs, y0 = problem.rhs, np.asarray(y0, dtype=float)
+    h = float(eval_phi(phi, dt))
+    if not isinstance(method, MultistepMethod):
+        states = [y0]
+        for _ in range(n):
+            states.append(_float_rk_step(method.float_stages, rhs,
+                                         states[-1], h))
+        return states
+    s = method.steps
+    if problem.exact is not None:
+        states = [y0] + [exact_solution(problem, i * dt, y0)
+                         for i in range(1, s)]
+    else:
+        rk_id, kind = STARTER_FOR_ORDER[method.design_order]
+        rk = get_method(rk_id)
+        bound = effective_ssp_coefficient(rk) * fe_property_bound(problem, y0)
+        h0 = float(phi_value(kind, bound, dt))
+        states = [y0]
+        for _ in range(1, s):
+            states.append(_float_rk_step(rk.float_stages, rhs, states[-1],
+                                         h0))
+    for _ in range(s - 1, n):
+        states.append(_float_ms_step(method, rhs, states[::-1][:s], h))
+    return states
+
+
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+@pytest.mark.parametrize("method_id", KERNEL_IDS)
+def test_integrate_equals_float_coefficient_stepping_bitwise(problem_name,
+                                                             method_id):
+    # the batch-versus-single differential tests cannot see a change that
+    # moves both paths at once; this oracle keeps the float arithmetic
+    problem = (logistic_problem(2.0) if problem_name == "logistic"
+               else seir_problem(0.0))
+    y0 = [0.7] if problem_name == "logistic" else [0.75, 0.05, 0.2, 0.0]
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, 0.15,
+                              ORDER_MATCHED_PHI[method.design_order])
+    want = np.array(_float_run(problem, method, phi, 0.1, 60, y0))
+    traj = integrate(_config(problem, method, phi, 0.1, 6.0, y0))
+    assert traj.states.tobytes() == want.tobytes()
+    final = integrate(_config(problem, method, phi, 0.1, 6.0, y0,
+                              record=RecordMode.FINAL_STATE_ONLY))
+    assert final.final_state.tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+@pytest.mark.parametrize("method_id", KERNEL_IDS)
+def test_single_steps_equal_float_coefficient_steps_bitwise(problem_name,
+                                                            method_id):
+    problem = (logistic_problem(2.0) if problem_name == "logistic"
+               else seir_problem(0.0))
+    m = problem.dimension
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, 0.15,
+                              ORDER_MATCHED_PHI[method.design_order])
+    h = float(eval_phi(phi, 0.07))
+    rng = np.random.default_rng(len(method_id) + m)
+    if isinstance(method, MultistepMethod):
+        history = [rng.uniform(0.05, 0.95, m) for _ in range(method.steps)]
+        got = nslmm_step(method, phi, problem, history, 0.07)
+        want = _float_ms_step(method, problem.rhs, history, h)
+    else:
+        u = rng.uniform(0.05, 0.95, m)
+        got = nsrk_step(method, phi, problem, u, 0.07)
+        want = _float_rk_step(method.float_stages, problem.rhs, u, h)
+    assert got.shape == (m,)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -335,6 +442,29 @@ def test_trajectory_csv_roundtrip(logistic2):
     assert np.array_equal(parsed[:, 0], np.asarray(traj.times))
 
 
+def _csv_by_float_repr(traj) -> str:
+    """``Trajectory.to_csv`` as it printed each value with
+    ``repr(float(v))``."""
+    m = traj.states.shape[1]
+    lines = ["t," + ",".join(f"u{k + 1}" for k in range(m))]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join([repr(float(t))]
+                              + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("t0, dt, first_index", [
+    (0.0, 0.1, 0), (-0.0, 5e-324, 0), (1e308, 1e308, 3), (-2.5, 1 / 3, 7)])
+def test_trajectory_csv_equals_per_value_float_repr(t0, dt, first_index):
+    states = np.array([[-0.0, 5e-324, 1e308, np.nan],
+                       [np.inf, -np.inf, -5e-324, 0.1 + 0.2],
+                       [1 / 3, -1e-300, 2.0 ** 60, -0.0]])
+    traj = Trajectory(t0=t0, dt=dt, states=states, provenance={},
+                      first_index=first_index)
+    with np.errstate(over="ignore"):
+        assert traj.to_csv() == _csv_by_float_repr(traj)
+
+
 def test_rk_startup_policy_explicit(seir0, seir_y0):
     m = get_method("sspms42")
     phi = make_phi_for_method(m, 0.2, PhiKind.PHI5)
@@ -344,6 +474,51 @@ def test_rk_startup_policy_explicit(seir0, seir_y0):
     # startup preserves the component sum exactly up to round-off
     sums = traj.states[:4].sum(axis=1)
     assert sums == pytest.approx(np.ones(4), rel=1e-14)
+
+
+def test_oversized_full_record_is_refused_before_stepping(logistic2):
+    # 1e12 steps: the record alone would take about 130 TiB
+    counted, calls = counting_rhs(logistic2)
+    m = get_method("sspms42")
+    phi = make_phi_for_method(m, 0.5, PhiKind.PHI5)
+    with pytest.raises(ConfigurationError, match="full record"):
+        integrate(_config(counted, m, phi, 1e-12, 1.0, [0.5]))
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("method_id", ["sspms64", "ssprk33"])
+def test_record_limit_is_the_records_size(seir0, seir_y0, monkeypatch,
+                                          method_id):
+    m = get_method(method_id)
+    phi = make_phi_for_method(m, 0.2, PhiKind.PHI7)
+    config = _config(seir0, m, phi, 0.1, 5.0, seir_y0)
+    need = record_bytes(51, 4)
+    monkeypatch.setattr(integrate_mod, "MAX_RECORD_BYTES", need)
+    assert integrate(config).states.shape == (51, 4)
+    monkeypatch.setattr(integrate_mod, "MAX_RECORD_BYTES", need - 1)
+    with pytest.raises(ConfigurationError, match="full record"):
+        integrate(config)
+    final = integrate(_config(seir0, m, phi, 0.1, 5.0, seir_y0,
+                              record=RecordMode.FINAL_STATE_ONLY))
+    assert final.states.shape == (1, 4)
+
+
+@pytest.mark.parametrize("problem_name, y0", [
+    ("logistic", [0.5]), ("seir", [0.8, 0.0, 0.2, 0.0])])
+def test_record_bytes_matches_a_runs_peak_memory(problem_name, y0):
+    # the guard's estimate is what a full run really holds at its peak
+    problem = make_problem(problem_name)
+    m = get_method("sspms64")
+    config = _config(problem, m, make_phi_for_method(m, 0.2, PhiKind.PHI8),
+                     0.005, 20.0, y0)
+    integrate(config)
+    tracemalloc.start()
+    try:
+        integrate(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.9 <= peak / record_bytes(4001, len(y0)) <= 1.25
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -391,6 +566,27 @@ def test_reference_richardson_self_consistency(seir0, seir_y0):
     a = reference_solution(seir0, seir_y0, 5.0, 1e-3)
     b = reference_solution(seir0, seir_y0, 5.0, 5e-4)
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def _rk4_float_loop(problem, y0, n: int, dt: float) -> np.ndarray:
+    """The classical RK4 loop with float coefficients."""
+    rhs, u = problem.rhs, np.asarray(y0, dtype=float)
+    for _ in range(n):
+        k1 = rhs(u)
+        k2 = rhs(u + (0.5 * dt) * k1)
+        k3 = rhs(u + (0.5 * dt) * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+@pytest.mark.parametrize("problem_name, y0, dt", [
+    ("logistic", [0.3], 1e-2), ("logistic", [3.0], 0.125),
+    ("seir", [0.8, 0.0, 0.2, 0.0], 1e-2), ("seir", [0.5, 0.1, 0.3, 0.1], 0.3)])
+def test_reference_equals_float_rk4_loop_bitwise(problem_name, y0, dt):
+    problem = make_problem(problem_name)
+    got = reference_solution(problem, y0, 100 * dt, dt)
+    assert got.tobytes() == _rk4_float_loop(problem, y0, 100, dt).tobytes()
 
 
 def test_reference_misaligned_rejected(logistic2):

@@ -22,6 +22,48 @@ def test_seir_rhs_hand_value(seir0, seir_y0):
     assert out == pytest.approx([-0.8, 0.8, -0.2, 0.2], rel=1e-15)
 
 
+def _seir_rhs_by_last_axis(u, influx):
+    """The SEIR right-hand side written through ``u[..., k]``, as the
+    problem computed it before it unpacked the transpose."""
+    s, e, i = u[..., 0], u[..., 1], u[..., 2]
+    infection = 5.0 * s * i
+    out = np.empty(np.shape(u))
+    out[..., 0] = influx - infection
+    out[..., 1] = infection - e
+    out[..., 2] = e - i
+    out[..., 3] = i
+    return out
+
+
+def _awkward_seir_states(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e308, -1e-300]
+    rows = [rng.uniform(-2.0, 2.0, 4) for _ in range(200)]
+    for k, v in enumerate(special):
+        for col in range(4):
+            row = rng.uniform(0.0, 1.0, 4)
+            row[col] = v
+            row[(col + 1 + k) % 4] = special[(k + col) % len(special)]
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("influx", [0.0, 0.3])
+def test_seir_rhs_one_state_equals_its_batch_row_bitwise(influx):
+    rhs = make_problem("seir", {"influx": influx}).rhs
+    states = _awkward_seir_states(7)
+    with np.errstate(all="ignore"):
+        batch = rhs(states)
+        oracle = _seir_rhs_by_last_axis(states, influx)
+        singles = [rhs(row.copy()) for row in states]
+    assert batch.dtype == np.float64 and batch.shape == states.shape
+    assert batch.tobytes() == oracle.tobytes()
+    for k, single in enumerate(singles):
+        assert single.dtype == np.float64 and single.shape == (4,)
+        assert single.tobytes() == batch[k].tobytes(), (k, states[k])
+
+
 def test_rhs_dimension_mismatch(seir0):
     with pytest.raises(ValueError):
         eval_rhs(seir0, [1.0, 2.0])
