@@ -3,7 +3,7 @@
 from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
                           SamplingPlan, eval_phi, make_phi_for_method,
                           parse_phi_label, phi_bound, phi_value,
-                          verify_phi_conditions)
+                          ssp_threshold, verify_phi_conditions)
 from .errors import ConfigurationError, NslmmError, UnsupportedError
 from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ConvergenceReport,
                           ErrorNorm, ExactReference, RK4Reference,

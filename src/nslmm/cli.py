@@ -154,12 +154,8 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
     raise ConfigurationError(f"unknown check {token!r}")
 
 
-def _b_fe_arg(args) -> float | None:
-    return None if args.b_fe is None else _finite(args.b_fe, "--b-fe")
-
-
 def _resolve_phi_spec(args, method, problem, y0) -> DenominatorSpec:
-    b_fe = _b_fe_arg(args)
+    b_fe = None if args.b_fe is None else _finite(args.b_fe, "--b-fe")
     if args.standard:
         return DenominatorSpec(PhiKind.IDENTITY)
     kind, p = parse_phi_label(args.phi)
@@ -224,18 +220,11 @@ def _cmd_convergence(args) -> int:
     else:
         raise ConfigurationError("--reference must be exact or rk4:<dt_ref>")
     norm = ErrorNorm(args.norm) if args.norm else None
-    if args.standard:
-        phi = DenominatorSpec(PhiKind.IDENTITY)
-    else:
-        kind, p = parse_phi_label(args.phi)
-        if args.bound is not None and kind is not PhiKind.IDENTITY:
-            phi = DenominatorSpec(kind, bound=args.bound, p=p)
-        else:
-            phi = kind
+    phi = _resolve_phi_spec(args, method, problem, y0)
     startup = _parse_startup(args.startup) if args.startup else None
     report = convergence_study(problem, method, phi, dts, args.t_end, y0,
-                               reference, norm=norm, b_fe=_b_fe_arg(args),
-                               startup=startup, t0=args.t0)
+                               reference, norm=norm, startup=startup,
+                               t0=args.t0)
     _write_output(report.to_csv(), args.out)
     return 0
 

@@ -17,6 +17,16 @@ The catalog, by enabled order:
 
 ``identity`` (phi(x) = x) is included so that standard methods run through
 the exact same stepping code path as the transformed ones.
+
+Each kind has one entry in ``_TRANSFORMS``: its enabled order and one
+formula written against a numeric namespace.  ``phi_value`` evaluates it
+with numpy; ``verify_phi_conditions`` evaluates the same formula with
+mpmath (through ``_MP``, which names mpmath's functions as numpy does) for
+the residual phi(x) - x, which cancels completely in double precision.
+
+The threshold of a method's transform is C * B_FE, C the method's effective
+SSP coefficient and B_FE the problem's Euler property bound, capped at the
+largest float; ``ssp_threshold`` is the one place that forms it.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp
@@ -53,11 +64,51 @@ CATALOG_KINDS = (
     PhiKind.PHI5, PhiKind.PHI6, PhiKind.PHI7, PhiKind.PHI8,
 )
 
-_ENABLED_ORDER = {
-    PhiKind.PHI1: 1, PhiKind.PHI2: 1, PhiKind.PHI3: 1,
-    PhiKind.PHI4: 2, PhiKind.PHI5: 2, PhiKind.PHI6: 2,
-    PhiKind.PHI7: 3, PhiKind.PHI8: 4,
+
+# The formulas take (ns, x, B, p), ns a numeric namespace.  The power forms
+# are scaled, x * (1 + (x/B)^q)^(-1/q), so that very large bounds (the
+# unconditional sentinel) degrade gracefully to phi(x) = x instead of
+# overflowing.
+
+def _phi4(ns, x, B, p):
+    s = (x * (ns.pi / 2.0)) / B
+    return x * ns.arctan(s) / ns.where(s == 0.0, 1.0, s)
+
+
+def _phi6(ns, x, B, p):
+    r = x / B
+    return x / ns.sqrt(1.0 + r * r)
+
+
+def _phi7(ns, x, B, p):
+    r = x / B
+    return x / ns.cbrt(1.0 + r * r * r)
+
+
+def _phi8(ns, x, B, p):
+    r2 = (x / B) ** 2
+    return x / (1.0 + r2 * r2) ** 0.25
+
+
+#: kind -> (enabled order, formula); the general family's order is its p
+_TRANSFORMS = {
+    PhiKind.PHI1: (1, lambda ns, x, B, p: B * (-ns.expm1(-x / B))),
+    PhiKind.PHI2: (1, lambda ns, x, B, p: x * ns.exp(-(x / B) / ns.e)),
+    PhiKind.PHI3: (1, lambda ns, x, B, p: x / (1.0 + x / B)),
+    PhiKind.PHI4: (2, _phi4),
+    PhiKind.PHI5: (2, lambda ns, x, B, p: B * ns.tanh(x / B)),
+    PhiKind.PHI6: (2, _phi6),
+    PhiKind.PHI7: (3, _phi7),
+    PhiKind.PHI8: (4, _phi8),
+    PhiKind.GENERAL_P: (
+        None, lambda ns, x, B, p: x / (1.0 + (x / B) ** p) ** (1.0 / p)),
+    PhiKind.IDENTITY: (math.inf, lambda ns, x, B, p: x),
 }
+
+#: the numpy names the formulas use, in mpmath, for one mpf at a time
+_MP = SimpleNamespace(e=mp.e, pi=mp.pi, exp=mp.exp, expm1=mp.expm1,
+                      tanh=mp.tanh, sqrt=mp.sqrt, cbrt=mp.cbrt, arctan=mp.atan,
+                      where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -83,11 +134,8 @@ class DenominatorSpec:
     @property
     def enabled_order(self) -> float:
         """Largest method order the transform leaves intact (inf for identity)."""
-        if self.kind is PhiKind.IDENTITY:
-            return math.inf
-        if self.kind is PhiKind.GENERAL_P:
-            return self.p
-        return _ENABLED_ORDER[self.kind]
+        order, _formula = _TRANSFORMS[self.kind]
+        return self.p if order is None else order
 
     def label(self) -> str:
         if self.kind is PhiKind.GENERAL_P:
@@ -96,46 +144,18 @@ class DenominatorSpec:
 
 
 def phi_value(kind: PhiKind, bound, x, p: int | None = None):
-    """Evaluate a transform elementwise; broadcasts over ``bound`` and ``x``.
-
-    The power-family formulas are written in the scaled form
-    x * (1 + (x/B)^p)^(-1/p) so that very large bounds (the unconditional
-    sentinel) degrade gracefully to phi(x) = x instead of overflowing.
-    """
+    """Evaluate a transform elementwise; broadcasts over ``bound`` and ``x``."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("step size must be nonnegative")
-    if kind is PhiKind.IDENTITY:
-        return x if x.shape else float(x)
-    B = np.asarray(bound, dtype=float)
-    if np.any(B <= 0):
-        raise ValueError("bound must be positive")
-    if kind is PhiKind.PHI1:
-        out = B * (-np.expm1(-x / B))
-    elif kind is PhiKind.PHI2:
-        out = x * np.exp(-(x / B) / np.e)
-    elif kind is PhiKind.PHI3:
-        out = x / (1.0 + x / B)
-    elif kind is PhiKind.PHI4:
-        s = (x * (np.pi / 2.0)) / B
-        out = x * np.arctan(s) / np.where(s == 0.0, 1.0, s)
-    elif kind is PhiKind.PHI5:
-        out = B * np.tanh(x / B)
-    elif kind is PhiKind.PHI6:
-        r = x / B
-        out = x / np.sqrt(1.0 + r * r)
-    elif kind is PhiKind.PHI7:
-        r = x / B
-        out = x / np.cbrt(1.0 + r * r * r)
-    elif kind is PhiKind.PHI8:
-        r2 = (x / B) ** 2
-        out = x / (1.0 + r2 * r2) ** 0.25
-    elif kind is PhiKind.GENERAL_P:
-        if p is None:
-            raise ValueError("general family requires p")
-        out = x / (1.0 + (x / B) ** p) ** (1.0 / p)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind}")
+    if kind is not PhiKind.IDENTITY:
+        bound = np.asarray(bound, dtype=float)
+        if np.any(bound <= 0):
+            raise ValueError("bound must be positive")
+    if kind is PhiKind.GENERAL_P and p is None:
+        raise ValueError("general family requires p")
+    _order, formula = _TRANSFORMS[kind]
+    out = formula(np, x, bound, p)
     return out if out.shape else float(out)
 
 
@@ -151,19 +171,31 @@ def phi_bound(spec: DenominatorSpec) -> float:
     return spec.bound
 
 
+def capped_product(a, b):
+    """a * b elementwise, an overflow capped at the largest float: a float
+    for floats, an array for an array."""
+    with np.errstate(over="ignore"):
+        out = np.minimum(np.multiply(a, b), _FLOAT_MAX)
+    return out if out.shape else float(out)
+
+
+def ssp_threshold(method: Method, b_fe):
+    """The transform threshold C * b_fe of ``method``, C its effective SSP
+    coefficient, so that every Euler substep stays within b_fe; elementwise
+    over an array ``b_fe``.  An unconditional Euler bound (the largest
+    float) times C > 1 gives the largest float, not inf."""
+    return capped_product(effective_ssp_coefficient(method), b_fe)
+
+
 def make_phi_for_method(method: Method, b_fe: float, kind: PhiKind,
                         p: int | None = None) -> DenominatorSpec:
-    """Build the transform matched to a method and an Euler property bound.
-
-    The threshold is C * b_fe with C the method's effective SSP coefficient,
-    so every Euler substep of the stepped scheme stays within b_fe.
-    """
+    """Build the transform matched to a method and an Euler property bound,
+    with the threshold ``ssp_threshold(method, b_fe)``."""
     if kind is PhiKind.IDENTITY:
         return DenominatorSpec(PhiKind.IDENTITY)
     if not b_fe > 0:
         raise ValueError("b_fe must be positive")
-    bound = min(effective_ssp_coefficient(method) * b_fe, _FLOAT_MAX)
-    return DenominatorSpec(kind, bound=bound, p=p)
+    return DenominatorSpec(kind, bound=ssp_threshold(method, b_fe), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,41 +276,15 @@ class CertificationReport:
         }
 
 
-def _mp_phi(kind: PhiKind, bound, x, p: int | None):
-    """Transform formulas in arbitrary precision, for the residual phi(x)-x.
-
-    In double precision the subtraction cancels completely on the fine end of
-    the dyadic grid for the high-order kinds, so the residual is formed at
-    60 significant digits instead.
-    """
-    B = mp.mpf(repr(float(bound)))
-    xm = mp.mpf(repr(float(x)))
-    if kind is PhiKind.PHI1:
-        return B * (1 - mp.e ** (-xm / B))
-    if kind is PhiKind.PHI2:
-        return xm * mp.e ** (-xm / (B * mp.e))
-    if kind is PhiKind.PHI3:
-        return B * xm / (B + xm)
-    if kind is PhiKind.PHI4:
-        return (2 * B / mp.pi) * mp.atan(xm * mp.pi / (2 * B))
-    if kind is PhiKind.PHI5:
-        return B * mp.tanh(xm / B)
-    if kind is PhiKind.PHI6:
-        return B * xm / mp.sqrt(B ** 2 + xm ** 2)
-    if kind is PhiKind.PHI7:
-        return B * xm / (B ** 3 + xm ** 3) ** (mp.mpf(1) / 3)
-    if kind is PhiKind.PHI8:
-        return B * xm / (B ** 4 + xm ** 4) ** (mp.mpf(1) / 4)
-    if kind is PhiKind.GENERAL_P:
-        return B * xm / (B ** p + xm ** p) ** (mp.mpf(1) / p)
-    raise ValueError(f"no closed form for {kind}")
-
-
 #: slope must reach p + 1 minus this margin for the order condition to pass
 SLOPE_MARGIN = 0.1
 
 #: relative slack allowed on the threshold check
 BOUND_SLACK = 1e-12
+
+#: most digits the residual phi(x) - x may be formed with (a few seconds
+#: of mpmath work for the dyadic grid)
+MAX_DIGITS = 10_000
 
 
 def verify_phi_conditions(spec: DenominatorSpec, p: int,
@@ -309,13 +315,26 @@ def verify_phi_conditions(spec: DenominatorSpec, p: int,
     xs = plan.dyadic_points(spec.bound)
     if xs.size < 2:
         raise ValueError("need at least two dyadic points for the slope fit")
-    with mp.workdps(60):
-        logs = [(float(mp.log(mp.mpf(repr(float(x))))),
-                 float(mp.log(abs(_mp_phi(spec.kind, spec.bound, x, spec.p)
-                                  - mp.mpf(repr(float(x)))))))
-                for x in xs]
-    lx = np.array([a for a, _ in logs])
-    ly = np.array([b for _, b in logs])
+    # the residual phi(x) - x cancels completely in double precision on the
+    # fine end of the grid, so mpmath forms it, with 60 digits beyond the
+    # (q + 1) k_max log10(2) its smallest point x = B 2^-k_max needs for a
+    # transform of enabled order q
+    digits = max(60, 60 + math.ceil(
+        (spec.enabled_order + 1) * plan.k_max * math.log10(2)))
+    if digits > MAX_DIGITS:
+        raise ConfigurationError(
+            f"the residual of {spec.label()} down to k_max={plan.k_max} "
+            f"needs {digits} digits, over the limit of {MAX_DIGITS}; "
+            "use a smaller k_max")
+    _order, formula = _TRANSFORMS[spec.kind]
+    with mp.workdps(digits):
+        B = mp.mpf(repr(float(spec.bound)))
+        power = None if spec.p is None else mp.mpf(spec.p)
+        lx, ly = [], []
+        for x in xs:
+            xm = mp.mpf(repr(float(x)))
+            lx.append(float(mp.log(xm)))
+            ly.append(float(mp.log(abs(formula(_MP, xm, B, power) - xm))))
     slope = float(np.polyfit(lx, ly, 1)[0])
     slope_ok = slope >= p + 1 - SLOPE_MARGIN
 

@@ -40,12 +40,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .denominator import CATALOG_KINDS, DenominatorSpec, PhiKind, phi_value
+from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
+                          make_phi_for_method, phi_value, ssp_threshold)
 from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig, _ms_step,
                         _run_steps, _scaled_terms, _startup_states,
                         default_startup, integrate, reference_solution)
-from .methods import Method, MultistepMethod, effective_ssp_coefficient
+from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
                        exact_solution, fe_property_bound)
 
@@ -130,8 +131,8 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     """Errors at t_end over a decreasing step-size list, with orders.
 
     ``phi`` is either a ready ``DenominatorSpec`` or a ``PhiKind``; in the
-    latter case the threshold is the method's effective SSP coefficient
-    times ``b_fe`` (defaulting to the problem's Euler bound at ``y0``).
+    latter case the threshold is ``ssp_threshold(method, b_fe)``, with
+    ``b_fe`` defaulting to the problem's Euler bound at ``y0``.
     """
     dts = [float(d) for d in dt_list]
     if not dts:
@@ -148,15 +149,11 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     if norm is None:
         norm = ErrorNorm.ABS if problem.dimension == 1 else ErrorNorm.MAX_COMPONENT
 
+    spec = phi
     if isinstance(phi, PhiKind):
-        if phi is PhiKind.IDENTITY:
-            spec = DenominatorSpec(PhiKind.IDENTITY)
-        else:
-            fe = b_fe if b_fe is not None else fe_property_bound(problem, y0)
-            spec = DenominatorSpec(
-                phi, bound=effective_ssp_coefficient(method) * fe)
-    else:
-        spec = phi
+        if b_fe is None and phi is not PhiKind.IDENTITY:
+            b_fe = fe_property_bound(problem, y0)
+        spec = make_phi_for_method(method, b_fe, phi)
 
     if isinstance(reference, ExactReference):
         if problem.exact is None:
@@ -499,8 +496,7 @@ def logistic_preservation_grid(c: float, y0_values: np.ndarray,
     yv, dv = np.meshgrid(np.asarray(y0_values, float),
                          np.asarray(dt_values, float), indexing="ij")
     y0s = yv.ravel()[:, None]
-    bounds = (effective_ssp_coefficient(method)
-              * fe_property_bound(problem, y0s))
+    bounds = ssp_threshold(method, fe_property_bound(problem, y0s))
     return run_preservation_sweep(
         problem, method, phi_kind, bounds, dv.ravel(), y0s, n_steps,
         startup="auto", lower=0.0, upper=c,
@@ -515,8 +511,7 @@ def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
     batch of epidemic runs; startup via the matching-order starter."""
     from .problems import seir_problem
     problem = seir_problem(influx)
-    bounds = (effective_ssp_coefficient(method)
-              * fe_property_bound(problem, y0s))
+    bounds = ssp_threshold(method, fe_property_bound(problem, y0s))
     outcome = run_preservation_sweep(
         problem, method, phi_kind, bounds, dts, y0s, n_steps,
         startup="auto", invariant_weights=np.ones(problem.dimension),
@@ -648,8 +643,7 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
 
     label_values = [float(labels[i]) if labels is not None
                     else float(y0_states[i, 0]) for i in range(n_rows)]
-    sufficient = (effective_ssp_coefficient(method)
-                  * fe_property_bound(problem, y0_states))
+    sufficient = ssp_threshold(method, fe_property_bound(problem, y0_states))
     if problem.sharpness_checks is None:
         raise ConfigurationError(
             f"no sharpness property set for {problem.name}")
@@ -690,7 +684,8 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
 
     # the same steps as bisect_threshold, for every row at once
     lo = interval_scale[0] * sufficient
-    hi = interval_scale[1] * sufficient
+    # finite where the sufficient threshold is unconditional
+    hi = capped_product(interval_scale[1], sufficient)
     values = np.full(n_rows, np.nan)
     statuses = ["below-range"] * n_rows
     rows = np.arange(n_rows)

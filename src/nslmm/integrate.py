@@ -15,7 +15,7 @@ it, so a run makes one ``rhs`` call per step plus at most s - 1 for the
 startup states.  h*beta_j is formed once per run and the accumulation
 order is fixed, so cached slopes give the same bits as fresh ones.
 ``_rk_step`` is the one Runge-Kutta kernel of both paths, with h*beta
-formed once per run in the same way.
+formed once per run in the same way; it sums each stage with ``_ms_step``.
 
 A single run forms h*beta_j and alpha_j as arrays of its state's shape
 (m,), and the classical RK4 reference forms 0.5*dt, dt, dt/6 and 2.0 that
@@ -54,10 +54,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .denominator import DenominatorSpec, PhiKind, eval_phi, phi_value
+from .denominator import (DenominatorSpec, PhiKind, eval_phi, phi_value,
+                          ssp_threshold)
 from .errors import ConfigurationError
-from .methods import (Method, MultistepMethod, RungeKuttaMethod,
-                      effective_ssp_coefficient, get_method)
+from .methods import Method, MultistepMethod, RungeKuttaMethod, get_method
 from .problems import OdeProblem, exact_solution, fe_property_bound
 
 #: (t_end - t0)/dt must be this close to an integer; runs are never shortened
@@ -228,9 +228,11 @@ def _add_in_place(acc, a, u, hb, f, scratch) -> np.ndarray:
 
 
 def _ms_step(scaled, rhs, states, slopes, scratch=None) -> np.ndarray:
-    """One Shu-Osher multistep update, ascending j, state term before slope
-    term.  ``states[j-1]`` is u^(n+1-j); ``slopes[j-1]`` is its rhs, or None
-    until a term first needs it (then filled in place).
+    """One Shu-Osher combination sum_j (alpha_j u_j + h*beta_j f(u_j)),
+    ascending j, state term before slope term: a multistep update, or one
+    Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep update
+    u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term first
+    needs it (then filled in place).
 
     A batch driver passes ``scratch``, two arrays of the states' shape that
     it owns: the update is then summed in place into one new array, the
@@ -275,12 +277,12 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
 
 
 def _scaled_stages(stages, h, shape=None) -> list:
-    """(terms, done) per Runge-Kutta stage: its (source, alpha, h*beta or
-    None) terms, with one product per distinct beta of the whole method
-    and arrays of a single run's ``shape`` as in ``_scaled_terms``, and the
-    sources no later stage reads."""
-    terms = _scaled_terms([term for stage in stages for term in stage], h,
-                          shape)
+    """(terms, done) per Runge-Kutta stage: its (source + 1, alpha, h*beta
+    or None) terms for ``_ms_step``, with one product per distinct beta of
+    the whole method and arrays of a single run's ``shape`` as in
+    ``_scaled_terms``, and the sources no later stage reads."""
+    terms = _scaled_terms([(src + 1, a, b) for stage in stages
+                           for src, a, b in stage], h, shape)
     last_read = {src: k for k, stage in enumerate(stages)
                  for src, _a, _b in stage}
     out, start = [], 0
@@ -302,21 +304,7 @@ def _rk_step(scaled_stages, rhs, u: np.ndarray, scratch=None) -> np.ndarray:
     values = [u]
     slopes: list = [None]
     for stage, done in scaled_stages:
-        acc = None
-        for src, a, hb in stage:
-            v = values[src]
-            f = None
-            if hb is not None:
-                f = slopes[src]
-                if f is None:
-                    f = slopes[src] = rhs(v)
-            if scratch is not None:
-                acc = _add_in_place(acc, a, v, hb, f, scratch)
-                continue
-            contrib = a * v
-            if hb is not None:
-                contrib = contrib + hb * f
-            acc = contrib if acc is None else acc + contrib
+        acc = _ms_step(stage, rhs, values, slopes, scratch)
         for src in done:
             values[src] = slopes[src] = None
         values.append(acc)
@@ -398,8 +386,7 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     if kind is not PhiKind.IDENTITY:
         bound = policy.bound
         if bound is None:
-            bound = (effective_ssp_coefficient(rk)
-                     * fe_property_bound(problem, y0))
+            bound = ssp_threshold(rk, fe_property_bound(problem, y0))
         # checks the kind, p and an explicit threshold; the thresholds the
         # Euler rule gives are positive and finite
         DenominatorSpec(kind, bound=float(np.min(bound)), p=policy.p)

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nslmm import experiments
+from nslmm import (ExactReference, PhiKind, convergence_study, experiments,
+                   fe_property_bound, get_method, logistic_problem,
+                   make_phi_for_method)
 from nslmm.cli import build_parser, main
 
 
@@ -202,6 +205,48 @@ def test_convergence_seir_rk4_reference(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_convergence_general_family_without_bound(capsys):
+    # the threshold comes from the method and the Euler bound, as in solve
+    code, out, err = run_cli(
+        capsys, "convergence", "--problem", "logistic", "--params", "c=2",
+        "--y0", "0.5", "--method", "sspms64", "--phi", "phi-general:6",
+        "--dt-base", "0.1", "--halvings", "2", "--t-end", "1",
+        "--reference", "exact")
+    assert code == 0, err
+    problem = logistic_problem(2.0)
+    method = get_method("sspms64")
+    spec = make_phi_for_method(method, fe_property_bound(problem, [0.5]),
+                               PhiKind.GENERAL_P, 6)
+    report = convergence_study(problem, method, spec, [0.1, 0.05, 0.025],
+                               1.0, [0.5], ExactReference())
+    assert out == report.to_csv()
+
+
+#: runs whose threshold C * B_FE overflows: ssprk104 has C = 6 and the
+#: logistic Euler bound at y0 < 0 is unconditional (the largest float); the
+#: exact solution from -0.5 blows up at t = ln(5)/2
+OVERFLOWING_THRESHOLD = [
+    ["convergence", "--method", "ssprk104", "--dt-base", "0.1",
+     "--halvings", "2", "--reference", "exact"],
+    ["solve", "--method", "sspms42", "--startup", "nsrk:ssprk104:phi8",
+     "--dt", "0.1"],
+    ["solve", "--method", "ssprk104", "--dt", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_THRESHOLD)
+def test_overflowing_threshold_runs(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--problem", "logistic",
+                                 "--params", "c=2", "--y0=-0.5",
+                                 "--t-end", "0.5")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert rows and all(math.isfinite(float(v)) for row in rows
+                        for v in row if v)
+
+
 def test_convergence_missing_grid_exit_2(capsys):
     code, _out, err = run_cli(
         capsys, "convergence", "--problem", "logistic", "--y0", "1",
@@ -278,6 +323,26 @@ def test_verify_phi_pass_and_fail(capsys):
     assert code == 1
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("p", ["12", "20", "40"])
+def test_verify_phi_high_power_prints_valid_json(capsys, p):
+    # at 60 digits the residual rounds to zero and the slope is NaN
+    code, _out, err = run_cli(capsys, "verify-phi", "--phi",
+                              f"phi-general:{p}", "--strict")
+    assert code == 0, err
+    report = json.loads(err.strip().splitlines()[-1],
+                        parse_constant=_reject_constant)
+    assert report["slope"] == pytest.approx(int(p) + 1, abs=1e-6)
+
+
+def test_verify_phi_residual_beyond_max_digits_exit_2(capsys):
+    _one_error_line_no_warning(capsys, "verify-phi", "--phi",
+                               "phi-general:100000")
+
+
 @pytest.mark.parametrize("phi, k_max", [("identity", "2000"),
                                         ("phi8", "1100")])
 def test_verify_phi_underflowing_k_max_exit_2(capsys, phi, k_max):
@@ -303,6 +368,19 @@ def test_sharpness_cli_smoke(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "y0,sufficient_bound,empirical_bound,property"
     assert len(lines) == 3
+
+
+def test_sharpness_unconditional_row_without_warning(capsys):
+    # hi = 10 * C * (largest float) must not overflow; the row is
+    # below-range at its lower end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "sharpness", "--problem", "logistic", "--params", "c=2",
+            "--method", "sspms42", "--phi", "phi5", "--y0-grid=-1,0.5",
+            "--dt-grid", "0.5:3:3:log", "--t-end", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "-1.0,1.1984620899082103e+308,nan,boundedness"
 
 
 SHARPNESS_ARGS = ["sharpness", "--problem", "logistic", "--params", "c=2",

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp
 
-from nslmm import (CATALOG_KINDS, ConfigurationError, DenominatorSpec,
-                   PhiKind, SamplingPlan, UnsupportedError, eval_phi,
-                   get_method,
+from nslmm import (CATALOG_KINDS, UNCONDITIONAL_BOUND, ConfigurationError,
+                   DenominatorSpec, PhiKind, SamplingPlan, UnsupportedError,
+                   effective_ssp_coefficient, eval_phi, get_method,
                    make_phi_for_method, parse_phi_label, phi_bound,
-                   phi_value, verify_phi_conditions)
+                   phi_value, ssp_threshold, verify_phi_conditions)
+from nslmm.denominator import _MP, _TRANSFORMS
 
 ALL_SPECS = [DenominatorSpec(kind, bound=1.0) for kind in CATALOG_KINDS]
 
@@ -106,6 +108,43 @@ def test_make_phi_for_method_products():
         make_phi_for_method(m42, 0.0, PhiKind.PHI5)
 
 
+def test_ssp_threshold_is_the_product_capped_at_the_largest_float():
+    m42, rk104 = get_method("sspms42"), get_method("ssprk104")
+    c42 = effective_ssp_coefficient(m42)
+    value = ssp_threshold(m42, 0.5)
+    assert type(value) is float and value == c42 * 0.5
+    b_fe = np.array([0.5, 2.0, UNCONDITIONAL_BOUND])
+    np.testing.assert_array_equal(ssp_threshold(m42, b_fe), c42 * b_fe)
+    # C = 6 times the unconditional bound overflows; no warning, no inf
+    assert ssp_threshold(rk104, UNCONDITIONAL_BOUND) == UNCONDITIONAL_BOUND
+    capped = ssp_threshold(rk104, b_fe)
+    assert isinstance(capped, np.ndarray)
+    np.testing.assert_array_equal(capped, [3.0, 12.0, UNCONDITIONAL_BOUND])
+    spec = make_phi_for_method(rk104, UNCONDITIONAL_BOUND, PhiKind.PHI8)
+    assert spec.bound == UNCONDITIONAL_BOUND
+
+
+@pytest.mark.parametrize("kind", list(PhiKind), ids=lambda k: k.value)
+def test_numpy_and_mpmath_evaluations_of_the_table_agree(kind):
+    # the one formula per kind, through numpy and through mpmath at 40
+    # digits on the same float inputs: numpy's rounding stays a few ulps
+    rng = np.random.default_rng(11)
+    p = 7 if kind is PhiKind.GENERAL_P else None
+    _order, formula = _TRANSFORMS[kind]
+    for bound in (1e-3, 0.1, 1.0, 7.5, 1e300):
+        xs = bound * 2.0 ** rng.uniform(-30, 2, 100)
+        with mp.workdps(40):
+            power = None if p is None else mp.mpf(p)
+            exact = np.array([float(formula(_MP, mp.mpf(repr(float(x))),
+                                            mp.mpf(repr(bound)), power))
+                              for x in xs])
+        ulps = np.spacing(np.abs(exact))
+        for got in (np.asarray(phi_value(kind, bound, xs, p)),
+                    np.array([phi_value(kind, bound, float(x), p)
+                              for x in xs])):
+            assert (np.abs(got - exact) <= 4 * ulps).all(), (kind, bound)
+
+
 def test_huge_threshold_degrades_to_identity():
     # the unconditional-bound sentinel must not overflow the formulas
     from nslmm import UNCONDITIONAL_BOUND
@@ -189,6 +228,22 @@ def test_certification_general_family():
     spec = DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=6)
     assert verify_phi_conditions(spec, 6).passed
     assert not verify_phi_conditions(spec, 7).passed
+
+
+@pytest.mark.parametrize("p", [10, 12, 20, 40])
+def test_certification_resolves_high_powers(p):
+    # at 60 digits the residual of p >= 12 rounds to exactly zero at the
+    # fine end of the grid and the slope is NaN
+    report = verify_phi_conditions(
+        DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=p), p)
+    assert report.slope == pytest.approx(p + 1, abs=1e-6)
+    assert report.passed
+
+
+def test_certification_refuses_residuals_beyond_max_digits():
+    spec = DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=100_000)
+    with pytest.raises(ConfigurationError, match="digits"):
+        verify_phi_conditions(spec, 5)
 
 
 def test_certification_rejects_bad_plans():
