@@ -28,9 +28,10 @@ from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
 from .errors import ConfigurationError, UnsupportedError
 from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ErrorNorm,
                           ExactReference, RK4Reference, convergence_study,
-                          phi_benchmark, sharpness_bisection)
-from .integrate import (ExactStartup, RecordMode, RunConfig,
-                        RungeKuttaStartup, integrate)
+                          phi_benchmark, sharpness_bisection,
+                          sharpness_bytes)
+from .integrate import (MAX_RECORD_BYTES, ExactStartup, RecordMode,
+                        RunConfig, RungeKuttaStartup, integrate)
 from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
                       get_method, ssp_coefficient, validate_method)
 from .problems import (PropertyKind, default_properties, fe_property_bound,
@@ -80,8 +81,11 @@ def _parse_startup(text: str):
     raise ConfigurationError(f"unknown startup {text!r}")
 
 
-def _parse_grid(text: str, default_spacing: str = "lin") -> np.ndarray:
-    """lo:hi:n[:lin|:log] or a comma list of values."""
+def _parse_grid(text: str, point_bytes: int,
+                default_spacing: str = "lin") -> np.ndarray:
+    """lo:hi:n[:lin|:log] or a comma list of values.  A lo:hi:n grid whose
+    points would take more than ``MAX_RECORD_BYTES`` at ``point_bytes``
+    each is refused before it is built."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4):
@@ -91,6 +95,10 @@ def _parse_grid(text: str, default_spacing: str = "lin") -> np.ndarray:
         n = int(parts[2])
         if n < 1:
             raise ConfigurationError(f"grid {text!r} needs at least one point")
+        if n * point_bytes > MAX_RECORD_BYTES:
+            raise ConfigurationError(
+                f"grid {text!r} needs about {n * point_bytes / 2 ** 20:.0f} "
+                f"MiB, over the {MAX_RECORD_BYTES // 2 ** 20} MiB limit")
         spacing = parts[3] if len(parts) == 4 else default_spacing
         if spacing == "log":
             return np.geomspace(lo, hi, n)
@@ -237,9 +245,11 @@ def _cmd_sharpness(args) -> int:
     kind, _p = parse_phi_label(args.phi)
     if kind in (PhiKind.IDENTITY, PhiKind.GENERAL_P):
         raise ConfigurationError("sharpness sweeps use the cataloged kinds")
-    y0_grid = _parse_grid(args.y0_grid)
+    # each grid alone must fit; sharpness_bisection sizes the two together
+    y0_grid = _parse_grid(args.y0_grid, sharpness_bytes(1, 0))
     dt_spacing = "lin" if args.linear_dt else "log"
-    dt_grid = _parse_grid(args.dt_grid, default_spacing=dt_spacing)
+    dt_grid = _parse_grid(args.dt_grid, sharpness_bytes(0, 1),
+                          default_spacing=dt_spacing)
     report = sharpness_bisection(
         problem, method, kind, problem.sharpness_states(y0_grid), dt_grid,
         args.t_end, args.property, labels=y0_grid, tol=args.tol,

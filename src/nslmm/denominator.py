@@ -150,8 +150,9 @@ def phi_value(kind: PhiKind, bound, x, p: int | None = None):
         raise ValueError("step size must be nonnegative")
     if kind is not PhiKind.IDENTITY:
         bound = np.asarray(bound, dtype=float)
-        if np.any(bound <= 0):
-            raise ValueError("bound must be positive")
+        # an infinite bound would give nan (phi1) or 0 (phi4), not x
+        if not (np.isfinite(bound) & (bound > 0)).all():
+            raise ValueError("bound must be positive and finite")
     if kind is PhiKind.GENERAL_P and p is None:
         raise ValueError("general family requires p")
     _order, formula = _TRANSFORMS[kind]

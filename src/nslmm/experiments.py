@@ -15,10 +15,21 @@ same transform of one float (numpy's vectorised ``**``), and then so do
 the element's states.  A large batch advances in blocks of
 elements whose state arrays hold at most ``MAX_SWEEP_ELEMENTS`` values,
 small enough for the rings of states and slopes to stay in the processor
-caches.  Once few of a block's elements still evolve, the block is
-compacted: the stopped elements' results are written out and the rest go
-on in smaller arrays, so no step is spent on an element whose answer is
-known.
+caches.  A block's (b, m) arrays are component-major (Fortran-ordered), so
+each component the right-hand side reads or writes is contiguous.  Once
+few of a block's elements still evolve, the block is compacted: the
+stopped elements' results are written out and the rest go on in smaller
+arrays, so no step is spent on an element whose answer is known.
+
+A step does only the bookkeeping it needs.  Which elements are active, and
+which ones each monitor still watches, changes only on events: a check that
+newly fails (which may finish an element and its group) or a horizon that
+passes.  These sets are kept from step to step and made again only on the
+step after an event, so most steps form the new states and test them
+against cached masks.  A linear invariant is summed component by
+component in a fixed order, elementwise, so an element's deviation is the
+same in a batch of any size (numpy's matrix product rounds differently
+with the row count).
 
 Sharpness bisection uses that independence: every initial value's threshold
 bracket advances together, two bisection levels per sweep (each row's
@@ -43,9 +54,10 @@ import numpy as np
 from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
                           make_phi_for_method, phi_value, ssp_threshold)
 from .errors import ConfigurationError
-from .integrate import (RecordMode, RunConfig as _RunConfig, _ms_step,
-                        _run_steps, _scaled_terms, _startup_states,
-                        default_startup, integrate, reference_solution)
+from .integrate import (MAX_RECORD_BYTES, RecordMode, RunConfig as _RunConfig,
+                        _component_major, _ms_step, _run_steps,
+                        _scaled_terms, _startup_states, default_startup,
+                        integrate, reference_solution)
 from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
                        exact_solution, fe_property_bound)
@@ -212,17 +224,33 @@ class SweepOutcome:
 
 
 def _rows_all(mask: np.ndarray) -> np.ndarray:
-    """``mask.all(axis=1)`` for a (B, m) mask, column by column: numpy
-    reduces over a short last axis several times slower."""
-    out = mask[:, 0].copy()
+    """``mask.all(axis=1)`` for a (B, m) mask, column by column (for m = 1
+    the column itself): numpy reduces over a short last axis slower."""
+    out = mask[:, 0]
     for k in range(1, mask.shape[1]):
-        out &= mask[:, k]
+        out = out & mask[:, k]
     return out
 
 
 def _take(keep: np.ndarray, *arrays) -> tuple:
-    """The entries ``keep`` of each array, passing None through."""
-    return tuple(None if a is None else a[keep] for a in arrays)
+    """The entries ``keep`` of each array along its first axis, passing None
+    through; a (b, m) array stays component-major (``a[keep]`` and
+    ``a.T[:, keep].T`` give it in row-major order)."""
+    return tuple(None if a is None else a.T.compress(keep, axis=-1).T
+                 for a in arrays)
+
+
+def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
+    into ``out``.  Elementwise, so each row's value is the same in a batch
+    of any size; numpy's matrix product rounds differently with the row
+    count."""
+    np.multiply(x[:, 0], weights[0], out=out)
+    for k in range(1, len(weights)):
+        np.multiply(x[:, k], weights[k], out=tmp)
+        out += tmp
+    return out
 
 
 def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
@@ -248,18 +276,19 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     An in-horizon state with a non-finite component violates every check
     requested for its element.  Elements stop evolving once every check
     requested for them has failed or their horizon is reached; the
-    invariant is monitored while an element evolves.  ``startup`` is a
-    startup policy, or "auto" for ``integrate.default_startup``.
+    invariant ``invariant_weights`` (one weight per component) is
+    monitored while an element evolves.  ``bounds`` must be positive and
+    finite unless ``phi_kind`` is the identity.  ``startup`` is a startup
+    policy, or "auto" for ``integrate.default_startup``.
 
     The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
     elements, each block to its own last active step, so that a block's
     rings of states and slopes stay in the processor caches.  Once at most
     ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
-    results are written out and the block goes on with the others alone,
-    unless it monitors an invariant.  Elements are independent, so neither
-    blocks nor compaction show in any result.  A block owns the scratch
-    arrays of the in-place batch kernels (see ``integrate``), made once and
-    cut to size when it compacts.
+    results are written out and the block goes on with the others alone.
+    Elements are independent, so neither blocks nor compaction show in any
+    result.  A block owns the scratch arrays of the in-place batch kernels
+    (see ``integrate``), made once and again when it compacts.
 
     ``_groups`` (private) gives each element a nonnegative integer group id:
     once every check requested for one element has failed, all elements of
@@ -289,6 +318,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             raise ConfigurationError(
                 "dts must be positive and finite, and so must every "
                 "horizon n_steps * dts")
+    if phi_kind is not PhiKind.IDENTITY and not (
+            np.isfinite(bounds).all() and (bounds > 0).all()):
+        raise ConfigurationError("bounds must be positive and finite")
     if not 0 <= weak_component < m:
         raise ConfigurationError(
             f"weak_component {weak_component} is not a component index "
@@ -330,7 +362,11 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     check_inv = invariant_weights is not None
     if check_inv:
         gamma = np.asarray(invariant_weights, dtype=float)
-        level = y0s @ gamma
+        if gamma.shape != (m,):
+            raise ConfigurationError(
+                f"invariant_weights has shape {gamma.shape}, a state of "
+                f"length {m} needs ({m},)")
+        level = _weighted_sum(y0s, gamma, np.empty(B), np.empty(B))
     groups = None
     if _groups is not None:
         groups = np.broadcast_to(np.asarray(_groups, dtype=np.intp), (B,))
@@ -352,52 +388,80 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         b = idx.size
         horizon, b_req, w_req = n_steps[sl], bound_req[sl], weak_req[sl]
         inc, dec = weak_inc[sl], weak_dec[sl]
-        b_free, w_free, want = ~b_req, ~w_req, b_req | w_req
+        any_inc, any_dec = bool(inc.any()), bool(dec.any())
         group = None if groups is None else groups[sl]
         bound_viol = np.zeros(b, dtype=bool)
         weak_viol = np.zeros(b, dtype=bool)
         first_bound = np.full(b, -1, dtype=np.int64)
         first_weak = np.full(b, -1, dtype=np.int64)
         inv_dev = np.zeros(b)
-        # full (b, m) operands: numpy multiplies and compares two full
-        # arrays several times faster than an array and a (b, 1) column
+        # full (b, m) operands, component-major like the states: numpy
+        # multiplies and compares two full arrays several times faster than
+        # an array and a (b, 1) column
         lo = hi = None
         if check_bounds_on:
-            lo = np.repeat(lo_edge[sl, None], m, axis=1)
-            hi = np.repeat(hi_edge[sl, None], m, axis=1)
-        scaled = _scaled_terms(method.terms,
-                               np.repeat(phis[sl, None], m, axis=1))
-        # the kernels' scratch: every term of a step is formed in it
-        scratch = (np.empty((b, m)), np.empty((b, m)))
-        if check_inv:
-            # a block monitoring an invariant is never compacted, so it
-            # keeps the elements ``sl`` and these buffers their size
-            block_level, block_dts = level[sl], dts[sl]
-            dev = np.empty(b)
-            target = block_level if invariant_drift == 0 else np.empty(b)
+            lo = _component_major(lo_edge[sl], m)
+            hi = _component_major(hi_edge[sl], m)
+        scaled = _scaled_terms(method.terms, _component_major(phis[sl], m))
+        block_level, block_dts = ((level[sl], dts[sl]) if check_inv
+                                  else (None, None))
 
-        def record(state: np.ndarray, step_idx: int, live):
-            """Monitor the bounds and the invariant of ``state``, the
-            states of step ``step_idx``, for the elements ``live`` (None:
-            all of them)."""
+        def buffers(size: int) -> None:
+            """(Re)make the block's scratch for ``size`` elements: the
+            kernels' pair, in which every term of a step is formed, and the
+            invariant's."""
+            nonlocal scratch, sums, target
+            scratch = (np.empty((size, m), order="F"),
+                       np.empty((size, m), order="F"))
+            if check_inv:
+                sums = (np.empty(size), np.empty(size))
+                target = (block_level if invariant_drift == 0
+                          else np.empty(size))
+
+        scratch = sums = target = None
+        buffers(b)
+
+        def watch(live) -> None:
+            """The elements each monitor watches: those ``live`` (None: all
+            of them) whose check is requested and has not failed yet."""
+            nonlocal b_watch, w_watch
+
+            def watched(req, viol):
+                mask = req & ~viol
+                if live is not None:
+                    mask &= live
+                return mask
+
             if check_bounds_on:
-                v = ~_rows_all((state >= lo) & (state <= hi))
-                v &= b_req if live is None else live & b_req
-                newly = v & ~bound_viol
-                first_bound[newly] = step_idx
-                bound_viol[:] |= v
+                b_watch = watched(b_req, bound_viol)
+            if check_weak:
+                w_watch = watched(w_req, weak_viol)
+
+        def flag(v, viol, first, step_idx: int) -> None:
+            """Mark the watched elements ``v`` as failing at ``step_idx``."""
+            nonlocal changed
+            if np.count_nonzero(v):
+                first[v] = step_idx
+                viol[v] = True
+                changed = True
+
+        def record(state: np.ndarray, step_idx: int) -> None:
+            """Monitor the bounds and the invariant of ``state``, the
+            states of step ``step_idx``, for the elements ``live``."""
+            if check_bounds_on:
+                flag(b_watch & ~_rows_all((state >= lo) & (state <= hi)),
+                     bound_viol, first_bound, step_idx)
             if check_inv:
                 if invariant_drift != 0:
                     # level + drift * (step_idx * dt)
                     np.multiply(step_idx, block_dts, out=target)
                     np.multiply(invariant_drift, target, out=target)
                     np.add(block_level, target, out=target)
-                np.matmul(state, gamma, out=dev)
+                dev = _weighted_sum(state, gamma, *sums)
                 np.subtract(dev, target, out=dev)
                 np.abs(dev, out=dev)
-                np.maximum(inv_dev,
-                           dev if live is None else np.where(live, dev, 0.0),
-                           out=inv_dev)
+                np.maximum(inv_dev, dev, out=inv_dev,
+                           where=True if live is None else live)
 
         def retire(sel) -> None:
             """Write the results of the block's elements ``sel``."""
@@ -409,75 +473,84 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             out.first_weak_step[at] = first_weak[sel]
             out.final_states[at] = states[0][sel]
 
-        startup_states = _startup_states(problem, method, startup, y0s[sl],
-                                         dts[sl], scratch)
+        b_watch = w_watch = None
+        startup_states = _startup_states(
+            problem, method, startup, np.asfortranarray(y0s[sl]), dts[sl],
+            scratch)
         for i, state in enumerate(startup_states):
             live = i <= horizon
-            record(state, i, None if live.all() else live)
+            live = None if live.all() else live
+            watch(live)
+            record(state, i)
 
         # the state and slope rings of the shared kernel, newest first
         states = deque(reversed(startup_states), maxlen=s)
         slopes = deque([None] * s, maxlen=s)
+        # the steps after which some element's horizon has passed
+        ends = set((horizon + 1).tolist())
+        # the active set changes only on events: a newly failed check, which
+        # may finish an element and its group, or a passed horizon
+        changed = True
         # violated elements may blow up before they freeze; their inf/nan
         # arithmetic is elementwise and never poisons the others
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(s - 1, int(horizon.max())):
                 step_idx = n + 1
-                # an element finishes once every check requested for it
-                # has failed; one with nothing to check runs to its horizon
-                done = (bound_viol | b_free) & (weak_viol | w_free) & want
-                if group is not None and done.any():
-                    hit = np.zeros(n_groups, dtype=bool)
-                    hit[group[done]] = True
-                    done = hit[group]
-                active = (step_idx <= horizon) & ~done
-                n_active = np.count_nonzero(active)
-                if n_active == 0:
-                    break
-                if not check_inv and n_active <= COMPACT_AT * active.size:
-                    # numpy's rounding of ``state @ gamma`` depends on the
-                    # row count, so only blocks without an invariant shrink
-                    retire(~active)
-                    (idx, horizon, b_req, w_req, inc, dec, group, lo, hi,
-                     bound_viol, weak_viol, first_bound, first_weak,
-                     inv_dev) = _take(
-                        active, idx, horizon, b_req, w_req, inc, dec, group,
-                        lo, hi, bound_viol, weak_viol, first_bound,
-                        first_weak, inv_dev)
-                    b_free, w_free, want = ~b_req, ~w_req, b_req | w_req
-                    scaled = [(j, a, *_take(active, hb))
-                              for j, a, hb in scaled]
-                    states = deque(_take(active, *states), maxlen=s)
-                    slopes = deque(_take(active, *slopes), maxlen=s)
-                    scratch = tuple(buf[:n_active] for buf in scratch)
-                    active = active[active]
+                if changed:
+                    # an element finishes once every check requested for
+                    # it has failed; one with nothing to check runs to its
+                    # horizon
+                    done = ((bound_viol | ~b_req) & (weak_viol | ~w_req)
+                            & (b_req | w_req))
+                    if group is not None and done.any():
+                        hit = np.zeros(n_groups, dtype=bool)
+                        hit[group[done]] = True
+                        done = hit[group]
+                if changed or step_idx in ends:
+                    changed = False
+                    active = (step_idx <= horizon) & ~done
+                    n_active = np.count_nonzero(active)
+                    if n_active == 0:
+                        break
+                    if n_active <= COMPACT_AT * active.size:
+                        retire(~active)
+                        (idx, horizon, b_req, w_req, inc, dec, group, done,
+                         lo, hi, bound_viol, weak_viol, first_bound,
+                         first_weak, inv_dev, block_level, block_dts) = _take(
+                            active, idx, horizon, b_req, w_req, inc, dec,
+                            group, done, lo, hi, bound_viol, weak_viol,
+                            first_bound, first_weak, inv_dev, block_level,
+                            block_dts)
+                        scaled = [(j, a, *_take(active, hb))
+                                  for j, a, hb in scaled]
+                        states = deque(_take(active, *states), maxlen=s)
+                        slopes = deque(_take(active, *slopes), maxlen=s)
+                        buffers(n_active)
+                        active = active[active]
+                    live = None if n_active == active.size else active
+                    frozen = None if live is None else ~live[:, None]
+                    watch(live)
 
-                acc = _ms_step(scaled, rhs, states, slopes, scratch)
-                live = None if n_active == active.size else active
-                new = (acc if live is None
-                       else np.where(live[:, None], acc, states[0]))
+                new = _ms_step(scaled, rhs, states, slopes, scratch)
+                if frozen is not None:
+                    np.copyto(new, states[0], where=frozen)
 
                 if check_weak:
                     window = np.array([u[:, weak_component] for u in states])
                     comp = new[:, weak_component]
                     tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
                     v = ~_rows_all(np.isfinite(new))
-                    if inc.any():
+                    if any_inc:
                         v |= inc & (comp < window.min(axis=0) - tol_w)
-                    if dec.any():
+                    if any_dec:
                         v |= dec & (comp > window.max(axis=0) + tol_w)
-                    v &= w_req if live is None else live & w_req
-                    newly = v & ~weak_viol
-                    first_weak[newly] = step_idx
-                    weak_viol[:] |= v
-                record(new, step_idx, live)
+                    flag(v & w_watch, weak_viol, first_weak, step_idx)
+                record(new, step_idx)
                 states.appendleft(new)
                 slopes.appendleft(None)
         retire(slice(None))
 
-    # blocks of near-equal size: a one-element block would take numpy's
-    # one-row path for ``state @ gamma``, whose rounding can differ from
-    # the many-row one
+    # blocks of near-equal size
     n_blocks = -(-B // max(1, MAX_SWEEP_ELEMENTS // m))
     for k in range(n_blocks):
         advance(slice(k * B // n_blocks, (k + 1) * B // n_blocks))
@@ -537,6 +610,15 @@ MAX_SWEEP_ELEMENTS = 2 ** 14
 #: gathered into smaller arrays) once at most this fraction of its elements
 #: still evolves; 0 never compacts
 COMPACT_AT = 0.5
+
+
+def sharpness_bytes(n_rows: int, n_dt: int) -> int:
+    """Peak bytes of a sharpness bisection beside its sweep blocks: per row
+    its initial state, label, checks, bracket and output row, and per step
+    size its entries in a one-row sweep.  Rounded up from tracemalloc peaks
+    of logistic and SEIR bisections (about 600 bytes per row and 175 per
+    step size on Python 3.11 with numpy 2.4)."""
+    return 1024 * n_rows + 256 * n_dt
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float,
@@ -638,8 +720,14 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
         raise ValueError("dt_grid is empty")
     if not (np.isfinite(dt_grid).all() and (dt_grid > 0).all()):
         raise ConfigurationError("dt_grid must hold positive finite steps")
-    n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
     n_rows = y0_states.shape[0]
+    need = sharpness_bytes(n_rows, n_dt)
+    if need > MAX_RECORD_BYTES:
+        raise ConfigurationError(
+            f"a sharpness bisection of {n_rows} initial states and {n_dt} "
+            f"step sizes needs about {need / 2 ** 20:.0f} MiB, over the "
+            f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit")
+    n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
 
     label_values = [float(labels[i]) if labels is not None
                     else float(y0_states[i, 0]) for i in range(n_rows)]

@@ -39,6 +39,16 @@ operators: on a state of a few values numpy's ``out=`` and overlap checks
 cost more than the temporaries, and in-place accumulation there made the
 scalar benchmark job 6.5% slower.
 
+A batch's (B, m) states are component-major (Fortran-ordered), so that
+each component a right-hand side reads or writes is contiguous: the batch
+driver starts from a Fortran-ordered ``y0``, ``_component_major`` lays
+out per-element step sizes the same way, and numpy's ufuncs keep the
+layout of their operands.  On a 2-vCPU Xeon virtual machine one SEIR
+``rhs`` call on 4000 states took 23 instead of 40 us that way.  The sweep
+driver in ``experiments`` keeps its active set and monitor masks from
+step to step, making them again only after a check fails or a horizon
+passes, and sums a linear invariant elementwise in a fixed order.
+
 A full-trajectory run whose record would take more than
 ``MAX_RECORD_BYTES`` (see ``record_bytes``) is refused before it steps.
 """
@@ -210,6 +220,12 @@ def _scaled_terms(terms, h, shape=None) -> list:
         if b != 0.0 and b not in products:
             products[b] = h * b
     return [(j, a, products.get(b)) for j, a, b in terms]
+
+
+def _component_major(values, m: int) -> np.ndarray:
+    """A (B, m) array whose row i repeats ``values[i]``, Fortran-ordered
+    like the states of a batch."""
+    return np.repeat(np.reshape(values, (1, -1)), m, axis=0).T
 
 
 def _add_in_place(acc, a, u, hb, f, scratch) -> np.ndarray:
@@ -395,7 +411,7 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     if y0.ndim == 2:
         # a full (B, m) array: numpy multiplies two full arrays several
         # times faster than an array and a (B, 1) column
-        h = np.repeat(np.reshape(h, (-1, 1)), y0.shape[1], axis=1)
+        h = _component_major(h, y0.shape[1])
     else:
         shape = y0.shape
     stages = _scaled_stages(rk.float_stages, h, shape)

@@ -220,16 +220,18 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
     def rhs(u):
         # through the transpose, one state gives numpy scalars (indexing
         # its last axis would give 0-d arrays, each numpy call on them
-        # costing a few times more) and a batch gives component rows
-        s, e, i, _ = u.T
+        # costing a few times more) and a batch gives component rows; the
+        # output is written as rows and returned transposed, so a batch's
+        # slopes are Fortran-ordered and its rows contiguous
+        rows = u.T
+        s, e, i, _ = rows
         infection = SEIR_CONTACT_RATE * s * i
-        out = np.empty(u.shape)
-        cols = out.T
+        cols = np.empty(rows.shape)
         cols[0] = pi - infection
         cols[1] = infection - e
         cols[2] = e - i
         cols[3] = i
-        return out
+        return cols.T
 
     def bound_rule(y0):
         if np.any(y0 < 0):

@@ -410,6 +410,20 @@ def test_sharpness_empty_grid_exit_2(capsys, y0_grid, dt_grid):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("y0_grid, dt_grid", [
+    ("0.001:5:1000000000000", "0.5:3:3:log"),
+    ("0.001:5:3", "0.5:3:1000000000000:log")])
+def test_sharpness_oversized_grid_exit_2(capsys, y0_grid, dt_grid):
+    # numpy refuses a grid of 1e12 points without allocating it; that
+    # used to end in an _ArrayMemoryError traceback
+    code, out, err = run_cli(capsys, *SHARPNESS_ARGS, f"--y0-grid={y0_grid}",
+                             f"--dt-grid={dt_grid}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "MiB limit" in err
+    assert err.count("\n") == 1
+
+
 def test_bench_cli_smoke(capsys):
     code, out, _err = run_cli(capsys, "bench", "--kinds", "phi3,identity",
                               "--n-evals", "1000000", "--reps", "1")

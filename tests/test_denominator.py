@@ -48,6 +48,17 @@ def test_negative_step_rejected():
         eval_phi(spec, -0.1)
 
 
+@pytest.mark.parametrize("bound", [np.inf, np.nan, -1.0, 0.0,
+                                   np.array([0.5, np.inf])])
+@pytest.mark.parametrize("kind", list(CATALOG_KINDS) + [PhiKind.GENERAL_P],
+                         ids=lambda k: k.value)
+def test_phi_value_rejects_a_bound_not_positive_and_finite(kind, bound):
+    # an infinite bound gave nan for phi1 (with a RuntimeWarning) and 0.0
+    # for phi4, not the limit x
+    with pytest.raises(ValueError, match="positive and finite"):
+        phi_value(kind, bound, 0.5, 5 if kind is PhiKind.GENERAL_P else None)
+
+
 def test_enabled_orders():
     expect = {PhiKind.PHI1: 1, PhiKind.PHI2: 1, PhiKind.PHI3: 1,
               PhiKind.PHI4: 2, PhiKind.PHI5: 2, PhiKind.PHI6: 2,
