@@ -17,16 +17,27 @@ order is fixed, so cached slopes give the same bits as fresh ones.
 ``_rk_step`` is the one Runge-Kutta kernel of both paths, with h*beta
 formed once per run in the same way; it sums each stage with ``_ms_step``.
 
-A single run forms h*beta_j and alpha_j as arrays of its state's shape
-(m,), and the classical RK4 reference forms 0.5*dt, dt, dt/6 and 2.0 that
-way: numpy multiplies two arrays of a few values in about two thirds of
-the time it takes for a float and an array (0.74 against 1.15 us for one
-or four values), and the products are the same IEEE operations, so the
-same bits.  A batch has a (B, m) array of per-element step sizes and keeps
-alpha_j a float.  On a 2-vCPU Xeon virtual machine (Python 3.11, numpy
-2.4), with the SEIR right-hand side on numpy scalars, this took a logistic
-``sspms64`` run from about 15 to 14 us per step, a SEIR ``sspms64`` run
-from about 20 to 15 us and a SEIR ``ssprk104`` run from about 105 to 67 us.
+A single run of a one-component problem carries its state as a Python
+float through the same kernels, with h*beta_j and alpha_j floats too:
+Python's float ``+``, ``-`` and ``*`` are the IEEE double operations
+numpy's are, done in the same order, so they give the same bits without
+numpy's cost per call, which dominates on a state of one value.  Its
+startup states are made as (1,) arrays and converted, and the record is
+reshaped to (n, 1) at the end; the classical RK4 reference steps a float
+the same way.  A run of several components forms h*beta_j and alpha_j as
+arrays of its state's shape (m,), and the RK4 reference forms 0.5*dt, dt,
+dt/6 and 2.0 that way: numpy multiplies two arrays of a few values in
+about two thirds of the time it takes for a float and an array, with the
+same IEEE operations.  A batch has a (B, m) array of per-element step
+sizes and keeps alpha_j a float.  On a 2-vCPU Xeon virtual machine
+(Python 3.11, numpy 2.4; fastest of five runs, alternating with the
+previous version) a logistic ``sspms64`` run took 0.64 instead of 6.1 us
+per step and a logistic ``ssprk104`` run 3.6 instead of 25 us; with the
+SEIR right-hand side on Python floats for one state, a SEIR ``sspms64``
+run took 6.1 instead of 6.9 us and a SEIR ``ssprk104`` run 25 instead of
+32 us.  Every stepping loop runs with numpy's overflow and invalid-value
+warnings off, as the sweep's does: a run that leaves the property region
+shows its inf and NaN states in the record and in any check.
 
 Both kernels take an optional pair of scratch arrays.  The batch driver
 passes them: every term is then formed in the scratch with ufunc ``out=``
@@ -78,6 +89,9 @@ MAX_RECORD_BYTES = 2 ** 30
 
 #: bytes of an (m,) float array beside its 8 m bytes of values
 _ARRAY_OBJECT_BYTES = sys.getsizeof(np.empty(0))
+
+#: bytes of a Python float, the state of a one-component run
+_FLOAT_OBJECT_BYTES = sys.getsizeof(1.0)
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,11 @@ def record_bytes(n_states: int, m: int) -> int:
     """Peak bytes of a full-trajectory record of ``n_states`` states of
     ``m`` values: one (m,) array per state and its list slot while the run
     steps, then the (n_states, m) array they are copied into, with the 32
-    bytes per state that numpy keeps while it copies a list of arrays."""
+    bytes per state that numpy keeps while it copies a list of arrays.  A
+    one-component run holds one Python float and its list slot per state,
+    then the (n_states, 1) array."""
+    if m == 1:
+        return n_states * (_FLOAT_OBJECT_BYTES + 8 + 8)
     return n_states * (_ARRAY_OBJECT_BYTES + 8 + 32 + 2 * 8 * m)
 
 
@@ -207,11 +225,12 @@ def _scaled_terms(terms, h, shape=None) -> list:
     ``h`` is a float or a (B, m) array of per-element step sizes.  Terms
     with equal beta_j share one product, which the kernels only read.
 
-    A single run passes its state's ``shape``: ``h`` and every alpha_j
-    then become arrays of that shape, because numpy multiplies two arrays
-    of a few values about twice as fast as a float and an array.  The
-    products are the same IEEE operations, so the same bits.  A batch
-    keeps alpha_j a float."""
+    A single run of several components passes its state's ``shape``:
+    ``h`` and every alpha_j then become arrays of that shape, because numpy
+    multiplies two arrays of a few values about twice as fast as a float
+    and an array.  The products are the same IEEE operations, so the same
+    bits.  A one-component run, stepping a Python float, and a batch keep
+    alpha_j a float."""
     if shape is not None:
         h = np.full(shape, h)
         terms = [(j, np.full(shape, a), b) for j, a, b in terms]
@@ -424,7 +443,9 @@ def integrate(config: RunConfig) -> Trajectory:
     """Run a configured integration to t_end on an aligned uniform grid.
 
     A non-finite initial state is a configuration error, whatever the
-    startup.
+    startup.  A one-component run steps its state as a Python float (the
+    problem's ``rhs`` takes one), a run of several components as an (m,)
+    array; both record a (K, m) array.
     """
     problem = config.problem
     y0 = np.asarray(config.y0, dtype=float)
@@ -445,35 +466,43 @@ def integrate(config: RunConfig) -> Trajectory:
             "record the final state only")
     h = float(eval_phi(config.phi, config.dt))
     rhs = problem.rhs
+    # a one-component run steps a Python float; coefficients of a state's
+    # shape serve a run of several components (see the module docstring)
+    shape = None if problem.dimension == 1 else y0.shape
 
-    if isinstance(method, MultistepMethod):
-        s = method.steps
-        startup = _startup_states(problem, method, resolve_startup(config),
-                                  y0, config.dt)
-        recorded = list(startup) if full else [startup[-1]]
-        states = deque(reversed(startup), maxlen=s)
-        slopes = deque([None] * s, maxlen=s)
-        scaled = _scaled_terms(method.terms, h, y0.shape)
-        for _ in range(s - 1, n):
-            new = _ms_step(scaled, rhs, states, slopes)
-            states.appendleft(new)
-            slopes.appendleft(None)
-            if full:
-                recorded.append(new)
-            else:
-                recorded[0] = new
-    else:
-        stages = _scaled_stages(method.float_stages, h, y0.shape)
-        u = y0
-        recorded = [u]
-        for _ in range(n):
-            u = _rk_step(stages, rhs, u)
-            if full:
-                recorded.append(u)
-            else:
-                recorded[0] = u
+    # a run that leaves the property region may overflow; its inf/nan
+    # states show in the record and in any check, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(method, MultistepMethod):
+            s = method.steps
+            startup = _startup_states(problem, method,
+                                      resolve_startup(config), y0, config.dt)
+            if shape is None:
+                startup = [float(u[0]) for u in startup]
+            recorded = list(startup) if full else [startup[-1]]
+            states = deque(reversed(startup), maxlen=s)
+            slopes = deque([None] * s, maxlen=s)
+            scaled = _scaled_terms(method.terms, h, shape)
+            for _ in range(s - 1, n):
+                new = _ms_step(scaled, rhs, states, slopes)
+                states.appendleft(new)
+                slopes.appendleft(None)
+                if full:
+                    recorded.append(new)
+                else:
+                    recorded[0] = new
+        else:
+            stages = _scaled_stages(method.float_stages, h, shape)
+            u = y0 if shape is not None else float(y0[0])
+            recorded = [u]
+            for _ in range(n):
+                u = _rk_step(stages, rhs, u)
+                if full:
+                    recorded.append(u)
+                else:
+                    recorded[0] = u
 
-    states = np.asarray(recorded, dtype=float)
+    states = np.asarray(recorded, dtype=float).reshape(len(recorded), -1)
     provenance = {
         "problem": problem.name,
         "params": dict(problem.params),
@@ -498,8 +527,9 @@ def integrate(config: RunConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def _rk4_classic_step(rhs, u: np.ndarray, coefs) -> np.ndarray:
-    """One classical RK4 step; ``coefs`` holds 0.5*dt, dt, dt/6 and 2.0 as
-    arrays of the state's shape, formed once per run."""
+    """One classical RK4 step; ``coefs`` holds 0.5*dt, dt, dt/6 and 2.0,
+    formed once per run: floats for a float state, else arrays of the
+    state's shape."""
     half, full, sixth, two = coefs
     k1 = rhs(u)
     k2 = rhs(u + half * k1)
@@ -510,15 +540,21 @@ def _rk4_classic_step(rhs, u: np.ndarray, coefs) -> np.ndarray:
 
 def reference_solution(problem: OdeProblem, y0, t_end: float,
                        dt_ref: float, t0: float = 0.0) -> np.ndarray:
-    """Final state from the classical fourth-order Runge-Kutta tableau."""
+    """Final state from the classical fourth-order Runge-Kutta tableau,
+    stepped on a Python float for a one-component problem."""
     n = step_count(t0, t_end, dt_ref)
     u = np.asarray(y0, dtype=float)
     if u.shape != (problem.dimension,):
         raise ConfigurationError(
             f"y0 has shape {u.shape}, problem needs ({problem.dimension},)")
     rhs = problem.rhs
-    coefs = [np.full(u.shape, c)
-             for c in (0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)]
-    for _ in range(n):
-        u = _rk4_classic_step(rhs, u, coefs)
-    return u
+    coefs = (0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)
+    one = problem.dimension == 1
+    if one:
+        u = float(u[0])
+    else:
+        coefs = [np.full(u.shape, c) for c in coefs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            u = _rk4_classic_step(rhs, u, coefs)
+    return np.array([u], dtype=float) if one else u

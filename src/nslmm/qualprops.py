@@ -182,9 +182,11 @@ def check_linear_invariant(traj: Trajectory, weights: Sequence[float],
     if gamma.shape != (states.shape[1],):
         raise ValueError(
             f"weights have shape {gamma.shape}, expected ({states.shape[1]},)")
-    values = states @ gamma
     target = m0 + drift * (traj.times - traj.t0)
-    dev = values - target
+    # a non-finite state shows as an infinite deviation, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = states @ gamma
+        dev = values - target
     n_steps = max(1, traj.first_index + states.shape[0] - 1)
     tol = VIOLATION_RTOL * n_steps
     abs_dev = np.where(np.isnan(dev), np.inf, np.abs(dev))

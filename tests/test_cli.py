@@ -121,6 +121,25 @@ def test_solve_checks_weakmon_and_sum(capsys):
     assert all(r["holds"] for r in reports)
 
 
+@pytest.mark.parametrize("checks", [
+    ["--check", "bound-below:0"],
+    ["--check", "bound-below:0", "--check", "sum"]])
+def test_solve_overflowing_run_writes_only_json_to_stderr(capsys, checks):
+    # an untransformed method that leaves the property region overflows to
+    # inf and NaN; the reports say so, and numpy prints no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "solve", "--problem", "seir", "--y0", "0.8,0,0.2,0",
+            "--method", "sspms64", "--standard", "--dt", "5",
+            "--t-end", "1000", *checks)
+    assert code == 0, err
+    assert "nan" in out and "inf" in out
+    reports = [json.loads(line) for line in err.splitlines()]
+    assert len(reports) == len(checks) // 2
+    assert not any(r["holds"] for r in reports)
+
+
 def test_solve_sum_reads_the_problems_invariant(capsys):
     # with influx the invariant drifts at the influx rate from the initial
     # component sum

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -16,7 +17,7 @@ from nslmm import experiments
 from nslmm.experiments import (bisect_threshold,
                                logistic_preservation_grid,
                                run_preservation_sweep,
-                               seir_conservation_sweep)
+                               seir_conservation_sweep, sweep_bytes)
 from nslmm.integrate import STARTER_FOR_ORDER
 from nslmm.problems import OdeProblem, logistic_fe_bounds
 
@@ -536,6 +537,23 @@ def test_sweep_nan_initial_state_violates_every_check(logistic2):
     assert outcome.first_weak_step[0] == m.steps
 
 
+def test_sweep_overflowing_starter_prints_no_warnings(seir0, seir_y0):
+    # an untransformed starter at large steps overflows before the first
+    # multistep step; its states count as violations, not as warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = run_preservation_sweep(
+            seir0, get_method("sspms64"), PhiKind.IDENTITY, 1.0,
+            np.array([5.0, 50.0]), np.array([seir_y0, seir_y0]), 40,
+            startup=n.RungeKuttaStartup("ssprk104", PhiKind.IDENTITY),
+            lower=0.0, invariant_weights=np.ones(4))
+    assert outcome.bound_violated.all()
+    # the larger step leaves the region inside the six-step startup
+    assert outcome.first_bound_step[1] == 1
+    assert not np.isfinite(outcome.final_states[1]).any()
+    assert not np.isfinite(outcome.invariant_max_dev[1])
+
+
 def test_sweep_overflow_violates_lower_only_check():
     # u' = u^2 blows up upward: the states overflow to +inf and never cross
     # the lower bound, yet the non-finite state counts as a violation
@@ -1050,6 +1068,69 @@ def test_sharpness_rejects_bad_horizon_or_tolerance(logistic2, t_end, tol):
                             BOUNDEDNESS, tol=tol)
 
 
+def test_sweep_refuses_batches_over_the_size_limit(seir0):
+    # broadcast views allocate nothing: a billion-element batch costs only
+    # its refusal, which comes before any full-size array is made
+    n_elements = 10 ** 9
+    y0s = np.broadcast_to(np.array([0.8, 0.0, 0.2, 0.0]), (n_elements, 4))
+    dts = np.broadcast_to(0.1, (n_elements,))
+    counted, calls = counting_rhs(seir0)
+    assert sweep_bytes(n_elements, 4) > experiments.MAX_RECORD_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="MiB limit"):
+            run_preservation_sweep(counted, get_method("sspms42"),
+                                   PhiKind.PHI5, 0.1, dts, y0s, 10,
+                                   lower=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert calls[0] == 0
+
+
+def test_sweep_size_limit_is_the_sweeps_size(seir0, seir_y0, monkeypatch):
+    y0s = np.broadcast_to(seir_y0, (3, 4))
+    dts = np.array([0.1, 0.2, 0.3])
+    m = get_method("sspms42")
+    monkeypatch.setattr(experiments, "MAX_RECORD_BYTES", sweep_bytes(3, 4))
+    run_preservation_sweep(seir0, m, PhiKind.PHI5, 0.1, dts, y0s, 10)
+    monkeypatch.setattr(experiments, "MAX_RECORD_BYTES",
+                        sweep_bytes(3, 4) - 1)
+    with pytest.raises(ConfigurationError, match="MiB limit"):
+        run_preservation_sweep(seir0, m, PhiKind.PHI5, 0.1, dts, y0s, 10)
+
+
+def _sweep_peak(problem, n_elements, checks):
+    y0 = [0.5] if problem.dimension == 1 else [0.8, 0.0, 0.2, 0.0]
+    y0s = np.repeat(np.array([y0]), n_elements, axis=0)
+    dts = np.linspace(0.01, 0.5, n_elements)
+    bounds = np.full(n_elements, 0.3)
+    tracemalloc.start()
+    try:
+        run_preservation_sweep(problem, get_method("sspms42"), PhiKind.PHI5,
+                               bounds, dts, y0s, 6, **checks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+def test_sweep_bytes_matches_a_sweeps_growth_per_element(problem_name):
+    # blocks hold a bounded number of elements, so what a sweep's peak
+    # gains per element is what the guard models
+    problem = n.make_problem(problem_name)
+    checks = {"lower": 0.0, "upper": 2.0, "weak_direction": -1}
+    if problem_name == "seir":
+        checks["invariant_weights"] = np.ones(4)
+    small, large = 50_000, 150_000
+    growth = (_sweep_peak(problem, large, checks)
+              - _sweep_peak(problem, small, checks))
+    model = sweep_bytes(large - small, problem.dimension)
+    assert 0.8 <= growth / model <= 1.0
+
+
 def test_sharpness_refuses_grids_over_the_size_limit(logistic2,
                                                      monkeypatch):
     monkeypatch.setattr(experiments, "MAX_RECORD_BYTES",
@@ -1125,9 +1206,15 @@ def test_phi_benchmark_interleaves_repetitions_across_kinds(monkeypatch):
     assert [r.phi for r in report.rows] == ["phi1", "phi3", "identity"]
 
 
-def _bench_times():
-    report = phi_benchmark(n_evals=4 * 10 ** 6, reps=3)
-    return {row.phi: row.seconds for row in report.rows}
+def _bench_times(calls: int = 12) -> dict:
+    """Fastest time per kind over ``calls`` short benchmark calls, each
+    going once round the kinds: a slow spell of the host lengthens some
+    repetitions but shortens none, so the minimum is the steady cost."""
+    best = {}
+    for _ in range(calls):
+        for row in phi_benchmark(n_evals=10 ** 6, reps=1).rows:
+            best[row.phi] = min(best.get(row.phi, math.inf), row.seconds)
+    return best
 
 
 def test_phi_benchmark_exponentials_cost_more_than_plain_arithmetic():

@@ -13,7 +13,7 @@ from nslmm import (MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
                    forward_euler_step, get_method, integrate,
                    logistic_problem, make_phi_for_method, make_problem,
                    nslmm_step, nsrk_step, reference_solution, seir_problem)
-from nslmm.denominator import phi_value
+from nslmm.denominator import CATALOG_KINDS, phi_value
 from nslmm.integrate import STARTER_FOR_ORDER, Trajectory, record_bytes
 from nslmm.methods import effective_ssp_coefficient
 from nslmm.problems import OdeProblem, fe_property_bound
@@ -299,6 +299,50 @@ def test_single_steps_equal_float_coefficient_steps_bitwise(problem_name,
         want = _float_rk_step(method.float_stages, problem.rhs, u, h)
     assert got.shape == (m,)
     assert got.tobytes() == want.tobytes()
+
+
+def _array_step_chain(problem, method, phi, dt, n, y0) -> np.ndarray:
+    """Every state of an ``n``-step run under the default startup, chained
+    through ``nslmm_step``/``nsrk_step`` on (m,) arrays."""
+    u0 = np.asarray(y0, dtype=float)
+    if isinstance(method, MultistepMethod):
+        s = method.steps
+        states = [u0] + [exact_solution(problem, i * dt, u0)
+                         for i in range(1, s)]
+        for _ in range(s - 1, n):
+            states.append(nslmm_step(method, phi, problem,
+                                     states[::-1][:s], dt))
+    else:
+        states = [u0]
+        for _ in range(n):
+            states.append(nsrk_step(method, phi, problem, states[-1], dt))
+    return np.array(states)
+
+
+@given(method_id=st.sampled_from(KERNEL_IDS),
+       kind=st.sampled_from(list(CATALOG_KINDS) + [PhiKind.IDENTITY]),
+       c=st.floats(min_value=0.5, max_value=4.0),
+       y0=st.floats(min_value=-1.0, max_value=5.0),
+       b_fe=st.floats(min_value=0.05, max_value=2.0),
+       dt=st.floats(min_value=1e-3, max_value=50.0),
+       n=st.integers(min_value=6, max_value=40))
+def test_one_component_run_equals_array_steps_bitwise(method_id, kind, c, y0,
+                                                      b_fe, dt, n):
+    # a one-component run steps a Python float; a chain of single steps on
+    # (1,) arrays is the same arithmetic in numpy, so the same bits, also
+    # where a large dt overflows the run to inf or NaN
+    problem = logistic_problem(c)
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, b_fe, kind)
+    with np.errstate(all="ignore"):
+        want = _array_step_chain(problem, method, phi, dt, n, [y0])
+        traj = integrate(_config(problem, method, phi, dt, n * dt, [y0]))
+        final = integrate(_config(problem, method, phi, dt, n * dt, [y0],
+                                  record=RecordMode.FINAL_STATE_ONLY))
+    assert traj.states.shape == (n + 1, 1)
+    assert traj.states.tobytes() == want.tobytes()
+    assert final.states.shape == (1, 1)
+    assert final.final_state.tobytes() == want[-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
