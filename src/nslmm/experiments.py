@@ -55,12 +55,13 @@ from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
                           make_phi_for_method, phi_value, ssp_threshold)
 from .errors import ConfigurationError
 from .integrate import (MAX_RECORD_BYTES, RecordMode, RunConfig as _RunConfig,
-                        _component_major, _ms_step, _run_steps,
-                        _scaled_terms, _startup_states, default_startup,
-                        integrate, reference_solution)
+                        _component_major, _initial_state, _ms_step,
+                        _run_steps, _scaled_terms, _startup_states,
+                        default_startup, integrate, reference_solution)
 from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
                        exact_solution, fe_property_bound)
+from .qualprops import _weighted_sum
 
 # ---------------------------------------------------------------------------
 # convergence studies
@@ -152,12 +153,11 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("dt_list must be strictly decreasing")
 
-    # every run's step is checked before the reference, which can take
-    # far longer than the runs it serves
+    # every run's step and the initial state are checked before the
+    # reference, which can take far longer than the runs it serves
     for dt in dts:
         _run_steps(method, t0, t_end, dt)
-
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _initial_state(problem, y0)
     if norm is None:
         norm = ErrorNorm.ABS if problem.dimension == 1 else ErrorNorm.MAX_COMPONENT
 
@@ -238,19 +238,6 @@ def _take(keep: np.ndarray, *arrays) -> tuple:
     ``a.T[:, keep].T`` give it in row-major order)."""
     return tuple(None if a is None else a.T.compress(keep, axis=-1).T
                  for a in arrays)
-
-
-def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
-    """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
-    into ``out``.  Elementwise, so each row's value is the same in a batch
-    of any size; numpy's matrix product rounds differently with the row
-    count."""
-    np.multiply(x[:, 0], weights[0], out=out)
-    for k in range(1, len(weights)):
-        np.multiply(x[:, k], weights[k], out=tmp)
-        out += tmp
-    return out
 
 
 def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,

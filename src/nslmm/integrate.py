@@ -17,27 +17,26 @@ order is fixed, so cached slopes give the same bits as fresh ones.
 ``_rk_step`` is the one Runge-Kutta kernel of both paths, with h*beta
 formed once per run in the same way; it sums each stage with ``_ms_step``.
 
-A single run of a one-component problem carries its state as a Python
-float through the same kernels, with h*beta_j and alpha_j floats too:
-Python's float ``+``, ``-`` and ``*`` are the IEEE double operations
-numpy's are, done in the same order, so they give the same bits without
-numpy's cost per call, which dominates on a state of one value.  Its
-startup states are made as (1,) arrays and converted, and the record is
-reshaped to (n, 1) at the end; the classical RK4 reference steps a float
-the same way.  A run of several components forms h*beta_j and alpha_j as
-arrays of its state's shape (m,), and the RK4 reference forms 0.5*dt, dt,
-dt/6 and 2.0 that way: numpy multiplies two arrays of a few values in
-about two thirds of the time it takes for a float and an array, with the
-same IEEE operations.  A batch has a (B, m) array of per-element step
-sizes and keeps alpha_j a float.  On a 2-vCPU Xeon virtual machine
-(Python 3.11, numpy 2.4; fastest of five runs, alternating with the
-previous version) a logistic ``sspms64`` run took 0.64 instead of 6.1 us
-per step and a logistic ``ssprk104`` run 3.6 instead of 25 us; with the
-SEIR right-hand side on Python floats for one state, a SEIR ``sspms64``
-run took 6.1 instead of 6.9 us and a SEIR ``ssprk104`` run 25 instead of
-32 us.  Every stepping loop runs with numpy's overflow and invalid-value
-warnings off, as the sweep's does: a run that leaves the property region
-shows its inf and NaN states in the record and in any check.
+A single run carries its state as Python floats through the same
+kernels: a float for a one-component problem, a list of m floats for
+several components, with h*beta_j and alpha_j floats.  Python's float
+``+``, ``-`` and ``*`` are the IEEE double operations numpy's are, and
+the list branch of ``_ms_step`` sums each component in the kernel's
+order, so they give the same bits without numpy's cost per call, which
+dominates on a state of a few values.  ``_single_state`` puts ``y0`` and
+the closed-form startup states in that form, and the record is copied
+into a (K, m) array at the end; the classical RK4 reference steps a
+state the same way.  ``nslmm_step`` and ``nsrk_step`` take and return
+arrays and convert at their edges.  A one-component run keeps a bare
+float: as a one-element list (with a list-aware logistic ``rhs``), 5000
+logistic ``sspms64`` steps took 16.0 instead of 4.1 ms.  On a 2-vCPU
+Xeon virtual machine (Python 3.11, numpy 2.4; fastest of eight runs,
+alternating with (4,)-array stepping) a SEIR ``sspms64`` run took 4.8
+instead of 8.2 us per step, a SEIR ``ssprk104`` run 19 instead of 30 us
+and the SEIR RK4 reference 4.7 instead of 8.5 us.  Every stepping loop
+runs with numpy's overflow and invalid-value warnings off, as the
+sweep's does: a run that leaves the property region shows its inf and
+NaN states in the record and in any check.
 
 Both kernels take an optional pair of scratch arrays.  The batch driver
 passes them: every term is then formed in the scratch with ufunc ``out=``
@@ -45,10 +44,7 @@ and added in place into the one new array a step returns, the same
 operations in the same order, so the same bits.  On SEIR blocks of
 4000 x 4 states, where each temporary is 128 KB, this took a sweep of
 2e4 elements over 200 steps from about 320 to about 220 ms on a 2-vCPU
-Xeon virtual machine.  A single run passes none and keeps the allocating
-operators: on a state of a few values numpy's ``out=`` and overlap checks
-cost more than the temporaries, and in-place accumulation there made the
-scalar benchmark job 6.5% slower.
+Xeon virtual machine.  A single run passes none: it steps Python floats.
 
 A batch's (B, m) states are component-major (Fortran-ordered), so that
 each component a right-hand side reads or writes is contiguous: the batch
@@ -87,11 +83,12 @@ ALIGNMENT_TOL = 1e-8
 #: largest full-trajectory record, in bytes, a run may build
 MAX_RECORD_BYTES = 2 ** 30
 
-#: bytes of an (m,) float array beside its 8 m bytes of values
-_ARRAY_OBJECT_BYTES = sys.getsizeof(np.empty(0))
-
 #: bytes of a Python float, the state of a one-component run
 _FLOAT_OBJECT_BYTES = sys.getsizeof(1.0)
+
+#: bytes of an empty list object, beside 8 bytes per item, the state of a
+#: run of several components
+_LIST_OBJECT_BYTES = sys.getsizeof([])
 
 
 @dataclass(frozen=True)
@@ -196,14 +193,15 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 def record_bytes(n_states: int, m: int) -> int:
     """Peak bytes of a full-trajectory record of ``n_states`` states of
-    ``m`` values: one (m,) array per state and its list slot while the run
-    steps, then the (n_states, m) array they are copied into, with the 32
-    bytes per state that numpy keeps while it copies a list of arrays.  A
-    one-component run holds one Python float and its list slot per state,
-    then the (n_states, 1) array."""
+    ``m`` values: while the run steps, one Python float per state for one
+    component, else one list of m floats, and the state's slot in the
+    record list; then the (n_states, m) array they are copied into, with
+    the 32 bytes per list that numpy keeps while it copies a list of
+    lists."""
     if m == 1:
         return n_states * (_FLOAT_OBJECT_BYTES + 8 + 8)
-    return n_states * (_ARRAY_OBJECT_BYTES + 8 + 32 + 2 * 8 * m)
+    state = _LIST_OBJECT_BYTES + m * (8 + _FLOAT_OBJECT_BYTES)
+    return n_states * (state + 8 + 32 + 8 * m)
 
 
 def _run_steps(method: Method, t0: float, t_end: float, dt: float) -> int:
@@ -220,25 +218,22 @@ def _run_steps(method: Method, t0: float, t_end: float, dt: float) -> int:
 # single steps
 # ---------------------------------------------------------------------------
 
-def _scaled_terms(terms, h, shape=None) -> list:
+def _scaled_terms(terms, h) -> list:
     """(j, alpha_j, h*beta_j) per term, with None where beta_j is zero;
     ``h`` is a float or a (B, m) array of per-element step sizes.  Terms
-    with equal beta_j share one product, which the kernels only read.
-
-    A single run of several components passes its state's ``shape``:
-    ``h`` and every alpha_j then become arrays of that shape, because numpy
-    multiplies two arrays of a few values about twice as fast as a float
-    and an array.  The products are the same IEEE operations, so the same
-    bits.  A one-component run, stepping a Python float, and a batch keep
-    alpha_j a float."""
-    if shape is not None:
-        h = np.full(shape, h)
-        terms = [(j, np.full(shape, a), b) for j, a, b in terms]
+    with equal beta_j share one product, which the kernels only read."""
     products = {}
     for _j, _a, b in terms:
         if b != 0.0 and b not in products:
             products[b] = h * b
     return [(j, a, products.get(b)) for j, a, b in terms]
+
+
+def _single_state(u: np.ndarray):
+    """One state as a single run steps it: a Python float for one
+    component, else a list of its m floats."""
+    values = u.ravel().tolist()
+    return values[0] if len(values) == 1 else values
 
 
 def _component_major(values, m: int) -> np.ndarray:
@@ -262,7 +257,7 @@ def _add_in_place(acc, a, u, hb, f, scratch) -> np.ndarray:
     return acc
 
 
-def _ms_step(scaled, rhs, states, slopes, scratch=None) -> np.ndarray:
+def _ms_step(scaled, rhs, states, slopes, scratch=None):
     """One Shu-Osher combination sum_j (alpha_j u_j + h*beta_j f(u_j)),
     ascending j, state term before slope term: a multistep update, or one
     Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep update
@@ -272,8 +267,8 @@ def _ms_step(scaled, rhs, states, slopes, scratch=None) -> np.ndarray:
     A batch driver passes ``scratch``, two arrays of the states' shape that
     it owns: the update is then summed in place into one new array, the
     returned state, and never into a scratch array.  A single run passes
-    none, because on a state of a few values numpy's ``out=`` and overlap
-    checks cost more than the temporaries they save.
+    none and steps a Python float, or a list of floats for several
+    components, summed component by component in the same order.
     """
     acc = None
     for j, a, hb in scaled:
@@ -285,11 +280,19 @@ def _ms_step(scaled, rhs, states, slopes, scratch=None) -> np.ndarray:
                 f = slopes[j - 1] = rhs(u)
         if scratch is not None:
             acc = _add_in_place(acc, a, u, hb, f, scratch)
-            continue
-        contrib = a * u
-        if hb is not None:
-            contrib = contrib + hb * f
-        acc = contrib if acc is None else acc + contrib
+        elif type(u) is list:
+            if acc is None:
+                acc = ([a * x for x in u] if hb is None
+                       else [a * x + hb * y for x, y in zip(u, f)])
+            elif hb is None:
+                acc = [p + a * x for p, x in zip(acc, u)]
+            else:
+                acc = [p + (a * x + hb * y) for p, x, y in zip(acc, u, f)]
+        else:
+            contrib = a * u
+            if hb is not None:
+                contrib = contrib + hb * f
+            acc = contrib if acc is None else acc + contrib
     return acc
 
 
@@ -307,17 +310,17 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
         raise ValueError("dt must be positive")
     h = float(eval_phi(phi, dt))
     states = [np.asarray(u, dtype=float) for u in history]
-    return _ms_step(_scaled_terms(method.terms, h, states[0].shape),
-                    problem.rhs, states, [None] * method.steps)
+    new = _ms_step(_scaled_terms(method.terms, h), problem.rhs,
+                   [_single_state(u) for u in states], [None] * method.steps)
+    return np.reshape(np.array(new, dtype=float), states[0].shape)
 
 
-def _scaled_stages(stages, h, shape=None) -> list:
+def _scaled_stages(stages, h) -> list:
     """(terms, done) per Runge-Kutta stage: its (source + 1, alpha, h*beta
     or None) terms for ``_ms_step``, with one product per distinct beta of
-    the whole method and arrays of a single run's ``shape`` as in
-    ``_scaled_terms``, and the sources no later stage reads."""
+    the whole method, and the sources no later stage reads."""
     terms = _scaled_terms([(src + 1, a, b) for stage in stages
-                           for src, a, b in stage], h, shape)
+                           for src, a, b in stage], h)
     last_read = {src: k for k, stage in enumerate(stages)
                  for src, _a, _b in stage}
     out, start = [], 0
@@ -328,14 +331,14 @@ def _scaled_stages(stages, h, shape=None) -> list:
     return out
 
 
-def _rk_step(scaled_stages, rhs, u: np.ndarray, scratch=None) -> np.ndarray:
+def _rk_step(scaled_stages, rhs, u, scratch=None):
     """One Shu-Osher Runge-Kutta step; slope values cached per stage source.
-    ``scaled_stages`` comes from ``_scaled_stages`` with a float ``h`` or a
-    (B, m) array of per-element step sizes.  A stage value and its slope
-    are dropped after the last stage that reads them, so a ten-stage batch
-    step holds a few of them at a time, not all.  ``scratch`` is as for
-    ``_ms_step``: with it each stage value is one new array, summed in
-    place."""
+    ``scaled_stages`` comes from ``_scaled_stages`` with a float ``h`` for
+    a single run's state, or a (B, m) array of per-element step sizes.  A
+    stage value and its slope are dropped after the last stage that reads
+    them, so a ten-stage batch step holds a few of them at a time, not
+    all.  ``scratch`` is as for ``_ms_step``: with it each stage value is
+    one new array, summed in place."""
     values = [u]
     slopes: list = [None]
     for stage, done in scaled_stages:
@@ -354,8 +357,9 @@ def nsrk_step(rk: RungeKuttaMethod, phi: DenominatorSpec,
         raise ValueError("dt must be positive")
     h = float(eval_phi(phi, dt))
     u = np.asarray(u, dtype=float)
-    stages = _scaled_stages(rk.float_stages, h, u.shape)
-    return _rk_step(stages, problem.rhs, u)
+    new = _rk_step(_scaled_stages(rk.float_stages, h), problem.rhs,
+                   _single_state(u))
+    return np.reshape(np.array(new, dtype=float), u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +400,22 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     """u^0..u^(s-1) of a multistep run under a startup policy.
 
     ``y0`` is one state of shape (m,) with a float ``dt``, or a batch of
-    shape (B, m) with a (B,) array of per-element ``dt``; each returned
-    state has the shape of ``y0``.  A batch driver passes its ``scratch``
-    for the Runge-Kutta starter (see ``_ms_step``).
+    shape (B, m) with a (B,) array of per-element ``dt``.  A single run's
+    states come as it steps them (see ``_single_state``), a batch's with
+    the shape of ``y0``.  A batch driver passes its ``scratch`` for the
+    Runge-Kutta starter (see ``_ms_step``).
     """
     s = method.steps
-    states = [y0]
+    batch = y0.ndim == 2
+    pack = (lambda u: u) if batch else _single_state
+    states = [pack(y0)]
     if s == 1:
         return states
     if isinstance(policy, ExactStartup):
         if problem.exact is None:
             raise ConfigurationError(
                 f"{problem.name} has no closed-form solution for startup")
-        return states + [exact_solution(problem, i * dt, y0)
+        return states + [pack(exact_solution(problem, i * dt, y0))
                          for i in range(1, s)]
     if not isinstance(policy, RungeKuttaStartup):
         raise ConfigurationError(f"unknown startup policy {policy!r}")
@@ -426,35 +433,40 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
         # Euler rule gives are positive and finite
         DenominatorSpec(kind, bound=float(np.min(bound)), p=policy.p)
     h = phi_value(kind, bound, dt, policy.p)
-    shape = None
-    if y0.ndim == 2:
+    if batch:
         # a full (B, m) array: numpy multiplies two full arrays several
         # times faster than an array and a (B, 1) column
         h = _component_major(h, y0.shape[1])
-    else:
-        shape = y0.shape
-    stages = _scaled_stages(rk.float_stages, h, shape)
+    stages = _scaled_stages(rk.float_stages, h)
     for _ in range(1, s):
         states.append(_rk_step(stages, problem.rhs, states[-1], scratch))
     return states
 
 
-def integrate(config: RunConfig) -> Trajectory:
-    """Run a configured integration to t_end on an aligned uniform grid.
-
-    A non-finite initial state is a configuration error, whatever the
-    startup.  A one-component run steps its state as a Python float (the
-    problem's ``rhs`` takes one), a run of several components as an (m,)
-    array; both record a (K, m) array.
-    """
-    problem = config.problem
-    y0 = np.asarray(config.y0, dtype=float)
+def _initial_state(problem: OdeProblem, y0) -> np.ndarray:
+    """``y0`` as an (m,) array, checked: of the problem's dimension and
+    finite.  A non-finite initial state is a configuration error, whatever
+    the startup."""
+    y0 = np.asarray(y0, dtype=float)
     if y0.shape != (problem.dimension,):
         raise ConfigurationError(
             f"y0 has shape {y0.shape}, problem needs ({problem.dimension},)")
     if not np.isfinite(y0).all():
         raise ConfigurationError(
             f"y0 {y0.tolist()} has a non-finite component")
+    return y0
+
+
+def integrate(config: RunConfig) -> Trajectory:
+    """Run a configured integration to t_end on an aligned uniform grid.
+
+    ``y0`` must pass ``_initial_state``.  A one-component run steps its
+    state as a Python float, a run of several components as a list of m
+    floats (the problem's ``rhs`` takes either); both record a (K, m)
+    array.
+    """
+    problem = config.problem
+    y0 = _initial_state(problem, config.y0)
     method = config.method
     n = _run_steps(method, config.t0, config.t_end, config.dt)
     full = config.record is RecordMode.FULL_TRAJECTORY
@@ -466,9 +478,6 @@ def integrate(config: RunConfig) -> Trajectory:
             "record the final state only")
     h = float(eval_phi(config.phi, config.dt))
     rhs = problem.rhs
-    # a one-component run steps a Python float; coefficients of a state's
-    # shape serve a run of several components (see the module docstring)
-    shape = None if problem.dimension == 1 else y0.shape
 
     # a run that leaves the property region may overflow; its inf/nan
     # states show in the record and in any check, not as warnings
@@ -477,12 +486,10 @@ def integrate(config: RunConfig) -> Trajectory:
             s = method.steps
             startup = _startup_states(problem, method,
                                       resolve_startup(config), y0, config.dt)
-            if shape is None:
-                startup = [float(u[0]) for u in startup]
             recorded = list(startup) if full else [startup[-1]]
             states = deque(reversed(startup), maxlen=s)
             slopes = deque([None] * s, maxlen=s)
-            scaled = _scaled_terms(method.terms, h, shape)
+            scaled = _scaled_terms(method.terms, h)
             for _ in range(s - 1, n):
                 new = _ms_step(scaled, rhs, states, slopes)
                 states.appendleft(new)
@@ -492,8 +499,8 @@ def integrate(config: RunConfig) -> Trajectory:
                 else:
                     recorded[0] = new
         else:
-            stages = _scaled_stages(method.float_stages, h, shape)
-            u = y0 if shape is not None else float(y0[0])
+            stages = _scaled_stages(method.float_stages, h)
+            u = _single_state(y0)
             recorded = [u]
             for _ in range(n):
                 u = _rk_step(stages, rhs, u)
@@ -526,35 +533,37 @@ def integrate(config: RunConfig) -> Trajectory:
 # reference solver
 # ---------------------------------------------------------------------------
 
-def _rk4_classic_step(rhs, u: np.ndarray, coefs) -> np.ndarray:
-    """One classical RK4 step; ``coefs`` holds 0.5*dt, dt, dt/6 and 2.0,
-    formed once per run: floats for a float state, else arrays of the
-    state's shape."""
-    half, full, sixth, two = coefs
+def _rk4_classic_step(rhs, u, coefs):
+    """One classical RK4 step of a single run's state (see
+    ``_single_state``); ``coefs`` holds 0.5*dt, dt and dt/6, formed once
+    per run."""
+    half, full, sixth = coefs
     k1 = rhs(u)
+    if type(u) is list:
+        k2 = rhs([x + half * k for x, k in zip(u, k1)])
+        k3 = rhs([x + half * k for x, k in zip(u, k2)])
+        k4 = rhs([x + full * k for x, k in zip(u, k3)])
+        return [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
     k2 = rhs(u + half * k1)
     k3 = rhs(u + half * k2)
     k4 = rhs(u + full * k3)
-    return u + sixth * (k1 + two * k2 + two * k3 + k4)
+    return u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def reference_solution(problem: OdeProblem, y0, t_end: float,
                        dt_ref: float, t0: float = 0.0) -> np.ndarray:
     """Final state from the classical fourth-order Runge-Kutta tableau,
-    stepped on a Python float for a one-component problem."""
+    stepped as a single run steps its state."""
     n = step_count(t0, t_end, dt_ref)
-    u = np.asarray(y0, dtype=float)
-    if u.shape != (problem.dimension,):
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (problem.dimension,):
         raise ConfigurationError(
-            f"y0 has shape {u.shape}, problem needs ({problem.dimension},)")
+            f"y0 has shape {y0.shape}, problem needs ({problem.dimension},)")
     rhs = problem.rhs
-    coefs = (0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)
-    one = problem.dimension == 1
-    if one:
-        u = float(u[0])
-    else:
-        coefs = [np.full(u.shape, c) for c in coefs]
+    coefs = (0.5 * dt_ref, dt_ref, dt_ref / 6.0)
+    u = _single_state(y0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
             u = _rk4_classic_step(rhs, u, coefs)
-    return np.array([u], dtype=float) if one else u
+    return np.array(u, dtype=float).reshape(y0.shape)

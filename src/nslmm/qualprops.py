@@ -174,6 +174,20 @@ def check_classical_monotonicity(traj: Trajectory, component: int,
                                    direction=direction)
 
 
+def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
+    into ``out``: the linear invariant of a sweep's states and of a
+    recorded trajectory alike.  Elementwise, so each row's value is the
+    same in a batch of any size; numpy's matrix product rounds differently
+    with the row count."""
+    np.multiply(x[:, 0], weights[0], out=out)
+    for k in range(1, len(weights)):
+        np.multiply(x[:, k], weights[k], out=tmp)
+        out += tmp
+    return out
+
+
 def check_linear_invariant(traj: Trajectory, weights: Sequence[float],
                            drift: float, m0: float) -> PropertyReport:
     """Compare the weighted component sum against m0 + drift (t - t0)."""
@@ -185,7 +199,8 @@ def check_linear_invariant(traj: Trajectory, weights: Sequence[float],
     target = m0 + drift * (traj.times - traj.t0)
     # a non-finite state shows as an infinite deviation, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        values = states @ gamma
+        values = _weighted_sum(states, gamma, np.empty(len(states)),
+                               np.empty(len(states)))
         dev = values - target
     n_steps = max(1, traj.first_index + states.shape[0] - 1)
     tol = VIOLATION_RTOL * n_steps

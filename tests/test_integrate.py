@@ -172,11 +172,13 @@ def test_in_place_batch_kernel_equals_single_state_bitwise(method_id, m):
     scratch = (np.empty(h_batch.shape), np.empty(h_batch.shape))
     batch = _kernel_steps(method, rhs, start, h_batch, n, scratch)
     for i in range(h.size):
-        single = _kernel_steps(method, rhs, [u[i] for u in start],
-                               float(h[i]), n)
+        # as a single run steps it: a float for m = 1, else a list
+        single = _kernel_steps(
+            method, rhs, [integrate_mod._single_state(u[i]) for u in start],
+            float(h[i]), n)
         for k in range(n):
-            assert single[k].shape == (m,)
-            assert (batch[k][i] == single[k]).all(), (i, k)
+            assert type(single[k]) is (float if m == 1 else list)
+            assert (batch[k][i] == np.reshape(single[k], m)).all(), (i, k)
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -328,20 +330,50 @@ def _array_step_chain(problem, method, phi, dt, n, y0) -> np.ndarray:
        n=st.integers(min_value=6, max_value=40))
 def test_one_component_run_equals_array_steps_bitwise(method_id, kind, c, y0,
                                                       b_fe, dt, n):
-    # a one-component run steps a Python float; a chain of single steps on
-    # (1,) arrays is the same arithmetic in numpy, so the same bits, also
-    # where a large dt overflows the run to inf or NaN
+    # a one-component run steps a Python float; a chain of single steps and
+    # the kernel-free float-coefficient oracle, both on (1,) arrays, are the
+    # same arithmetic in numpy, so the same bits, also where a large dt
+    # overflows the run to inf or NaN
     problem = logistic_problem(c)
     method = get_method(method_id)
     phi = make_phi_for_method(method, b_fe, kind)
     with np.errstate(all="ignore"):
-        want = _array_step_chain(problem, method, phi, dt, n, [y0])
+        want = np.array(_float_run(problem, method, phi, dt, n, [y0]))
+        chain = _array_step_chain(problem, method, phi, dt, n, [y0])
         traj = integrate(_config(problem, method, phi, dt, n * dt, [y0]))
         final = integrate(_config(problem, method, phi, dt, n * dt, [y0],
                                   record=RecordMode.FINAL_STATE_ONLY))
     assert traj.states.shape == (n + 1, 1)
     assert traj.states.tobytes() == want.tobytes()
+    assert chain.tobytes() == want.tobytes()
     assert final.states.shape == (1, 1)
+    assert final.final_state.tobytes() == want[-1].tobytes()
+
+
+@given(method_id=st.sampled_from(KERNEL_IDS),
+       kind=st.sampled_from(list(CATALOG_KINDS) + [PhiKind.IDENTITY]),
+       influx=st.sampled_from([0.0, 0.4]),
+       y0=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                   min_size=4, max_size=4),
+       b_fe=st.floats(min_value=0.05, max_value=2.0),
+       dt=st.floats(min_value=1e-3, max_value=50.0),
+       n=st.integers(min_value=6, max_value=40))
+def test_several_component_run_equals_float_coefficient_stepping_bitwise(
+        method_id, kind, influx, y0, b_fe, dt, n):
+    # a SEIR run steps a list of Python floats; the oracle steps (4,)
+    # arrays without the kernels, so the same bits, also where a large dt
+    # overflows the run to inf or NaN
+    problem = seir_problem(influx)
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, b_fe, kind)
+    with np.errstate(all="ignore"):
+        want = np.array(_float_run(problem, method, phi, dt, n, y0))
+        traj = integrate(_config(problem, method, phi, dt, n * dt, y0))
+        final = integrate(_config(problem, method, phi, dt, n * dt, y0,
+                                  record=RecordMode.FINAL_STATE_ONLY))
+    assert traj.states.shape == (n + 1, 4)
+    assert traj.states.tobytes() == want.tobytes()
+    assert final.states.shape == (1, 4)
     assert final.final_state.tobytes() == want[-1].tobytes()
 
 

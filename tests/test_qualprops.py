@@ -162,6 +162,20 @@ def test_linear_invariant_weight_length():
         check_linear_invariant(_traj([[1.0, 2.0]]), np.ones(3), 0.0, 3.0)
 
 
+def test_linear_invariant_sums_each_state_left_to_right():
+    # a state's deviation is its own fixed-order sum, whatever the length
+    # of the trajectory around it: numpy's matrix product rounds
+    # differently with the row count
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x, w = rng.uniform(0.0, 1.0, 4), rng.uniform(-2.0, 2.0, 4)
+        want = -abs(((x[0] * w[0] + x[1] * w[1]) + x[2] * w[2]) + x[3] * w[3])
+        for rows in (1, 4, 100, 2001):
+            report = check_linear_invariant(_traj(np.tile(x, (rows, 1))), w,
+                                            drift=0.0, m0=0.0)
+            assert report.worst_margin == want, (x, w, rows)
+
+
 def test_single_euler_step_conserves_the_sum(seir0, seir_y0):
     from nslmm import forward_euler_step
     out = forward_euler_step(seir0, seir_y0, 0.1)
