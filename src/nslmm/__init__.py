@@ -20,8 +20,7 @@ from .problems import (OdeProblem, PropertyKind, QualitativeProperty,
                        UNCONDITIONAL_BOUND, default_properties, eval_rhs,
                        exact_solution, fe_property_bound, forward_euler_step,
                        logistic_problem, make_problem, seir_problem)
-from .qualprops import (PropertyReport, check_bounds,
-                        check_classical_monotonicity, check_linear_invariant,
+from .qualprops import (PropertyReport, check_bounds, check_linear_invariant,
                         check_property, check_weak_monotonicity)
 
 __version__ = "0.1.0"

@@ -34,8 +34,8 @@ from .integrate import (MAX_RECORD_BYTES, ExactStartup, RecordMode,
                         RunConfig, RungeKuttaStartup, integrate)
 from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
                       get_method, ssp_coefficient, validate_method)
-from .problems import (PropertyKind, default_properties, fe_property_bound,
-                       make_problem)
+from .problems import (PropertyKind, QualitativeProperty, default_properties,
+                       fe_property_bound, make_problem)
 
 
 def _finite(value: float, what: str) -> float:
@@ -116,8 +116,10 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_check(token: str, problem, method, y0) -> tuple:
-    """One --check token -> (label, callable(traj) -> PropertyReport)."""
+def _parse_check(token: str, problem, method,
+                 y0) -> tuple[QualitativeProperty, int]:
+    """One --check token -> the property it checks and the window of a
+    windowed monotonicity check (1 for the classical ``mon-*``)."""
     window = method.steps if isinstance(method, MultistepMethod) else 1
     parts = token.split(":")
     name = parts[0]
@@ -136,29 +138,20 @@ def _parse_check(token: str, problem, method, y0) -> tuple:
         if len(parts) < 2:
             raise ConfigurationError(f"{name} needs a level, e.g. {name}:2")
         level = _finite(float(parts[1]), f"{name} level")
-        component = component_at(2, None)
-        key = "lower" if name == "bound-below" else "upper"
-        return token, lambda traj: qualprops.check_bounds(
-            traj, component, **{key: level})
-    if name in ("weakmon-inc", "weakmon-dec"):
-        component = component_at(1, 0)
-        direction = "increase" if name == "weakmon-inc" else "decrease"
-        return token, lambda traj: qualprops.check_weak_monotonicity(
-            traj, component, window, direction)
-    if name in ("mon-inc", "mon-dec"):
-        component = component_at(1, 0)
-        direction = "increase" if name == "mon-inc" else "decrease"
-        return token, lambda traj: qualprops.check_classical_monotonicity(
-            traj, component, direction)
+        return (QualitativeProperty(PropertyKind(name), component_at(2, None),
+                                    level), window)
+    if name in ("weakmon-inc", "weakmon-dec", "mon-inc", "mon-dec"):
+        kind = (PropertyKind.WEAK_MONOTONE_INCREASE if name.endswith("-inc")
+                else PropertyKind.WEAK_MONOTONE_DECREASE)
+        return (QualitativeProperty(kind, component_at(1, 0)),
+                window if name.startswith("weakmon") else 1)
     if name == "sum":
         invariants = [prop for prop in default_properties(problem, y0)
                       if prop.kind is PropertyKind.LINEAR_INVARIANT]
         if not invariants:
             raise ConfigurationError(
                 f"{token}: {problem.name} has no linear invariant")
-        inv = invariants[0]
-        return token, lambda traj: qualprops.check_linear_invariant(
-            traj, inv.weights, inv.drift, inv.level)
+        return invariants[0], window
     raise ConfigurationError(f"unknown check {token!r}")
 
 
@@ -198,8 +191,8 @@ def _cmd_solve(args) -> int:
     _write_output(traj.to_csv(), args.out)
 
     all_hold = True
-    for _label, runner in checks:
-        report = runner(traj)
+    for prop, window in checks:
+        report = qualprops.check_property(traj, prop, window)
         all_hold &= report.holds
         sys.stderr.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     if not problem.bound_proven:

@@ -26,10 +26,9 @@ which ones each monitor still watches, changes only on events: a check that
 newly fails (which may finish an element and its group) or a horizon that
 passes.  These sets are kept from step to step and made again only on the
 step after an event, so most steps form the new states and test them
-against cached masks.  A linear invariant is summed component by
-component in a fixed order, elementwise, so an element's deviation is the
-same in a batch of any size (numpy's matrix product rounds differently
-with the row count).
+against cached masks.  The monitors call the elementwise predicates of
+``qualprops``, so an element's verdicts and invariant deviation do not
+depend on its batch, and equal a recorded run's of the same states.
 
 Sharpness bisection uses that independence: every initial value's threshold
 bracket advances together, two bisection levels per sweep (each row's
@@ -61,7 +60,8 @@ from .integrate import (MAX_RECORD_BYTES, RecordMode, RunConfig as _RunConfig,
 from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
                        exact_solution, fe_property_bound)
-from .qualprops import _weighted_sum
+from .qualprops import (_weighted_sum, bound_edges, invariant_deviation,
+                        window_violations)
 
 # ---------------------------------------------------------------------------
 # convergence studies
@@ -260,8 +260,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     (decrease) or 0 (skip); each is either one value for the whole batch or
     an array of shape (B,).  In an array a missing bound is
     -inf/+inf, and an element with both bounds missing has no bound check.
-    An in-horizon state with a non-finite component violates every check
-    requested for its element.  Elements stop evolving once every check
+    An in-horizon state with a non-finite component, startup states
+    included, violates every check requested for its element, and its
+    invariant deviation is inf.  Elements stop evolving once every check
     requested for them has failed or their horizon is reached; the
     invariant ``invariant_weights`` (one weight per component) is
     monitored while an element evolves.  ``bounds`` must be positive and
@@ -330,29 +331,17 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     else:
         phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
 
-    def edge(bound, sign: float) -> np.ndarray:
-        # the bound widened by a 1e-12 relative tolerance, per element
-        if bound is None:
-            return np.full(B, sign * np.inf)
-        bound = np.broadcast_to(np.asarray(bound, dtype=float), (B,))
-        return bound + sign * 1e-12 * np.maximum(1.0, np.abs(bound))
-
     check_bounds_on = lower is not None or upper is not None
     if check_bounds_on:
-        lo_edge = edge(lower, -1.0)
-        hi_edge = edge(upper, +1.0)
-        bound_req = ~(np.isneginf(lo_edge) & np.isposinf(hi_edge))
-        # finite edges make one pair of comparisons also fail NaN and
-        # infinite states
-        big = np.finfo(float).max
-        lo_edge = np.fmax(lo_edge, -big)
-        hi_edge = np.fmin(hi_edge, big)
+        lower, upper = (np.broadcast_to(np.asarray(bound, dtype=float), (B,))
+                        for bound in (-np.inf if lower is None else lower,
+                                      np.inf if upper is None else upper))
+        bound_req = ~(np.isneginf(lower) & np.isposinf(upper))
+        lo_edge, hi_edge = bound_edges(lower, upper)
     else:
         bound_req = np.zeros(B, dtype=bool)
     direction = np.broadcast_to(np.asarray(weak_direction, dtype=int), (B,))
     weak_req = direction != 0
-    weak_inc = direction > 0
-    weak_dec = direction < 0
     check_weak = bool(weak_req.any())
     check_inv = invariant_weights is not None
     if check_inv:
@@ -382,8 +371,8 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         idx = np.arange(sl.start, sl.stop)
         b = idx.size
         horizon, b_req, w_req = n_steps[sl], bound_req[sl], weak_req[sl]
-        inc, dec = weak_inc[sl], weak_dec[sl]
-        any_inc, any_dec = bool(inc.any()), bool(dec.any())
+        # True: a windowed increase, else a decrease (or no check: unwatched)
+        w_inc = direction[sl] > 0
         group = None if groups is None else groups[sl]
         bound_viol = np.zeros(b, dtype=bool)
         weak_viol = np.zeros(b, dtype=bool)
@@ -405,15 +394,14 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             """(Re)make the block's scratch for ``size`` elements: the
             kernels' pair, in which every term of a step is formed, and the
             invariant's."""
-            nonlocal scratch, sums, target
+            nonlocal scratch, sums, elapsed
             scratch = (np.empty((size, m), order="F"),
                        np.empty((size, m), order="F"))
             if check_inv:
                 sums = (np.empty(size), np.empty(size))
-                target = (block_level if invariant_drift == 0
-                          else np.empty(size))
+                elapsed = None if invariant_drift == 0 else np.empty(size)
 
-        scratch = sums = target = None
+        scratch = sums = elapsed = None
         buffers(b)
 
         def watch(live) -> None:
@@ -440,20 +428,25 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 viol[v] = True
                 changed = True
 
-        def record(state: np.ndarray, step_idx: int) -> None:
-            """Monitor the bounds and the invariant of ``state``, the
-            states of step ``step_idx``, for the elements ``live``."""
+        def record(state: np.ndarray, step_idx: int, older=None) -> None:
+            """Monitor ``state``, the states of step ``step_idx``, for the
+            elements ``live``; the weak window is the ``older`` states,
+            oldest first (None: a startup state, checked only for NaN/inf)."""
             if check_bounds_on:
                 flag(b_watch & ~_rows_all((state >= lo) & (state <= hi)),
                      bound_viol, first_bound, step_idx)
+            if check_weak:
+                v = ~_rows_all(np.isfinite(state))
+                if older is not None:
+                    v |= window_violations(
+                        state[:, weak_component],
+                        [u[:, weak_component] for u in older], w_inc)
+                flag(v & w_watch, weak_viol, first_weak, step_idx)
             if check_inv:
-                if invariant_drift != 0:
-                    # level + drift * (step_idx * dt)
-                    np.multiply(step_idx, block_dts, out=target)
-                    np.multiply(invariant_drift, target, out=target)
-                    np.add(block_level, target, out=target)
-                dev = _weighted_sum(state, gamma, *sums)
-                np.subtract(dev, target, out=dev)
+                if elapsed is not None:
+                    np.multiply(step_idx, block_dts, out=elapsed)
+                dev, _ = invariant_deviation(state, gamma, block_level,
+                                             invariant_drift, elapsed, *sums)
                 np.abs(dev, out=dev)
                 np.maximum(inv_dev, dev, out=inv_dev,
                            where=True if live is None else live)
@@ -463,7 +456,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             at = idx[sel]
             out.bound_violated[at] = bound_viol[sel]
             out.weak_violated[at] = weak_viol[sel]
-            out.invariant_max_dev[at] = inv_dev[sel]
+            # a NaN deviation sticks in the running maximum; it is an
+            # infinite one, as in a recorded run's monitor
+            dev = inv_dev[sel]
+            out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
             out.first_bound_step[at] = first_bound[sel]
             out.first_weak_step[at] = first_weak[sel]
             out.final_states[at] = states[0][sel]
@@ -511,10 +507,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                         break
                     if n_active <= COMPACT_AT * active.size:
                         retire(~active)
-                        (idx, horizon, b_req, w_req, inc, dec, group, done,
+                        (idx, horizon, b_req, w_req, w_inc, group, done,
                          lo, hi, bound_viol, weak_viol, first_bound,
                          first_weak, inv_dev, block_level, block_dts) = _take(
-                            active, idx, horizon, b_req, w_req, inc, dec,
+                            active, idx, horizon, b_req, w_req, w_inc,
                             group, done, lo, hi, bound_viol, weak_viol,
                             first_bound, first_weak, inv_dev, block_level,
                             block_dts)
@@ -532,17 +528,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 if frozen is not None:
                     np.copyto(new, states[0], where=frozen)
 
-                if check_weak:
-                    window = np.array([u[:, weak_component] for u in states])
-                    comp = new[:, weak_component]
-                    tol_w = 1e-12 * np.maximum(1.0, np.abs(comp))
-                    v = ~_rows_all(np.isfinite(new))
-                    if any_inc:
-                        v |= inc & (comp < window.min(axis=0) - tol_w)
-                    if any_dec:
-                        v |= dec & (comp > window.max(axis=0) + tol_w)
-                    flag(v & w_watch, weak_viol, first_weak, step_idx)
-                record(new, step_idx)
+                record(new, step_idx, reversed(states))
                 states.appendleft(new)
                 slopes.appendleft(None)
         retire(slice(None))

@@ -556,10 +556,7 @@ def reference_solution(problem: OdeProblem, y0, t_end: float,
     """Final state from the classical fourth-order Runge-Kutta tableau,
     stepped as a single run steps its state."""
     n = step_count(t0, t_end, dt_ref)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (problem.dimension,):
-        raise ConfigurationError(
-            f"y0 has shape {y0.shape}, problem needs ({problem.dimension},)")
+    y0 = _initial_state(problem, y0)
     rhs = problem.rhs
     coefs = (0.5 * dt_ref, dt_ref, dt_ref / 6.0)
     u = _single_state(y0)

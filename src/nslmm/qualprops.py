@@ -5,17 +5,20 @@ first violation if any, and the worst margin encountered.  Margins are
 signed so that ``holds`` is equivalent to ``worst_margin >= -tol``: for an
 upper bound the margin is bound minus value, for a lower bound value minus
 bound, for windowed monotonicity the distance to the window extremum, and
-for a linear invariant the negated absolute drift from its target line.
-
-Round-off at a pinned boundary is not a violation: bound and windowed checks
-use a relative tolerance of 1e-12, and invariant drift is allowed to grow
-linearly with the step count.  A non-finite (NaN or infinite) checked value
-always is: the first one can be the first violation, and its margin is -inf.
+for a linear invariant the negated absolute drift from its target line
+``level + drift * (n * dt)`` (a problem's property set takes the level
+from y0, as a sweep does).  The verdicts come from three elementwise
+predicates, ``bound_edges``, ``window_violations`` and
+``invariant_deviation``, which ``experiments.run_preservation_sweep``
+calls too.  A state with a non-finite component violates every check at
+its step, whichever component the check concerns: a bound or windowed
+violation names the first non-finite component, and the margin is -inf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +67,63 @@ def _require_states(traj: Trajectory) -> np.ndarray:
     return states
 
 
-def _tol(ref: float) -> float:
-    return VIOLATION_RTOL * max(1.0, abs(ref))
+def bound_edges(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """The edges a value x keeps iff ``lo <= x <= hi``: ``lower`` and
+    ``upper`` (-inf/+inf where missing) widened by ``VIOLATION_RTOL *
+    max(1, |b|)`` and clamped to the largest float, which NaN and infinite
+    values never keep."""
+    lower, upper = np.asarray(lower, float), np.asarray(upper, float)
+    lo = lower - VIOLATION_RTOL * np.maximum(1.0, np.abs(lower))
+    hi = upper + VIOLATION_RTOL * np.maximum(1.0, np.abs(upper))
+    big = np.finfo(float).max
+    return np.fmax(lo, -big), np.fmin(hi, big)
+
+
+def window_extremum(older: Sequence[np.ndarray], increase: bool):
+    """The minimum (``increase``) or maximum of the window's ``older``
+    values, arrays of the same shape, reduced oldest to newest."""
+    return reduce(np.minimum if increase else np.maximum, older)
+
+
+def window_violations(x: np.ndarray, older: Sequence[np.ndarray],
+                      increase) -> np.ndarray:
+    """Whether each value of ``x`` breaks windowed monotonicity against
+    ``older``, the window's older values oldest first: ``x < min - tol``
+    where ``increase`` (one value or one per element) holds, else ``x >
+    max + tol``, with ``tol = VIOLATION_RTOL * max(1, |x|)``."""
+    increase = np.asarray(increase)
+    tol = VIOLATION_RTOL * np.maximum(1.0, np.abs(x))
+    up = down = False
+    if increase.any():
+        up = increase & (x < window_extremum(older, True) - tol)
+    if not increase.all():
+        down = ~increase & (x > window_extremum(older, False) + tol)
+    return up | down
+
+
+def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
+    into ``out``: elementwise, so each row's value is the same in a batch of
+    any size (numpy's matrix product rounds differently with the rows)."""
+    np.multiply(x[:, 0], weights[0], out=out)
+    for k in range(1, len(weights)):
+        np.multiply(x[:, k], weights[k], out=tmp)
+        out += tmp
+    return out
+
+
+def invariant_deviation(x: np.ndarray, weights: np.ndarray, level, drift,
+                        elapsed, out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """``_weighted_sum(x) - (level + drift * elapsed)`` for (b, m) states
+    ``x``, with ``elapsed`` = n * dt at step n, into ``out``.  Returns it
+    and the target line: ``level`` without drift, else in ``tmp``."""
+    _weighted_sum(x, weights, out, tmp)
+    if drift == 0:
+        return np.subtract(out, level, out=out), level
+    np.multiply(drift, elapsed, out=tmp)
+    np.add(level, tmp, out=tmp)
+    return np.subtract(out, tmp, out=out), tmp
 
 
 def check_bounds(traj: Trajectory, component: int | None = None,
@@ -80,142 +138,107 @@ def check_bounds(traj: Trajectory, component: int | None = None,
         raise ValueError("need an upper or a lower bound")
     states = _require_states(traj)
     m = states.shape[1]
-    if component is not None:
-        if not 0 <= component < m:
-            raise ValueError(f"component {component} out of range 0..{m - 1}")
-        cols = states[:, [component]]
-        col_ids = [component]
-    else:
-        cols = states
-        col_ids = list(range(m))
-
-    # fmin keeps the -inf of a non-finite value where a NaN difference
-    # would otherwise win
-    viol = ~np.isfinite(cols)
-    margin = np.where(viol, -np.inf, np.inf)
-    if upper is not None:
-        mu = upper - cols
-        margin = np.fmin(margin, mu)
-        viol |= mu < -_tol(upper)
-    if lower is not None:
-        ml = cols - lower
-        margin = np.fmin(margin, ml)
-        viol |= ml < -_tol(lower)
+    if component is not None and not 0 <= component < m:
+        raise ValueError(f"component {component} out of range 0..{m - 1}")
+    col_ids = list(range(m)) if component is None else [component]
+    cols = states[:, col_ids]
+    lo, hi = bound_edges(-np.inf if lower is None else lower,
+                         np.inf if upper is None else upper)
+    kept = (cols >= lo) & (cols <= hi)
+    finite = np.isfinite(states).all(axis=1)
+    violated = ~(finite & kept.all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # see ``finite``
+        margin = np.fmin(np.inf if upper is None else upper - cols,
+                         np.inf if lower is None else cols - lower)
 
     first = None
-    if viol.any():
-        step, col = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        k = col_ids[col]
-        value = float(cols[step, col])
+    if violated.any():
+        step = int(np.argmax(violated))
+        k = (col_ids[int(np.argmax(~kept[step]))] if finite[step]
+             else int(np.argmax(~np.isfinite(states[step]))))
+        value = float(states[step, k])
         which = (upper if lower is None or (upper is not None and value > upper)
                  else lower)
-        first = Violation(step=int(traj.first_index + step), component=k,
+        first = Violation(step=traj.first_index + step, component=k,
                           value=value, bound=float(which))
-    descriptor = {
-        "kind": "bounds",
-        "component": component,
-        "upper": upper,
-        "lower": lower,
-    }
+    descriptor = {"kind": "bounds", "component": component, "upper": upper,
+                  "lower": lower}
+    worst = float(margin.min()) if finite.all() else -np.inf
     return PropertyReport(descriptor=descriptor, holds=first is None,
-                          first_violation=first,
-                          worst_margin=float(margin.min()))
+                          first_violation=first, worst_margin=worst)
 
 
 def check_weak_monotonicity(traj: Trajectory, component: int, window: int,
                             direction: str) -> PropertyReport:
     """Windowed monotonicity: each iterate past the first ``window`` entries
     must not drop below the minimum (direction "increase") or rise above the
-    maximum (direction "decrease") of the preceding ``window`` iterates."""
+    maximum (direction "decrease") of the preceding ``window`` iterates.
+    A ``window`` of 1 is classical step-by-step monotonicity, which the
+    preservation theory does not guarantee."""
     if direction not in ("increase", "decrease"):
         raise ValueError("direction must be 'increase' or 'decrease'")
     states = _require_states(traj)
     if window < 1:
         raise ValueError("window must be >= 1")
-    if states.shape[0] <= window:
+    n = states.shape[0]
+    if n <= window:
         raise ValueError("window is longer than the trajectory")
     series = states[:, component]
-    windows = np.lib.stride_tricks.sliding_window_view(series[:-1], window)
-    tols = VIOLATION_RTOL * np.maximum(1.0, np.abs(series[window:]))
-    with np.errstate(invalid="ignore"):  # inf - inf: handled below
-        if direction == "increase":
-            ref = windows.min(axis=1)
-            margin = series[window:] - ref
-        else:
-            ref = windows.max(axis=1)
-            margin = ref - series[window:]
-    # by iterate index; a non-finite iterate violates even inside the first
+    x = series[window:]
+    older = [series[j:n - window + j] for j in range(window)]
+    increase = direction == "increase"
+    extremum = window_extremum(older, increase)
+    with np.errstate(invalid="ignore"):  # inf - inf: handled by finite
+        broken = window_violations(x, older, increase)
+        margin = x - extremum if increase else extremum - x
+    # by iterate index; a non-finite state violates even inside the first
     # window, where it has no window extremum to report
-    finite = np.isfinite(series)
-    viol = ~finite
-    viol[window:] |= margin < -tols
+    finite = np.isfinite(states).all(axis=1)
+    violated = ~finite
+    violated[window:] |= broken
     first = None
-    if viol.any():
-        i = int(np.argmax(viol))
-        first = Violation(step=int(traj.first_index + i),
-                          component=component, value=float(series[i]),
-                          bound=float(ref[i - window]) if i >= window
+    if violated.any():
+        i = int(np.argmax(violated))
+        k = component if finite[i] else int(np.argmax(~np.isfinite(states[i])))
+        first = Violation(step=traj.first_index + i, component=k,
+                          value=float(states[i, k]),
+                          bound=float(extremum[i - window]) if i >= window
                           else float("nan"))
-    descriptor = {
-        "kind": f"weakmon-{direction}",
-        "component": component,
-        "window": window,
-    }
+    descriptor = {"kind": f"weakmon-{direction}", "component": component,
+                  "window": window}
     worst = float(margin.min()) if finite.all() else -np.inf
     return PropertyReport(descriptor=descriptor, holds=first is None,
                           first_violation=first, worst_margin=worst)
 
 
-def check_classical_monotonicity(traj: Trajectory, component: int,
-                                 direction: str) -> PropertyReport:
-    """Step-by-step monotonicity; stricter than the windowed property and
-    not guaranteed by the preservation theory (diagnostic only)."""
-    return check_weak_monotonicity(traj, component, window=1,
-                                   direction=direction)
-
-
-def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
-    """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
-    into ``out``: the linear invariant of a sweep's states and of a
-    recorded trajectory alike.  Elementwise, so each row's value is the
-    same in a batch of any size; numpy's matrix product rounds differently
-    with the row count."""
-    np.multiply(x[:, 0], weights[0], out=out)
-    for k in range(1, len(weights)):
-        np.multiply(x[:, k], weights[k], out=tmp)
-        out += tmp
-    return out
-
-
 def check_linear_invariant(traj: Trajectory, weights: Sequence[float],
                            drift: float, m0: float) -> PropertyReport:
-    """Compare the weighted component sum against m0 + drift (t - t0)."""
+    """Compare the weighted component sum against m0 + drift (t - t0); the
+    drift allowed grows by ``VIOLATION_RTOL`` per step."""
     states = _require_states(traj)
     gamma = np.asarray(weights, dtype=float)
     if gamma.shape != (states.shape[1],):
         raise ValueError(
             f"weights have shape {gamma.shape}, expected ({states.shape[1]},)")
-    target = m0 + drift * (traj.times - traj.t0)
+    n = states.shape[0]
+    steps = traj.first_index + np.arange(n)
     # a non-finite state shows as an infinite deviation, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _weighted_sum(states, gamma, np.empty(len(states)),
-                               np.empty(len(states)))
-        dev = values - target
-    n_steps = max(1, traj.first_index + states.shape[0] - 1)
-    tol = VIOLATION_RTOL * n_steps
-    abs_dev = np.where(np.isnan(dev), np.inf, np.abs(dev))
-    first = None
-    if (abs_dev > tol).any():
-        i = int(np.argmax(abs_dev > tol))
-        first = Violation(step=int(traj.first_index + i), component=None,
-                          value=float(values[i]), bound=float(target[i]))
-    descriptor = {
-        "kind": "linear-invariant",
-        "weights": [float(g) for g in gamma],
-        "drift": drift,
-        "level": m0,
-    }
+        dev, target = invariant_deviation(
+            states, gamma, np.full(n, float(m0)), drift, steps * traj.dt,
+            np.empty(n), np.empty(n))
+        abs_dev = np.abs(dev)
+        abs_dev[np.isnan(abs_dev)] = np.inf
+        tol = VIOLATION_RTOL * max(1, traj.first_index + n - 1)
+        first = None
+        if (abs_dev > tol).any():
+            i = int(np.argmax(abs_dev > tol))
+            value = _weighted_sum(states[i:i + 1], gamma, *np.empty((2, 1)))
+            first = Violation(step=traj.first_index + i, component=None,
+                              value=float(value[0]), bound=float(target[i]))
+    descriptor = {"kind": "linear-invariant",
+                  "weights": [float(g) for g in gamma], "drift": drift,
+                  "level": m0}
     return PropertyReport(descriptor=descriptor, holds=first is None,
                           first_violation=first,
                           worst_margin=float(-abs_dev.max()))

@@ -46,6 +46,22 @@ def test_solve_standard_strict_violation(capsys):
     assert report["first_violation"]["n"] > 0
 
 
+def test_solve_check_on_a_finite_component_of_a_non_finite_state(capsys):
+    # the untransformed SEIR run ends in -inf and inf; component 2 stays
+    # far below the bound, yet the last state violates it
+    code, out, err = run_cli(
+        capsys, "solve", "--problem", "seir", "--y0", "0.8,0,0.2,0",
+        "--method", "sspms42", "--standard", "--dt", "1", "--t-end", "19",
+        "--check", "bound-above:1e300:2", "--strict")
+    assert out.strip().splitlines()[-1].startswith("19.0,-inf,inf,")
+    assert code == 1
+    report = json.loads(err.strip().splitlines()[0])
+    assert report["holds"] is False
+    assert report["first_violation"] == {"n": 19, "k": 0, "value": -math.inf,
+                                         "bound": 1e300}
+    assert report["worst_margin"] == -math.inf
+
+
 def test_solve_violation_without_strict_exits_zero(capsys):
     code, _out, err = run_cli(capsys, *FIG3_ARGS, "--standard",
                               "--check", "bound-below:2")

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nslmm as n
 from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
@@ -549,8 +549,10 @@ def test_sweep_nan_initial_state_violates_every_check(logistic2):
         lower=0.0, upper=2.0, weak_direction=+1)
     assert list(outcome.bound_violated) == [True, False]
     assert list(outcome.weak_violated) == [True, False]
+    # the startup states are monitored too, so both checks fail at the
+    # NaN start itself, as a recorded run's monitors find
     assert outcome.first_bound_step[0] == 0
-    assert outcome.first_weak_step[0] == m.steps
+    assert outcome.first_weak_step[0] == 0
 
 
 def test_sweep_overflowing_starter_prints_no_warnings(seir0, seir_y0):
@@ -593,6 +595,114 @@ def test_sweep_overflow_violates_lower_only_check():
     assert not finite.all()
     assert outcome.bound_violated[0]
     assert outcome.first_bound_step[0] == np.argmin(finite)
+
+
+def test_sweep_invariant_deviation_of_a_non_finite_run_is_inf(seir0,
+                                                              seir_y0):
+    # the untransformed runs end in -inf and inf components, whose sum is
+    # NaN; the deviation is inf, as a recorded run's monitor reports it
+    m = get_method("sspms42")
+    startup = n.RungeKuttaStartup("ssprk22", PhiKind.IDENTITY)
+    dts = np.array([1.0, 3.0])
+    outcome = run_preservation_sweep(
+        seir0, m, PhiKind.IDENTITY, 1.0, dts, np.array([seir_y0, seir_y0]),
+        40, startup=startup, invariant_weights=np.ones(4))
+    assert (outcome.invariant_max_dev == np.inf).all()
+    for dt in dts:
+        traj = n.integrate(n.RunConfig(
+            problem=seir0, method=m, phi=n.DenominatorSpec(PhiKind.IDENTITY),
+            dt=float(dt), t_end=40 * float(dt), y0=seir_y0, startup=startup))
+        assert not np.isfinite(traj.final_state).all()
+        report = n.check_linear_invariant(traj, np.ones(4), 0.0, 1.0)
+        assert report.worst_margin == -np.inf
+
+
+@pytest.mark.parametrize("dt", [20.0, 50.0, 200.0])
+def test_sweep_weak_check_covers_the_startup_states(seir0, seir_y0, dt):
+    # the untransformed ssprk104 starter overflows inside the startup; the
+    # weak check fails there, where a recorded run's monitor finds it
+    m = get_method("sspms64")
+    startup = n.RungeKuttaStartup("ssprk104", PhiKind.IDENTITY)
+    outcome = run_preservation_sweep(
+        seir0, m, PhiKind.IDENTITY, 1.0, np.array([dt]), seir_y0[None], 40,
+        startup=startup, weak_direction=-1, weak_component=2)
+    traj = n.integrate(n.RunConfig(
+        problem=seir0, method=m, phi=n.DenominatorSpec(PhiKind.IDENTITY),
+        dt=dt, t_end=40 * dt, y0=seir_y0, startup=startup))
+    report = n.check_weak_monotonicity(traj, 2, m.steps, "decrease")
+    assert report.first_violation.step < m.steps
+    assert outcome.first_weak_step[0] == report.first_violation.step
+
+
+@st.composite
+def _recorded_runs(draw):
+    """One untransformed run with an untransformed Runge-Kutta starter, so
+    that a one-element sweep steps it with the same h: logistic, or SEIR
+    with or without influx, with bounds on every component, a windowed
+    check and the linear invariant of its property set (the state itself
+    for logistic)."""
+    problem = draw(st.sampled_from([n.logistic_problem(2.0),
+                                    n.seir_problem(0.0),
+                                    n.seir_problem(0.4)]))
+    m = get_method(draw(st.sampled_from(n.MULTISTEP_IDS)))
+    v = draw(st.floats(0.05, 0.95))
+    if problem.dimension == 1:
+        y0 = np.array([2.5 * v])
+        weights, drift, level = (1.0,), 0.0, float(y0[0])
+    else:
+        y0 = np.array([1.0 - v, 0.1 * v, v, 0.0])
+        inv = [p for p in n.default_properties(problem, y0)
+               if p.kind is n.PropertyKind.LINEAR_INVARIANT][0]
+        weights, drift, level = inv.weights, inv.drift, inv.level
+    lower, upper = draw(st.sampled_from([(0.0, None), (None, 2.0),
+                                         (0.0, 1.0), (0.0, 2.0)]))
+    return dict(problem=problem, method=m, y0=y0,
+                dt=draw(st.floats(0.05, 50.0)),
+                n_steps=draw(st.integers(m.steps, 40)),
+                startup=n.RungeKuttaStartup(
+                    STARTER_FOR_ORDER[m.design_order][0], PhiKind.IDENTITY),
+                lower=lower, upper=upper,
+                direction=draw(st.sampled_from([-1, 1])),
+                component=draw(st.integers(0, problem.dimension - 1)),
+                weights=weights, drift=drift, level=level)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(run=_recorded_runs())
+def test_one_element_sweep_monitors_equal_recorded_run_monitors(run):
+    # the sweep's online monitors and qualprops share their predicates, so
+    # they agree exactly: first bound step, first weak step, and the
+    # invariant's largest deviation (inf once the run is not finite)
+    problem, m, y0, dt = run["problem"], run["method"], run["y0"], run["dt"]
+    sweep = dict(problem=problem, method=m, phi_kind=PhiKind.IDENTITY,
+                 bounds=1.0, dts=np.array([dt]), y0s=y0[None],
+                 n_steps=run["n_steps"], startup=run["startup"])
+    checked = run_preservation_sweep(
+        **sweep, lower=run["lower"], upper=run["upper"],
+        weak_direction=run["direction"], weak_component=run["component"])
+    # the invariant alone stops no element, so it is watched to the horizon
+    invariant = run_preservation_sweep(
+        **sweep, invariant_weights=np.array(run["weights"]),
+        invariant_drift=run["drift"])
+    traj = n.integrate(n.RunConfig(
+        problem=problem, method=m, phi=n.DenominatorSpec(PhiKind.IDENTITY),
+        dt=dt, t_end=run["n_steps"] * dt, y0=y0, startup=run["startup"]))
+    assert invariant.final_states[0].tobytes() == traj.final_state.tobytes()
+
+    def first_step(report):
+        violation = report.first_violation
+        return -1 if violation is None else violation.step
+
+    bounds = n.check_bounds(traj, None, upper=run["upper"],
+                            lower=run["lower"])
+    weak = n.check_weak_monotonicity(
+        traj, run["component"], m.steps,
+        "increase" if run["direction"] > 0 else "decrease")
+    inv = n.check_linear_invariant(traj, run["weights"], run["drift"],
+                                   run["level"])
+    assert checked.first_bound_step[0] == first_step(bounds)
+    assert checked.first_weak_step[0] == first_step(weak)
+    assert invariant.invariant_max_dev[0] == -inv.worst_margin
 
 
 def _assert_same_outcome(got, want):

@@ -665,6 +665,14 @@ def test_reference_equals_float_rk4_loop_bitwise(problem_name, y0, dt):
     assert got.tobytes() == _rk4_float_loop(problem, y0, 100, dt).tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reference_rejects_a_non_finite_y0_before_any_step(seir0, bad):
+    counted, calls = counting_rhs(seir0)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        reference_solution(counted, [0.8, bad, 0.2, 0.0], 5.0, 1e-4)
+    assert calls[0] == 0
+
+
 def test_reference_misaligned_rejected(logistic2):
     with pytest.raises(ConfigurationError):
         reference_solution(logistic2, [1.0], 1.0, 0.3)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nslmm import (DenominatorSpec, PhiKind, QualitativeProperty, RunConfig,
-                   Trajectory, check_bounds, check_classical_monotonicity,
-                   check_linear_invariant, check_property,
-                   check_weak_monotonicity, fe_property_bound, get_method,
-                   integrate, make_phi_for_method)
+                   Trajectory, check_bounds, check_linear_invariant,
+                   check_property, check_weak_monotonicity, fe_property_bound,
+                   get_method, integrate, make_phi_for_method)
 from nslmm.problems import PropertyKind
 
 
@@ -90,10 +89,11 @@ def test_windowed_increase_violation_example():
 
 
 def test_windowed_property_weaker_than_classical():
-    # dips above the window minimum violate classical but not windowed
+    # dips above the window minimum violate classical (window 1) but not
+    # windowed monotonicity
     series = [1.0, 2.0, 3.0, 4.0, 3.5, 4.5]
     weak = check_weak_monotonicity(_traj(series), 0, 4, "increase")
-    strict = check_classical_monotonicity(_traj(series), 0, "increase")
+    strict = check_weak_monotonicity(_traj(series), 0, 1, "increase")
     assert weak.holds
     assert not strict.holds
     assert strict.first_violation.step == 4
@@ -124,7 +124,7 @@ def test_transformed_run_keeps_windowed_decrease_where_strict_fails(logistic2):
     traj = integrate(RunConfig(problem=logistic2, method=m, phi=phi, dt=0.5,
                                t_end=15.0, y0=[3.0]))
     weak = check_weak_monotonicity(traj, 0, 4, "decrease")
-    strict = check_classical_monotonicity(traj, 0, "decrease")
+    strict = check_weak_monotonicity(traj, 0, 1, "decrease")
     assert weak.holds
     assert not strict.holds
 
@@ -208,6 +208,26 @@ def test_infinite_value_violates_a_one_sided_bound():
     report = check_bounds(_traj([0.5, np.inf, 1.0]), 0, lower=0.0)
     assert not report.holds
     assert report.first_violation.step == 1
+    assert report.worst_margin == -np.inf
+
+
+def test_non_finite_component_fails_a_check_on_another_component():
+    # component 1 stays finite and inside every check; the state of step 2
+    # is not finite, so each check on component 1 fails there and names
+    # the first non-finite component
+    states = np.array([[0.5, 0.5], [0.6, 0.6], [-np.inf, 0.7], [np.nan, 0.8],
+                       [np.nan, 0.9]])
+    traj = _traj(states)
+    for report in (check_bounds(traj, 1, upper=1.0),
+                   check_weak_monotonicity(traj, 1, 2, "increase")):
+        assert not report.holds
+        assert report.first_violation.step == 2
+        assert report.first_violation.component == 0
+        assert report.first_violation.value == -np.inf
+        assert report.worst_margin == -np.inf
+    # a zero weight does not hide the state either
+    report = check_linear_invariant(traj, [0.0, 1.0], 0.1, 0.5)
+    assert report.first_violation.step == 2
     assert report.worst_margin == -np.inf
 
 
