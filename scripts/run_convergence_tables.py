@@ -10,8 +10,10 @@ Writes one CSV per study into the output directory:
   seir_transforms.csv           epidemic system, all eight transforms
   seir_methods.csv              epidemic system, all six methods
 
-Columns: dt, then error/order pairs per configuration.  --quick shrinks the
-step-size grids for a fast smoke run.
+Columns: dt, then error/order pairs per configuration.  Multistep runs
+start with the default startup: the exact solution for logistic, the
+matching-order Runge-Kutta starter for SEIR.  --quick shrinks the step-size
+grids for a fast smoke run.
 """
 
 import argparse
@@ -19,8 +21,7 @@ import sys
 from pathlib import Path
 
 import nslmm as n
-from nslmm import (ExactReference, PhiKind, RK4Reference, RungeKuttaStartup,
-                   convergence_study)
+from nslmm import ExactReference, PhiKind, RK4Reference, convergence_study
 
 TRANSFORMS = list(n.CATALOG_KINDS)
 METHOD_PAIRS = [
@@ -47,25 +48,22 @@ def merged_csv(reports, labels):
     return "\n".join(lines) + "\n"
 
 
-def transform_study(problem, method_id, dts, t_end, y0, reference, startup):
+def transform_study(problem, method_id, dts, t_end, y0, reference):
     method = n.get_method(method_id)
     reports, labels = [], []
     for kind in TRANSFORMS:
         reports.append(convergence_study(
-            problem, method, kind, dts, t_end, y0, reference,
-            startup=startup))
+            problem, method, kind, dts, t_end, y0, reference))
         labels.append(kind.value)
     return merged_csv(reports, labels)
 
 
-def method_study(problem, dts, t_end, y0, reference, starter_table):
+def method_study(problem, dts, t_end, y0, reference):
     reports, labels = [], []
     for method_id, kind in METHOD_PAIRS:
         method = n.get_method(method_id)
-        startup = starter_table.get(method_id)
         reports.append(convergence_study(
-            problem, method, kind, dts, t_end, y0, reference,
-            startup=startup))
+            problem, method, kind, dts, t_end, y0, reference))
         labels.append(f"{method_id}_{kind.value}")
     return merged_csv(reports, labels)
 
@@ -86,33 +84,26 @@ def main(argv=None):
     seir = n.seir_problem(0.0)
     seir_y0 = [0.8, 0.0, 0.2, 0.0]
     seir_ref = RK4Reference(5e-4 if args.quick else 1e-4)
-    ms_starters = {
-        "sspms42": RungeKuttaStartup("ssprk22", PhiKind.PHI5),
-        "sspms43": RungeKuttaStartup("ssprk33", PhiKind.PHI7),
-        "sspms64": RungeKuttaStartup("ssprk104", PhiKind.PHI8),
-    }
 
     jobs = [
         ("logistic_c2_transforms.csv", lambda: transform_study(
             logistic2, "sspms64", [0.1 * 2.0 ** -k for k in range(k_phi)],
-            1.0, [1.0], ExactReference(), None)),
+            1.0, [1.0], ExactReference())),
         ("logistic_c2_methods.csv", lambda: method_study(
             logistic2, [0.05 * 2.0 ** -k for k in range(k_meth)],
-            1.0, [1.0], ExactReference(), {})),
+            1.0, [1.0], ExactReference())),
         ("logistic_c500_transforms.csv", lambda: transform_study(
             logistic500, "sspms64", [2e-4 * 2.0 ** -k for k in range(k_phi)],
-            1.0 / 500.0, [1000.0], ExactReference(), None)),
+            1.0 / 500.0, [1000.0], ExactReference())),
         ("logistic_c500_methods.csv", lambda: method_study(
             logistic500, [2e-4 * 2.0 ** -k for k in range(k_meth)],
-            1.0 / 500.0, [1000.0], ExactReference(), {})),
+            1.0 / 500.0, [1000.0], ExactReference())),
         ("seir_transforms.csv", lambda: transform_study(
             seir, "sspms64", [0.1 * 2.0 ** -k for k in range(k_phi)],
-            5.0, seir_y0, seir_ref,
-            RungeKuttaStartup("ssprk104", PhiKind.PHI8))),
+            5.0, seir_y0, seir_ref)),
         ("seir_methods.csv", lambda: method_study(
             seir, [0.05 * 2.0 ** -k for k in range(k_meth)],
-            1.0, seir_y0, RK4Reference(5e-4 if args.quick else 1e-4),
-            ms_starters)),
+            1.0, seir_y0, seir_ref)),
     ]
     for name, job in jobs:
         path = out / name

@@ -30,8 +30,8 @@ from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ErrorNorm,
                           ExactReference, RK4Reference, convergence_study,
                           phi_benchmark, sharpness_bisection,
                           sharpness_bytes)
-from .integrate import (MAX_RECORD_BYTES, ExactStartup, RecordMode,
-                        RunConfig, RungeKuttaStartup, integrate)
+from .integrate import (ExactStartup, RecordMode, RunConfig,
+                        RungeKuttaStartup, integrate, require_size)
 from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
                       get_method, ssp_coefficient, validate_method)
 from .problems import (PropertyKind, QualitativeProperty, default_properties,
@@ -95,10 +95,7 @@ def _parse_grid(text: str, point_bytes: int,
         n = int(parts[2])
         if n < 1:
             raise ConfigurationError(f"grid {text!r} needs at least one point")
-        if n * point_bytes > MAX_RECORD_BYTES:
-            raise ConfigurationError(
-                f"grid {text!r} needs about {n * point_bytes / 2 ** 20:.0f} "
-                f"MiB, over the {MAX_RECORD_BYTES // 2 ** 20} MiB limit")
+        require_size(n * point_bytes, f"grid {text!r}")
         spacing = parts[3] if len(parts) == 4 else default_spacing
         if spacing == "log":
             return np.geomspace(lo, hi, n)

@@ -12,14 +12,7 @@ all elements), so each element's states equal its single run bit for bit,
 whatever else shares its batch, given the same transformed step h.
 ``phi_value`` on an array can round differently in the last bit from the
 same transform of one float (numpy's vectorised ``**``), and then so do
-the element's states.  A large batch advances in blocks of
-elements whose state arrays hold at most ``MAX_SWEEP_ELEMENTS`` values,
-small enough for the rings of states and slopes to stay in the processor
-caches.  A block's (b, m) arrays are component-major (Fortran-ordered), so
-each component the right-hand side reads or writes is contiguous.  Once
-few of a block's elements still evolve, the block is compacted: the
-stopped elements' results are written out and the rest go on in smaller
-arrays, so no step is spent on an element whose answer is known.
+the element's states.
 
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
@@ -29,13 +22,6 @@ step after an event, so most steps form the new states and test them
 against cached masks.  The monitors call the elementwise predicates of
 ``qualprops``, so an element's verdicts and invariant deviation do not
 depend on its batch, and equal a recorded run's of the same states.
-
-Sharpness bisection uses that independence: every initial value's threshold
-bracket advances together, two bisection levels per sweep (each row's
-midpoint and the next level's midpoint on either side), cut into chunks
-whose state arrays also hold at most ``MAX_SWEEP_ELEMENTS`` values.  All
-step sizes of one tested threshold form a group that stops at its first
-failing element, which already decides the threshold.
 """
 
 from __future__ import annotations
@@ -53,15 +39,17 @@ import numpy as np
 from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
                           make_phi_for_method, phi_value, ssp_threshold)
 from .errors import ConfigurationError
-from .integrate import (MAX_RECORD_BYTES, RecordMode, RunConfig as _RunConfig,
+from .integrate import (RecordMode, RunConfig as _RunConfig,
                         _component_major, _initial_state, _ms_step,
                         _run_steps, _scaled_terms, _startup_states,
-                        default_startup, integrate, reference_solution)
+                        default_startup, integrate, reference_solution,
+                        require_size)
 from .methods import Method, MultistepMethod
-from .problems import (BOUNDEDNESS, WEAK_MONOTONICITY, OdeProblem,
-                       exact_solution, fe_property_bound)
+from .problems import (BOUNDEDNESS, LINEAR_INVARIANCE, WEAK_MONOTONICITY,
+                       OdeProblem, default_properties, exact_solution,
+                       fe_property_bound)
 from .qualprops import (_weighted_sum, bound_edges, invariant_deviation,
-                        window_violations)
+                        sweep_checks, window_violations)
 
 # ---------------------------------------------------------------------------
 # convergence studies
@@ -243,7 +231,7 @@ def _take(keep: np.ndarray, *arrays) -> tuple:
 def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                            phi_kind: PhiKind, bounds: np.ndarray,
                            dts: np.ndarray, y0s: np.ndarray, n_steps,
-                           *, p: int | None = None, startup="auto",
+                           *, p: int | None = None, startup=None,
                            lower=None, upper=None,
                            weak_direction: int = 0, weak_component: int = 0,
                            invariant_weights=None,
@@ -262,14 +250,15 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     -inf/+inf, and an element with both bounds missing has no bound check.
     An in-horizon state with a non-finite component, startup states
     included, violates every check requested for its element, and its
-    invariant deviation is inf.  Elements stop evolving once every check
-    requested for them has failed or their horizon is reached; the
-    invariant ``invariant_weights`` (one weight per component) is
-    monitored while an element evolves.  ``bounds`` must be positive and
-    finite unless ``phi_kind`` is the identity.  ``startup`` is a startup
-    policy, or "auto" for ``integrate.default_startup``.  A batch whose
-    full-size arrays would take more than ``MAX_RECORD_BYTES`` (see
-    ``sweep_bytes``) is refused before any of them is made.
+    invariant deviation is inf.  The invariant ``invariant_weights`` (one
+    weight per component) is watched to every element's horizon, so its
+    deviation does not depend on the checks beside it; without it, an
+    element stops evolving once every check requested for it has failed
+    or its horizon is reached.  ``bounds`` must be positive and finite
+    unless ``phi_kind`` is the identity.  ``startup`` is a startup policy,
+    or None for ``integrate.default_startup``.  A batch whose full-size
+    arrays would take more than ``MAX_RECORD_BYTES`` (see ``sweep_bytes``)
+    is refused before any of them is made.
 
     The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
     elements, each block to its own last active step, so that a block's
@@ -281,18 +270,14 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     (see ``integrate``), made once and again when it compacts.
 
     ``_groups`` (private) gives each element a nonnegative integer group id:
-    once every check requested for one element has failed, all elements of
-    its group stop too, and their results cover only the steps they made.
+    once one element stops at its failed checks, all elements of its group
+    stop too, and their results cover only the steps they made.
     Whether a group has a failing element is the same with and without it.
     """
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
-    need = sweep_bytes(B, m)
-    if need > MAX_RECORD_BYTES:
-        raise ConfigurationError(
-            f"a sweep of {B} elements of {m} components needs about "
-            f"{need / 2 ** 20:.0f} MiB, over the "
-            f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit")
+    require_size(sweep_bytes(B, m),
+                 f"a sweep of {B} elements of {m} components")
     dts = np.asarray(dts, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     n_steps = np.asarray(n_steps, dtype=int)
@@ -317,11 +302,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     if phi_kind is not PhiKind.IDENTITY and not (
             np.isfinite(bounds).all() and (bounds > 0).all()):
         raise ConfigurationError("bounds must be positive and finite")
-    if not 0 <= weak_component < m:
-        raise ConfigurationError(
-            f"weak_component {weak_component} is not a component index "
-            f"of a state of length {m}")
-    if startup == "auto":
+    if startup is None:
         startup = default_startup(problem, method)
     s = method.steps
     rhs = problem.rhs
@@ -343,6 +324,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     direction = np.broadcast_to(np.asarray(weak_direction, dtype=int), (B,))
     weak_req = direction != 0
     check_weak = bool(weak_req.any())
+    if check_weak and not 0 <= weak_component < m:
+        raise ConfigurationError(
+            f"weak_component {weak_component} is not a component index "
+            f"of a state of length {m}")
     check_inv = invariant_weights is not None
     if check_inv:
         gamma = np.asarray(invariant_weights, dtype=float)
@@ -491,10 +476,10 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 step_idx = n + 1
                 if changed:
                     # an element finishes once every check requested for
-                    # it has failed; one with nothing to check runs to its
-                    # horizon
+                    # it has failed; one with nothing to check, or with an
+                    # invariant to watch, runs to its horizon
                     done = ((bound_viol | ~b_req) & (weak_viol | ~w_req)
-                            & (b_req | w_req))
+                            & (b_req | w_req) & (not check_inv))
                     if group is not None and done.any():
                         hit = np.zeros(n_groups, dtype=bool)
                         hit[group[done]] = True
@@ -540,39 +525,50 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     return out
 
 
+def _row_checks(problem: OdeProblem, y0_states: np.ndarray, what: str,
+                weak_component: int = 0) -> dict:
+    """Each initial state's ``sweep_checks`` of class ``what``, stacked."""
+    checks = [sweep_checks(default_properties(problem, y0), problem.dimension,
+                           what, weak_component) for y0 in y0_states]
+    return {key: np.array([c[key] for c in checks])
+            for key in (checks[0] if checks else ())}
+
+
 def logistic_preservation_grid(c: float, y0_values: np.ndarray,
                                dt_values: np.ndarray,
                                method: MultistepMethod, phi_kind: PhiKind,
                                n_steps: int = 1000) -> SweepOutcome:
     """Preservation sweep on the logistic problem: the full (y0 x dt) grid
-    with thresholds C * min(1/c, 1/y0), checking containment in [0, c] and
-    windowed monotone increase.  Intended for y0 in (0, c)."""
+    with thresholds C * min(1/c, 1/y0), checking the bounds and windowed
+    monotonicity of each y0's property set."""
     from .problems import logistic_problem
     problem = logistic_problem(c)
-    yv, dv = np.meshgrid(np.asarray(y0_values, float),
-                         np.asarray(dt_values, float), indexing="ij")
+    y0_values = np.asarray(y0_values, float)
+    yv, dv = np.meshgrid(y0_values, np.asarray(dt_values, float),
+                         indexing="ij")
     y0s = yv.ravel()[:, None]
     bounds = ssp_threshold(method, fe_property_bound(problem, y0s))
+    checks = {**_row_checks(problem, y0_values[:, None], BOUNDEDNESS),
+              **_row_checks(problem, y0_values[:, None], WEAK_MONOTONICITY)}
     return run_preservation_sweep(
         problem, method, phi_kind, bounds, dv.ravel(), y0s, n_steps,
-        startup="auto", lower=0.0, upper=c,
-        weak_direction=+1, weak_component=0)
+        **{key: np.repeat(v, dv.shape[1]) for key, v in checks.items()})
 
 
 def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
                             y0s: np.ndarray, dts: np.ndarray,
                             n_steps: int = 1000,
                             influx: float = 0.0) -> np.ndarray:
-    """Max deviation of the component sum from its conserved target over a
-    batch of epidemic runs; startup via the matching-order starter."""
+    """Max deviation of the property set's linear invariant from its target
+    over a batch of epidemic runs; startup via the matching-order starter."""
     from .problems import seir_problem
     problem = seir_problem(influx)
     bounds = ssp_threshold(method, fe_property_bound(problem, y0s))
-    outcome = run_preservation_sweep(
-        problem, method, phi_kind, bounds, dts, y0s, n_steps,
-        startup="auto", invariant_weights=np.ones(problem.dimension),
-        invariant_drift=influx)
-    return outcome.invariant_max_dev
+    # the same weights and drift at every state; the batch may be empty
+    invariant = sweep_checks(default_properties(problem, np.zeros(4)), 4,
+                             LINEAR_INVARIANCE)
+    return run_preservation_sweep(problem, method, phi_kind, bounds, dts,
+                                  y0s, n_steps, **invariant).invariant_max_dev
 
 
 # ---------------------------------------------------------------------------
@@ -658,15 +654,6 @@ class SharpnessReport:
         return "\n".join(lines) + "\n"
 
 
-def _stack_checks(checks: Sequence[dict]) -> dict:
-    """Per-row check dicts -> one array per bound or direction any row
-    uses, holding -inf/+inf/0 for the rows without it."""
-    return {key: np.array([c.get(key, missing) for c in checks])
-            for key, missing in (("lower", -np.inf), ("upper", np.inf),
-                                 ("weak_direction", 0))
-            if any(key in c for c in checks)}
-
-
 def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
                         phi_kind: PhiKind, y0_states: np.ndarray,
                         dt_grid: np.ndarray, t_end: float, prop: str,
@@ -674,7 +661,7 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
                         interval_scale: tuple[float, float] = (1e-4, 10.0),
                         tol: float = 1e-4, max_iter: int = 60,
                         weak_component: int = 0,
-                        startup="auto") -> SharpnessReport:
+                        startup=None) -> SharpnessReport:
     """Per initial value, bisect on the transform threshold for the largest
     value at which ``prop`` holds for every step size in ``dt_grid`` over
     the horizon [0, t_end].
@@ -697,6 +684,10 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     row-by-row bisection exactly.  A sweep holds at most
     ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension); larger
     ones run in chunks of tested thresholds.
+
+    A row checks ``prop`` as its initial state's property set states it
+    (see ``qualprops.sweep_checks``).  ``startup`` None is
+    ``integrate.default_startup``.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
@@ -713,25 +704,18 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     if not (np.isfinite(dt_grid).all() and (dt_grid > 0).all()):
         raise ConfigurationError("dt_grid must hold positive finite steps")
     n_rows = y0_states.shape[0]
-    need = sharpness_bytes(n_rows, n_dt)
-    if need > MAX_RECORD_BYTES:
-        raise ConfigurationError(
-            f"a sharpness bisection of {n_rows} initial states and {n_dt} "
-            f"step sizes needs about {need / 2 ** 20:.0f} MiB, over the "
-            f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit")
+    require_size(sharpness_bytes(n_rows, n_dt),
+                 f"a sharpness bisection of {n_rows} initial states and "
+                 f"{n_dt} step sizes")
     n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
 
     label_values = [float(labels[i]) if labels is not None
                     else float(y0_states[i, 0]) for i in range(n_rows)]
     sufficient = ssp_threshold(method, fe_property_bound(problem, y0_states))
-    if problem.sharpness_checks is None:
+    if problem.property_set is None:
         raise ConfigurationError(
             f"no sharpness property set for {problem.name}")
-    checks = [problem.sharpness_checks(y0, prop, weak_component)
-              for y0 in y0_states]
-    per_row = _stack_checks(checks)
-    # one problem monitors the same component in every row
-    column = checks[0].get("weak_component", 0) if checks else 0
+    per_row = _row_checks(problem, y0_states, prop, weak_component)
     rows_per_sweep = max(1, MAX_SWEEP_ELEMENTS // (n_dt * problem.dimension))
 
     def holds(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -747,7 +731,8 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
                 problem, method, phi_kind,
                 np.repeat(thresholds[start:start + k], n_dt),
                 np.tile(dt_grid, k), np.repeat(y0_states[chunk], n_dt, axis=0),
-                np.tile(n_steps, k), startup=startup, weak_component=column,
+                np.tile(n_steps, k), startup=startup,
+                weak_component=weak_component,
                 _groups=np.repeat(np.arange(k), n_dt),
                 **{key: np.repeat(v[chunk], n_dt)
                    for key, v in per_row.items()})

@@ -27,37 +27,30 @@ dominates on a state of a few values.  ``_single_state`` puts ``y0`` and
 the closed-form startup states in that form, and the record is copied
 into a (K, m) array at the end; the classical RK4 reference steps a
 state the same way.  ``nslmm_step`` and ``nsrk_step`` take and return
-arrays and convert at their edges.  A one-component run keeps a bare
-float: as a one-element list (with a list-aware logistic ``rhs``), 5000
-logistic ``sspms64`` steps took 16.0 instead of 4.1 ms.  On a 2-vCPU
-Xeon virtual machine (Python 3.11, numpy 2.4; fastest of eight runs,
-alternating with (4,)-array stepping) a SEIR ``sspms64`` run took 4.8
-instead of 8.2 us per step, a SEIR ``ssprk104`` run 19 instead of 30 us
-and the SEIR RK4 reference 4.7 instead of 8.5 us.  Every stepping loop
+arrays and convert at their edges.  On a 2-vCPU Xeon virtual machine
+(Python 3.11, numpy 2.4) a SEIR ``sspms64`` run took 4.8 instead of 8.2
+us per step that way, and 5000 logistic ``sspms64`` steps on a bare float
+4.1 instead of 16.0 ms on a one-element list.  Every stepping loop
 runs with numpy's overflow and invalid-value warnings off, as the
 sweep's does: a run that leaves the property region shows its inf and
 NaN states in the record and in any check.
 
-Both kernels take an optional pair of scratch arrays.  The batch driver
-passes them: every term is then formed in the scratch with ufunc ``out=``
-and added in place into the one new array a step returns, the same
-operations in the same order, so the same bits.  On SEIR blocks of
-4000 x 4 states, where each temporary is 128 KB, this took a sweep of
-2e4 elements over 200 steps from about 320 to about 220 ms on a 2-vCPU
-Xeon virtual machine.  A single run passes none: it steps Python floats.
+The batch driver passes both kernels a pair of scratch arrays, in which
+each term is formed (see ``_add_in_place``).  On SEIR blocks of 4000 x 4
+states, where each temporary is 128 KB, this took a sweep of 2e4
+elements over 200 steps from about 320 to about 220 ms on a 2-vCPU Xeon
+virtual machine.
 
 A batch's (B, m) states are component-major (Fortran-ordered), so that
 each component a right-hand side reads or writes is contiguous: the batch
 driver starts from a Fortran-ordered ``y0``, ``_component_major`` lays
 out per-element step sizes the same way, and numpy's ufuncs keep the
 layout of their operands.  On a 2-vCPU Xeon virtual machine one SEIR
-``rhs`` call on 4000 states took 23 instead of 40 us that way.  The sweep
-driver in ``experiments`` keeps its active set and monitor masks from
-step to step, making them again only after a check fails or a horizon
-passes, and sums a linear invariant elementwise in a fixed order.
+``rhs`` call on 4000 states took 23 instead of 40 us that way.
 
 A full-trajectory run whose record would take more than
-``MAX_RECORD_BYTES`` (see ``record_bytes``) is refused before it steps.
+``MAX_RECORD_BYTES`` (see ``record_bytes``) is refused before it steps,
+by ``require_size``, which sweeps and sharpness grids use too.
 """
 
 from __future__ import annotations
@@ -80,7 +73,8 @@ from .problems import OdeProblem, exact_solution, fe_property_bound
 #: (t_end - t0)/dt must be this close to an integer; runs are never shortened
 ALIGNMENT_TOL = 1e-8
 
-#: largest full-trajectory record, in bytes, a run may build
+#: largest full-trajectory record, in bytes, a run may build; sweeps and
+#: sharpness grids are held to it too
 MAX_RECORD_BYTES = 2 ** 30
 
 #: bytes of a Python float, the state of a one-component run
@@ -189,6 +183,14 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
             f"(t_end - t0)/dt = {ratio!r} is not an integer; "
             "choose dt dividing the time span")
     return n
+
+
+def require_size(need: int, what: str, advice: str = "") -> None:
+    """Refuse ``what``, of ``need`` bytes, over ``MAX_RECORD_BYTES``."""
+    if need > MAX_RECORD_BYTES:
+        raise ConfigurationError(
+            f"{what} needs about {need / 2 ** 20:.0f} MiB, over the "
+            f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit{advice}")
 
 
 def record_bytes(n_states: int, m: int) -> int:
@@ -470,12 +472,10 @@ def integrate(config: RunConfig) -> Trajectory:
     method = config.method
     n = _run_steps(method, config.t0, config.t_end, config.dt)
     full = config.record is RecordMode.FULL_TRAJECTORY
-    if full and record_bytes(n + 1, y0.size) > MAX_RECORD_BYTES:
-        raise ConfigurationError(
-            f"a full record of {n + 1} states needs about "
-            f"{record_bytes(n + 1, y0.size) / 2 ** 20:.0f} MiB, over the "
-            f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit; use a larger dt or "
-            "record the final state only")
+    if full:
+        require_size(record_bytes(n + 1, y0.size),
+                     f"a full record of {n + 1} states",
+                     "; use a larger dt or record the final state only")
     h = float(eval_phi(config.phi, config.dt))
     rhs = problem.rhs
 

@@ -10,9 +10,10 @@ for a linear invariant the negated absolute drift from its target line
 from y0, as a sweep does).  The verdicts come from three elementwise
 predicates, ``bound_edges``, ``window_violations`` and
 ``invariant_deviation``, which ``experiments.run_preservation_sweep``
-calls too.  A state with a non-finite component violates every check at
-its step, whichever component the check concerns: a bound or windowed
-violation names the first non-finite component, and the margin is -inf.
+calls too, with the checks ``sweep_checks`` reads from a property set.
+A state with a non-finite component violates every check at its step,
+whichever component the check concerns: a bound or windowed violation
+names the first non-finite component, and the margin is -inf.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .integrate import Trajectory
-from .problems import PropertyKind, QualitativeProperty
+from .problems import (BOUNDEDNESS, LINEAR_INVARIANCE, WEAK_MONOTONICITY,
+                       PropertyKind, QualitativeProperty)
 
 #: relative violation tolerance for bound and windowed-monotonicity checks
 VIOLATION_RTOL = 1e-12
@@ -266,3 +269,41 @@ def check_property(traj: Trajectory, prop: QualitativeProperty,
         return check_linear_invariant(traj, prop.weights, prop.drift,
                                       prop.level)
     raise ValueError(f"unknown property kind {kind}")
+
+
+def sweep_checks(props: Sequence[QualitativeProperty], m: int, what: str,
+                 weak_component: int = 0) -> dict:
+    """The ``run_preservation_sweep`` keywords that check the class ``what``
+    of one initial state's property set on states of length ``m``: the
+    tightest ``lower`` and ``upper`` (-inf/+inf where none), the
+    ``weak_direction`` of the entry on ``weak_component``, or the
+    ``invariant_weights`` and ``invariant_drift``.  A class the set does
+    not state, or a bound on one component of several (a sweep bounds
+    every component alike), is a ``ConfigurationError``."""
+    K = PropertyKind
+    if what == BOUNDEDNESS:
+        bounds = [p for p in props if p.kind in (K.BOUND_BELOW, K.BOUND_ABOVE)]
+        alone = [p.component for p in bounds if p.component is not None]
+        if alone and m != 1:
+            raise ConfigurationError(f"a sweep bounds every component "
+                                     f"alike, not component {alone[0]} alone")
+        if bounds:
+            return {"lower": max((p.level for p in bounds
+                                  if p.kind is K.BOUND_BELOW), default=-np.inf),
+                    "upper": min((p.level for p in bounds
+                                  if p.kind is K.BOUND_ABOVE), default=np.inf)}
+    elif what == WEAK_MONOTONICITY:
+        trend = {K.WEAK_MONOTONE_INCREASE: +1, K.WEAK_MONOTONE_DECREASE: -1}
+        for p in props:
+            # component None is component 0, as in ``check_property``
+            if p.kind in trend and (p.component or 0) == weak_component:
+                return {"weak_direction": trend[p.kind]}
+        what += f" on weak_component {weak_component}"
+    elif what == LINEAR_INVARIANCE:
+        for p in props:
+            if p.kind is K.LINEAR_INVARIANT and p.weights is not None:
+                return {"invariant_weights": p.weights,
+                        "invariant_drift": p.drift}
+    else:
+        raise ValueError(f"unknown property class {what!r}")
+    raise ConfigurationError(f"the property set states no {what}")

@@ -530,6 +530,46 @@ def test_sharpness_weak_component_out_of_range_exit_2(capsys, component):
     assert err.startswith("error:") and "weak_component" in err
 
 
+@pytest.mark.parametrize("problem, params, component", [
+    ("seir", "influx=0", "1"), ("seir", "influx=0", "2"),
+    ("seir", "influx=0.1", "0"), ("logistic", "c=2", "5")])
+def test_sharpness_component_without_a_weak_check_exit_2(
+        capsys, problem, params, component):
+    # E and I are not monotone, S decreases only without influx, and a
+    # logistic state has one component; each used to print a table
+    code, out, err = run_cli(
+        capsys, *SMALL_SHARPNESS, "--problem", problem, "--params", params,
+        "--t-end", "5", "--property", "weak-monotonicity",
+        f"--weak-component={component}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"weak_component {component}" in err
+
+
+@pytest.mark.parametrize("prop", ["boundedness", "weak-monotonicity"])
+def test_sharpness_logistic_rows_below_zero_hold_to_the_top(capsys, prop):
+    # bounded above by y0 and decreasing: every row holds at the top of its
+    # range (checked against [0, c] and an increase, every row was nan)
+    code, out, err = run_cli(
+        capsys, "sharpness", "--problem", "logistic", "--params", "c=2",
+        "--method", "sspms42", "--phi", "phi5", "--y0-grid=-1,-0.01",
+        "--dt-grid", "0.01:0.1:5:log", "--t-end", "0.1", "--property", prop)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["1.7976931348623157e+308"] * 2
+
+
+def test_sharpness_seir_recovered_weak_check_exit_0(capsys):
+    # R grows; checked as a decrease, every row was nan (below range)
+    code, out, err = run_cli(
+        capsys, *SMALL_SHARPNESS, "--problem", "seir", "--t-end", "5",
+        "--property", "weak-monotonicity", "--weak-component=3")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 and "nan" not in [row[2] for row in rows]
+
+
 def test_sharpness_zero_step_exit_2(capsys):
     # a zero step gave an unbounded step count and exit 0
     code, out, err = run_cli(

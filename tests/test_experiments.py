@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import statistics
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -21,8 +22,12 @@ from nslmm.experiments import (bisect_threshold,
                                seir_conservation_sweep, sweep_bytes)
 from nslmm.integrate import STARTER_FOR_ORDER
 from nslmm.problems import OdeProblem, logistic_fe_bounds
+from nslmm.qualprops import sweep_checks
 
 from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
+
+# the module, which the package's ``integrate`` function shadows
+integrate_mod = sys.modules["nslmm.integrate"]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +237,16 @@ def test_sharpness_rejects_unknown_property(logistic2):
                             "positivity")
 
 
+def _checks(problem, y0, prop, weak_component=0):
+    """The sweep checks of class ``prop`` in ``y0``'s property set, with
+    the watched component of a windowed check."""
+    checks = sweep_checks(n.default_properties(problem, y0),
+                          problem.dimension, prop, weak_component)
+    if prop == WEAK_MONOTONICITY:
+        checks["weak_component"] = weak_component
+    return checks
+
+
 def _row_by_row(problem, method, kind, y0s, dts, t_end, prop,
                 interval_scale=(1e-4, 10.0), tol=1e-4, max_iter=60,
                 weak_component=0):
@@ -241,7 +256,7 @@ def _row_by_row(problem, method, kind, y0s, dts, t_end, prop,
     for y0 in y0s:
         sufficient = (n.effective_ssp_coefficient(method)
                       * n.fe_property_bound(problem, y0))
-        checks = problem.sharpness_checks(y0, prop, weak_component)
+        checks = _checks(problem, y0, prop, weak_component)
 
         def holds(value):
             outcome = run_preservation_sweep(
@@ -310,7 +325,7 @@ def test_lockstep_sharpness_one_side_reaches_tol_first(logistic2, side):
     dts = np.geomspace(0.5, 3.0, 12)
     y0 = LOGISTIC_Y0S[4]
     n_steps = np.ceil(30.0 / dts - 1e-9).astype(int)
-    checks = logistic2.sharpness_checks(y0, BOUNDEDNESS, 0)
+    checks = _checks(logistic2, y0, BOUNDEDNESS)
     sufficient = (n.effective_ssp_coefficient(m)
                   * n.fe_property_bound(logistic2, y0))
     lo, hi = 1e-4 * sufficient, 10.0 * sufficient
@@ -617,6 +632,37 @@ def test_sweep_invariant_deviation_of_a_non_finite_run_is_inf(seir0,
         assert report.worst_margin == -np.inf
 
 
+@pytest.mark.parametrize("checks", [
+    {}, {"lower": 0.0}, {"lower": 0.0, "weak_direction": -1}])
+def test_sweep_watches_the_invariant_to_the_horizon(seir0, seir_y0, checks):
+    # the bound fails at step 2; the element still runs on and its sum goes
+    # non-finite, whatever checks ride along (with the lower bound this
+    # read 0.0 when the element stopped at its first failure)
+    outcome = run_preservation_sweep(
+        seir0, get_method("sspms42"), PhiKind.IDENTITY, 1.0,
+        np.array([1.0]), seir_y0[None], 40,
+        startup=n.RungeKuttaStartup("ssprk22", PhiKind.IDENTITY),
+        invariant_weights=np.ones(4), **checks)
+    assert outcome.invariant_max_dev[0] == np.inf
+    assert not np.isfinite(outcome.final_states[0]).all()
+    if checks:
+        assert outcome.first_bound_step[0] == 2
+
+
+@pytest.mark.parametrize("method_id", ["sspms42", "sspms64"])
+def test_sweep_startup_none_is_the_default_startup(seir0, seir_y0,
+                                                   method_id):
+    # a Runge-Kutta starter for SEIR; None used to fail for s > 1
+    m = get_method(method_id)
+    args = (seir0, m, PhiKind.PHI8, 0.1, np.array([0.2, 0.5]),
+            np.array([seir_y0, seir_y0]), 20)
+    checks = dict(lower=0.0, invariant_weights=np.ones(4))
+    _assert_same_outcome(
+        run_preservation_sweep(*args, startup=None, **checks),
+        run_preservation_sweep(
+            *args, startup=experiments.default_startup(seir0, m), **checks))
+
+
 @pytest.mark.parametrize("dt", [20.0, 50.0, 200.0])
 def test_sweep_weak_check_covers_the_startup_states(seir0, seir_y0, dt):
     # the untransformed ssprk104 starter overflows inside the startup; the
@@ -741,9 +787,9 @@ def test_blocked_sweep_equals_one_block_logistic(logistic2, monkeypatch):
 
 
 def test_blocked_sweep_equals_one_block_seir_drift(monkeypatch):
-    # Runge-Kutta starter, an invariant with drift, and checks that stop
-    # some elements inside their horizon: the invariant of a stopped element
-    # must not depend on how long the rest of its block runs
+    # Runge-Kutta starter, an invariant with drift, and checks that fail
+    # for some elements inside their horizon; the invariant keeps those
+    # elements running to their horizons, some into non-finite states
     problem, calls = counting_rhs(n.seir_problem(0.4))
     m = get_method("sspms64")
     infected = np.linspace(0.05, 0.9, 10)
@@ -761,9 +807,10 @@ def test_blocked_sweep_equals_one_block_seir_drift(monkeypatch):
 
     whole = sweep()
     one_block_calls = calls[0]
-    stopped = whole.bound_violated & (whole.first_bound_step < n_steps)
-    assert stopped.any() and not stopped.all()
-    assert np.isfinite(whole.invariant_max_dev).all()
+    failed = whole.bound_violated & (whole.first_bound_step < n_steps)
+    assert failed.any() and not failed.all()
+    finite = np.isfinite(whole.invariant_max_dev)
+    assert finite.any() and not finite.all()
     monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 4 * 3)
     blocked = sweep()
     assert calls[0] - one_block_calls > one_block_calls  # four blocks ran
@@ -863,8 +910,7 @@ def test_grouped_sweep_decides_each_group_as_ungrouped(logistic2, prop):
     sufficient = (n.effective_ssp_coefficient(m)
                   * n.fe_property_bound(logistic2, LOGISTIC_Y0S))
     thresholds = sufficient[rows] * np.tile([0.5, 1.5, 4.0], 6)
-    checks = experiments._stack_checks(
-        [logistic2.sharpness_checks(y0, prop, 0) for y0 in LOGISTIC_Y0S])
+    checks = experiments._row_checks(logistic2, LOGISTIC_Y0S, prop)
     k, n_dt = rows.size, dts.size
 
     def sweep(groups):
@@ -1201,7 +1247,7 @@ def test_sweep_refuses_batches_over_the_size_limit(seir0):
     y0s = np.broadcast_to(np.array([0.8, 0.0, 0.2, 0.0]), (n_elements, 4))
     dts = np.broadcast_to(0.1, (n_elements,))
     counted, calls = counting_rhs(seir0)
-    assert sweep_bytes(n_elements, 4) > experiments.MAX_RECORD_BYTES
+    assert sweep_bytes(n_elements, 4) > integrate_mod.MAX_RECORD_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(ConfigurationError, match="MiB limit"):
@@ -1219,9 +1265,9 @@ def test_sweep_size_limit_is_the_sweeps_size(seir0, seir_y0, monkeypatch):
     y0s = np.broadcast_to(seir_y0, (3, 4))
     dts = np.array([0.1, 0.2, 0.3])
     m = get_method("sspms42")
-    monkeypatch.setattr(experiments, "MAX_RECORD_BYTES", sweep_bytes(3, 4))
+    monkeypatch.setattr(integrate_mod, "MAX_RECORD_BYTES", sweep_bytes(3, 4))
     run_preservation_sweep(seir0, m, PhiKind.PHI5, 0.1, dts, y0s, 10)
-    monkeypatch.setattr(experiments, "MAX_RECORD_BYTES",
+    monkeypatch.setattr(integrate_mod, "MAX_RECORD_BYTES",
                         sweep_bytes(3, 4) - 1)
     with pytest.raises(ConfigurationError, match="MiB limit"):
         run_preservation_sweep(seir0, m, PhiKind.PHI5, 0.1, dts, y0s, 10)
@@ -1259,7 +1305,7 @@ def test_sweep_bytes_matches_a_sweeps_growth_per_element(problem_name):
 
 def test_sharpness_refuses_grids_over_the_size_limit(logistic2,
                                                      monkeypatch):
-    monkeypatch.setattr(experiments, "MAX_RECORD_BYTES",
+    monkeypatch.setattr(integrate_mod, "MAX_RECORD_BYTES",
                         experiments.sharpness_bytes(2, 3))
     with pytest.raises(ConfigurationError, match="MiB limit"):
         sharpness_bisection(logistic2, get_method("sspms42"), PhiKind.PHI5,
@@ -1282,11 +1328,71 @@ def test_sharpness_needs_the_problems_checks():
                             BOUNDEDNESS)
 
 
+@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
+def test_sharpness_logistic_rows_below_zero_check_their_own_set(logistic2,
+                                                                prop):
+    # bounded above by y0 and decreasing, for every step size: before the
+    # blow-up at ln(1 - c/y0)/c every row holds to the top of its range;
+    # past it (y0 = -1 at T = 1) the states go non-finite
+    m = get_method("sspms42")
+    dts = np.geomspace(0.01, 0.1, 5)
+    y0s = np.array([[-1.0], [-0.01]])
+    top = float(np.finfo(float).max)
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, y0s, dts, 0.1,
+                                 prop)
+    assert [(r.empirical_bound, r.status) for r in report.rows] == [
+        (top, "at-range-top")] * 2
+    report = sharpness_bisection(logistic2, m, PhiKind.PHI5, y0s, dts, 1.0,
+                                 prop)
+    assert [r.status for r in report.rows] == ["below-range", "at-range-top"]
+
+
+def test_sharpness_seir_weak_check_on_recovered_is_an_increase(seir0):
+    # R only grows; checked as a decrease, every row was below range
+    m = get_method("sspms42")
+    labels = np.array([0.1, 0.3, 0.5])
+    report = sharpness_bisection(seir0, m, PhiKind.PHI5,
+                                 seir0.sharpness_states(labels),
+                                 np.geomspace(0.5, 3.0, 5), 20.0,
+                                 WEAK_MONOTONICITY, labels=labels,
+                                 weak_component=3, tol=1e-3)
+    for row in report.rows:
+        assert row.status in ("ok", "at-range-top")
+        assert row.empirical_bound >= row.sufficient_bound - 1e-3
+
+
+@pytest.mark.parametrize("influx, component", [
+    (0.0, 1), (0.0, 2), (0.1, 0), (0.0, 4)])
+def test_sharpness_refuses_a_component_without_a_weak_check(influx,
+                                                            component):
+    # E and I are not monotone, S decreases only without influx
+    problem = n.seir_problem(influx)
+    with pytest.raises(ConfigurationError,
+                       match=f"weak_component {component}"):
+        sharpness_bisection(problem, get_method("sspms42"), PhiKind.PHI5,
+                            problem.sharpness_states(np.array([0.2])),
+                            np.array([0.5, 1.0]), 5.0, WEAK_MONOTONICITY,
+                            weak_component=component)
+
+
 def test_logistic_preservation_grid_small():
     m = get_method("sspms42")
     outcome = logistic_preservation_grid(
         2.0, np.array([0.3, 1.0, 1.9]), np.array([0.7, 5.0, 80.0]),
         m, PhiKind.PHI5, n_steps=300)
+    assert not outcome.bound_violated.any()
+    assert not outcome.weak_violated.any()
+
+
+def test_logistic_preservation_grid_checks_each_rows_property_set():
+    # above c a row is bounded by [c, y0] and decreases, below 0 it is
+    # bounded above by y0 and decreases; the old fixed checks ([0, c] and
+    # an increase) failed both.  Eight steps of at most 0.05 end before
+    # the row below 0 blows up, at ln(5)/2.
+    m = get_method("sspms42")
+    outcome = logistic_preservation_grid(
+        2.0, np.array([-0.5, 0.5, 2.0, 3.0]), np.array([0.02, 0.05]),
+        m, PhiKind.PHI5, n_steps=8)
     assert not outcome.bound_violated.any()
     assert not outcome.weak_violated.any()
 

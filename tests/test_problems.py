@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nslmm import (UNCONDITIONAL_BOUND, ConfigurationError, UnsupportedError,
-                   default_properties, eval_rhs, exact_solution,
-                   fe_property_bound, forward_euler_step, logistic_problem,
-                   make_problem)
+from nslmm import (UNCONDITIONAL_BOUND, ConfigurationError, RunConfig,
+                   UnsupportedError, check_property, default_properties,
+                   eval_rhs, exact_solution, fe_property_bound,
+                   forward_euler_step, get_method, integrate,
+                   logistic_problem, make_phi_for_method, make_problem,
+                   seir_problem)
 from nslmm.problems import OdeProblem, PropertyKind, logistic_fe_bounds
+
+from conftest import ORDER_MATCHED_PHI
 
 
 def test_logistic_rhs_values(logistic2):
@@ -244,7 +248,6 @@ def test_problem_structure_survives_replace(logistic2, seir0):
         copy = dataclasses.replace(problem, rhs=problem.rhs)
         y0 = problem.sharpness_states(labels)[0]
         assert default_properties(copy, y0) == default_properties(problem, y0)
-        assert copy.sharpness_checks is problem.sharpness_checks
     assert logistic2.sharpness_states(labels).tolist() == [[0.25], [0.5]]
     assert seir0.sharpness_states(labels).tolist() == [
         [0.75, 0.0, 0.25, 0.0], [0.5, 0.0, 0.5, 0.0]]
@@ -272,3 +275,51 @@ def test_default_properties_seir(seir0, seir_y0):
     assert len(inv) == 1
     assert inv[0].level == pytest.approx(1.0)
     assert inv[0].weights == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_seir_property_set_states_each_entry_once(seir_y0):
+    # one bound below for every component; the bound above and the
+    # decrease of S only without influx; R grows either way
+    def entries(influx):
+        return {(p.kind, p.component, p.level) for p in default_properties(
+            seir_problem(influx), seir_y0)
+            if p.kind is not PropertyKind.LINEAR_INVARIANT}
+
+    assert entries(0.0) == {
+        (PropertyKind.BOUND_BELOW, None, 0.0),
+        (PropertyKind.BOUND_ABOVE, None, 1.0),
+        (PropertyKind.WEAK_MONOTONE_DECREASE, 0, 0.0),
+        (PropertyKind.WEAK_MONOTONE_INCREASE, 3, 0.0)}
+    assert entries(0.1) == {
+        (PropertyKind.BOUND_BELOW, None, 0.0),
+        (PropertyKind.WEAK_MONOTONE_INCREASE, 3, 0.0)}
+
+
+@pytest.mark.parametrize("method_id", ["sspms42", "sspms43", "sspms64"])
+@pytest.mark.parametrize("problem, y0, t_end, dts", [
+    # y0 < 0 blows up at ln(1 - c/y0)/c = ln(5)/2; the horizon ends before
+    (logistic_problem(2.0), [-0.5], 0.5, [0.0625, 0.05, 0.01]),
+    (logistic_problem(2.0), [1.0], 20.0, [2.5, 0.5, 0.1]),
+    (logistic_problem(2.0), [3.0], 20.0, [2.5, 0.5, 0.1]),
+    (seir_problem(0.0), [0.8, 0.0, 0.2, 0.0], 20.0, [2.5, 0.5, 0.1]),
+    (seir_problem(0.1), [0.8, 0.0, 0.2, 0.0], 20.0, [2.5, 0.5, 0.1])],
+    ids=["logistic-below-0", "logistic-1", "logistic-3", "seir",
+         "seir-influx"])
+def test_property_set_holds_at_the_sufficient_threshold(problem, y0, t_end,
+                                                        dts, method_id):
+    # every entry of the set, windowed checks over the method's s steps,
+    # on runs with the matched transform at the sufficient threshold.  A
+    # drifting invariant is left out: the transformed steps and the
+    # starter's own transform advance the sum by the influx times their
+    # transformed steps, while the monitor's target line grows with n * dt
+    m = get_method(method_id)
+    phi = make_phi_for_method(m, fe_property_bound(problem, y0),
+                              ORDER_MATCHED_PHI[m.design_order])
+    props = [p for p in default_properties(problem, y0) if p.drift == 0.0]
+    assert len(props) >= 2
+    for dt in dts:
+        traj = integrate(RunConfig(problem=problem, method=m, phi=phi,
+                                   dt=dt, t_end=t_end, y0=y0))
+        for prop in props:
+            report = check_property(traj, prop, m.steps)
+            assert report.holds, (dt, prop, report.first_violation)

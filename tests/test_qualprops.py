@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from nslmm import (DenominatorSpec, PhiKind, QualitativeProperty, RunConfig,
+from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
+                   DenominatorSpec, PhiKind, QualitativeProperty, RunConfig,
                    Trajectory, check_bounds, check_linear_invariant,
-                   check_property, check_weak_monotonicity, fe_property_bound,
-                   get_method, integrate, make_phi_for_method)
-from nslmm.problems import PropertyKind
+                   check_property, check_weak_monotonicity,
+                   default_properties, fe_property_bound, get_method,
+                   integrate, logistic_problem, make_phi_for_method,
+                   seir_problem)
+from nslmm.problems import LINEAR_INVARIANCE, PropertyKind
+from nslmm.qualprops import sweep_checks
 
 
 def _traj(values, dt=1.0):
@@ -297,3 +301,62 @@ def test_holds_iff_no_first_violation():
     for values, upper in ([[1.0, 1.5], 2.0], [[1.0, 2.5], 2.0]):
         report = check_bounds(_traj(values), 0, upper=upper)
         assert report.holds == (report.first_violation is None)
+
+
+# ---------------------------------------------------------------------------
+# property sets as sweep checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("y0, bounds, direction", [
+    (1.0, (0.0, 2.0), +1), (2.0, (0.0, 2.0), +1), (3.0, (2.0, 3.0), -1),
+    (-0.5, (-np.inf, -0.5), -1)])
+def test_sweep_checks_of_the_logistic_set(y0, bounds, direction):
+    props = default_properties(logistic_problem(2.0), [y0])
+    assert sweep_checks(props, 1, BOUNDEDNESS) == dict(
+        zip(("lower", "upper"), bounds))
+    assert sweep_checks(props, 1, WEAK_MONOTONICITY) == {
+        "weak_direction": direction}
+    with pytest.raises(ConfigurationError, match="weak_component 5"):
+        sweep_checks(props, 1, WEAK_MONOTONICITY, 5)
+    with pytest.raises(ConfigurationError, match="no linear-invariance"):
+        sweep_checks(props, 1, LINEAR_INVARIANCE)
+
+
+def test_sweep_checks_of_the_seir_set():
+    y0 = [0.7, 0.1, 0.2, 0.0]
+    props = default_properties(seir_problem(0.0), y0)
+    assert sweep_checks(props, 4, BOUNDEDNESS) == {"lower": 0.0,
+                                                   "upper": 1.0}
+    assert sweep_checks(props, 4, WEAK_MONOTONICITY, 0) == {
+        "weak_direction": -1}
+    assert sweep_checks(props, 4, WEAK_MONOTONICITY, 3) == {
+        "weak_direction": +1}
+    for component in (1, 2):
+        with pytest.raises(ConfigurationError,
+                           match=f"weak_component {component}"):
+            sweep_checks(props, 4, WEAK_MONOTONICITY, component)
+    assert sweep_checks(props, 4, LINEAR_INVARIANCE) == {
+        "invariant_weights": (1.0,) * 4, "invariant_drift": 0.0}
+    influx = default_properties(seir_problem(0.1), y0)
+    assert sweep_checks(influx, 4, BOUNDEDNESS) == {"lower": 0.0,
+                                                    "upper": np.inf}
+    assert sweep_checks(influx, 4, LINEAR_INVARIANCE)[
+        "invariant_drift"] == 0.1
+
+
+def test_sweep_checks_refuse_what_a_sweep_cannot_check():
+    # a sweep bounds every component alike; a bound on one component of
+    # several is refused, not dropped
+    one = [QualitativeProperty(PropertyKind.BOUND_BELOW, 2, 0.0)]
+    with pytest.raises(ConfigurationError, match="component 2"):
+        sweep_checks(one, 4, BOUNDEDNESS)
+    assert sweep_checks(one, 1, BOUNDEDNESS) == {"lower": 0.0,
+                                                 "upper": np.inf}
+    with pytest.raises(ConfigurationError, match="no boundedness"):
+        sweep_checks([], 1, BOUNDEDNESS)
+    with pytest.raises(ConfigurationError, match="no linear-invariance"):
+        sweep_checks([QualitativeProperty(PropertyKind.LINEAR_INVARIANT)],
+                     1, LINEAR_INVARIANCE)
+    with pytest.raises(ValueError, match="unknown property class"):
+        sweep_checks([], 1, "positivity")
