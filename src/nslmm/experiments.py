@@ -5,10 +5,12 @@ micro-benchmark.
 The sweep machinery is vectorized: a batch of independent runs (one per
 combination of initial value, step size and threshold) advances in lockstep
 as numpy arrays, with property monitors evaluated on the fly; bounds and
-monotonicity directions may differ per element.  A batch starts and steps
-through the routines of a single run (``integrate._startup_states``, and
-``integrate._ms_step`` with its slope ring, one ``rhs`` call per step for
-all elements), so each element's states equal its single run bit for bit,
+monotonicity directions may differ per element.  A batch starts through
+the startup routine of a single run (``integrate._startup_states``) and
+steps with ``integrate._ms_step``, the batch form of the combination a
+single run's generated kernels write out: the same slope ring, one
+``rhs`` call per step for all elements, and the same operations in the
+same order.  So each element's states equal its single run bit for bit,
 whatever else shares its batch, given the same transformed step h.
 ``phi_value`` on an array can round differently in the last bit from the
 same transform of one float (numpy's vectorised ``**``), and then so do
@@ -134,6 +136,10 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     ``phi`` is either a ready ``DenominatorSpec`` or a ``PhiKind``; in the
     latter case the threshold is ``ssp_threshold(method, b_fe)``, with
     ``b_fe`` defaulting to the problem's Euler bound at ``y0``.
+    ``reference`` is ``ExactReference()``, ``RK4Reference(dt_ref)``, or the
+    reference's final state itself, m finite values, so that studies of
+    one problem, initial state and horizon can share one computed
+    reference.
     """
     dts = [float(d) for d in dt_list]
     if not dts:
@@ -164,7 +170,11 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     elif isinstance(reference, RK4Reference):
         ref_final = reference_solution(problem, y0, t_end, reference.dt_ref, t0)
     else:
-        raise ConfigurationError(f"unknown reference policy {reference!r}")
+        try:
+            ref_final = _initial_state(problem, reference, "reference state")
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"unknown reference policy {reference!r}") from None
 
     def run_one(dt: float) -> float:
         config = _RunConfig(problem=problem, method=method, phi=spec, dt=dt,
@@ -189,7 +199,9 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
         "t_end": t_end,
         "y0": [float(v) for v in y0],
         "norm": norm.value,
-        "reference": type(reference).__name__,
+        "reference": (type(reference).__name__
+                      if isinstance(reference, (ExactReference, RK4Reference))
+                      else "state"),
     }
     return ConvergenceReport(rows=rows, norm=norm, config=config)
 

@@ -8,34 +8,45 @@ practice (closed form for the logistic equation, a matching-order starter
 for the epidemic system).  ``_startup_states`` builds them for one run or
 for a batch of runs alike.
 
-``_ms_step`` is the one multistep kernel of the scalar driver here and the
-batched sweep in ``experiments``.  Beside the ring of the last s states it
-keeps a ring of their slopes, each evaluated the first time a term needs
-it, so a run makes one ``rhs`` call per step plus at most s - 1 for the
-startup states.  h*beta_j is formed once per run and the accumulation
-order is fixed, so cached slopes give the same bits as fresh ones.
-``_rk_step`` is the one Runge-Kutta kernel of both paths, with h*beta
-formed once per run in the same way; it sums each stage with ``_ms_step``.
+A multistep update and a Runge-Kutta stage are each one Shu-Osher
+combination sum_j (alpha_j u_j + h*beta_j f(u_j)), summed in ascending j,
+left to right, state term before slope term, with h*beta_j formed once
+per run (``_scaled_terms``, ``_scaled_stages``).  Beside the ring of the
+last s states a multistep run keeps a ring of their slopes, each
+evaluated the first time a term needs it, so a run makes one ``rhs``
+call per step plus at most s - 1 for the startup states; the fixed order
+makes cached slopes give the same bits as fresh ones.
 
-A single run carries its state as Python floats through the same
-kernels: a float for a one-component problem, a list of m floats for
-several components, with h*beta_j and alpha_j floats.  Python's float
+A batch (the sweeps of ``experiments``) forms the combination with
+``_ms_step`` and ``_rk_step`` on (B, m) arrays.  A single run carries its
+state as Python floats, a float for one component and a list of m floats
+for several, and steps it with a kernel written out straight-line:
+``_kernel_factory`` builds, once per process and at first use, a small
+function for each term pattern (the offsets j, and which terms have a
+slope) and state size m, whose body is the combination component by
+component; ``_run_kernel`` binds it to a run's alpha_j and h*beta_j.  A
+Runge-Kutta step runs one such kernel per stage over the stage values
+and their slopes, and the RK4 reference has its own (``_rk4_factory``).
+The kernels take ``rhs`` per call, so the rows of a convergence table
+share one, and their sources hold only identifiers and integer indices.
+They are compiled under names such as ``<nslmm kernel j=1,4,5,6 f=1,4,5
+m=4>`` (f: the offsets with a slope) and their lines kept in
+``linecache``, so tracebacks and profiles show them.  Python's float
 ``+``, ``-`` and ``*`` are the IEEE double operations numpy's are, and
-the list branch of ``_ms_step`` sums each component in the kernel's
-order, so they give the same bits without numpy's cost per call, which
-dominates on a state of a few values.  ``_single_state`` puts ``y0`` and
-the closed-form startup states in that form, and the record is copied
-into a (K, m) array at the end; the classical RK4 reference steps a
-state the same way.  ``nslmm_step`` and ``nsrk_step`` take and return
-arrays and convert at their edges.  On a 2-vCPU Xeon virtual machine
-(Python 3.11, numpy 2.4) a SEIR ``sspms64`` run took 4.8 instead of 8.2
-us per step that way, and 5000 logistic ``sspms64`` steps on a bare float
-4.1 instead of 16.0 ms on a one-element list.  Every stepping loop
-runs with numpy's overflow and invalid-value warnings off, as the
-sweep's does: a run that leaves the property region shows its inf and
-NaN states in the record and in any check.
+the kernels use them in the batch's order, so both give the same bits.
+``_single_state`` puts ``y0`` and the closed-form startup states in
+single-run form, and the record is copied into a (K, m) array at the
+end; ``nslmm_step`` and ``nsrk_step`` take and return arrays and convert
+at their edges.  On a 2-vCPU Xeon virtual machine (Python 3.11, numpy
+2.4) the kernels took a SEIR ``sspms64`` run from 4.7 to 1.6 us per
+step, a SEIR ``ssprk104`` run from 18.8 to 8.2 us and the SEIR RK4
+reference from 5.0 to 2.4 us, against a loop over the terms with one
+list comprehension per term.  Every stepping loop runs with numpy's
+overflow and invalid-value warnings off, as the sweep's does: a run that
+leaves the property region shows its inf and NaN states in the record
+and in any check.
 
-The batch driver passes both kernels a pair of scratch arrays, in which
+The batch driver passes its kernels a pair of scratch arrays, in which
 each term is formed (see ``_add_in_place``).  On SEIR blocks of 4000 x 4
 states, where each temporary is 128 KB, this took a sweep of 2e4
 elements over 200 steps from about 320 to about 220 ms on a 2-vCPU Xeon
@@ -55,6 +66,8 @@ by ``require_size``, which sweeps and sharpness grids use too.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import sys
 from collections import deque
@@ -259,18 +272,15 @@ def _add_in_place(acc, a, u, hb, f, scratch) -> np.ndarray:
     return acc
 
 
-def _ms_step(scaled, rhs, states, slopes, scratch=None):
-    """One Shu-Osher combination sum_j (alpha_j u_j + h*beta_j f(u_j)),
-    ascending j, state term before slope term: a multistep update, or one
-    Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep update
-    u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term first
-    needs it (then filled in place).
-
-    A batch driver passes ``scratch``, two arrays of the states' shape that
-    it owns: the update is then summed in place into one new array, the
-    returned state, and never into a scratch array.  A single run passes
-    none and steps a Python float, or a list of floats for several
-    components, summed component by component in the same order.
+def _ms_step(scaled, rhs, states, slopes, scratch):
+    """One Shu-Osher combination sum_j (alpha_j u_j + h*beta_j f(u_j)) of a
+    batch, ascending j, state term before slope term: a multistep update,
+    or one Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep
+    update u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term
+    first needs it (then filled in place).  ``scratch`` is two arrays of
+    the states' shape that the batch driver owns: the update is summed in
+    place into one new array, the returned state, and never into a
+    scratch array.
     """
     acc = None
     for j, a, hb in scaled:
@@ -280,22 +290,79 @@ def _ms_step(scaled, rhs, states, slopes, scratch=None):
             f = slopes[j - 1]
             if f is None:
                 f = slopes[j - 1] = rhs(u)
-        if scratch is not None:
-            acc = _add_in_place(acc, a, u, hb, f, scratch)
-        elif type(u) is list:
-            if acc is None:
-                acc = ([a * x for x in u] if hb is None
-                       else [a * x + hb * y for x, y in zip(u, f)])
-            elif hb is None:
-                acc = [p + a * x for p, x in zip(acc, u)]
-            else:
-                acc = [p + (a * x + hb * y) for p, x, y in zip(acc, u, f)]
-        else:
-            contrib = a * u
-            if hb is not None:
-                contrib = contrib + hb * f
-            acc = contrib if acc is None else acc + contrib
+        acc = _add_in_place(acc, a, u, hb, f, scratch)
     return acc
+
+
+def _compile_factory(filename: str, source: str):
+    """The function ``factory`` that ``source`` defines, compiled under
+    ``filename``, with the source's lines kept in ``linecache`` so that
+    tracebacks and profiles inside it show real lines."""
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["factory"]
+
+
+def _state_source(m: int, component) -> str:
+    """Source of a state of m components, ``component(c)`` the source of
+    the component that the index suffix c selects: for m = 1 the bare
+    float (no suffix), else a list of m components."""
+    if m == 1:
+        return component("")
+    return "[" + ", ".join(component(f"[{k}]") for k in range(m)) + "]"
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_factory(pattern: tuple, m: int):
+    """The factory of a single run's step kernel for one term pattern,
+    built once per process.
+
+    ``pattern`` holds (j, has a slope) per term, in term order; states have
+    m components, a bare float for m = 1.  The factory takes alpha_j, then
+    h*beta_j where there is a slope, term by term, and returns
+    ``kernel(rhs, states, slopes)``, the Shu-Osher sum ``_ms_step`` forms
+    for a batch written out component by component: slopes evaluated in
+    term order and cached in ``slopes`` as there, then each component
+    summed left to right, state term before slope term.  Those are the
+    same IEEE operations in the same order, so the same bits.  The source
+    names only identifiers and integer indices; coefficients come in as
+    arguments.
+    """
+    params, fetch = [], []
+    for t, (j, slope) in enumerate(pattern):
+        params.append(f"a{t}")
+        fetch.append(f"        u{t} = states[{j - 1}]")
+        if slope:
+            params.append(f"h{t}")
+            fetch += [f"        f{t} = slopes[{j - 1}]",
+                      f"        if f{t} is None:",
+                      f"            f{t} = slopes[{j - 1}] = rhs(u{t})"]
+
+    def component(c: str) -> str:
+        return " + ".join(f"(a{t}*u{t}{c} + h{t}*f{t}{c})" if slope
+                          else f"a{t}*u{t}{c}"
+                          for t, (_j, slope) in enumerate(pattern))
+
+    source = "\n".join(
+        [f"def factory({', '.join(params)}):",
+         "    def kernel(rhs, states, slopes):"]
+        + fetch + ["        return " + _state_source(m, component),
+                   "    return kernel", ""])
+    offsets = ",".join(str(j) for j, _slope in pattern)
+    sloped = ",".join(str(j) for j, slope in pattern if slope)
+    return _compile_factory(f"<nslmm kernel j={offsets} f={sloped} m={m}>",
+                            source)
+
+
+def _run_kernel(scaled, m: int):
+    """A single run's step kernel for ``scaled`` terms (see
+    ``_scaled_terms``) on states of m components."""
+    pattern = tuple((j, hb is not None) for j, _a, hb in scaled)
+    coefs = [c for _j, a, hb in scaled
+             for c in ((a,) if hb is None else (a, hb))]
+    return _kernel_factory(pattern, m)(*coefs)
 
 
 def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
@@ -310,17 +377,23 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
             f"history has {len(history)} states, method needs {method.steps}")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    h = float(eval_phi(phi, dt))
     states = [np.asarray(u, dtype=float) for u in history]
-    new = _ms_step(_scaled_terms(method.terms, h), problem.rhs,
-                   [_single_state(u) for u in states], [None] * method.steps)
+    if any(u.size != problem.dimension for u in states):
+        raise ValueError(
+            f"history states have sizes {[u.size for u in states]}, "
+            f"problem needs {problem.dimension}")
+    h = float(eval_phi(phi, dt))
+    kernel = _run_kernel(_scaled_terms(method.terms, h), problem.dimension)
+    new = kernel(problem.rhs, [_single_state(u) for u in states],
+                 [None] * method.steps)
     return np.reshape(np.array(new, dtype=float), states[0].shape)
 
 
 def _scaled_stages(stages, h) -> list:
     """(terms, done) per Runge-Kutta stage: its (source + 1, alpha, h*beta
-    or None) terms for ``_ms_step``, with one product per distinct beta of
-    the whole method, and the sources no later stage reads."""
+    or None) terms for ``_ms_step`` or ``_run_kernel``, with one product
+    per distinct beta of the whole method, and the sources no later stage
+    reads."""
     terms = _scaled_terms([(src + 1, a, b) for stage in stages
                            for src, a, b in stage], h)
     last_read = {src: k for k, stage in enumerate(stages)
@@ -333,14 +406,13 @@ def _scaled_stages(stages, h) -> list:
     return out
 
 
-def _rk_step(scaled_stages, rhs, u, scratch=None):
-    """One Shu-Osher Runge-Kutta step; slope values cached per stage source.
-    ``scaled_stages`` comes from ``_scaled_stages`` with a float ``h`` for
-    a single run's state, or a (B, m) array of per-element step sizes.  A
-    stage value and its slope are dropped after the last stage that reads
-    them, so a ten-stage batch step holds a few of them at a time, not
-    all.  ``scratch`` is as for ``_ms_step``: with it each stage value is
-    one new array, summed in place."""
+def _rk_step(scaled_stages, rhs, u, scratch):
+    """One Shu-Osher Runge-Kutta step of a batch; slope values cached per
+    stage source.  ``scaled_stages`` comes from ``_scaled_stages`` with a
+    (B, m) array of per-element step sizes.  A stage value and its slope
+    are dropped after the last stage that reads them, so a ten-stage step
+    holds a few of them at a time, not all.  ``scratch`` is as for
+    ``_ms_step``: each stage value is one new array, summed in place."""
     values = [u]
     slopes: list = [None]
     for stage, done in scaled_stages:
@@ -352,15 +424,37 @@ def _rk_step(scaled_stages, rhs, u, scratch=None):
     return values[-1]
 
 
+def _stage_kernels(stages, h: float, m: int) -> list:
+    """A single run's kernel (see ``_run_kernel``) per Runge-Kutta stage,
+    with coefficients from ``_scaled_stages`` at the float ``h``."""
+    return [_run_kernel(terms, m)
+            for terms, _done in _scaled_stages(stages, h)]
+
+
+def _rk_kernel_step(kernels, rhs, u):
+    """One Runge-Kutta step of a single run's state (see
+    ``_single_state``), one kernel per stage over the stage values and
+    their slopes."""
+    values = [u]
+    slopes: list = [None]
+    for kernel in kernels:
+        values.append(kernel(rhs, values, slopes))
+        slopes.append(None)
+    return values[-1]
+
+
 def nsrk_step(rk: RungeKuttaMethod, phi: DenominatorSpec,
               problem: OdeProblem, u, dt: float) -> np.ndarray:
     """One transformed Runge-Kutta step (dt replaced by phi(dt) throughout)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    h = float(eval_phi(phi, dt))
     u = np.asarray(u, dtype=float)
-    new = _rk_step(_scaled_stages(rk.float_stages, h), problem.rhs,
-                   _single_state(u))
+    if u.size != problem.dimension:
+        raise ValueError(
+            f"u has size {u.size}, problem needs {problem.dimension}")
+    h = float(eval_phi(phi, dt))
+    new = _rk_kernel_step(_stage_kernels(rk.float_stages, h, u.size),
+                          problem.rhs, _single_state(u))
     return np.reshape(np.array(new, dtype=float), u.shape)
 
 
@@ -438,24 +532,30 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     if batch:
         # a full (B, m) array: numpy multiplies two full arrays several
         # times faster than an array and a (B, 1) column
-        h = _component_major(h, y0.shape[1])
-    stages = _scaled_stages(rk.float_stages, h)
-    for _ in range(1, s):
-        states.append(_rk_step(stages, problem.rhs, states[-1], scratch))
+        stages = _scaled_stages(rk.float_stages,
+                                _component_major(h, y0.shape[1]))
+        for _ in range(1, s):
+            states.append(_rk_step(stages, problem.rhs, states[-1], scratch))
+    else:
+        kernels = _stage_kernels(rk.float_stages, h, y0.size)
+        for _ in range(1, s):
+            states.append(_rk_kernel_step(kernels, problem.rhs, states[-1]))
     return states
 
 
-def _initial_state(problem: OdeProblem, y0) -> np.ndarray:
+def _initial_state(problem: OdeProblem, y0, what: str = "y0") -> np.ndarray:
     """``y0`` as an (m,) array, checked: of the problem's dimension and
     finite.  A non-finite initial state is a configuration error, whatever
-    the startup."""
+    the startup.  ``what`` names the state in the error, which serves
+    other given states too."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (problem.dimension,):
         raise ConfigurationError(
-            f"y0 has shape {y0.shape}, problem needs ({problem.dimension},)")
+            f"{what} has shape {y0.shape}, problem needs "
+            f"({problem.dimension},)")
     if not np.isfinite(y0).all():
         raise ConfigurationError(
-            f"y0 {y0.tolist()} has a non-finite component")
+            f"{what} {y0.tolist()} has a non-finite component")
     return y0
 
 
@@ -489,9 +589,9 @@ def integrate(config: RunConfig) -> Trajectory:
             recorded = list(startup) if full else [startup[-1]]
             states = deque(reversed(startup), maxlen=s)
             slopes = deque([None] * s, maxlen=s)
-            scaled = _scaled_terms(method.terms, h)
+            kernel = _run_kernel(_scaled_terms(method.terms, h), y0.size)
             for _ in range(s - 1, n):
-                new = _ms_step(scaled, rhs, states, slopes)
+                new = kernel(rhs, states, slopes)
                 states.appendleft(new)
                 slopes.appendleft(None)
                 if full:
@@ -499,11 +599,11 @@ def integrate(config: RunConfig) -> Trajectory:
                 else:
                     recorded[0] = new
         else:
-            stages = _scaled_stages(method.float_stages, h)
+            kernels = _stage_kernels(method.float_stages, h, y0.size)
             u = _single_state(y0)
             recorded = [u]
             for _ in range(n):
-                u = _rk_step(stages, rhs, u)
+                u = _rk_kernel_step(kernels, rhs, u)
                 if full:
                     recorded.append(u)
                 else:
@@ -533,22 +633,29 @@ def integrate(config: RunConfig) -> Trajectory:
 # reference solver
 # ---------------------------------------------------------------------------
 
-def _rk4_classic_step(rhs, u, coefs):
-    """One classical RK4 step of a single run's state (see
-    ``_single_state``); ``coefs`` holds 0.5*dt, dt and dt/6, formed once
-    per run."""
-    half, full, sixth = coefs
-    k1 = rhs(u)
-    if type(u) is list:
-        k2 = rhs([x + half * k for x, k in zip(u, k1)])
-        k3 = rhs([x + half * k for x, k in zip(u, k2)])
-        k4 = rhs([x + full * k for x, k in zip(u, k3)])
-        return [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
-    k2 = rhs(u + half * k1)
-    k3 = rhs(u + half * k2)
-    k4 = rhs(u + full * k3)
-    return u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+@functools.lru_cache(maxsize=None)
+def _rk4_factory(m: int):
+    """The factory of the classical RK4 step kernel on states of m
+    components (a bare float for m = 1), built once per process.  It takes
+    0.5*dt, dt, dt/6 and 2.0 and returns ``kernel(rhs, u)``, which forms
+    each stage state as ``x + half*k`` and the new state as
+    ``x + sixth*(((a + two*b) + two*c) + d)``, component by component."""
+    def stage(step: str, k: int) -> str:
+        return _state_source(m, lambda c: f"u{c} + {step}*k{k}{c}")
+
+    new = _state_source(m, lambda c: (f"u{c} + sixth*(((k1{c} + two*k2{c})"
+                                      f" + two*k3{c}) + k4{c})"))
+    source = "\n".join([
+        "def factory(half, full, sixth, two):",
+        "    def kernel(rhs, u):",
+        "        k1 = rhs(u)",
+        f"        k2 = rhs({stage('half', 1)})",
+        f"        k3 = rhs({stage('half', 2)})",
+        f"        k4 = rhs({stage('full', 3)})",
+        f"        return {new}",
+        "    return kernel",
+        ""])
+    return _compile_factory(f"<nslmm rk4 kernel m={m}>", source)
 
 
 def reference_solution(problem: OdeProblem, y0, t_end: float,
@@ -558,9 +665,9 @@ def reference_solution(problem: OdeProblem, y0, t_end: float,
     n = step_count(t0, t_end, dt_ref)
     y0 = _initial_state(problem, y0)
     rhs = problem.rhs
-    coefs = (0.5 * dt_ref, dt_ref, dt_ref / 6.0)
+    kernel = _rk4_factory(y0.size)(0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)
     u = _single_state(y0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            u = _rk4_classic_step(rhs, u, coefs)
+            u = kernel(rhs, u)
     return np.array(u, dtype=float).reshape(y0.shape)

@@ -141,6 +141,33 @@ def test_convergence_rejects_a_non_finite_y0_before_the_reference(
     assert calls[0] == 0
 
 
+def test_convergence_with_a_ready_reference_state_equals_rk4(seir0,
+                                                             seir_y0):
+    # a reference computed once serves several studies, bit for bit as
+    # each computing its own; the study runs no reference of its own
+    method = get_method("sspms43")
+    dts = [0.1, 0.05]
+    want = convergence_study(seir0, method, PhiKind.PHI7, dts, 1.0, seir_y0,
+                             RK4Reference(1e-3))
+    state = n.reference_solution(seir0, seir_y0, 1.0, 1e-3)
+    counted, calls = counting_rhs(seir0)
+    got = convergence_study(counted, method, PhiKind.PHI7, dts, 1.0,
+                            seir_y0, state)
+    assert got.to_csv() == want.to_csv()
+    assert got.config["reference"] == "state"
+    # the two runs take 30 steps; the RK4 reference alone makes 4000 calls
+    assert calls[0] < 100
+
+
+@pytest.mark.parametrize("bad", [
+    [0.8, 0.0, 0.2], [0.8, np.nan, 0.2, 0.0], [0.8, np.inf, 0.2, 0.0],
+    "rk4", object()])
+def test_convergence_rejects_a_bad_reference_state(seir0, seir_y0, bad):
+    with pytest.raises(ConfigurationError):
+        convergence_study(seir0, get_method("sspms43"), PhiKind.PHI7,
+                          [0.1, 0.05], 1.0, seir_y0, bad)
+
+
 def test_convergence_norm_defaults(logistic2, seir0, seir_y0):
     m = get_method("ssprk104")
     r1 = convergence_study(logistic2, m, PhiKind.PHI8, [0.1], 1.0, [1.0],

@@ -1,13 +1,18 @@
+import dataclasses
+import linecache
+import math
+import re
 import sys
+import traceback
 import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nslmm.integrate  # noqa: F401  (the submodule, looked up below)
-from nslmm import (MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
+from nslmm import (CATALOG, MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
                    ExactStartup, MultistepMethod, PhiKind, RecordMode,
                    RunConfig, RungeKuttaStartup, eval_phi, exact_solution,
                    forward_euler_step, get_method, integrate,
@@ -59,6 +64,18 @@ def test_nslmm_step_history_length(logistic2):
     with pytest.raises(ValueError):
         nslmm_step(m, DenominatorSpec(PhiKind.IDENTITY), logistic2,
                    [[1.0]] * 3, 0.1)
+
+
+@pytest.mark.parametrize("last", [[0.8, 0.0, 0.2], [0.8, 0.0, 0.2, 0.0, 5.0]])
+def test_single_steps_refuse_states_of_another_size(seir0, seir_y0, last):
+    # the kernel is built for the problem's dimension; a shorter state
+    # would fail inside it and a longer one lose its extra components
+    phi = DenominatorSpec(PhiKind.IDENTITY)
+    with pytest.raises(ValueError, match="problem needs 4"):
+        nslmm_step(get_method("sspms42"), phi, seir0,
+                   [seir_y0] * 3 + [last], 0.1)
+    with pytest.raises(ValueError, match="problem needs 4"):
+        nsrk_step(get_method("ssprk33"), phi, seir0, last, 0.1)
 
 
 def _convex_combination_oracle(method, phi, problem, history, dt):
@@ -129,21 +146,37 @@ KERNEL_IDS = ["sspms42", "sspms43", "sspms64", "ssprk22", "ssprk33",
 def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
     """The states ``n`` steps of ``method``'s kernel return, from the
     newest-first states ``start`` (one for a Runge-Kutta method), with a
-    float ``h`` or a per-element (B, m) array."""
+    float ``h`` or a per-element (B, m) array.  With ``scratch``, a batch
+    steps through the in-place batch kernels; without, through a single
+    run's generated kernels, for a list of m floats or a bare state (a
+    float, or a whole array, each operation applied to all of it)."""
+    m = len(start[0]) if type(start[0]) is list else 1
     out = []
     if isinstance(method, MultistepMethod):
         s = method.steps
         states = deque(start, maxlen=s)
         slopes = deque([None] * s, maxlen=s)
         scaled = integrate_mod._scaled_terms(method.terms, h)
+        if scratch is None:
+            kernel = integrate_mod._run_kernel(scaled, m)
+        else:
+            def kernel(rhs, states, slopes):
+                return integrate_mod._ms_step(scaled, rhs, states, slopes,
+                                              scratch)
         for _ in range(n):
-            new = integrate_mod._ms_step(scaled, rhs, states, slopes, scratch)
+            new = kernel(rhs, states, slopes)
             states.appendleft(new)
             slopes.appendleft(None)
             out.append(new)
         return out
-    stages = integrate_mod._scaled_stages(method.float_stages, h)
     u = start[0]
+    if scratch is None:
+        kernels = integrate_mod._stage_kernels(method.float_stages, h, m)
+        for _ in range(n):
+            u = integrate_mod._rk_kernel_step(kernels, rhs, u)
+            out.append(u)
+        return out
+    stages = integrate_mod._scaled_stages(method.float_stages, h)
     for _ in range(n):
         u = integrate_mod._rk_step(stages, rhs, u, scratch)
         out.append(u)
@@ -301,6 +334,159 @@ def test_single_steps_equal_float_coefficient_steps_bitwise(problem_name,
         want = _float_rk_step(method.float_stages, problem.rhs, u, h)
     assert got.shape == (m,)
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# generated single-run kernels against the float oracles
+# ---------------------------------------------------------------------------
+
+#: a state component: an ordinary value, or inf, NaN or a signed zero
+_COMPONENT = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0]))
+
+
+def _same_bits(got, want) -> bool:
+    """Bitwise equality of two states of floats, NaN positions counting as
+    equal whatever their payloads."""
+    got = np.asarray(got, dtype=float).ravel()
+    want = np.asarray(want, dtype=float).ravel()
+    nan = np.isnan(got)
+    return (got.shape == want.shape and (nan == np.isnan(want)).all()
+            and (got[~nan].view(np.int64) == want[~nan].view(np.int64)).all())
+
+
+def _kernel_rhs(m):
+    return (logistic_problem(2.0) if m == 1 else seir_problem(0.0)).rhs
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("method_id", sorted(CATALOG))
+@settings(derandomize=True)
+@given(h=st.floats(min_value=0.0, max_value=2.0), data=st.data())
+def test_generated_kernels_equal_float_oracles_bitwise(method_id, m, h, data):
+    # non-finite and signed-zero components go through the same IEEE
+    # operations in both, so they keep their bits too
+    method = get_method(method_id)
+    rhs = _kernel_rhs(m)
+    count = method.steps if isinstance(method, MultistepMethod) else 1
+    states = [np.array(data.draw(st.lists(_COMPONENT, min_size=m,
+                                          max_size=m)))
+              for _ in range(count)]
+    singles = [integrate_mod._single_state(u) for u in states]
+    with np.errstate(all="ignore"):
+        if isinstance(method, MultistepMethod):
+            kernel = integrate_mod._run_kernel(
+                integrate_mod._scaled_terms(method.terms, h), m)
+            got = kernel(rhs, singles, [None] * count)
+            want = _float_ms_step(method, rhs, states, h)
+        else:
+            kernels = integrate_mod._stage_kernels(method.float_stages, h, m)
+            got = integrate_mod._rk_kernel_step(kernels, rhs, singles[0])
+            want = _float_rk_step(method.float_stages, rhs, states[0], h)
+    assert type(got) is (float if m == 1 else list)
+    assert _same_bits(got, want), (got, want)
+
+
+def _rk4_oracle(rhs, u, dt):
+    """One classical RK4 step of an (m,) array."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = rhs(u)
+    k2 = rhs(u + half * k1)
+    k3 = rhs(u + half * k2)
+    k4 = rhs(u + dt * k3)
+    return u + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@settings(derandomize=True)
+@given(dt=st.floats(min_value=0.0, max_value=2.0),
+       u=st.lists(_COMPONENT, min_size=4, max_size=4))
+def test_generated_rk4_kernel_equals_float_oracle_bitwise(m, dt, u):
+    rhs = _kernel_rhs(m)
+    u = np.array(u[:m])
+    kernel = integrate_mod._rk4_factory(m)(0.5 * dt, dt, dt / 6.0, 2.0)
+    with np.errstate(all="ignore"):
+        got = kernel(rhs, integrate_mod._single_state(u))
+        want = _rk4_oracle(rhs, u, dt)
+    assert type(got) is (float if m == 1 else list)
+    assert _same_bits(got, want), (got, want)
+
+
+def test_reference_solution_equals_rk4_oracle_bitwise(seir0, seir_y0):
+    want = seir_y0
+    for _ in range(50):
+        want = _rk4_oracle(seir0.rhs, want, 0.1)
+    got = reference_solution(seir0, seir_y0, 5.0, 0.1)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method_id,y0", [
+    ("sspms64", [0.75, 0.05, 0.2, 0.0]), ("ssprk104", [0.75, 0.05, 0.2, 0.0]),
+    ("sspms43", [0.7])])
+def test_a_second_run_of_one_shape_builds_no_kernel(method_id, y0):
+    # the factories are cached per term pattern and state size: another
+    # step size only passes other coefficients
+    problem = seir_problem(0.0) if len(y0) > 1 else logistic_problem(2.0)
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, 0.15,
+                              ORDER_MATCHED_PHI[method.design_order])
+    integrate(_config(problem, method, phi, 0.1, 2.0, y0))
+    reference_solution(problem, y0, 2.0, 0.1)
+    kernels = integrate_mod._kernel_factory.cache_info()
+    rk4 = integrate_mod._rk4_factory.cache_info()
+    integrate(_config(problem, method, phi, 0.05, 2.0, y0))
+    reference_solution(problem, y0, 2.0, 0.05)
+    assert integrate_mod._kernel_factory.cache_info().misses == kernels.misses
+    assert integrate_mod._kernel_factory.cache_info().hits > kernels.hits
+    assert integrate_mod._rk4_factory.cache_info().misses == rk4.misses
+
+
+def test_generated_kernels_show_their_lines_in_tracebacks(seir0, seir_y0):
+    # a kernel's frame names its term pattern and state size, and its
+    # source line is readable, as cProfile and tracebacks print them.
+    # The ssprk104 starter makes 50 calls over five steps; the first
+    # multistep step then evaluates the slopes at j = 1, 4, 5 in turn.
+    calls = [0]
+
+    def rhs(u):
+        calls[0] += 1
+        if calls[0] == 52:
+            raise ZeroDivisionError("slope")
+        return seir0.rhs(u)
+
+    problem = dataclasses.replace(seir0, rhs=rhs)
+    method = get_method("sspms64")
+    phi = make_phi_for_method(method, 0.15, PhiKind.PHI8)
+    with pytest.raises(ZeroDivisionError) as info:
+        integrate(_config(problem, method, phi, 0.1, 2.0, seir_y0))
+    frames = [f for f in traceback.extract_tb(info.tb)
+              if f.filename.startswith("<nslmm")]
+    assert [f.filename for f in frames] == [
+        "<nslmm kernel j=1,4,5,6 f=1,4,5 m=4>"]
+    assert frames[0].line == "f1 = slopes[3] = rhs(u1)"
+    calls[0] = 50
+    with pytest.raises(ZeroDivisionError) as info:
+        reference_solution(problem, seir_y0, 1.0, 0.1)
+    frames = [f for f in traceback.extract_tb(info.tb)
+              if f.filename.startswith("<nslmm")]
+    assert [f.filename for f in frames] == ["<nslmm rk4 kernel m=4>"]
+    assert frames[0].line.startswith("k2 = rhs([u[0] + half*k1[0], ")
+
+
+def test_generated_kernel_sources_hold_no_coefficient(seir0, seir_y0):
+    # only identifiers and integer indices: no float literal in any source
+    for method_id in sorted(CATALOG):
+        method = get_method(method_id)
+        integrate(_config(seir0, method, DenominatorSpec(PhiKind.IDENTITY),
+                          0.1, 1.0, seir_y0))
+    reference_solution(seir0, seir_y0, 1.0, 0.1)
+    names = [name for name in linecache.cache
+             if name.startswith("<nslmm")]
+    assert names
+    for name in names:
+        source = "".join(linecache.cache[name][2])
+        assert not re.search(r"\d\.|\.\d|\de", source), name
 
 
 def _array_step_chain(problem, method, phi, dt, n, y0) -> np.ndarray:
