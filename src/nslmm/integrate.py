@@ -73,7 +73,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +89,9 @@ ALIGNMENT_TOL = 1e-8
 #: largest full-trajectory record, in bytes, a run may build; sweeps and
 #: sharpness grids are held to it too
 MAX_RECORD_BYTES = 2 ** 30
+
+#: rows per piece of a trajectory's CSV text (``Trajectory.csv_chunks``)
+CSV_CHUNK_ROWS = 512
 
 #: bytes of a Python float, the state of a one-component run
 _FLOAT_OBJECT_BYTES = sys.getsizeof(1.0)
@@ -168,15 +171,20 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def to_csv(self) -> str:
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text in pieces: the header line, then blocks of at most
+        ``CSV_CHUNK_ROWS`` rows, so a writer never holds the whole text."""
         m = self.states.shape[1]
-        header = "t," + ",".join(f"u{k + 1}" for k in range(m))
-        lines = [header]
-        # Python floats print as ``repr(float(v))`` of each value did; a
-        # row at a time keeps the lists small
-        for t, row in zip(self.times.tolist(), self.states):
-            lines.append(",".join(map(repr, [t] + row.tolist())))
-        return "\n".join(lines) + "\n"
+        yield "t," + ",".join(f"u{k + 1}" for k in range(m)) + "\n"
+        row = ",".join(["%r"] * (m + 1)) + "\n"
+        table = np.column_stack([self.times, self.states])
+        # ``%r`` of a Python float is ``repr(float(v))`` of the value
+        for a in range(0, table.shape[0], CSV_CHUNK_ROWS):
+            block = table[a:a + CSV_CHUNK_ROWS]
+            yield row * block.shape[0] % tuple(block.ravel().tolist())
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:

@@ -2,15 +2,19 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nslmm import (ExactReference, PhiKind, convergence_study, experiments,
-                   fe_property_bound, get_method, logistic_problem,
-                   make_phi_for_method)
+from nslmm import (ExactReference, PhiKind, cli, convergence_study,
+                   experiments, fe_property_bound, get_method,
+                   logistic_problem, make_phi_for_method)
 from nslmm.cli import build_parser, main
 
 
@@ -495,6 +499,116 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["solve", "--help"]) == 0
     capsys.readouterr()
+
+
+#: the ``src`` directory that holds the package, for subprocess runs
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _calls(capsys, argvs, rewrite):
+    """(exit code, stdout, stderr) of ``main`` on each argument vector in
+    turn; ``rewrite(i)`` runs before the i-th call."""
+    results = []
+    for i, argv in enumerate(argvs):
+        rewrite(i)
+        results.append(run_cli(capsys, *argv))
+    return results
+
+
+def test_reused_parser_answers_each_call_as_a_first_call(capsys, tmp_path,
+                                                         monkeypatch):
+    # the parser ``main`` keeps must carry nothing from one call to the
+    # next: --check lists, argparse errors, help and @file contents
+    flags = tmp_path / "run.args"
+    flag_sets = [["--y0=1"], ["--y0=3", "--check=bound-below:2"]]
+
+    def rewrite(i):
+        flags.write_text("\n".join(["solve", "--problem=logistic",
+                                    "--params=c=2", "--method=sspms42",
+                                    "--phi=phi5", "--dt=0.5", "--t-end=2"]
+                                   + flag_sets[i % 2]) + "\n")
+
+    argvs = [FIG3_ARGS + ["--check", "bound-below:2", "--check", "mon-inc"],
+             FIG3_ARGS,
+             FIG3_ARGS + ["--standard", "--strict", "--check", "bound-below:2"],
+             ["solve", "--problem", "logistic"],
+             ["--help"],
+             ["solve", "--help"],
+             FIG3_ARGS + ["--check", "weakmon-dec"],
+             [f"@{flags}"],
+             [f"@{flags}"]]
+    main(["list"])
+    capsys.readouterr()
+    reused = _calls(capsys, argvs, rewrite)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _calls(capsys, argvs, rewrite)
+    assert [code for code, _out, _err in fresh] == [0, 0, 1, 2, 0, 0, 0, 0, 0]
+    assert fresh[0][2].count("\n") == 2 and fresh[1][2] == ""
+    assert fresh[7][2].count("\n") == 1 and fresh[8][2] == ""
+    assert reused == fresh
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a parser built at import would fail on the broken constructor
+    probe = ("import argparse\n"
+             "argparse.ArgumentParser.__init__ = None\n"
+             "import nslmm.cli as cli\n"
+             "assert cli._parser.cache_info().currsize == 0\n")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": _SRC})
+    assert result.returncode == 0, result.stderr
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # ``nslmm solve ... | head -1``: 20001 rows, far more than a pipe
+    # holds, so the streamed write meets the closed pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "nslmm.cli", "solve", "--problem", "seir",
+             "--y0", "0.8,0,0.2,0", "--method", "sspms64", "--phi", "phi8",
+             "--dt", "0.001", "--t-end", "20", "--check", "sum", "--strict"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _SRC}) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first == b"t,u1,u2,u3,u4\n"
+    assert code == 0
+    assert [json.loads(line)["holds"] for line in err.splitlines()] == [True]
+
+
+_CONVERGENCE_ARGS = ["convergence", "--problem", "logistic", "--params",
+                     "c=2", "--y0", "1", "--method", "sspms42", "--phi",
+                     "phi5", "--dt-base", "0.1", "--t-end", "1",
+                     "--reference", "exact"]
+
+
+@pytest.mark.parametrize("argv", [FIG3_ARGS, _CONVERGENCE_ARGS, ["list"]])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exit_2_with_one_line(capsys, tmp_path, argv, where):
+    # used to end in an OSError traceback and exit 1, the --strict code
+    out = (tmp_path / "missing" / "x.csv" if where == "missing-dir"
+           else tmp_path)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write --out: ")
+    assert err.count("\n") == 1
+
+
+def test_refused_run_leaves_an_existing_out_file(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    code, _stdout, err = run_cli(capsys, *FIG3_ARGS[:-4], "--dt", "0.7",
+                                 "--t-end", "1", "--out", str(out))
+    assert code == 2 and err.startswith("error:")
+    assert out.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

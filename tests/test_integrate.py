@@ -18,6 +18,7 @@ from nslmm import (CATALOG, MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
                    forward_euler_step, get_method, integrate,
                    logistic_problem, make_phi_for_method, make_problem,
                    nslmm_step, nsrk_step, reference_solution, seir_problem)
+from nslmm import cli
 from nslmm.denominator import CATALOG_KINDS, phi_value
 from nslmm.integrate import STARTER_FOR_ORDER, Trajectory, record_bytes
 from nslmm.methods import effective_ssp_coefficient
@@ -727,6 +728,44 @@ def test_trajectory_csv_equals_per_value_float_repr(t0, dt, first_index):
         assert traj.to_csv() == _csv_by_float_repr(traj)
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_trajectory_csv_chunks_equal_per_value_float_repr(tmp_path, m):
+    # more rows than one chunk, with the special values spread over the
+    # chunk boundaries; ``solve`` streams the same chunks to its output
+    rows = 2 * integrate_mod.CSV_CHUNK_ROWS + 1
+    specials = [-0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf, 1e308, 0.1]
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((rows, m))
+    for i, a in enumerate(range(0, rows, integrate_mod.CSV_CHUNK_ROWS // 4)):
+        for r in (a - 1, a, a + 1):
+            if 0 <= r < rows:
+                states[r, i % m] = specials[(r + i) % len(specials)]
+    traj = Trajectory(t0=-0.0, dt=1 / 3, states=states, provenance={},
+                      first_index=5)
+    want = _csv_by_float_repr(traj)
+    assert traj.to_csv() == want
+    assert [len(c.splitlines()) for c in traj.csv_chunks()] == [
+        1, integrate_mod.CSV_CHUNK_ROWS, integrate_mod.CSV_CHUNK_ROWS, 1]
+    out = tmp_path / "x.csv"
+    cli._write_output(traj.csv_chunks(), str(out))
+    assert out.read_text() == want
+
+
+def test_solve_streams_the_csv_of_its_run(capsys, seir0, seir_y0):
+    # 1201 rows that overflow to inf and NaN, written to stdout in chunks
+    m = get_method("sspms64")
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _csv_by_float_repr(integrate(_config(
+            seir0, m, DenominatorSpec(PhiKind.IDENTITY), 5.0, 6000.0,
+            seir_y0)))
+    assert "nan" in want and "inf" in want
+    code = cli.main(["solve", "--problem", "seir", "--y0", "0.8,0,0.2,0",
+                     "--method", "sspms64", "--standard", "--dt", "5",
+                     "--t-end", "6000"])
+    assert code == 0
+    assert capsys.readouterr().out == want
+
+
 def test_rk_startup_policy_explicit(seir0, seir_y0):
     m = get_method("sspms42")
     phi = make_phi_for_method(m, 0.2, PhiKind.PHI5)
@@ -781,6 +820,25 @@ def test_record_bytes_matches_a_runs_peak_memory(problem_name, y0):
     finally:
         tracemalloc.stop()
     assert 0.9 <= peak / record_bytes(4001, len(y0)) <= 1.25
+
+
+@pytest.mark.parametrize("problem_name, y0", [
+    ("logistic", "0.5"), ("seir", "0.8,0,0.2,0")])
+def test_solve_command_peak_memory_is_the_records(tmp_path, problem_name, y0):
+    # the CSV is written in chunks, so writing it holds far less than the
+    # run's record, which ``require_size`` bounds
+    argv = ["solve", "--problem", problem_name, "--y0", y0,
+            "--method", "sspms64", "--phi", "phi8", "--dt", "0.005",
+            "--t-end", "20", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.25 * record_bytes(4001, y0.count(",") + 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
