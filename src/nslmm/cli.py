@@ -84,7 +84,8 @@ def _parse_startup(text: str):
     if text == "exact":
         return ExactStartup()
     if text.startswith("nsrk:"):
-        parts = text.split(":")
+        # a phi label may hold a colon of its own: phi-general:<p>
+        parts = text.split(":", 2)
         if len(parts) != 3:
             raise ConfigurationError(
                 "startup must be 'exact' or 'nsrk:<rk-id>:<phi>'")

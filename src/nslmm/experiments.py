@@ -7,14 +7,14 @@ combination of initial value, step size and threshold) advances in lockstep
 as numpy arrays, with property monitors evaluated on the fly; bounds and
 monotonicity directions may differ per element.  A batch starts through
 the startup routine of a single run (``integrate._startup_states``) and
-steps with ``integrate._ms_step``, the batch form of the combination a
-single run's generated kernels write out: the same slope ring, one
-``rhs`` call per step for all elements, and the same operations in the
-same order.  So each element's states equal its single run bit for bit,
-whatever else shares its batch, given the same transformed step h.
-``phi_value`` on an array can round differently in the last bit from the
-same transform of one float (numpy's vectorised ``**``), and then so do
-the element's states.
+steps with the batch form of the kernel a single run steps with, which
+``integrate._kernel_factory`` emits from the same term pattern: the same
+slope ring, one ``rhs`` call per step for all elements, and the same
+operations in the same order.  So each element's states equal its single
+run bit for bit, whatever else shares its batch, given the same
+transformed step h.  ``phi_value`` on an array can round differently in
+the last bit from the same transform of one float (numpy's vectorised
+``**``), and then so do the element's states.
 
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
@@ -42,7 +42,7 @@ from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
                           make_phi_for_method, phi_value, ssp_threshold)
 from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig,
-                        _component_major, _initial_state, _ms_step,
+                        _component_major, _initial_state, _run_kernel,
                         _run_steps, _scaled_terms, _startup_states,
                         default_startup, integrate, reference_solution,
                         require_size)
@@ -278,8 +278,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
     results are written out and the block goes on with the others alone.
     Elements are independent, so neither blocks nor compaction show in any
-    result.  A block owns the scratch arrays of the in-place batch kernels
-    (see ``integrate``), made once and again when it compacts.
+    result.  A block owns the scratch arrays in which its batch kernels
+    form each term (see ``integrate._kernel_factory``); it makes them, and
+    binds its step kernel to them, once and again when it compacts.
 
     ``_groups`` (private) gives each element a nonnegative integer group id:
     once one element stops at its failed checks, all elements of its group
@@ -390,15 +391,17 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         def buffers(size: int) -> None:
             """(Re)make the block's scratch for ``size`` elements: the
             kernels' pair, in which every term of a step is formed, and the
-            invariant's."""
-            nonlocal scratch, sums, elapsed
+            invariant's; and bind the step kernel to the pair and to
+            ``scaled``."""
+            nonlocal scratch, kernel, sums, elapsed
             scratch = (np.empty((size, m), order="F"),
                        np.empty((size, m), order="F"))
+            kernel = _run_kernel(scaled, m, scratch)
             if check_inv:
                 sums = (np.empty(size), np.empty(size))
                 elapsed = None if invariant_drift == 0 else np.empty(size)
 
-        scratch = sums = elapsed = None
+        scratch = kernel = sums = elapsed = None
         buffers(b)
 
         def watch(live) -> None:
@@ -521,7 +524,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                     frozen = None if live is None else ~live[:, None]
                     watch(live)
 
-                new = _ms_step(scaled, rhs, states, slopes, scratch)
+                new = kernel(rhs, states, slopes)
                 if frozen is not None:
                     np.copyto(new, states[0], where=frozen)
 
@@ -851,6 +854,10 @@ def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
     """
     if n_evals < 10 ** 6:
         raise ValueError("n_evals must be at least 1e6")
+    if not math.isfinite(x):
+        raise ConfigurationError(f"x must be finite (got {x!r})")
+    if reps < 1:
+        raise ConfigurationError(f"reps must be at least 1 (got {reps})")
     if kinds is None:
         kinds = list(CATALOG_KINDS) + [PhiKind.IDENTITY]
     kinds = list(kinds)
@@ -868,8 +875,10 @@ def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
                 guard += float(np.asarray(out).flat[0])
                 remaining -= block.size
             kind_times.append(time.perf_counter() - start)
-    if not np.isfinite(guard):  # pragma: no cover
-        raise RuntimeError("benchmark accumulator overflowed")
+    if not np.isfinite(guard):
+        raise ConfigurationError(
+            f"the transform values at x = {x!r} overflow the benchmark "
+            "accumulator")
     return BenchmarkReport(rows=tuple(
         BenchmarkRow(kind.value if kind is not PhiKind.GENERAL_P
                      else "phi-general:5", n_evals, statistics.median(t))

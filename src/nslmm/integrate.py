@@ -17,40 +17,40 @@ evaluated the first time a term needs it, so a run makes one ``rhs``
 call per step plus at most s - 1 for the startup states; the fixed order
 makes cached slopes give the same bits as fresh ones.
 
-A batch (the sweeps of ``experiments``) forms the combination with
-``_ms_step`` and ``_rk_step`` on (B, m) arrays.  A single run carries its
-state as Python floats, a float for one component and a list of m floats
-for several, and steps it with a kernel written out straight-line:
+Every combination, of a single run or of a batch (the sweeps of
+``experiments``), is stepped by a kernel written out straight-line:
 ``_kernel_factory`` builds, once per process and at first use, a small
 function for each term pattern (the offsets j, and which terms have a
-slope) and state size m, whose body is the combination component by
-component; ``_run_kernel`` binds it to a run's alpha_j and h*beta_j.  A
-Runge-Kutta step runs one such kernel per stage over the stage values
-and their slopes, and the RK4 reference has its own (``_rk4_factory``).
-The kernels take ``rhs`` per call, so the rows of a convergence table
-share one, and their sources hold only identifiers and integer indices.
-They are compiled under names such as ``<nslmm kernel j=1,4,5,6 f=1,4,5
-m=4>`` (f: the offsets with a slope) and their lines kept in
-``linecache``, so tracebacks and profiles show them.  Python's float
-``+``, ``-`` and ``*`` are the IEEE double operations numpy's are, and
-the kernels use them in the batch's order, so both give the same bits.
-``_single_state`` puts ``y0`` and the closed-form startup states in
-single-run form, and the record is copied into a (K, m) array at the
-end; ``nslmm_step`` and ``nsrk_step`` take and return arrays and convert
-at their edges.  On a 2-vCPU Xeon virtual machine (Python 3.11, numpy
-2.4) the kernels took a SEIR ``sspms64`` run from 4.7 to 1.6 us per
-step, a SEIR ``ssprk104`` run from 18.8 to 8.2 us and the SEIR RK4
-reference from 5.0 to 2.4 us, against a loop over the terms with one
-list comprehension per term.  Every stepping loop runs with numpy's
-overflow and invalid-value warnings off, as the sweep's does: a run that
-leaves the property region shows its inf and NaN states in the record
-and in any check.
-
-The batch driver passes its kernels a pair of scratch arrays, in which
-each term is formed (see ``_add_in_place``).  On SEIR blocks of 4000 x 4
-states, where each temporary is 128 KB, this took a sweep of 2e4
+slope) and form, whose body is the combination; ``_run_kernel`` binds it
+to a run's alpha_j and h*beta_j.  One generator emits both forms from the
+one term pattern, with the same slope fetches and term order.  A single
+run carries its state as Python floats, a float for one component and a
+list of m floats for several, and its form sums component by component.
+A batch's form works on (B, m) arrays and forms each term in a pair of
+scratch arrays that the batch driver owns, with ufunc ``out=``, adding it
+in place into the one new array it returns; on SEIR blocks of 4000 x 4
+states, where each temporary is 128 KB, that took a sweep of 2e4
 elements over 200 steps from about 320 to about 220 ms on a 2-vCPU Xeon
-virtual machine.
+virtual machine.  Python's float ``+``, ``-`` and ``*`` are the IEEE
+double operations numpy's are, so both forms give the same bits.  A
+Runge-Kutta step runs one such kernel per stage over the stage values
+and their slopes (``_rk_kernel_step``), and the RK4 reference has its
+own (``_rk4_factory``).  The kernels take ``rhs`` per call, so the rows
+of a convergence table share one, and their sources hold only
+identifiers and integer indices.  They are compiled under names such as
+``<nslmm kernel j=1,4,5,6 f=1,4,5 m=4>`` or ``<nslmm batch kernel j=1,4,5,6
+f=1,4,5>`` (f: the offsets with a slope) and their lines kept in
+``linecache``, so tracebacks and profiles show them.  ``_single_state``
+puts ``y0`` and the closed-form startup states in single-run form, and
+the record is copied into a (K, m) array at the end; ``nslmm_step`` and
+``nsrk_step`` take and return arrays and convert at their edges.  On a
+2-vCPU Xeon virtual machine (Python 3.11, numpy 2.4) the single-run
+kernels took a SEIR ``sspms64`` run from 4.7 to 1.6 us per step, a SEIR
+``ssprk104`` run from 18.8 to 8.2 us and the SEIR RK4 reference from 5.0
+to 2.4 us, against a loop over the terms with one list comprehension per
+term.  Every stepping loop runs with numpy's overflow and invalid-value
+warnings off, as the sweep's does: a run that leaves the property region
+shows its inf and NaN states in the record and in any check.
 
 A batch's (B, m) states are component-major (Fortran-ordered), so that
 each component a right-hand side reads or writes is contiguous: the batch
@@ -265,50 +265,14 @@ def _component_major(values, m: int) -> np.ndarray:
     return np.repeat(np.reshape(values, (1, -1)), m, axis=0).T
 
 
-def _add_in_place(acc, a, u, hb, f, scratch) -> np.ndarray:
-    """``acc + (a*u + hb*f)`` for a batch, or the term alone when ``acc`` is
-    None; no slope part when ``hb`` is None.  The term is formed in the two
-    ``scratch`` arrays with ufunc ``out=`` and added into ``acc`` in place,
-    so only a first term makes a new array.  These are the operations of
-    the allocating form in the same order, so they give the same bits."""
-    contrib = np.multiply(a, u, out=None if acc is None else scratch[0])
-    if hb is not None:
-        contrib += np.multiply(hb, f, out=scratch[1])
-    if acc is None:
-        return contrib
-    acc += contrib
-    return acc
-
-
-def _ms_step(scaled, rhs, states, slopes, scratch):
-    """One Shu-Osher combination sum_j (alpha_j u_j + h*beta_j f(u_j)) of a
-    batch, ascending j, state term before slope term: a multistep update,
-    or one Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep
-    update u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term
-    first needs it (then filled in place).  ``scratch`` is two arrays of
-    the states' shape that the batch driver owns: the update is summed in
-    place into one new array, the returned state, and never into a
-    scratch array.
-    """
-    acc = None
-    for j, a, hb in scaled:
-        u = states[j - 1]
-        f = None
-        if hb is not None:
-            f = slopes[j - 1]
-            if f is None:
-                f = slopes[j - 1] = rhs(u)
-        acc = _add_in_place(acc, a, u, hb, f, scratch)
-    return acc
-
-
 def _compile_factory(filename: str, source: str):
     """The function ``factory`` that ``source`` defines, compiled under
     ``filename``, with the source's lines kept in ``linecache`` so that
-    tracebacks and profiles inside it show real lines."""
+    tracebacks and profiles inside it show real lines.  The source may
+    call numpy's ``multiply``."""
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
-    namespace: dict = {}
+    namespace: dict = {"multiply": np.multiply}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["factory"]
 
@@ -323,54 +287,83 @@ def _state_source(m: int, component) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_factory(pattern: tuple, m: int):
-    """The factory of a single run's step kernel for one term pattern,
-    built once per process.
+def _kernel_factory(pattern: tuple, m: int | None, drop: tuple = ()):
+    """The factory of a step kernel for one term pattern, in single-run
+    form (m an int) or batch form (m None), built once per process.
 
-    ``pattern`` holds (j, has a slope) per term, in term order; states have
-    m components, a bare float for m = 1.  The factory takes alpha_j, then
-    h*beta_j where there is a slope, term by term, and returns
-    ``kernel(rhs, states, slopes)``, the Shu-Osher sum ``_ms_step`` forms
-    for a batch written out component by component: slopes evaluated in
-    term order and cached in ``slopes`` as there, then each component
-    summed left to right, state term before slope term.  Those are the
-    same IEEE operations in the same order, so the same bits.  The source
-    names only identifiers and integer indices; coefficients come in as
-    arguments.
+    ``pattern`` holds (j, has a slope) per term, in term order.  The
+    factory takes alpha_j, then h*beta_j where there is a slope, term by
+    term, and in batch form then the batch's two scratch arrays; it
+    returns ``kernel(rhs, states, slopes)``, the Shu-Osher combination
+    sum_j (alpha_j u_j + h*beta_j f(u_j)): a multistep update or one
+    Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep update
+    u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term first
+    needs it, then filled in place.  Both forms fetch the slopes in term
+    order and sum the terms in ascending j, state term before slope term.
+
+    The single-run form writes the sum out component by component, on
+    states of m components, a bare float for m = 1.  The batch form works
+    on (B, m) arrays: each term is formed in the scratch pair with ufunc
+    ``out=`` and added in place into one new array, the returned state,
+    so no scratch array is ever returned.  Python's float ``+`` and ``*``
+    are the IEEE double operations numpy's are, so both forms give the
+    same bits.  The batch form then sets ``states[k]`` and ``slopes[k]``
+    to None for each k in ``drop``, the sources that no later Runge-Kutta
+    stage reads.  The source names only identifiers and integer indices;
+    coefficients come in as arguments.
     """
-    params, fetch = [], []
+    params, lines = [], []
     for t, (j, slope) in enumerate(pattern):
         params.append(f"a{t}")
-        fetch.append(f"        u{t} = states[{j - 1}]")
+        lines.append(f"u{t} = states[{j - 1}]")
         if slope:
             params.append(f"h{t}")
-            fetch += [f"        f{t} = slopes[{j - 1}]",
-                      f"        if f{t} is None:",
-                      f"            f{t} = slopes[{j - 1}] = rhs(u{t})"]
+            lines += [f"f{t} = slopes[{j - 1}]",
+                      f"if f{t} is None:",
+                      f"    f{t} = slopes[{j - 1}] = rhs(u{t})"]
+    offsets = ",".join(str(j) for j, _slope in pattern)
+    sloped = ",".join(str(j) for j, slope in pattern if slope)
+    if m is None:
+        params += ["s0", "s1"]
+        for t, (_j, slope) in enumerate(pattern):
+            into = "acc" if t == 0 else "term"
+            lines.append(f"{into} = multiply(a{t}, u{t}"
+                         + (")" if t == 0 else ", out=s0)"))
+            if slope:
+                lines.append(f"{into} += multiply(h{t}, f{t}, out=s1)")
+            if t:
+                lines.append("acc += term")
+        lines += [f"states[{k}] = slopes[{k}] = None" for k in drop]
+        lines.append("return acc")
+        dropped = ",".join(str(k + 1) for k in drop)
+        name = (f"<nslmm batch kernel j={offsets} f={sloped}"
+                + (f" drop={dropped}>" if drop else ">"))
+    else:
+        def component(c: str) -> str:
+            return " + ".join(f"(a{t}*u{t}{c} + h{t}*f{t}{c})" if slope
+                              else f"a{t}*u{t}{c}"
+                              for t, (_j, slope) in enumerate(pattern))
 
-    def component(c: str) -> str:
-        return " + ".join(f"(a{t}*u{t}{c} + h{t}*f{t}{c})" if slope
-                          else f"a{t}*u{t}{c}"
-                          for t, (_j, slope) in enumerate(pattern))
-
+        lines.append("return " + _state_source(m, component))
+        name = f"<nslmm kernel j={offsets} f={sloped} m={m}>"
     source = "\n".join(
         [f"def factory({', '.join(params)}):",
          "    def kernel(rhs, states, slopes):"]
-        + fetch + ["        return " + _state_source(m, component),
-                   "    return kernel", ""])
-    offsets = ",".join(str(j) for j, _slope in pattern)
-    sloped = ",".join(str(j) for j, slope in pattern if slope)
-    return _compile_factory(f"<nslmm kernel j={offsets} f={sloped} m={m}>",
-                            source)
+        + ["        " + line for line in lines] + ["    return kernel", ""])
+    return _compile_factory(name, source)
 
 
-def _run_kernel(scaled, m: int):
-    """A single run's step kernel for ``scaled`` terms (see
-    ``_scaled_terms``) on states of m components."""
+def _run_kernel(scaled, m: int, scratch=None, drop=()):
+    """A step kernel for ``scaled`` terms (see ``_scaled_terms``): a single
+    run's on states of m components, or with ``scratch``, a pair of arrays
+    of the states' shape that the batch driver owns, a batch's that drops
+    the sources ``drop`` (see ``_kernel_factory``)."""
     pattern = tuple((j, hb is not None) for j, _a, hb in scaled)
     coefs = [c for _j, a, hb in scaled
              for c in ((a,) if hb is None else (a, hb))]
-    return _kernel_factory(pattern, m)(*coefs)
+    if scratch is None:
+        return _kernel_factory(pattern, m)(*coefs)
+    return _kernel_factory(pattern, None, tuple(drop))(*coefs, *scratch)
 
 
 def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
@@ -399,9 +392,11 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
 
 def _scaled_stages(stages, h) -> list:
     """(terms, done) per Runge-Kutta stage: its (source + 1, alpha, h*beta
-    or None) terms for ``_ms_step`` or ``_run_kernel``, with one product
-    per distinct beta of the whole method, and the sources no later stage
-    reads."""
+    or None) terms for ``_run_kernel``, with one product per distinct beta
+    of the whole method, and the sources no later stage reads, which a
+    batch kernel drops, so that a ten-stage batch step holds a few stage
+    values and slopes at a time, not all.  A single run's kernels keep
+    them, a few floats each, as dropping them would cost time."""
     terms = _scaled_terms([(src + 1, a, b) for stage in stages
                            for src, a, b in stage], h)
     last_read = {src: k for k, stage in enumerate(stages)
@@ -414,35 +409,19 @@ def _scaled_stages(stages, h) -> list:
     return out
 
 
-def _rk_step(scaled_stages, rhs, u, scratch):
-    """One Shu-Osher Runge-Kutta step of a batch; slope values cached per
-    stage source.  ``scaled_stages`` comes from ``_scaled_stages`` with a
-    (B, m) array of per-element step sizes.  A stage value and its slope
-    are dropped after the last stage that reads them, so a ten-stage step
-    holds a few of them at a time, not all.  ``scratch`` is as for
-    ``_ms_step``: each stage value is one new array, summed in place."""
-    values = [u]
-    slopes: list = [None]
-    for stage, done in scaled_stages:
-        acc = _ms_step(stage, rhs, values, slopes, scratch)
-        for src in done:
-            values[src] = slopes[src] = None
-        values.append(acc)
-        slopes.append(None)
-    return values[-1]
-
-
-def _stage_kernels(stages, h: float, m: int) -> list:
-    """A single run's kernel (see ``_run_kernel``) per Runge-Kutta stage,
-    with coefficients from ``_scaled_stages`` at the float ``h``."""
-    return [_run_kernel(terms, m)
-            for terms, _done in _scaled_stages(stages, h)]
+def _stage_kernels(stages, h, m: int, scratch=None) -> list:
+    """A kernel (see ``_run_kernel``) per Runge-Kutta stage, with
+    coefficients from ``_scaled_stages``: a single run's at a float ``h``,
+    or with ``scratch`` a batch's at a (B, m) array of per-element step
+    sizes."""
+    return [_run_kernel(terms, m, scratch, done)
+            for terms, done in _scaled_stages(stages, h)]
 
 
 def _rk_kernel_step(kernels, rhs, u):
     """One Runge-Kutta step of a single run's state (see
-    ``_single_state``), one kernel per stage over the stage values and
-    their slopes."""
+    ``_single_state``) or of a batch, one kernel per stage over the stage
+    values and their slopes."""
     values = [u]
     slopes: list = [None]
     for kernel in kernels:
@@ -506,8 +485,9 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     ``y0`` is one state of shape (m,) with a float ``dt``, or a batch of
     shape (B, m) with a (B,) array of per-element ``dt``.  A single run's
     states come as it steps them (see ``_single_state``), a batch's with
-    the shape of ``y0``.  A batch driver passes its ``scratch`` for the
-    Runge-Kutta starter (see ``_ms_step``).
+    the shape of ``y0``.  A Runge-Kutta starter steps through the kernels
+    of ``_stage_kernels``, in batch form with the batch driver's
+    ``scratch``.
     """
     s = method.steps
     batch = y0.ndim == 2
@@ -540,14 +520,10 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
     if batch:
         # a full (B, m) array: numpy multiplies two full arrays several
         # times faster than an array and a (B, 1) column
-        stages = _scaled_stages(rk.float_stages,
-                                _component_major(h, y0.shape[1]))
-        for _ in range(1, s):
-            states.append(_rk_step(stages, problem.rhs, states[-1], scratch))
-    else:
-        kernels = _stage_kernels(rk.float_stages, h, y0.size)
-        for _ in range(1, s):
-            states.append(_rk_kernel_step(kernels, problem.rhs, states[-1]))
+        h = _component_major(h, y0.shape[1])
+    kernels = _stage_kernels(rk.float_stages, h, y0.shape[-1], scratch)
+    for _ in range(1, s):
+        states.append(_rk_kernel_step(kernels, problem.rhs, states[-1]))
     return states
 
 

@@ -472,6 +472,37 @@ def test_bench_cli_smoke(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--x", "nan"], "x must be finite"),
+    (["--x=inf"], "x must be finite"),
+    (["--x=-inf"], "x must be finite"),
+    (["--reps", "0"], "reps must be at least 1"),
+    (["--x", "1e308", "--kinds", "identity", "--reps", "2"],
+     "overflow the benchmark accumulator")])
+def test_bench_bad_input_exit_2(capsys, argv, message):
+    # these used to end in a traceback and exit 1, or in exit 2 with a
+    # message about an empty median
+    code, out, err = run_cli(capsys, "bench", "--n-evals", "1000000", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_solve_general_family_starter(capsys):
+    # the starter's phi label holds a colon of its own
+    args = ["solve", "--problem", "seir", "--y0", "0.8,0,0.2,0",
+            "--method", "sspms64", "--dt", "0.5", "--t-end", "5"]
+    code, out, err = run_cli(capsys, *args,
+                             "--startup", "nsrk:ssprk104:phi-general:5")
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 12
+    code, out, err = run_cli(capsys, *args,
+                             "--startup", "nsrk:ssprk22:phi-general:3")
+    assert code == 2 and out == ""
+    assert err == "error: general family requires integer p >= 5\n"
+
+
 # ---------------------------------------------------------------------------
 # parser hygiene
 # ---------------------------------------------------------------------------
@@ -753,7 +784,8 @@ _PROBLEM_SLOTS = {
                      ["influx=-1", "influx=nan", "c=2"]),
         "--y0": (["0.8,0,0.2,0", "0.5,0.1,0.3,0.1", "0,0,0,0"],
                  ["0.8,nan,0.2,0", "-0.1,0,1.1,0", "1,2", "1"]),
-        "--startup": ([None, "nsrk:ssprk22:phi5", "nsrk:ssprk104:phi8"],
+        "--startup": ([None, "nsrk:ssprk22:phi5", "nsrk:ssprk104:phi8",
+                       "nsrk:ssprk104:phi-general:5"],
                       ["exact", "nsrk:ssprk22:phi-general:3"]),
     },
 }

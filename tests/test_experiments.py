@@ -892,15 +892,19 @@ def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
     # block, also when an invariant is monitored.  The kernel's scratch
     # shrinks with the block's states.
     problem, sizes = _batch_sizes(seir0)
-    kernel = experiments._ms_step
+    bind = experiments._run_kernel
     scratch_shapes = []
 
-    def spy(scaled, rhs, states, slopes, scratch=None):
-        scratch_shapes.append({states[0].shape,
-                               *(buf.shape for buf in scratch)})
-        return kernel(scaled, rhs, states, slopes, scratch)
+    def spy(scaled, m, scratch):
+        kernel = bind(scaled, m, scratch)
 
-    monkeypatch.setattr(experiments, "_ms_step", spy)
+        def step(rhs, states, slopes):
+            scratch_shapes.append({states[0].shape,
+                                   *(buf.shape for buf in scratch)})
+            return kernel(rhs, states, slopes)
+        return step
+
+    monkeypatch.setattr(experiments, "_run_kernel", spy)
     m = get_method("sspms64")
     infected = np.linspace(0.05, 0.9, 12)
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
@@ -1078,16 +1082,21 @@ def test_one_element_sweep_invariant_equals_batch(weights, drift):
 def test_seir_block_stays_component_major(seir0, monkeypatch):
     # the states, slopes and kernel scratch of a SEIR block are
     # Fortran-ordered after the Runge-Kutta startup and after compactions
-    kernel = experiments._ms_step
+    bind = experiments._run_kernel
     seen = []
 
-    def spy(scaled, rhs, states, slopes, scratch=None):
-        arrays = [*states, *scratch, *(f for f in slopes if f is not None)]
-        seen.append((states[0].shape[0],
-                     all(a.flags.f_contiguous for a in arrays)))
-        return kernel(scaled, rhs, states, slopes, scratch)
+    def spy(scaled, m, scratch):
+        kernel = bind(scaled, m, scratch)
 
-    monkeypatch.setattr(experiments, "_ms_step", spy)
+        def step(rhs, states, slopes):
+            arrays = [*states, *scratch,
+                      *(f for f in slopes if f is not None)]
+            seen.append((states[0].shape[0],
+                         all(a.flags.f_contiguous for a in arrays)))
+            return kernel(rhs, states, slopes)
+        return step
+
+    monkeypatch.setattr(experiments, "_run_kernel", spy)
     infected = np.linspace(0.05, 0.9, 12)
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
                     0.0 * infected], axis=1)

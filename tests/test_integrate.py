@@ -20,6 +20,7 @@ from nslmm import (CATALOG, MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
                    nslmm_step, nsrk_step, reference_solution, seir_problem)
 from nslmm import cli
 from nslmm.denominator import CATALOG_KINDS, phi_value
+from nslmm.experiments import run_preservation_sweep
 from nslmm.integrate import STARTER_FOR_ORDER, Trajectory, record_bytes
 from nslmm.methods import effective_ssp_coefficient
 from nslmm.problems import OdeProblem, fe_property_bound
@@ -148,22 +149,17 @@ def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
     """The states ``n`` steps of ``method``'s kernel return, from the
     newest-first states ``start`` (one for a Runge-Kutta method), with a
     float ``h`` or a per-element (B, m) array.  With ``scratch``, a batch
-    steps through the in-place batch kernels; without, through a single
-    run's generated kernels, for a list of m floats or a bare state (a
-    float, or a whole array, each operation applied to all of it)."""
+    steps through the batch form of the generated kernels; without,
+    through their single-run form, for a list of m floats or a bare state
+    (a float, or a whole array, each operation applied to all of it)."""
     m = len(start[0]) if type(start[0]) is list else 1
     out = []
     if isinstance(method, MultistepMethod):
         s = method.steps
         states = deque(start, maxlen=s)
         slopes = deque([None] * s, maxlen=s)
-        scaled = integrate_mod._scaled_terms(method.terms, h)
-        if scratch is None:
-            kernel = integrate_mod._run_kernel(scaled, m)
-        else:
-            def kernel(rhs, states, slopes):
-                return integrate_mod._ms_step(scaled, rhs, states, slopes,
-                                              scratch)
+        kernel = integrate_mod._run_kernel(
+            integrate_mod._scaled_terms(method.terms, h), m, scratch)
         for _ in range(n):
             new = kernel(rhs, states, slopes)
             states.appendleft(new)
@@ -171,15 +167,9 @@ def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
             out.append(new)
         return out
     u = start[0]
-    if scratch is None:
-        kernels = integrate_mod._stage_kernels(method.float_stages, h, m)
-        for _ in range(n):
-            u = integrate_mod._rk_kernel_step(kernels, rhs, u)
-            out.append(u)
-        return out
-    stages = integrate_mod._scaled_stages(method.float_stages, h)
+    kernels = integrate_mod._stage_kernels(method.float_stages, h, m, scratch)
     for _ in range(n):
-        u = integrate_mod._rk_step(stages, rhs, u, scratch)
+        u = integrate_mod._rk_kernel_step(kernels, rhs, u)
         out.append(u)
     return out
 
@@ -232,6 +222,30 @@ def test_in_place_batch_kernel_returns_fresh_states(method_id, m):
         assert (new == ref).all(), k
     for u, before in zip(start, start_before):
         assert (u == before).all()
+
+
+@pytest.mark.parametrize("method_id", ["ssprk22", "ssprk33", "ssprk104"])
+def test_batch_stage_kernels_drop_what_no_later_stage_reads(method_id):
+    # a ten-stage batch step holds a few stage values and slopes at a
+    # time; a single run's stage kernels keep every one
+    stages = get_method(method_id).float_stages
+    rhs = seir_problem(0.0).rhs
+    batch = np.full((3, 4), 0.25, order="F")
+    scratch = (np.empty_like(batch), np.empty_like(batch))
+    for h, u, buffers in [(np.full((3, 4), 0.1, order="F"), batch, scratch),
+                          (0.1, [0.25] * 4, None)]:
+        values, slopes = [u], [None]
+        for k, kernel in enumerate(integrate_mod._stage_kernels(
+                stages, h, 4, buffers)):
+            values.append(kernel(rhs, values, slopes))
+            slopes.append(None)
+            held = {i for i, v in enumerate(values[:-1]) if v is not None}
+            read_later = {src for stage in stages[k + 1:]
+                          for src, _a, _b in stage}
+            made = set(range(k + 1))
+            assert held == (made if buffers is None
+                            else made & read_later), k
+            assert all(slopes[i] is None for i in made - held)
 
 
 # ---------------------------------------------------------------------------
@@ -361,32 +375,46 @@ def _kernel_rhs(m):
     return (logistic_problem(2.0) if m == 1 else seir_problem(0.0)).rhs
 
 
+def _float_step(method, rhs, states, h):
+    if isinstance(method, MultistepMethod):
+        return _float_ms_step(method, rhs, states, h)
+    return _float_rk_step(method.float_stages, rhs, states[0], h)
+
+
 @pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("method_id", sorted(CATALOG))
 @settings(derandomize=True)
 @given(h=st.floats(min_value=0.0, max_value=2.0), data=st.data())
 def test_generated_kernels_equal_float_oracles_bitwise(method_id, m, h, data):
     # non-finite and signed-zero components go through the same IEEE
-    # operations in both, so they keep their bits too
+    # operations in both, so they keep their bits too; in batch form each
+    # row has its own states and step size
     method = get_method(method_id)
     rhs = _kernel_rhs(m)
     count = method.steps if isinstance(method, MultistepMethod) else 1
-    states = [np.array(data.draw(st.lists(_COMPONENT, min_size=m,
-                                          max_size=m)))
-              for _ in range(count)]
-    singles = [integrate_mod._single_state(u) for u in states]
+    rows = [[np.array(data.draw(st.lists(_COMPONENT, min_size=m,
+                                         max_size=m)))
+             for _ in range(count)] for _ in range(3)]
+    hs = [h] + data.draw(st.lists(st.floats(min_value=0.0, max_value=2.0),
+                                  min_size=2, max_size=2))
+    states = rows[0]
+    batch = [np.asfortranarray([row[k] for row in rows])
+             for k in range(count)]
+    h_batch = integrate_mod._component_major(hs, m)
+    scratch = (np.empty((3, m), order="F"), np.empty((3, m), order="F"))
     with np.errstate(all="ignore"):
-        if isinstance(method, MultistepMethod):
-            kernel = integrate_mod._run_kernel(
-                integrate_mod._scaled_terms(method.terms, h), m)
-            got = kernel(rhs, singles, [None] * count)
-            want = _float_ms_step(method, rhs, states, h)
-        else:
-            kernels = integrate_mod._stage_kernels(method.float_stages, h, m)
-            got = integrate_mod._rk_kernel_step(kernels, rhs, singles[0])
-            want = _float_rk_step(method.float_stages, rhs, states[0], h)
+        got = _kernel_steps(method, rhs,
+                            [integrate_mod._single_state(u) for u in states],
+                            h, 1)[0]
+        want = _float_step(method, rhs, states, h)
+        got_batch = _kernel_steps(method, rhs, batch, h_batch, 1, scratch)[0]
+        want_rows = [_float_step(method, rhs, row, row_h)
+                     for row, row_h in zip(rows, hs)]
     assert type(got) is (float if m == 1 else list)
     assert _same_bits(got, want), (got, want)
+    assert got_batch.shape == (3, m) and got_batch.flags.f_contiguous
+    for i, want_row in enumerate(want_rows):
+        assert _same_bits(got_batch[i], want_row), (i, got_batch, want_row)
 
 
 def _rk4_oracle(rhs, u, dt):
@@ -422,22 +450,44 @@ def test_reference_solution_equals_rk4_oracle_bitwise(seir0, seir_y0):
     assert got.tobytes() == want.tobytes()
 
 
+def _compacting_sweep(problem, method, y0, dt) -> list:
+    """The batch sizes of the ``rhs`` calls of a sweep of 12 copies of
+    ``y0`` whose horizons end apart, so that its one block compacts."""
+    sizes = []
+
+    def rhs(u):
+        sizes.append(u.shape[0])
+        return problem.rhs(u)
+
+    run_preservation_sweep(
+        dataclasses.replace(problem, rhs=rhs), method, PhiKind.PHI8,
+        np.full(12, 0.15), np.full(12, dt), np.repeat([y0], 12, axis=0),
+        np.arange(6, 54, 4))
+    return sizes
+
+
 @pytest.mark.parametrize("method_id,y0", [
     ("sspms64", [0.75, 0.05, 0.2, 0.0]), ("ssprk104", [0.75, 0.05, 0.2, 0.0]),
     ("sspms43", [0.7])])
 def test_a_second_run_of_one_shape_builds_no_kernel(method_id, y0):
     # the factories are cached per term pattern and state size: another
-    # step size only passes other coefficients
+    # step size only passes other coefficients, and a sweep's compaction
+    # only other coefficients and scratch
     problem = seir_problem(0.0) if len(y0) > 1 else logistic_problem(2.0)
     method = get_method(method_id)
     phi = make_phi_for_method(method, 0.15,
                               ORDER_MATCHED_PHI[method.design_order])
+    multistep = isinstance(method, MultistepMethod)
     integrate(_config(problem, method, phi, 0.1, 2.0, y0))
     reference_solution(problem, y0, 2.0, 0.1)
+    if multistep:
+        _compacting_sweep(problem, method, y0, 0.1)
     kernels = integrate_mod._kernel_factory.cache_info()
     rk4 = integrate_mod._rk4_factory.cache_info()
     integrate(_config(problem, method, phi, 0.05, 2.0, y0))
     reference_solution(problem, y0, 2.0, 0.05)
+    if multistep:
+        assert len(set(_compacting_sweep(problem, method, y0, 0.05))) >= 3
     assert integrate_mod._kernel_factory.cache_info().misses == kernels.misses
     assert integrate_mod._kernel_factory.cache_info().hits > kernels.hits
     assert integrate_mod._rk4_factory.cache_info().misses == rk4.misses
@@ -473,6 +523,19 @@ def test_generated_kernels_show_their_lines_in_tracebacks(seir0, seir_y0):
               if f.filename.startswith("<nslmm")]
     assert [f.filename for f in frames] == ["<nslmm rk4 kernel m=4>"]
     assert frames[0].line.startswith("k2 = rhs([u[0] + half*k1[0], ")
+    # a sweep's batch kernels, starter stages and multistep step alike
+    for count, name, line in [
+            (3, "<nslmm batch kernel j=3 f=3 drop=3>",
+             "f0 = slopes[2] = rhs(u0)"),
+            (52, "<nslmm batch kernel j=1,4,5,6 f=1,4,5>",
+             "f1 = slopes[3] = rhs(u1)")]:
+        calls[0] = 52 - count
+        with pytest.raises(ZeroDivisionError) as info:
+            run_preservation_sweep(problem, method, PhiKind.PHI8, [0.15],
+                                   [0.1], [seir_y0], 20)
+        frames = [f for f in traceback.extract_tb(info.tb)
+                  if f.filename.startswith("<nslmm")]
+        assert [(f.filename, f.line) for f in frames] == [(name, line)]
 
 
 def test_generated_kernel_sources_hold_no_coefficient(seir0, seir_y0):
