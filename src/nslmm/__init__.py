@@ -1,9 +1,8 @@
 """Property-preserving ODE integration with transformed SSP multistep methods."""
 
-from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
-                          SamplingPlan, eval_phi, make_phi_for_method,
-                          parse_phi_label, phi_bound, phi_value,
-                          ssp_threshold, verify_phi_conditions)
+from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind, eval_phi,
+                          make_phi_for_method, parse_phi_label, phi_bound,
+                          phi_value, ssp_threshold, verify_phi_conditions)
 from .errors import ConfigurationError, NslmmError, UnsupportedError
 from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ConvergenceReport,
                           ErrorNorm, ExactReference, RK4Reference,

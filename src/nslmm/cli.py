@@ -34,9 +34,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import qualprops
-from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
-                          SamplingPlan, make_phi_for_method,
-                          parse_phi_label, verify_phi_conditions)
+from .denominator import (CATALOG_KINDS, MAX_ORDER, DenominatorSpec,
+                          PhiKind, make_phi_for_method, parse_phi_label,
+                          verify_phi_conditions)
 from .errors import ConfigurationError, UnsupportedError
 from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ErrorNorm,
                           ExactReference, RK4Reference, convergence_study,
@@ -277,7 +277,7 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.kinds:
-        kinds = [parse_phi_label(label)[0] for label in args.kinds.split(",")]
+        kinds = [parse_phi_label(label) for label in args.kinds.split(",")]
     else:
         kinds = None
     report = phi_benchmark(kinds, n_evals=args.n_evals, x=args.x,
@@ -322,8 +322,7 @@ def _cmd_verify_phi(args) -> int:
         spec = DenominatorSpec(kind, bound=args.bound, p=p)
     order = args.p if args.p is not None else (
         4 if kind is PhiKind.IDENTITY else int(spec.enabled_order))
-    plan = SamplingPlan(k_min=args.k_min, k_max=args.k_max)
-    report = verify_phi_conditions(spec, order, plan)
+    report = verify_phi_conditions(spec, order)
     sys.stderr.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     if args.strict and not report.passed:
         return 1
@@ -415,15 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     lst = subparsers.add_parser("list", help="print the catalogs")
     lst.add_argument("--out", default=None)
 
-    verify = subparsers.add_parser("verify-phi",
-                                   help="certify a transform's order")
-    verify.add_argument("--phi", required=True)
-    verify.add_argument("--bound", type=float, default=1.0)
+    verify = subparsers.add_parser(
+        "verify-phi", help="certify a transform's order",
+        description="Read the order of phi(x) = x + O(x^(order+1)) off the "
+        "Taylor coefficients at 0 of phi(x) - x (mpmath, 60 digits, up to "
+        f"degree q + 1 for enabled order q <= {MAX_ORDER}) and check "
+        "0 < phi <= bound on 128 log-spaced x from bound*2^-18 to "
+        "100*bound.  The report is one JSON line on stderr.")
+    verify.add_argument("--phi", required=True,
+                        help="phi1..phi8, phi-general:<p> or identity")
+    verify.add_argument("--bound", type=float, default=1.0,
+                        help="the threshold B (ignored for identity)")
     verify.add_argument("--p", type=int, default=None,
-                        help="order to certify (default: the enabled order)")
-    verify.add_argument("--k-min", type=int, default=4)
-    verify.add_argument("--k-max", type=int, default=18)
-    verify.add_argument("--strict", action="store_true")
+                        help="order to certify (default: the enabled order; "
+                        "4 for identity)")
+    verify.add_argument("--strict", action="store_true",
+                        help="exit 1 when the certificate fails")
 
     return parser
 

@@ -38,8 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .denominator import (CATALOG_KINDS, PhiKind, capped_product,
-                          make_phi_for_method, phi_value, ssp_threshold)
+from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
+                          capped_product, eval_phi, make_phi_for_method,
+                          phi_value, ssp_threshold)
 from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig,
                         _component_major, _initial_state, _run_kernel,
@@ -841,16 +842,20 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
+def phi_benchmark(kinds: Sequence[PhiKind | tuple[PhiKind, int]] | None = None,
                   n_evals: int = 10 ** 7, x: float = 0.1, bound: float = 0.1,
                   reps: int = 5, chunk: int = 1 << 20) -> BenchmarkReport:
     """Median wall-clock time to evaluate each transform ``n_evals`` times.
 
-    Evaluation is chunked over preallocated arrays; a running scalar
-    accumulator keeps the results observable.  The repetitions go round
-    robin over the kinds, so a change in the host's speed during the run
-    hits every kind alike.  Absolute numbers are hardware-bound; only
-    relative ordering is meaningful.
+    ``kinds`` holds kinds or, for the general family, ``(kind, p)`` pairs
+    as ``parse_phi_label`` returns them; rows are labelled as
+    ``DenominatorSpec.label`` does.  Evaluation is chunked over
+    preallocated arrays; a running scalar accumulator keeps the results
+    observable, and an ``x`` whose values would overflow it is refused
+    before anything is timed.  The repetitions go round robin over the
+    kinds, so a change in the host's speed during the run hits every kind
+    alike.  Absolute numbers are hardware-bound; only relative ordering is
+    meaningful.
     """
     if n_evals < 10 ** 6:
         raise ValueError("n_evals must be at least 1e6")
@@ -860,26 +865,29 @@ def phi_benchmark(kinds: Sequence[PhiKind] | None = None,
         raise ConfigurationError(f"reps must be at least 1 (got {reps})")
     if kinds is None:
         kinds = list(CATALOG_KINDS) + [PhiKind.IDENTITY]
-    kinds = list(kinds)
+    pairs = [(k, None) if isinstance(k, PhiKind) else k for k in kinds]
+    specs = [DenominatorSpec(kind, bound=bound, p=p) for kind, p in pairs]
     xs = np.full(min(chunk, n_evals), float(x))
-    times = [[] for _ in kinds]
+    # the accumulator adds the first value of every block of every
+    # repetition, reps * ceil(n_evals / xs.size) values per kind
+    blocks = reps * -(-n_evals // xs.size)
+    if not math.isfinite(blocks * sum(eval_phi(spec, float(x))
+                                      for spec in specs)):
+        raise ConfigurationError(
+            f"the transform values at x = {x!r} overflow the benchmark "
+            "accumulator")
+    times = [[] for _ in specs]
     guard = 0.0
     for _ in range(reps):
-        for kind, kind_times in zip(kinds, times):
+        for spec, spec_times in zip(specs, times):
             remaining = n_evals
             start = time.perf_counter()
             while remaining > 0:
                 block = xs if remaining >= xs.size else xs[:remaining]
-                out = phi_value(kind, bound, block,
-                                5 if kind is PhiKind.GENERAL_P else None)
+                out = phi_value(spec.kind, bound, block, spec.p)
                 guard += float(np.asarray(out).flat[0])
                 remaining -= block.size
-            kind_times.append(time.perf_counter() - start)
-    if not np.isfinite(guard):
-        raise ConfigurationError(
-            f"the transform values at x = {x!r} overflow the benchmark "
-            "accumulator")
+            spec_times.append(time.perf_counter() - start)
     return BenchmarkReport(rows=tuple(
-        BenchmarkRow(kind.value if kind is not PhiKind.GENERAL_P
-                     else "phi-general:5", n_evals, statistics.median(t))
-        for kind, t in zip(kinds, times)))
+        BenchmarkRow(spec.label(), n_evals, statistics.median(t))
+        for spec, t in zip(specs, times)))

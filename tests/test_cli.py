@@ -356,7 +356,7 @@ def test_verify_phi_pass_and_fail(capsys):
     assert code == 0
     report = json.loads(err.strip().splitlines()[-1])
     assert report["passed"] is True
-    assert report["slope"] == pytest.approx(5.0, abs=0.05)
+    assert report["order"] == 4 and "slope" not in report
     code, _out, err = run_cli(capsys, "verify-phi", "--phi", "phi8",
                               "--p", "5", "--strict")
     assert code == 1
@@ -368,34 +368,39 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("p", ["12", "20", "40"])
 def test_verify_phi_high_power_prints_valid_json(capsys, p):
-    # at 60 digits the residual rounds to zero and the slope is NaN
+    # the report stays valid JSON: no NaN or Infinity
     code, _out, err = run_cli(capsys, "verify-phi", "--phi",
                               f"phi-general:{p}", "--strict")
     assert code == 0, err
     report = json.loads(err.strip().splitlines()[-1],
                         parse_constant=_reject_constant)
-    assert report["slope"] == pytest.approx(int(p) + 1, abs=1e-6)
+    assert report["order"] == int(p)
+    assert report["leading_coefficient"] == pytest.approx(-1 / int(p))
 
 
-def test_verify_phi_residual_beyond_max_digits_exit_2(capsys):
+def test_verify_phi_identity_reports_null_order(capsys):
+    # the identity's residual vanishes: no order and no coefficient, as
+    # JSON null rather than Infinity
+    code, _out, err = run_cli(capsys, "verify-phi", "--phi", "identity",
+                              "--strict")
+    assert code == 0, err
+    report = json.loads(err.strip().splitlines()[-1],
+                        parse_constant=_reject_constant)
+    assert report["order"] is None and report["leading_coefficient"] is None
+    assert report["order_ok"] is True
+
+
+def test_verify_phi_order_beyond_the_cap_exit_2(capsys):
     _one_error_line_no_warning(capsys, "verify-phi", "--phi",
                                "phi-general:100000")
 
 
-@pytest.mark.parametrize("phi, k_max", [("identity", "2000"),
-                                        ("phi8", "1100")])
-def test_verify_phi_underflowing_k_max_exit_2(capsys, phi, k_max):
-    # the identity used to fail its positivity check and exit 0, phi8 to
-    # end in an SVD error after numpy warnings
-    _one_error_line_no_warning(capsys, "verify-phi", "--phi", phi,
-                               "--k-max", k_max)
-
-
-@pytest.mark.parametrize("phi", ["identity", "phi8"])
-def test_verify_phi_overflowing_k_min_exit_2(capsys, phi):
-    # the identity used to warn of an overflow and pass with max_phi inf
-    _one_error_line_no_warning(capsys, "verify-phi", "--phi", phi,
-                               "--k-min=-3000", "--k-max=-2000")
+@pytest.mark.parametrize("bound", ["1e-305", "1e307"])
+def test_verify_phi_bound_outside_the_span_grid_exit_2(capsys, bound):
+    # the span grid from bound * 2^-18 to 100 * bound would reach the
+    # subnormal floats, or inf
+    _one_error_line_no_warning(capsys, "verify-phi", "--phi", "phi8",
+                               "--bound", bound)
 
 
 def test_sharpness_cli_smoke(capsys):
@@ -479,14 +484,38 @@ def test_bench_cli_smoke(capsys):
     (["--reps", "0"], "reps must be at least 1"),
     (["--x", "1e308", "--kinds", "identity", "--reps", "2"],
      "overflow the benchmark accumulator")])
-def test_bench_bad_input_exit_2(capsys, argv, message):
+def test_bench_bad_input_exit_2(capsys, monkeypatch, argv, message):
     # these used to end in a traceback and exit 1, or in exit 2 with a
     # message about an empty median
+    timed = []
+
+    def record(kind, bound, x, p=None):
+        timed.append(kind)
+        return x
+
+    monkeypatch.setattr(experiments, "phi_value", record)
     code, out, err = run_cli(capsys, "bench", "--n-evals", "1000000", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+    # refused before the first timed repetition
+    assert timed == []
+
+
+def test_bench_times_the_general_power_asked_for(capsys, monkeypatch):
+    powers = []
+
+    def record(kind, bound, x, p=None):
+        powers.append(p)
+        return x
+
+    monkeypatch.setattr(experiments, "phi_value", record)
+    code, out, _err = run_cli(capsys, "bench", "--kinds", "phi-general:7",
+                              "--n-evals", "1000000", "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("phi-general:7,1000000,")
+    assert powers == [7]
 
 
 def test_solve_general_family_starter(capsys):
@@ -826,10 +855,8 @@ _CONVERGENCE_SLOTS = {
 _VERIFY_PHI_SLOTS = {
     "--phi": (["phi1", "phi5", "phi8", "phi-general:6", "identity"],
               ["phiX", "phi-general:3", "phi-general:x"]),
-    "--bound": ([None, "1", "0.1"], _BAD_NUMBERS),
+    "--bound": ([None, "1", "0.1"], _BAD_NUMBERS + ["1e-305", "1e307"]),
     "--p": ([None, "1", "4", "9"], ["0", "-1", "x"]),
-    "--k-min": ([None, "4", "8"], ["20", "18", "x"]),
-    "--k-max": ([None, "18", "12"], ["3", "x"]),
     "--strict": ([None, True], []),
 }
 

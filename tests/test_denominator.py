@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 from nslmm import (CATALOG_KINDS, UNCONDITIONAL_BOUND, ConfigurationError,
-                   DenominatorSpec, PhiKind, SamplingPlan, UnsupportedError,
+                   DenominatorSpec, PhiKind, UnsupportedError,
                    effective_ssp_coefficient, eval_phi, get_method,
                    make_phi_for_method, parse_phi_label, phi_bound,
                    phi_value, ssp_threshold, verify_phi_conditions)
-from nslmm.denominator import _MP, _TRANSFORMS
+from nslmm.denominator import _MP, _TRANSFORMS, MAX_ORDER
 
 ALL_SPECS = [DenominatorSpec(kind, bound=1.0) for kind in CATALOG_KINDS]
 
@@ -208,7 +208,7 @@ def test_general_family_matches_phi8_at_p4_shape(x, b):
 
 
 def test_certification_matrix():
-    # slope-based order certification passes exactly up to the enabled order
+    # the coefficient certificate passes exactly up to the enabled order
     for kind in CATALOG_KINDS:
         spec = DenominatorSpec(kind, bound=1.0)
         enabled = spec.enabled_order
@@ -217,22 +217,39 @@ def test_certification_matrix():
             assert report.passed == (p <= enabled), (kind, p, report)
 
 
-def test_certification_slope_value_phi8():
-    report = verify_phi_conditions(DenominatorSpec(PhiKind.PHI8, bound=1.0), 4)
-    assert report.slope == pytest.approx(5.0, abs=0.05)
+#: the leading coefficient c of phi(x) - x = c B (x/B)^(q+1) + ..., worked
+#: out by hand from the series of exp, atan, tanh and (1 + r^k)^(-1/k)
+HAND_LEADING = {
+    PhiKind.PHI1: -1 / 2, PhiKind.PHI2: -1 / math.e, PhiKind.PHI3: -1.0,
+    PhiKind.PHI4: -math.pi ** 2 / 12, PhiKind.PHI5: -1 / 3,
+    PhiKind.PHI6: -1 / 2, PhiKind.PHI7: -1 / 3, PhiKind.PHI8: -1 / 4,
+}
+
+
+@pytest.mark.parametrize("bound", [1e-300, 0.1, 1.0, 1e300])
+@pytest.mark.parametrize("kind, p", [(kind, None) for kind in CATALOG_KINDS]
+                         + [(PhiKind.GENERAL_P, 5), (PhiKind.GENERAL_P, 7)])
+def test_certification_matches_hand_series(kind, p, bound):
+    # dividing the residual by B keeps the coefficients from reading zero
+    # at B = 1e-300
+    spec = DenominatorSpec(kind, bound=bound, p=p)
+    report = verify_phi_conditions(spec, int(spec.enabled_order))
+    assert report.order == spec.enabled_order
+    expected = -1 / p if p else HAND_LEADING[kind]
+    assert report.leading_coefficient == pytest.approx(expected, rel=1e-12)
     assert report.passed
 
 
 def test_certification_phi3_fails_second_order():
     report = verify_phi_conditions(DenominatorSpec(PhiKind.PHI3, bound=1.0), 2)
-    assert report.slope == pytest.approx(2.0, abs=0.05)
+    assert report.order == 1 and not report.order_ok
     assert not report.passed
 
 
 def test_certification_identity_convention():
     report = verify_phi_conditions(DenominatorSpec(PhiKind.IDENTITY), 3)
     assert report.passed
-    assert report.slope is None
+    assert report.order is None and report.leading_coefficient is None
 
 
 def test_certification_general_family():
@@ -243,56 +260,41 @@ def test_certification_general_family():
 
 @pytest.mark.parametrize("p", [10, 12, 20, 40])
 def test_certification_resolves_high_powers(p):
-    # at 60 digits the residual of p >= 12 rounds to exactly zero at the
-    # fine end of the grid and the slope is NaN
+    # the vanishing coefficients of degree up to p read at most a few
+    # 1e-64 at 60 digits, the leading one -1/p
     report = verify_phi_conditions(
         DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=p), p)
-    assert report.slope == pytest.approx(p + 1, abs=1e-6)
+    assert report.order == p
+    assert report.leading_coefficient == pytest.approx(-1 / p, rel=1e-12)
     assert report.passed
 
 
-def test_certification_refuses_residuals_beyond_max_digits():
-    spec = DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=100_000)
-    with pytest.raises(ConfigurationError, match="digits"):
+@pytest.mark.parametrize("p", [MAX_ORDER + 1, 100_000])
+def test_certification_refuses_orders_beyond_the_cap(p):
+    spec = DenominatorSpec(PhiKind.GENERAL_P, bound=1.0, p=p)
+    with pytest.raises(ConfigurationError, match="limit"):
         verify_phi_conditions(spec, 5)
 
 
-def test_certification_rejects_bad_plans():
+def test_certification_rejects_orders_below_one():
     spec = DenominatorSpec(PhiKind.PHI5, bound=1.0)
     with pytest.raises(ValueError):
         verify_phi_conditions(spec, 0)
-    with pytest.raises(ValueError):
-        verify_phi_conditions(spec, 2, SamplingPlan(k_min=10, k_max=4))
 
 
-@pytest.mark.parametrize("bound, k_min, finite", [
-    (1.0, -1023, True), (2.0, -1023, False), (1.0, -3000, False),
-    (1e-300, -1000, True), (1e-300, -1100, False)])
-def test_sampling_plan_refuses_grids_above_the_floats(bound, k_min, finite):
-    # bound * 2^-k_min is the largest dyadic sample; at (1e-300, -1100) the
-    # product would be finite but the power of two overflows
-    plan = SamplingPlan(k_min=k_min, k_max=k_min + 10)
-    if finite:
-        assert plan.dyadic_points(bound).max() == bound * 2.0 ** -k_min
-    else:
-        with pytest.raises(ConfigurationError, match="largest sample"):
-            plan.dyadic_points(bound)
-
-
-@pytest.mark.parametrize("bound, k_max, normal", [
-    (1.0, 1022, True), (1.0, 1023, False), (1.0, 2000, False),
-    (2.0, 1023, True), (1e-300, 20, True), (1e-300, 30, False)])
-def test_sampling_plan_refuses_grids_below_the_normal_floats(bound, k_max,
-                                                             normal):
-    # bound * 2^-k_max is the smallest sample of both grids
-    plan = SamplingPlan(k_max=k_max)
+@pytest.mark.parametrize("bound, normal", [
+    (1.0, True), (2.0 ** -1004, True), (2.0 ** -1005, False),
+    (1e306, True), (1e307, False)])
+def test_span_grid_refuses_bounds_outside_the_normal_floats(bound, normal):
+    # the grid runs from bound * 2^-18, which must be a normal float, to
+    # 100 * bound, which must be finite
+    spec = DenominatorSpec(PhiKind.PHI5, bound=bound)
     if normal:
-        assert plan.dyadic_points(bound).min() == bound * 2.0 ** -k_max
-        assert plan.span_grid(bound).min() > 0
+        report = verify_phi_conditions(spec, 2)
+        assert report.passed and report.max_phi <= bound
     else:
-        for grid in (plan.dyadic_points, plan.span_grid):
-            with pytest.raises(ConfigurationError, match="smallest normal"):
-                grid(bound)
+        with pytest.raises(ConfigurationError, match="normal floats"):
+            verify_phi_conditions(spec, 2)
 
 
 def test_parse_phi_label():

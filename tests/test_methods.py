@@ -89,30 +89,43 @@ def test_all_beta_zero_gives_unbounded_coefficient():
 
 
 def _order_condition_residuals(method: MultistepMethod, max_order: int):
-    """Independent oracle: classical linear multistep order conditions.
+    """Independent oracle: the classical linear multistep order conditions,
+    in exact fractions of the stored coefficients.
 
-    Writing the update over absolute indices i = s - j, the scheme has
-    alpha_s = 1, alpha_{s-j} = -alpha~_j, beta_{s-j} = beta~_j, and order q
-    requires sum_i alpha_i i^q = q sum_i beta_i i^(q-1) for q = 1..p.
+    With the new value at t = 1 and u[n+1-j] at t = 1 - j, the step is
+    exact for u(t) = t^k when sum_j alpha_j (1-j)^k + k beta_j (1-j)^(k-1)
+    = 1; the method has order p when that holds for k = 0..p.  Returns the
+    residuals for k = 0..max_order.
     """
-    s = method.steps
     out = []
-    for q in range(1, max_order + 1):
-        lhs = float(s) ** q
-        rhs = 0.0
-        for j, a in method.alpha.items():
-            lhs -= float(a) * float(s - j) ** q
-        for j, b in method.beta.items():
-            rhs += q * float(b) * float(s - j) ** (q - 1)
-        out.append(lhs - rhs)
+    for k in range(max_order + 1):
+        e = sum(F(a) * (1 - j) ** k for j, a in method.alpha.items())
+        if k:
+            e += sum(k * F(b) * F(1 - j) ** (k - 1)
+                     for j, b in method.beta.items())
+        out.append(e - 1)
     return out
+
+
+#: the first nonzero residual, at k = p + 1: exact for the rational
+#: coefficient sets, to the digits shown for sspms64's decimal ones
+FIRST_MISSED_CONDITION = {"sspms42": -4, "sspms43": -16, "sspms64": -108.132}
 
 
 @pytest.mark.parametrize("method_id", MULTISTEP_IDS)
 def test_multistep_order_conditions(method_id):
+    # order exactly p: the conditions hold for k <= p, exactly where the
+    # coefficients are fractions and to 1e-12 for sspms64's floats (whose
+    # worst reads 8.4e-13), and fail at k = p + 1
     method = get_method(method_id)
-    residuals = _order_condition_residuals(method, method.design_order)
-    assert max(abs(r) for r in residuals) < 1e-9
+    p = method.design_order
+    residuals = _order_condition_residuals(method, p + 1)
+    exact = all(isinstance(c, F) for c in (*method.alpha.values(),
+                                           *method.beta.values()))
+    tol = 0 if exact else 1e-12
+    assert max(abs(r) for r in residuals[:-1]) <= tol
+    assert float(residuals[-1]) == pytest.approx(
+        FIRST_MISSED_CONDITION[method_id], rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at their smallest sizes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_convergence_script_quick_writes_six_tables(tmp_path):
         for study in ("transforms", "methods"))
     for name in names:
         assert _header(tmp_path / name).startswith("dt,")
+
+
+def test_output_digests_prints_one_line_per_output():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64} [0-2] \S.*", line)
+               for line in lines), lines
+    # stdout and stderr of the README commands but bench, then six CSVs
+    labels = [line.split(" ", 2)[2] for line in lines]
+    assert labels[0].startswith("nslmm solve ")
+    assert not any(label.startswith("nslmm bench") for label in labels)
+    assert sum(label.endswith(" [stdout]") for label in labels) == \
+        sum(label.endswith(" [stderr]") for label in labels) >= 6
+    assert sum(label.endswith(".csv") for label in labels) == 6
+    assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
