@@ -5,10 +5,13 @@ byte for byte as they were.
 Prints one ``sha256 exit label`` line for the stdout and one for the
 stderr of every ``nslmm`` command in README.md's ``sh`` blocks except
 ``bench`` (whose output is timings), each run in-process through
-``nslmm.cli.main`` with an ``--out FILE`` sent to stdout instead, and one
-line for each CSV that ``run_convergence_tables.py --quick`` writes (with
-that script's exit code).  Diffing the output of two trees shows which
-outputs moved:
+``nslmm.cli.main`` with an ``--out FILE`` sent to stdout instead, one
+line for each CSV that ``run_convergence_tables.py --quick`` writes, and
+one for each CSV that ``run_sharpness.py --n-y0 6 --n-dt 10`` writes for
+each of its settings (with that script's exit code), all in-process; the
+``seir`` setting starts its sweeps with batched Runge-Kutta steps.  It
+takes a few seconds.  Diffing the output of two trees shows which outputs
+moved:
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 """
@@ -24,6 +27,7 @@ import warnings
 from pathlib import Path
 
 import run_convergence_tables
+import run_sharpness
 from nslmm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +72,15 @@ def main() -> int:
         for path in sorted(Path(tmp).iterdir()):
             lines.append(f"{digest(path.read_text())} {code} "
                          f"run_convergence_tables.py --quick {path.name}")
+    for setting in sorted(run_sharpness.SETTINGS):
+        argv = ["--setting", setting, "--n-y0", "6", "--n-dt", "10"]
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_sharpness.main(argv + ["--out-dir", tmp])
+            for path in sorted(Path(tmp).iterdir()):
+                lines.append(f"{digest(path.read_text())} {code} "
+                             f"run_sharpness.py {shlex.join(argv)} "
+                             f"{path.name}")
     print("\n".join(lines))
     return 0
 

@@ -144,7 +144,7 @@ def _parse_check(token: str, problem, method,
                  y0) -> tuple[QualitativeProperty, int]:
     """One --check token -> the property it checks and the window of a
     windowed monotonicity check (1 for the classical ``mon-*``)."""
-    window = method.steps if isinstance(method, MultistepMethod) else 1
+    window = method.steps
     parts = token.split(":")
     name = parts[0]
 

@@ -69,47 +69,69 @@ CATALOG_KINDS = (
 # The formulas take (ns, x, B, p), ns a numeric namespace.  The power forms
 # are scaled, x * (1 + (x/B)^q)^(-1/q), so that very large bounds (the
 # unconditional sentinel) degrade gracefully to phi(x) = x instead of
-# overflowing.
+# overflowing.  Where an intermediate t can overflow, a formula returns
+# ns.guard(value, t, large): large(), an overflow-free form (B for phi3 and
+# the power forms), where t() is inf, else value.
 
 def _phi4(ns, x, B, p):
     s = (x * (ns.pi / 2.0)) / B
-    return x * ns.arctan(s) / ns.where(s == 0.0, 1.0, s)
+    return ns.guard(
+        x * ns.arctan(s) / ns.where(s == 0.0, 1.0, s), lambda: s,
+        lambda: (2.0 / ns.pi) * B * ns.arctan((x / B) * (ns.pi / 2.0)))
 
 
 def _phi6(ns, x, B, p):
     r = x / B
-    return x / ns.sqrt(1.0 + r * r)
+    return ns.guard(x / ns.sqrt(1.0 + r * r), lambda: r * r, lambda: B)
 
 
 def _phi7(ns, x, B, p):
     r = x / B
-    return x / ns.cbrt(1.0 + r * r * r)
+    return ns.guard(x / ns.cbrt(1.0 + r * r * r), lambda: r * r * r,
+                    lambda: B)
 
 
 def _phi8(ns, x, B, p):
     r2 = (x / B) ** 2
-    return x / (1.0 + r2 * r2) ** 0.25
+    return ns.guard(x / (1.0 + r2 * r2) ** 0.25, lambda: r2 * r2, lambda: B)
 
 
 #: kind -> (enabled order, formula); the general family's order is its p
 _TRANSFORMS = {
     PhiKind.PHI1: (1, lambda ns, x, B, p: B * (-ns.expm1(-x / B))),
     PhiKind.PHI2: (1, lambda ns, x, B, p: x * ns.exp(-(x / B) / ns.e)),
-    PhiKind.PHI3: (1, lambda ns, x, B, p: x / (1.0 + x / B)),
+    PhiKind.PHI3: (1, lambda ns, x, B, p: ns.guard(
+        x / (1.0 + x / B), lambda: x / B, lambda: B)),
     PhiKind.PHI4: (2, _phi4),
     PhiKind.PHI5: (2, lambda ns, x, B, p: B * ns.tanh(x / B)),
     PhiKind.PHI6: (2, _phi6),
     PhiKind.PHI7: (3, _phi7),
     PhiKind.PHI8: (4, _phi8),
-    PhiKind.GENERAL_P: (
-        None, lambda ns, x, B, p: x / (1.0 + (x / B) ** p) ** (1.0 / p)),
+    PhiKind.GENERAL_P: (None, lambda ns, x, B, p: ns.guard(
+        x / (1.0 + (x / B) ** p) ** (1.0 / p), lambda: (x / B) ** p,
+        lambda: B)),
     PhiKind.IDENTITY: (math.inf, lambda ns, x, B, p: x),
 }
 
-#: the numpy names the formulas use, in mpmath, for one mpf at a time
+#: the numpy names the formulas use, guards off: ``phi_value`` tries them
+#: first, as a guard costs passes over the values (phi3 of 2^20 floats took
+#: 17.7 instead of 8.3 ms with one on a 2-vCPU Xeon), and thunks keep
+#: numpy's reuse of temporaries in the value
+_NP = SimpleNamespace(e=np.e, pi=np.pi, exp=np.exp, expm1=np.expm1,
+                      tanh=np.tanh, sqrt=np.sqrt, cbrt=np.cbrt,
+                      arctan=np.arctan, where=np.where,
+                      guard=lambda value, t, large: value)
+
+#: the same with each guard on, for a call in which an intermediate overflows
+_NP_GUARDED = SimpleNamespace(**{
+    **vars(_NP),
+    "guard": lambda value, t, large: np.where(t() == np.inf, large(), value)})
+
+#: the numpy names the formulas use, in mpmath, where nothing overflows
 _MP = SimpleNamespace(e=mp.e, pi=mp.pi, exp=mp.exp, expm1=mp.expm1,
                       tanh=mp.tanh, sqrt=mp.sqrt, cbrt=mp.cbrt, arctan=mp.atan,
-                      where=lambda cond, a, b: a if cond else b)
+                      where=lambda cond, a, b: a if cond else b,
+                      guard=lambda value, t, large: value)
 
 
 @dataclass(frozen=True)
@@ -145,7 +167,8 @@ class DenominatorSpec:
 
 
 def phi_value(kind: PhiKind, bound, x, p: int | None = None):
-    """Evaluate a transform elementwise; broadcasts over ``bound`` and ``x``."""
+    """Evaluate a transform elementwise; broadcasts over ``bound`` and ``x``.
+    Where an intermediate overflows, its formula's guard gives the value."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("step size must be nonnegative")
@@ -157,7 +180,12 @@ def phi_value(kind: PhiKind, bound, x, p: int | None = None):
     if kind is PhiKind.GENERAL_P and p is None:
         raise ValueError("general family requires p")
     _order, formula = _TRANSFORMS[kind]
-    out = formula(np, x, bound, p)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = formula(_NP, x, bound, p)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = formula(_NP_GUARDED, x, bound, p)
     return out if out.shape else float(out)
 
 

@@ -8,7 +8,7 @@ as numpy arrays, with property monitors evaluated on the fly; bounds and
 monotonicity directions may differ per element.  A batch starts through
 the startup routine of a single run (``integrate._startup_states``) and
 steps with the batch form of the kernel a single run steps with, which
-``integrate._kernel_factory`` emits from the same term pattern: the same
+``integrate._kernel_factory`` emits from the same method shape: the same
 slope ring, one ``rhs`` call per step for all elements, and the same
 operations in the same order.  So each element's states equal its single
 run bit for bit, whatever else shares its batch, given the same
@@ -43,10 +43,9 @@ from .denominator import (CATALOG_KINDS, DenominatorSpec, PhiKind,
                           phi_value, ssp_threshold)
 from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig,
-                        _component_major, _initial_state, _run_kernel,
-                        _run_steps, _scaled_terms, _startup_states,
-                        default_startup, integrate, reference_solution,
-                        require_size)
+                        _component_major, _initial_state, _run_steps,
+                        _startup_states, _step_kernel, default_startup,
+                        integrate, reference_solution, require_size)
 from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, LINEAR_INVARIANCE, WEAK_MONOTONICITY,
                        OdeProblem, default_properties, exact_solution,
@@ -385,7 +384,7 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
         if check_bounds_on:
             lo = _component_major(lo_edge[sl], m)
             hi = _component_major(hi_edge[sl], m)
-        scaled = _scaled_terms(method.terms, _component_major(phis[sl], m))
+        block_h = _component_major(phis[sl], m)
         block_level, block_dts = ((level[sl], dts[sl]) if check_inv
                                   else (None, None))
 
@@ -393,11 +392,11 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
             """(Re)make the block's scratch for ``size`` elements: the
             kernels' pair, in which every term of a step is formed, and the
             invariant's; and bind the step kernel to the pair and to
-            ``scaled``."""
+            ``block_h``."""
             nonlocal scratch, kernel, sums, elapsed
             scratch = (np.empty((size, m), order="F"),
                        np.empty((size, m), order="F"))
-            kernel = _run_kernel(scaled, m, scratch)
+            kernel = _step_kernel(method, block_h, m, scratch)
             if check_inv:
                 sums = (np.empty(size), np.empty(size))
                 elapsed = None if invariant_drift == 0 else np.empty(size)
@@ -510,13 +509,12 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                         retire(~active)
                         (idx, horizon, b_req, w_req, w_inc, group, done,
                          lo, hi, bound_viol, weak_viol, first_bound,
-                         first_weak, inv_dev, block_level, block_dts) = _take(
+                         first_weak, inv_dev, block_level, block_dts,
+                         block_h) = _take(
                             active, idx, horizon, b_req, w_req, w_inc,
                             group, done, lo, hi, bound_viol, weak_viol,
                             first_bound, first_weak, inv_dev, block_level,
-                            block_dts)
-                        scaled = [(j, a, *_take(active, hb))
-                                  for j, a, hb in scaled]
+                            block_dts, block_h)
                         states = deque(_take(active, *states), maxlen=s)
                         slopes = deque(_take(active, *slopes), maxlen=s)
                         buffers(n_active)

@@ -8,49 +8,42 @@ practice (closed form for the logistic equation, a matching-order starter
 for the epidemic system).  ``_startup_states`` builds them for one run or
 for a batch of runs alike.
 
-A multistep update and a Runge-Kutta stage are each one Shu-Osher
-combination sum_j (alpha_j u_j + h*beta_j f(u_j)), summed in ascending j,
-left to right, state term before slope term, with h*beta_j formed once
-per run (``_scaled_terms``, ``_scaled_stages``).  Beside the ring of the
-last s states a multistep run keeps a ring of their slopes, each
-evaluated the first time a term needs it, so a run makes one ``rhs``
-call per step plus at most s - 1 for the startup states; the fixed order
-makes cached slopes give the same bits as fresh ones.
+Every method steps through its Shu-Osher stage view (see ``methods``): a
+ring of the last s states (s = 1 for a Runge-Kutta method) and stages
+whose terms read ring states or earlier stage values.  Each stage sums
+alpha_i v_i + h*beta_i f(v_i) in term order, state term before slope term,
+with one h*beta per distinct beta.  A run keeps a ring of slopes beside
+the ring of states, each evaluated the first time a term needs it, and a
+step evaluates each stage value's slope once: a multistep run makes one
+``rhs`` call per step plus at most s - 1 for the startup states, a
+Runge-Kutta run one per source read with a slope.  The fixed order makes
+cached slopes give the same bits as fresh ones.
 
-Every combination, of a single run or of a batch (the sweeps of
-``experiments``), is stepped by a kernel written out straight-line:
-``_kernel_factory`` builds, once per process and at first use, a small
-function for each term pattern (the offsets j, and which terms have a
-slope) and form, whose body is the combination; ``_run_kernel`` binds it
-to a run's alpha_j and h*beta_j.  One generator emits both forms from the
-one term pattern, with the same slope fetches and term order.  A single
-run carries its state as Python floats, a float for one component and a
-list of m floats for several, and its form sums component by component.
-A batch's form works on (B, m) arrays and forms each term in a pair of
-scratch arrays that the batch driver owns, with ufunc ``out=``, adding it
-in place into the one new array it returns; on SEIR blocks of 4000 x 4
-states, where each temporary is 128 KB, that took a sweep of 2e4
-elements over 200 steps from about 320 to about 220 ms on a 2-vCPU Xeon
-virtual machine.  Python's float ``+``, ``-`` and ``*`` are the IEEE
-double operations numpy's are, so both forms give the same bits.  A
-Runge-Kutta step runs one such kernel per stage over the stage values
-and their slopes (``_rk_kernel_step``), and the RK4 reference has its
-own (``_rk4_factory``).  The kernels take ``rhs`` per call, so the rows
-of a convergence table share one, and their sources hold only
-identifiers and integer indices.  They are compiled under names such as
-``<nslmm kernel j=1,4,5,6 f=1,4,5 m=4>`` or ``<nslmm batch kernel j=1,4,5,6
-f=1,4,5>`` (f: the offsets with a slope) and their lines kept in
-``linecache``, so tracebacks and profiles show them.  ``_single_state``
-puts ``y0`` and the closed-form startup states in single-run form, and
-the record is copied into a (K, m) array at the end; ``nslmm_step`` and
-``nsrk_step`` take and return arrays and convert at their edges.  On a
-2-vCPU Xeon virtual machine (Python 3.11, numpy 2.4) the single-run
-kernels took a SEIR ``sspms64`` run from 4.7 to 1.6 us per step, a SEIR
-``ssprk104`` run from 18.8 to 8.2 us and the SEIR RK4 reference from 5.0
-to 2.4 us, against a loop over the terms with one list comprehension per
-term.  Every stepping loop runs with numpy's overflow and invalid-value
-warnings off, as the sweep's does: a run that leaves the property region
-shows its inf and NaN states in the record and in any check.
+A step, of a single run or of a batch (the sweeps of ``experiments``), is
+one kernel written out straight-line: ``_kernel_factory`` builds, once per
+process and at first use, a function per method shape and form whose body
+is the whole step, and ``_step_kernel`` binds it to a method's alpha and
+h*beta.  ``integrate``, the starter of ``_startup_states``, ``nslmm_step``,
+``nsrk_step`` and the sweep blocks all step through it.  A single run
+carries its state as Python floats, a float for one component and a list
+of m floats for several, and its form sums component by component.  A
+batch's form works on (B, m) arrays and forms each term in a pair of
+scratch arrays the batch driver owns, with ufunc ``out=``, adding it in
+place into the stage's one new array.  Python's float ``+``, ``-`` and
+``*`` are the IEEE double operations numpy's are, so both forms give the
+same bits.  The RK4 reference has its own kernel (``_rk4_factory``): its
+sum ``u + sixth*(((k1 + two*k2) + two*k3) + k4)`` is in no Shu-Osher term
+order.  The kernels take ``rhs`` per call, so the rows of a convergence
+table share one; their sources hold only identifiers and integer indices,
+and their lines are kept in ``linecache`` under names such as ``<nslmm
+kernel j=1,4,5,6 f=1,4,5 m=4>`` or ``<nslmm batch kernel j=1;1,v1;1,v2
+f=1;v1;v2>`` (``ssprk33``), so tracebacks and profiles show
+them.  ``_single_state`` puts ``y0`` and the closed-form startup states in
+single-run form, and the record is copied into a (K, m) array at the end;
+``nslmm_step`` and ``nsrk_step`` take and return arrays.  Every stepping
+loop runs with numpy's overflow and invalid-value warnings off, as the
+sweep's does: a run that leaves the property region shows its inf and NaN
+states in the record and in any check.
 
 A batch's (B, m) states are component-major (Fortran-ordered), so that
 each component a right-hand side reads or writes is contiguous: the batch
@@ -228,10 +221,10 @@ def record_bytes(n_states: int, m: int) -> int:
 
 
 def _run_steps(method: Method, t0: float, t_end: float, dt: float) -> int:
-    """``step_count`` of a run of ``method``; a multistep run must also
-    leave room for its s - 1 startup values."""
+    """``step_count`` of a run of ``method``, which must also leave room
+    for its s - 1 startup values."""
     n = step_count(t0, t_end, dt)
-    if isinstance(method, MultistepMethod) and n < method.steps - 1:
+    if n < method.steps - 1:
         raise ConfigurationError(
             f"{n} steps cannot accommodate {method.steps - 1} startup values")
     return n
@@ -240,17 +233,6 @@ def _run_steps(method: Method, t0: float, t_end: float, dt: float) -> int:
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
-
-def _scaled_terms(terms, h) -> list:
-    """(j, alpha_j, h*beta_j) per term, with None where beta_j is zero;
-    ``h`` is a float or a (B, m) array of per-element step sizes.  Terms
-    with equal beta_j share one product, which the kernels only read."""
-    products = {}
-    for _j, _a, b in terms:
-        if b != 0.0 and b not in products:
-            products[b] = h * b
-    return [(j, a, products.get(b)) for j, a, b in terms]
-
 
 def _single_state(u: np.ndarray):
     """One state as a single run steps it: a Python float for one
@@ -287,65 +269,84 @@ def _state_source(m: int, component) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_factory(pattern: tuple, m: int | None, drop: tuple = ()):
-    """The factory of a step kernel for one term pattern, in single-run
+def _kernel_factory(s: int, pattern: tuple, m: int | None):
+    """The factory of the step kernel of one method shape, in single-run
     form (m an int) or batch form (m None), built once per process.
 
-    ``pattern`` holds (j, has a slope) per term, in term order.  The
-    factory takes alpha_j, then h*beta_j where there is a slope, term by
-    term, and in batch form then the batch's two scratch arrays; it
-    returns ``kernel(rhs, states, slopes)``, the Shu-Osher combination
-    sum_j (alpha_j u_j + h*beta_j f(u_j)): a multistep update or one
-    Runge-Kutta stage.  ``states[j-1]`` is u_j (for a multistep update
-    u^(n+1-j)); ``slopes[j-1]`` is its rhs, or None until a term first
-    needs it, then filled in place.  Both forms fetch the slopes in term
-    order and sum the terms in ascending j, state term before slope term.
+    ``pattern`` is a stage view (see ``methods``) without coefficients:
+    per stage, (source, has a slope) per term.  The factory takes alpha,
+    then h*beta where there is a slope, term by term through the stages,
+    and in batch form then the batch's two scratch arrays.  It returns
+    ``kernel(rhs, states, slopes)``, one whole step: ``states[i]`` is ring
+    state i, newest first, and ``slopes[i]`` its rhs, or None until a term
+    first needs it, then filled in place; a stage value's slope is
+    evaluated where a term first needs it.  Each stage fetches its slopes
+    and sums its terms in term order, state term before slope term.
 
-    The single-run form writes the sum out component by component, on
+    The single-run form writes each stage out component by component, on
     states of m components, a bare float for m = 1.  The batch form works
     on (B, m) arrays: each term is formed in the scratch pair with ufunc
-    ``out=`` and added in place into one new array, the returned state,
-    so no scratch array is ever returned.  Python's float ``+`` and ``*``
-    are the IEEE double operations numpy's are, so both forms give the
-    same bits.  The batch form then sets ``states[k]`` and ``slopes[k]``
-    to None for each k in ``drop``, the sources that no later Runge-Kutta
-    stage reads.  The source names only identifiers and integer indices;
-    coefficients come in as arguments.
+    ``out=`` and added in place into the stage's one new array, never a
+    scratch one, and after each stage the stage values that no later
+    stage reads are released with their slopes.  The name lists per stage
+    (``;`` between) the values read, ring state i as offset i + 1 and
+    stage value k as ``vk``, and those with a slope (``f``).
     """
-    params, lines = [], []
-    for t, (j, slope) in enumerate(pattern):
-        params.append(f"a{t}")
-        lines.append(f"u{t} = states[{j - 1}]")
-        if slope:
-            params.append(f"h{t}")
-            lines += [f"f{t} = slopes[{j - 1}]",
-                      f"if f{t} is None:",
-                      f"    f{t} = slopes[{j - 1}] = rhs(u{t})"]
-    offsets = ",".join(str(j) for j, _slope in pattern)
-    sloped = ",".join(str(j) for j, slope in pattern if slope)
+    last_read = {src: k for k, stage in enumerate(pattern)
+                 for src, _slope in stage}
+    params, lines, sloped, t = [], [], set(), 0
+    for k, stage in enumerate(pattern):
+        final = k == len(pattern) - 1
+        into = "acc" if final else f"v{k + 1}"
+        reads = []  # (term index, value, its slope or None) per term
+        for src, slope in stage:
+            params += [f"a{t}"] + ([f"h{t}"] if slope else [])
+            if src < s:
+                u, f = f"u{t}", f"f{t}"
+                lines.append(f"{u} = states[{src}]")
+                if slope:
+                    lines += [f"{f} = slopes[{src}]", f"if {f} is None:",
+                              f"    {f} = slopes[{src}] = rhs({u})"]
+            else:
+                u, f = f"v{src - s + 1}", f"g{src - s + 1}"
+                if slope and src not in sloped:
+                    sloped.add(src)
+                    lines.append(f"{f} = rhs({u})")
+            reads.append((t, u, f if slope else None))
+            t += 1
+        if m is None:
+            for i, (n, u, f) in enumerate(reads):
+                target = "term" if i else into
+                lines.append(f"{target} = multiply(a{n}, {u}"
+                             + (", out=s0)" if i else ")"))
+                if f:
+                    lines.append(f"{target} += multiply(h{n}, {f}, out=s1)")
+                if i:
+                    lines.append(f"{into} += term")
+            lines += [f"v{src - s + 1} = "
+                      + (f"g{src - s + 1} = " if src in sloped else "")
+                      + "None" for src, last in last_read.items()
+                      if src >= s and last == k and not final]
+        else:
+            def component(c: str) -> str:
+                return " + ".join(f"(a{n}*{u}{c} + h{n}*{f}{c})" if f
+                                  else f"a{n}*{u}{c}" for n, u, f in reads)
+
+            lines.append(("return " if final else f"{into} = ")
+                         + _state_source(m, component))
     if m is None:
         params += ["s0", "s1"]
-        for t, (_j, slope) in enumerate(pattern):
-            into = "acc" if t == 0 else "term"
-            lines.append(f"{into} = multiply(a{t}, u{t}"
-                         + (")" if t == 0 else ", out=s0)"))
-            if slope:
-                lines.append(f"{into} += multiply(h{t}, f{t}, out=s1)")
-            if t:
-                lines.append("acc += term")
-        lines += [f"states[{k}] = slopes[{k}] = None" for k in drop]
         lines.append("return acc")
-        dropped = ",".join(str(k + 1) for k in drop)
-        name = (f"<nslmm batch kernel j={offsets} f={sloped}"
-                + (f" drop={dropped}>" if drop else ">"))
-    else:
-        def component(c: str) -> str:
-            return " + ".join(f"(a{t}*u{t}{c} + h{t}*f{t}{c})" if slope
-                              else f"a{t}*u{t}{c}"
-                              for t, (_j, slope) in enumerate(pattern))
 
-        lines.append("return " + _state_source(m, component))
-        name = f"<nslmm kernel j={offsets} f={sloped} m={m}>"
+    def label(with_slope: bool) -> str:
+        return ";".join(",".join(str(src + 1) if src < s else f"v{src - s + 1}"
+                                 for src, slope in stage
+                                 if slope or not with_slope)
+                        for stage in pattern)
+
+    name = (f"<nslmm batch kernel j={label(False)} f={label(True)}>"
+            if m is None
+            else f"<nslmm kernel j={label(False)} f={label(True)} m={m}>")
     source = "\n".join(
         [f"def factory({', '.join(params)}):",
          "    def kernel(rhs, states, slopes):"]
@@ -353,17 +354,36 @@ def _kernel_factory(pattern: tuple, m: int | None, drop: tuple = ()):
     return _compile_factory(name, source)
 
 
-def _run_kernel(scaled, m: int, scratch=None, drop=()):
-    """A step kernel for ``scaled`` terms (see ``_scaled_terms``): a single
-    run's on states of m components, or with ``scratch``, a pair of arrays
-    of the states' shape that the batch driver owns, a batch's that drops
-    the sources ``drop`` (see ``_kernel_factory``)."""
-    pattern = tuple((j, hb is not None) for j, _a, hb in scaled)
-    coefs = [c for _j, a, hb in scaled
-             for c in ((a,) if hb is None else (a, hb))]
-    if scratch is None:
-        return _kernel_factory(pattern, m)(*coefs)
-    return _kernel_factory(pattern, None, tuple(drop))(*coefs, *scratch)
+def _step_kernel(method: Method, h, m: int, scratch=None):
+    """``method``'s step kernel (see ``_kernel_factory``) at step size
+    ``h``: a single run's on states of m components at a float ``h``, or
+    with ``scratch``, a pair of arrays of the states' shape that the batch
+    driver owns, a batch's at a (B, m) array of per-element step sizes.
+    Terms with equal beta share one product h*beta, which the kernels only
+    read."""
+    pattern, coefs, products = [], [], {}
+    for stage in method.float_stages:
+        pattern.append(tuple((src, b != 0.0) for src, _a, b in stage))
+        for _src, a, b in stage:
+            coefs.append(a)
+            if b != 0.0:
+                if b not in products:
+                    products[b] = h * b
+                coefs.append(products[b])
+    factory = _kernel_factory(method.steps, tuple(pattern),
+                              m if scratch is None else None)
+    return factory(*coefs, *(scratch or ()))
+
+
+def _single_step(method: Method, phi: DenominatorSpec, problem: OdeProblem,
+                 states: list, dt: float) -> np.ndarray:
+    """One step of ``method`` from its ring of checked (m,) arrays
+    ``states``, newest first, through the single-run kernel."""
+    h = float(eval_phi(phi, dt))
+    kernel = _step_kernel(method, h, problem.dimension)
+    new = kernel(problem.rhs, [_single_state(u) for u in states],
+                 [None] * method.steps)
+    return np.reshape(np.array(new, dtype=float), states[0].shape)
 
 
 def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
@@ -383,51 +403,7 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
         raise ValueError(
             f"history states have sizes {[u.size for u in states]}, "
             f"problem needs {problem.dimension}")
-    h = float(eval_phi(phi, dt))
-    kernel = _run_kernel(_scaled_terms(method.terms, h), problem.dimension)
-    new = kernel(problem.rhs, [_single_state(u) for u in states],
-                 [None] * method.steps)
-    return np.reshape(np.array(new, dtype=float), states[0].shape)
-
-
-def _scaled_stages(stages, h) -> list:
-    """(terms, done) per Runge-Kutta stage: its (source + 1, alpha, h*beta
-    or None) terms for ``_run_kernel``, with one product per distinct beta
-    of the whole method, and the sources no later stage reads, which a
-    batch kernel drops, so that a ten-stage batch step holds a few stage
-    values and slopes at a time, not all.  A single run's kernels keep
-    them, a few floats each, as dropping them would cost time."""
-    terms = _scaled_terms([(src + 1, a, b) for stage in stages
-                           for src, a, b in stage], h)
-    last_read = {src: k for k, stage in enumerate(stages)
-                 for src, _a, _b in stage}
-    out, start = [], 0
-    for k, stage in enumerate(stages):
-        done = [src for src, last in last_read.items() if last == k]
-        out.append((terms[start:start + len(stage)], done))
-        start += len(stage)
-    return out
-
-
-def _stage_kernels(stages, h, m: int, scratch=None) -> list:
-    """A kernel (see ``_run_kernel``) per Runge-Kutta stage, with
-    coefficients from ``_scaled_stages``: a single run's at a float ``h``,
-    or with ``scratch`` a batch's at a (B, m) array of per-element step
-    sizes."""
-    return [_run_kernel(terms, m, scratch, done)
-            for terms, done in _scaled_stages(stages, h)]
-
-
-def _rk_kernel_step(kernels, rhs, u):
-    """One Runge-Kutta step of a single run's state (see
-    ``_single_state``) or of a batch, one kernel per stage over the stage
-    values and their slopes."""
-    values = [u]
-    slopes: list = [None]
-    for kernel in kernels:
-        values.append(kernel(rhs, values, slopes))
-        slopes.append(None)
-    return values[-1]
+    return _single_step(method, phi, problem, states, dt)
 
 
 def nsrk_step(rk: RungeKuttaMethod, phi: DenominatorSpec,
@@ -439,10 +415,7 @@ def nsrk_step(rk: RungeKuttaMethod, phi: DenominatorSpec,
     if u.size != problem.dimension:
         raise ValueError(
             f"u has size {u.size}, problem needs {problem.dimension}")
-    h = float(eval_phi(phi, dt))
-    new = _rk_kernel_step(_stage_kernels(rk.float_stages, h, u.size),
-                          problem.rhs, _single_state(u))
-    return np.reshape(np.array(new, dtype=float), u.shape)
+    return _single_step(rk, phi, problem, [u], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +427,9 @@ def resolve_startup(config: RunConfig) -> StartupPolicy | None:
 
     Explicit policies pass through; the default is the closed-form solution
     when available, otherwise the matching-order Runge-Kutta starter.
-    Runge-Kutta methods need no startup.
+    A one-step method (every Runge-Kutta method) needs no startup.
     """
-    if isinstance(config.method, RungeKuttaMethod):
+    if config.method.steps == 1:
         return None
     if config.startup is not None:
         return config.startup
@@ -477,16 +450,17 @@ def default_startup(problem: OdeProblem,
     return RungeKuttaStartup(rk=rk_id, phi_kind=kind)
 
 
-def _startup_states(problem: OdeProblem, method: MultistepMethod,
-                    policy: StartupPolicy, y0: np.ndarray, dt,
+def _startup_states(problem: OdeProblem, method: Method,
+                    policy: StartupPolicy | None, y0: np.ndarray, dt,
                     scratch=None) -> list:
-    """u^0..u^(s-1) of a multistep run under a startup policy.
+    """u^0..u^(s-1) of a run under a startup policy; a one-step method's
+    is ``y0`` alone, whatever the policy.
 
     ``y0`` is one state of shape (m,) with a float ``dt``, or a batch of
     shape (B, m) with a (B,) array of per-element ``dt``.  A single run's
     states come as it steps them (see ``_single_state``), a batch's with
-    the shape of ``y0``.  A Runge-Kutta starter steps through the kernels
-    of ``_stage_kernels``, in batch form with the batch driver's
+    the shape of ``y0``.  A Runge-Kutta starter steps through its kernel
+    (see ``_step_kernel``), in batch form with the batch driver's
     ``scratch``.
     """
     s = method.steps
@@ -521,9 +495,9 @@ def _startup_states(problem: OdeProblem, method: MultistepMethod,
         # a full (B, m) array: numpy multiplies two full arrays several
         # times faster than an array and a (B, 1) column
         h = _component_major(h, y0.shape[1])
-    kernels = _stage_kernels(rk.float_stages, h, y0.shape[-1], scratch)
+    kernel = _step_kernel(rk, h, y0.shape[-1], scratch)
     for _ in range(1, s):
-        states.append(_rk_kernel_step(kernels, problem.rhs, states[-1]))
+        states.append(kernel(problem.rhs, states[-1:], [None]))
     return states
 
 
@@ -566,32 +540,21 @@ def integrate(config: RunConfig) -> Trajectory:
     # a run that leaves the property region may overflow; its inf/nan
     # states show in the record and in any check, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(method, MultistepMethod):
-            s = method.steps
-            startup = _startup_states(problem, method,
-                                      resolve_startup(config), y0, config.dt)
-            recorded = list(startup) if full else [startup[-1]]
-            states = deque(reversed(startup), maxlen=s)
-            slopes = deque([None] * s, maxlen=s)
-            kernel = _run_kernel(_scaled_terms(method.terms, h), y0.size)
-            for _ in range(s - 1, n):
-                new = kernel(rhs, states, slopes)
-                states.appendleft(new)
-                slopes.appendleft(None)
-                if full:
-                    recorded.append(new)
-                else:
-                    recorded[0] = new
-        else:
-            kernels = _stage_kernels(method.float_stages, h, y0.size)
-            u = _single_state(y0)
-            recorded = [u]
-            for _ in range(n):
-                u = _rk_kernel_step(kernels, rhs, u)
-                if full:
-                    recorded.append(u)
-                else:
-                    recorded[0] = u
+        startup = resolve_startup(config)
+        start = _startup_states(problem, method, startup, y0, config.dt)
+        s = method.steps
+        recorded = list(start) if full else [start[-1]]
+        states = deque(reversed(start), maxlen=s)
+        slopes = deque([None] * s, maxlen=s)
+        kernel = _step_kernel(method, h, y0.size)
+        for _ in range(s - 1, n):
+            new = kernel(rhs, states, slopes)
+            states.appendleft(new)
+            slopes.appendleft(None)
+            if full:
+                recorded.append(new)
+            else:
+                recorded[0] = new
 
     states = np.asarray(recorded, dtype=float).reshape(len(recorded), -1)
     provenance = {
@@ -604,8 +567,7 @@ def integrate(config: RunConfig) -> Trajectory:
         "t0": config.t0,
         "t_end": config.t_end,
         "y0": [float(v) for v in y0],
-        "startup": type(resolve_startup(config)).__name__
-        if isinstance(method, MultistepMethod) else None,
+        "startup": None if startup is None else type(startup).__name__,
         "record": config.record.value,
     }
     first_index = 0 if full else n

@@ -11,6 +11,12 @@ expose the forward-Euler substep structure that the preservation arguments
 rest on: each (alpha, beta) pair with beta > 0 is an Euler substep of
 effective size ``h * beta / alpha``.
 
+Both give one Shu-Osher stage view of a step: ``steps``, the ring of s last
+states a step reads (s = 1 for a Runge-Kutta method), and ``float_stages``,
+stages of float terms (source, alpha, beta) in which source i < s reads
+ring state i, newest first, and i >= s the value of stage i - s + 1; the
+last stage's value is the new state.  A multistep step is one stage.
+
 Coefficients are kept as exact ``Fraction`` objects wherever they are simple
 fractions and converted to ``float`` exactly once, at construction time.
 """
@@ -56,17 +62,17 @@ class MultistepMethod:
         """(j, alpha_j, beta_j) triples as floats, ascending in j."""
         return self._terms
 
-
-# A Runge-Kutta stage is a tuple of (source, a, b) terms: the stage value is
-# sum_i ( a_i * v[source_i] + h * b_i * f(v[source_i]) ) over earlier stage
-# values v (v[0] is the step's input state).
-StageTerm = tuple
-Stage = tuple
+    @property
+    def float_stages(self) -> tuple:
+        """The stage view: one stage, offset j reading ring state j - 1."""
+        return (tuple((j - 1, a, b) for j, a, b in self._terms),)
 
 
 @dataclass(frozen=True)
 class RungeKuttaMethod:
-    """Explicit SSP Runge-Kutta method as a sequence of Shu-Osher stages."""
+    """Explicit SSP Runge-Kutta method as a sequence of Shu-Osher stages,
+    each a tuple of (source, a, b) terms numbered as in the stage view:
+    source 0 is the step's input state, source k the value of stage k."""
 
     name: str
     stages: tuple
@@ -84,6 +90,11 @@ class RungeKuttaMethod:
     @property
     def float_stages(self) -> tuple:
         return self._float_stages
+
+    @property
+    def steps(self) -> int:
+        """A one-step method's ring holds its input state alone."""
+        return 1
 
     @property
     def stage_count(self) -> int:

@@ -10,7 +10,8 @@ from nslmm import (CATALOG_KINDS, UNCONDITIONAL_BOUND, ConfigurationError,
                    effective_ssp_coefficient, eval_phi, get_method,
                    make_phi_for_method, parse_phi_label, phi_bound,
                    phi_value, ssp_threshold, verify_phi_conditions)
-from nslmm.denominator import _MP, _TRANSFORMS, MAX_ORDER
+from nslmm.denominator import (_MP, _NP, _TRANSFORMS, BOUND_SLACK,
+                               MAX_ORDER)
 
 ALL_SPECS = [DenominatorSpec(kind, bound=1.0) for kind in CATALOG_KINDS]
 
@@ -57,6 +58,46 @@ def test_phi_value_rejects_a_bound_not_positive_and_finite(kind, bound):
     # for phi4, not the limit x
     with pytest.raises(ValueError, match="positive and finite"):
         phi_value(kind, bound, 0.5, 5 if kind is PhiKind.GENERAL_P else None)
+
+
+#: every catalog kind but phi2, whose correctly rounded value is 0 from
+#: x/B of about 2.3e3 on, and three powers of the general family
+_POSITIVE_KINDS = ([(kind, None) for kind in CATALOG_KINDS
+                    if kind is not PhiKind.PHI2]
+                   + [(PhiKind.GENERAL_P, p) for p in (5, 20, 50)])
+
+
+@pytest.mark.parametrize("bound", [1e-300, 1e-6, 0.37, 1e300])
+@pytest.mark.parametrize("kind, p", _POSITIVE_KINDS,
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_phi_stays_in_its_range_where_an_intermediate_overflows(kind, p,
+                                                               bound):
+    # an intermediate that overflowed used to give 0 (phi3, phi4 and the
+    # power forms) or NaN (phi4 from x of about 1.14e308) and a warning;
+    # x/B runs up to 1e300 and x up to the largest float
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        xs = np.concatenate([bound * np.geomspace(1e-3, 1e300, 301),
+                             np.geomspace(1e-3 * bound, big / 2, 300), [big]])
+    xs = xs[xs <= big]
+    got = phi_value(kind, bound, xs, p)
+    scalar = np.array([phi_value(kind, bound, float(x), p) for x in xs])
+    for values in (got, scalar):
+        assert (values > 0).all() and (
+            values <= bound * (1.0 + BOUND_SLACK)).all()
+    # where the formula without its guards gave 0 or NaN, the value is
+    # the formula's own, evaluated in mpmath
+    formula = _TRANSFORMS[kind][1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed = ~(formula(_NP, xs, bound, p) > 0)
+    if bound < 1 and kind not in (PhiKind.PHI1, PhiKind.PHI5):
+        assert fixed.any()
+    with mp.workdps(30):
+        for x, value, one in zip(xs[fixed], got[fixed], scalar[fixed]):
+            want = float(formula(_MP, mp.mpf(x), mp.mpf(bound),
+                                 None if p is None else mp.mpf(p)))
+            assert abs(value - want) <= 1e-15 * want, (x, value, want)
+            assert abs(one - want) <= 1e-15 * want, (x, one, want)
 
 
 def test_enabled_orders():

@@ -892,11 +892,11 @@ def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
     # block, also when an invariant is monitored.  The kernel's scratch
     # shrinks with the block's states.
     problem, sizes = _batch_sizes(seir0)
-    bind = experiments._run_kernel
+    bind = experiments._step_kernel
     scratch_shapes = []
 
-    def spy(scaled, m, scratch):
-        kernel = bind(scaled, m, scratch)
+    def spy(method, h, m, scratch):
+        kernel = bind(method, h, m, scratch)
 
         def step(rhs, states, slopes):
             scratch_shapes.append({states[0].shape,
@@ -904,7 +904,7 @@ def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
             return kernel(rhs, states, slopes)
         return step
 
-    monkeypatch.setattr(experiments, "_run_kernel", spy)
+    monkeypatch.setattr(experiments, "_step_kernel", spy)
     m = get_method("sspms64")
     infected = np.linspace(0.05, 0.9, 12)
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
@@ -1082,11 +1082,11 @@ def test_one_element_sweep_invariant_equals_batch(weights, drift):
 def test_seir_block_stays_component_major(seir0, monkeypatch):
     # the states, slopes and kernel scratch of a SEIR block are
     # Fortran-ordered after the Runge-Kutta startup and after compactions
-    bind = experiments._run_kernel
+    bind = experiments._step_kernel
     seen = []
 
-    def spy(scaled, m, scratch):
-        kernel = bind(scaled, m, scratch)
+    def spy(method, h, m, scratch):
+        kernel = bind(method, h, m, scratch)
 
         def step(rhs, states, slopes):
             arrays = [*states, *scratch,
@@ -1096,7 +1096,7 @@ def test_seir_block_stays_component_major(seir0, monkeypatch):
             return kernel(rhs, states, slopes)
         return step
 
-    monkeypatch.setattr(experiments, "_run_kernel", spy)
+    monkeypatch.setattr(experiments, "_step_kernel", spy)
     infected = np.linspace(0.05, 0.9, 12)
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
                     0.0 * infected], axis=1)

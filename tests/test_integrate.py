@@ -5,6 +5,7 @@ import re
 import sys
 import traceback
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nslmm.integrate  # noqa: F401  (the submodule, looked up below)
-from nslmm import (CATALOG, MULTISTEP_IDS, ConfigurationError, DenominatorSpec,
-                   ExactStartup, MultistepMethod, PhiKind, RecordMode,
-                   RunConfig, RungeKuttaStartup, eval_phi, exact_solution,
+from nslmm import (CATALOG, ConfigurationError, DenominatorSpec, ExactStartup,
+                   MultistepMethod, PhiKind, RecordMode, RunConfig,
+                   RungeKuttaStartup, eval_phi, exact_solution,
                    forward_euler_step, get_method, integrate,
                    logistic_problem, make_phi_for_method, make_problem,
                    nslmm_step, nsrk_step, reference_solution, seir_problem)
@@ -149,28 +150,20 @@ def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
     """The states ``n`` steps of ``method``'s kernel return, from the
     newest-first states ``start`` (one for a Runge-Kutta method), with a
     float ``h`` or a per-element (B, m) array.  With ``scratch``, a batch
-    steps through the batch form of the generated kernels; without,
-    through their single-run form, for a list of m floats or a bare state
+    steps through the batch form of the generated kernel; without,
+    through its single-run form, for a list of m floats or a bare state
     (a float, or a whole array, each operation applied to all of it)."""
     m = len(start[0]) if type(start[0]) is list else 1
+    s = method.steps
+    states = deque(start, maxlen=s)
+    slopes = deque([None] * s, maxlen=s)
+    kernel = integrate_mod._step_kernel(method, h, m, scratch)
     out = []
-    if isinstance(method, MultistepMethod):
-        s = method.steps
-        states = deque(start, maxlen=s)
-        slopes = deque([None] * s, maxlen=s)
-        kernel = integrate_mod._run_kernel(
-            integrate_mod._scaled_terms(method.terms, h), m, scratch)
-        for _ in range(n):
-            new = kernel(rhs, states, slopes)
-            states.appendleft(new)
-            slopes.appendleft(None)
-            out.append(new)
-        return out
-    u = start[0]
-    kernels = integrate_mod._stage_kernels(method.float_stages, h, m, scratch)
     for _ in range(n):
-        u = integrate_mod._rk_kernel_step(kernels, rhs, u)
-        out.append(u)
+        new = kernel(rhs, states, slopes)
+        states.appendleft(new)
+        slopes.appendleft(None)
+        out.append(new)
     return out
 
 
@@ -181,10 +174,9 @@ def _kernel_case(method_id, m, B=5):
     method = get_method(method_id)
     problem = logistic_problem(2.0) if m == 1 else seir_problem(0.0)
     rng = np.random.default_rng(sum(map(ord, method_id)) + m)
-    count = method.steps if isinstance(method, MultistepMethod) else 1
-    start = [rng.uniform(0.05, 0.95, (B, m)) for _ in range(count)]
+    start = [rng.uniform(0.05, 0.95, (B, m)) for _ in range(method.steps)]
     h = rng.uniform(0.01, 0.3, B)
-    s = method.steps if count > 1 else method.stage_count
+    s = method.steps if method.steps > 1 else method.stage_count
     return (method, problem.rhs, start, h, np.repeat(h[:, None], m, axis=1),
             2 * s + 1)
 
@@ -227,25 +219,44 @@ def test_in_place_batch_kernel_returns_fresh_states(method_id, m):
 @pytest.mark.parametrize("method_id", ["ssprk22", "ssprk33", "ssprk104"])
 def test_batch_stage_kernels_drop_what_no_later_stage_reads(method_id):
     # a ten-stage batch step holds a few stage values and slopes at a
-    # time; a single run's stage kernels keep every one
+    # time: whenever a stage calls rhs, a stage value made before, and its
+    # slope, are alive exactly when this stage or a later one reads it
     stages = get_method(method_id).float_stages
-    rhs = seir_problem(0.0).rhs
+    last_read = {src: k for k, stage in enumerate(stages)
+                 for src, _a, _b in stage}
+    first_slope = {}
+    for k, stage in enumerate(stages):
+        for src, _a, b in stage:
+            if b != 0.0:
+                first_slope.setdefault(src, k)
+    calls = list(first_slope)  # the source each rhs call evaluates
+    seir = seir_problem(0.0).rhs
+    made, seen = [], []
+
+    def rhs(u):
+        src = calls[len(made)]
+        seen.append((first_slope[src],
+                     [(made_src, value() is not None, slope() is not None)
+                      for made_src, value, slope in made]))
+        f = seir(u)
+        made.append((src, weakref.ref(u), weakref.ref(f)))
+        return f
+
     batch = np.full((3, 4), 0.25, order="F")
     scratch = (np.empty_like(batch), np.empty_like(batch))
-    for h, u, buffers in [(np.full((3, 4), 0.1, order="F"), batch, scratch),
-                          (0.1, [0.25] * 4, None)]:
-        values, slopes = [u], [None]
-        for k, kernel in enumerate(integrate_mod._stage_kernels(
-                stages, h, 4, buffers)):
-            values.append(kernel(rhs, values, slopes))
-            slopes.append(None)
-            held = {i for i, v in enumerate(values[:-1]) if v is not None}
-            read_later = {src for stage in stages[k + 1:]
-                          for src, _a, _b in stage}
-            made = set(range(k + 1))
-            assert held == (made if buffers is None
-                            else made & read_later), k
-            assert all(slopes[i] is None for i in made - held)
+    _kernel_steps(get_method(method_id), rhs, [batch],
+                  np.full((3, 4), 0.1, order="F"), 1, scratch)
+    assert len(made) == len(calls)
+    held = set()
+    for k, values in seen:
+        # source 0, the step's input state, is the caller's ring's
+        for src, value, slope in values[1:]:
+            assert value == slope == (last_read[src] >= k), (k, src)
+            held.add(value)
+    # ssprk22 makes no stage value before its last stage; ssprk33's last
+    # stage reads the input and its second stage value alone
+    assert held == {"ssprk22": set(), "ssprk33": {False},
+                    "ssprk104": {False, True}}[method_id]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +402,7 @@ def test_generated_kernels_equal_float_oracles_bitwise(method_id, m, h, data):
     # row has its own states and step size
     method = get_method(method_id)
     rhs = _kernel_rhs(m)
-    count = method.steps if isinstance(method, MultistepMethod) else 1
+    count = method.steps
     rows = [[np.array(data.draw(st.lists(_COMPONENT, min_size=m,
                                          max_size=m)))
              for _ in range(count)] for _ in range(3)]
@@ -525,8 +536,8 @@ def test_generated_kernels_show_their_lines_in_tracebacks(seir0, seir_y0):
     assert frames[0].line.startswith("k2 = rhs([u[0] + half*k1[0], ")
     # a sweep's batch kernels, starter stages and multistep step alike
     for count, name, line in [
-            (3, "<nslmm batch kernel j=3 f=3 drop=3>",
-             "f0 = slopes[2] = rhs(u0)"),
+            (3, "<nslmm batch kernel j=1;v1;v2;v3;1,v4;v5;v6;v7;v8;1,v4,v9"
+                " f=1;v1;v2;v3;v4;v5;v6;v7;v8;v4,v9>", "g2 = rhs(v2)"),
             (52, "<nslmm batch kernel j=1,4,5,6 f=1,4,5>",
              "f1 = slopes[3] = rhs(u1)")]:
         calls[0] = 52 - count
@@ -694,16 +705,21 @@ def test_identity_and_patched_transform_agree_bitwise(logistic2, monkeypatch):
     assert np.array_equal(ref.states, patched.states)
 
 
-@pytest.mark.parametrize("method_id", MULTISTEP_IDS)
+@pytest.mark.parametrize("method_id", KERNEL_IDS)
 def test_run_makes_one_rhs_call_per_step(logistic2, method_id):
-    # after the closed-form startup, each step evaluates the slope of one
-    # new state; the slopes it reads of older states are cached
+    # after the closed-form startup, each multistep step evaluates the
+    # slope of one new state; the slopes it reads of older states are
+    # cached.  A Runge-Kutta step evaluates one slope per source that a
+    # term reads with a slope, each once however many stages read it.
     problem, calls = counting_rhs(logistic2)
     m = get_method(method_id)
     n_steps = 50
     integrate(_config(problem, m, make_phi_for_method(m, 0.5, PhiKind.PHI8),
                       0.02, n_steps * 0.02, [0.4]))
-    assert calls[0] == slope_evaluations(m, n_steps)
+    per_step = {"ssprk22": 2, "ssprk33": 3, "ssprk104": 10}
+    assert calls[0] == (n_steps * per_step[method_id]
+                        if method_id in per_step
+                        else slope_evaluations(m, n_steps))
 
 
 def test_misaligned_grid_rejected(logistic2):
