@@ -9,14 +9,18 @@ stderr of every ``nslmm`` command in README.md's ``sh`` blocks except
 line for each CSV that ``run_convergence_tables.py --quick`` writes, and
 one for each CSV that ``run_sharpness.py --n-y0 6 --n-dt 10`` writes for
 each of its settings (with that script's exit code), all in-process; the
-``seir`` setting starts its sweeps with batched Runge-Kutta steps.  It
-takes a few seconds.  Diffing the output of two trees shows which outputs
-moved:
+``seir`` setting starts its sweeps with batched Runge-Kutta steps.  Then
+one line for the whole ``SweepOutcome`` (every field's bytes, final
+states included) of a small ``logistic_preservation_grid`` and of a small
+``seir_conservation_sweep`` without and with influx, whose own result is
+the deviations alone; their exit is 0.  It takes a few seconds.  Diffing
+the output of two trees shows which outputs moved:
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import re
@@ -25,10 +29,13 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 import run_convergence_tables
 import run_sharpness
-from nslmm import cli
+from nslmm import PhiKind, cli, experiments, get_method
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +66,34 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def sweep_outcomes():
+    """(label, ``SweepOutcome``) of small sweeps: a logistic grid whose
+    elements settle, cycle or fail, and SEIR batches whose invariant has a
+    fixed and a moving target."""
+    outcomes = []
+    sweep = experiments.run_preservation_sweep
+
+    def keep(*args, **kwargs):
+        outcomes.append(sweep(*args, **kwargs))
+        return outcomes[-1]
+
+    with mock.patch.object(experiments, "run_preservation_sweep", keep):
+        experiments.logistic_preservation_grid(
+            2.0, np.linspace(0.1, 4.0, 6), np.geomspace(0.5, 3.0, 10),
+            get_method("sspms42"), PhiKind.PHI5, n_steps=200)
+        yield ("logistic_preservation_grid c=2 sspms42 phi5", outcomes[-1])
+        infected = np.linspace(0.01, 0.9, 6)
+        y0s = np.repeat(np.stack([1.0 - infected, 0.0 * infected, infected,
+                                  0.0 * infected], axis=1), 10, axis=0)
+        dts = np.tile(np.geomspace(0.01, 3.0, 10), 6)
+        for influx in (0.0, 0.1):
+            experiments.seir_conservation_sweep(
+                get_method("sspms64"), PhiKind.PHI8, y0s, dts, n_steps=200,
+                influx=influx)
+            yield (f"seir_conservation_sweep influx={influx} sspms64 phi8",
+                   outcomes[-1])
+
+
 def main() -> int:
     lines = []
     for argv in readme_commands():
@@ -81,6 +116,11 @@ def main() -> int:
                 lines.append(f"{digest(path.read_text())} {code} "
                              f"run_sharpness.py {shlex.join(argv)} "
                              f"{path.name}")
+    for label, outcome in sweep_outcomes():
+        data = b"".join(getattr(outcome, field.name).tobytes()
+                        for field in dataclasses.fields(outcome))
+        lines.append(f"{hashlib.sha256(data).hexdigest()} 0 {label} "
+                     "[SweepOutcome]")
     print("\n".join(lines))
     return 0
 

@@ -24,6 +24,15 @@ step after an event, so most steps form the new states and test them
 against cached masks.  The monitors call the elementwise predicates of
 ``qualprops``, so an element's verdicts and invariant deviation do not
 depend on its batch, and equal a recorded run's of the same states.
+
+A block also ends once it has settled: when a step's new states equal
+every state of its ring bit for bit (NaN payloads and the sign of zero
+included), and no invariant with drift is watched.  The step kernel and
+``rhs`` are elementwise and deterministic, and frozen elements keep their
+states, so every later step would give the same states and the same
+verdicts; each element's final state, at whatever horizon, is its current
+one.  So the stop shows in no result.  It is tested every s steps (s the
+ring length), and a test ends at the first ring state that differs.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from .errors import ConfigurationError
 from .integrate import (RecordMode, RunConfig as _RunConfig,
                         _component_major, _initial_state, _run_steps,
                         _startup_states, _step_kernel, default_startup,
-                        integrate, reference_solution, require_size)
+                        integrate, reference_solution, require_size,
+                        require_work, rhs_calls, rhs_work)
 from .methods import Method, MultistepMethod
 from .problems import (BOUNDEDNESS, LINEAR_INVARIANCE, WEAK_MONOTONICITY,
                        OdeProblem, default_properties, exact_solution,
@@ -150,7 +160,7 @@ def convergence_study(problem: OdeProblem, method: Method, phi,
     # every run's step and the initial state are checked before the
     # reference, which can take far longer than the runs it serves
     for dt in dts:
-        _run_steps(method, t0, t_end, dt)
+        _run_steps(method, t0, t_end, dt, problem.dimension)
     y0 = _initial_state(problem, y0)
     if norm is None:
         norm = ErrorNorm.ABS if problem.dimension == 1 else ErrorNorm.MAX_COMPONENT
@@ -232,6 +242,12 @@ def _rows_all(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays of one shape hold the same bits, NaN
+    payloads and the sign of zero included."""
+    return bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
 def _take(keep: np.ndarray, *arrays) -> tuple:
     """The entries ``keep`` of each array along its first axis, passing None
     through; a (b, m) array stays component-major (``a[keep]`` and
@@ -270,7 +286,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     unless ``phi_kind`` is the identity.  ``startup`` is a startup policy,
     or None for ``integrate.default_startup``.  A batch whose full-size
     arrays would take more than ``MAX_RECORD_BYTES`` (see ``sweep_bytes``)
-    is refused before any of them is made.
+    is refused before any of them is made, and so is one of more than
+    ``MAX_WORK`` rhs evaluations: B times the longest horizon times the
+    method's rhs calls per step times m.
 
     The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
     elements, each block to its own last active step, so that a block's
@@ -278,7 +296,13 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
     results are written out and the block goes on with the others alone.
     Elements are independent, so neither blocks nor compaction show in any
-    result.  A block owns the scratch arrays in which its batch kernels
+    result.  A block that has settled ends early: tested every s steps,
+    once the new states repeat the whole ring of s states bit for bit and
+    no invariant with drift is watched, every later step would repeat them
+    and their verdicts (the kernel and ``rhs`` are elementwise and
+    deterministic, frozen elements keep their states), so the results are
+    already final.  With drift the invariant's target moves at each step.
+    A block owns the scratch arrays in which its batch kernels
     form each term (see ``integrate._kernel_factory``); it makes them, and
     binds its step kernel to them, once and again when it compacts.
 
@@ -315,6 +339,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
     if phi_kind is not PhiKind.IDENTITY and not (
             np.isfinite(bounds).all() and (bounds > 0).all()):
         raise ConfigurationError("bounds must be positive and finite")
+    longest = n_steps.max(initial=0)
+    require_work(B * rhs_work(longest, rhs_calls(method), m),
+                 f"a sweep of {B} elements of up to {longest:.3g} steps")
     if startup is None:
         startup = default_startup(problem, method)
     s = method.steps
@@ -349,6 +376,9 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                 f"invariant_weights has shape {gamma.shape}, a state of "
                 f"length {m} needs ({m},)")
         level = _weighted_sum(y0s, gamma, np.empty(B), np.empty(B))
+    # a drifting invariant's target moves with the step, so no block whose
+    # states repeat has its verdicts settled
+    settles = not (check_inv and invariant_drift != 0)
     groups = None
     if _groups is not None:
         groups = np.broadcast_to(np.asarray(_groups, dtype=np.intp), (B,))
@@ -528,6 +558,12 @@ def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
                     np.copyto(new, states[0], where=frozen)
 
                 record(new, step_idx, reversed(states))
+                # a step whose new states repeat its whole ring bit for bit
+                # repeats it at every later step: its verdicts and states
+                # are all recorded already
+                if (settles and step_idx % s == 0
+                        and all(_same_bits(new, u) for u in states)):
+                    break
                 states.appendleft(new)
                 slopes.appendleft(None)
         retire(slice(None))
@@ -701,7 +737,9 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
 
     A row checks ``prop`` as its initial state's property set states it
     (see ``qualprops.sweep_checks``).  ``startup`` None is
-    ``integrate.default_startup``.
+    ``integrate.default_startup``.  A bisection of more than ``MAX_WORK``
+    rhs evaluations, counted as its sweeps' at every one of the 2 +
+    ``max_iter`` levels it may make, is refused before any sweep.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
@@ -721,7 +759,16 @@ def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
     require_size(sharpness_bytes(n_rows, n_dt),
                  f"a sharpness bisection of {n_rows} initial states and "
                  f"{n_dt} step sizes")
-    n_steps = np.ceil(t_end / dt_grid - 1e-9).astype(int)
+    with np.errstate(over="ignore"):
+        n_steps = np.ceil(t_end / dt_grid - 1e-9)
+    # each tested threshold is a sweep of n_dt elements, and a bisection
+    # tests both range ends and then at most max_iter levels
+    longest = n_steps.max()
+    require_work(n_rows * (2 + max_iter) * n_dt
+                 * rhs_work(longest, rhs_calls(method), problem.dimension),
+                 f"a sharpness bisection of {n_rows} initial states and "
+                 f"{n_dt} step sizes of up to {longest:.3g} steps")
+    n_steps = n_steps.astype(int)
 
     label_values = [float(labels[i]) if labels is not None
                     else float(y0_states[i, 0]) for i in range(n_rows)]

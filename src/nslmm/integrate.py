@@ -54,7 +54,11 @@ layout of their operands.  On a 2-vCPU Xeon virtual machine one SEIR
 
 A full-trajectory run whose record would take more than
 ``MAX_RECORD_BYTES`` (see ``record_bytes``) is refused before it steps,
-by ``require_size``, which sweeps and sharpness grids use too.
+by ``require_size``, which sweeps and sharpness grids use too.  So is any
+run, RK4 reference, sweep or bisection that would make more than
+``MAX_WORK`` rhs evaluations, by ``require_work``: steps times rhs calls
+per step (``rhs_calls``) times m, times the elements of a sweep and the
+levels of a bisection.
 """
 
 from __future__ import annotations
@@ -82,6 +86,15 @@ ALIGNMENT_TOL = 1e-8
 #: largest full-trajectory record, in bytes, a run may build; sweeps and
 #: sharpness grids are held to it too
 MAX_RECORD_BYTES = 2 ** 30
+
+#: most ``rhs`` evaluations, one per state component (steps x rhs calls per
+#: step x m, times the elements of a sweep and the levels of a bisection),
+#: that a run, sweep or bisection may ask for.  The fastest measured cost
+#: of one is about 11 ns, in a sweep of 2**14 values of logistic or SEIR
+#: states (6.5 ns of it the rhs call alone; a single run's step costs 400 to
+#: 960 ns per evaluation), on a 2-vCPU Xeon virtual machine with numpy 2.4;
+#: at that cost the limit is about a day of stepping
+MAX_WORK = 2 ** 43
 
 #: rows per piece of a trajectory's CSV text (``Trajectory.csv_chunks``)
 CSV_CHUNK_ROWS = 512
@@ -207,6 +220,22 @@ def require_size(need: int, what: str, advice: str = "") -> None:
             f"{MAX_RECORD_BYTES // 2 ** 20} MiB limit{advice}")
 
 
+def require_work(need: float, what: str) -> None:
+    """Refuse ``what``, of ``need`` ``rhs`` evaluations (see ``rhs_work``),
+    over ``MAX_WORK``."""
+    if need > MAX_WORK:
+        raise ConfigurationError(
+            f"{what} needs about {need:.3g} rhs evaluations, over the "
+            f"{MAX_WORK:.3g} limit; use a larger step or a shorter span")
+
+
+def rhs_work(n_steps, calls: int, m: int) -> float:
+    """``rhs`` evaluations, one per state component, of ``n_steps`` steps
+    of ``calls`` rhs calls each on states of ``m`` components; a float, so
+    that no count overflows."""
+    return float(n_steps) * calls * m
+
+
 def record_bytes(n_states: int, m: int) -> int:
     """Peak bytes of a full-trajectory record of ``n_states`` states of
     ``m`` values: while the run steps, one Python float per state for one
@@ -220,13 +249,16 @@ def record_bytes(n_states: int, m: int) -> int:
     return n_states * (state + 8 + 32 + 8 * m)
 
 
-def _run_steps(method: Method, t0: float, t_end: float, dt: float) -> int:
-    """``step_count`` of a run of ``method``, which must also leave room
-    for its s - 1 startup values."""
+def _run_steps(method: Method, t0: float, t_end: float, dt: float,
+               m: int) -> int:
+    """``step_count`` of a run of ``method`` on states of ``m`` components,
+    which must also leave room for its s - 1 startup values and stay
+    within ``MAX_WORK``."""
     n = step_count(t0, t_end, dt)
     if n < method.steps - 1:
         raise ConfigurationError(
             f"{n} steps cannot accommodate {method.steps - 1} startup values")
+    require_work(rhs_work(n, rhs_calls(method), m), f"a run of {n:.3g} steps")
     return n
 
 
@@ -373,6 +405,17 @@ def _step_kernel(method: Method, h, m: int, scratch=None):
     factory = _kernel_factory(method.steps, tuple(pattern),
                               m if scratch is None else None)
     return factory(*coefs, *(scratch or ()))
+
+
+def rhs_calls(method: Method) -> int:
+    """``rhs`` calls one step of ``method`` makes (see ``_kernel_factory``):
+    one for the newest ring state if a term reads a ring state's slope,
+    the others' being kept from earlier steps, and one per stage value
+    whose slope a term reads."""
+    s = method.steps
+    sloped = {src for stage in method.float_stages
+              for src, _a, b in stage if b != 0.0}
+    return any(src < s for src in sloped) + sum(src >= s for src in sloped)
 
 
 def _single_step(method: Method, phi: DenominatorSpec, problem: OdeProblem,
@@ -528,7 +571,7 @@ def integrate(config: RunConfig) -> Trajectory:
     problem = config.problem
     y0 = _initial_state(problem, config.y0)
     method = config.method
-    n = _run_steps(method, config.t0, config.t_end, config.dt)
+    n = _run_steps(method, config.t0, config.t_end, config.dt, y0.size)
     full = config.record is RecordMode.FULL_TRAJECTORY
     if full:
         require_size(record_bytes(n + 1, y0.size),
@@ -609,6 +652,8 @@ def reference_solution(problem: OdeProblem, y0, t_end: float,
     """Final state from the classical fourth-order Runge-Kutta tableau,
     stepped as a single run steps its state."""
     n = step_count(t0, t_end, dt_ref)
+    require_work(rhs_work(n, 4, problem.dimension),
+                 f"an RK4 reference of {n:.3g} steps")
     y0 = _initial_state(problem, y0)
     rhs = problem.rhs
     kernel = _rk4_factory(y0.size)(0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -660,6 +661,27 @@ def test_unwritable_out_exit_2_with_one_line(capsys, tmp_path, argv, where):
     assert stdout == ""
     assert err.startswith("error: cannot write --out: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # 1e30 RK4 reference steps, which used to run without end
+    ["convergence", "--problem", "logistic", "--y0", "1", "--method",
+     "sspms64", "--dt-list", "0.1,0.05", "--t-end", "1", "--reference",
+     "rk4:1e-30"],
+    # 2**44 steps of a final-state run
+    FIG3_ARGS[:-4] + ["--dt", repr(2.0 ** -44), "--t-end", "1",
+                      "--final-only"],
+    ["sharpness", "--method", "sspms42", "--phi", "phi5", "--problem",
+     "logistic", "--y0-grid", "0.1:0.5:2", "--dt-grid", "1e-12:1e-11:3",
+     "--t-end", "100"]])
+def test_work_that_cannot_finish_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rhs evaluations, over the" in err
 
 
 def test_refused_run_leaves_an_existing_out_file(capsys, tmp_path):

@@ -1309,6 +1309,54 @@ def test_sweep_size_limit_is_the_sweeps_size(seir0, seir_y0, monkeypatch):
         run_preservation_sweep(seir0, m, PhiKind.PHI5, 0.1, dts, y0s, 10)
 
 
+def test_sweep_work_limit_is_its_elements_rhs_evaluations(seir0, seir_y0,
+                                                          monkeypatch):
+    # every element counts to the longest horizon, as a block steps in
+    # lockstep to its last active step
+    counted, calls = counting_rhs(seir0)
+    y0s = np.broadcast_to(seir_y0, (3, 4))
+    dts = np.array([0.1, 0.2, 0.3])
+    n_steps = np.array([10, 30, 20])
+    m = get_method("sspms42")
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", 3 * 30 * 4)
+    run_preservation_sweep(counted, m, PhiKind.PHI5, 0.1, dts, y0s, n_steps)
+    calls[0] = 0
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", 3 * 30 * 4 - 1)
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        run_preservation_sweep(counted, m, PhiKind.PHI5, 0.1, dts, y0s,
+                               n_steps)
+    assert calls[0] == 0
+
+
+def test_sharpness_work_limit_counts_every_level(logistic2, monkeypatch):
+    # two rows of three step sizes up to 10 steps, at the two range ends
+    # and at most four bisection levels
+    counted, calls = counting_rhs(logistic2)
+
+    def bisect():
+        return sharpness_bisection(
+            counted, get_method("sspms42"), PhiKind.PHI5,
+            np.array([[0.5], [1.0]]), np.array([0.5, 1.0, 2.0]), 5.0,
+            BOUNDEDNESS, max_iter=4)
+
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", 2 * (2 + 4) * 3 * 10)
+    assert len(bisect().rows) == 2
+    calls[0] = 0
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", 2 * (2 + 4) * 3 * 10 - 1)
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        bisect()
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_sharpness_that_cannot_finish_is_refused(logistic2, dt):
+    # 1e300 steps, or a horizon whose step count overflows a float
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        sharpness_bisection(logistic2, get_method("sspms42"), PhiKind.PHI5,
+                            np.array([[0.5]]), np.array([dt, 0.5]), 5.0,
+                            BOUNDEDNESS)
+
+
 def _sweep_peak(problem, n_elements, checks):
     y0 = [0.5] if problem.dimension == 1 else [0.8, 0.0, 0.2, 0.0]
     y0s = np.repeat(np.array([y0]), n_elements, axis=0)
@@ -1440,6 +1488,124 @@ def test_seir_conservation_sweep_small(seir_y0):
         np.array([0.25, 1.0, 7.0, 40.0]), n_steps=200)
     assert devs.shape == (4,)
     assert devs.max() <= 1e-12 * 200
+
+
+# ---------------------------------------------------------------------------
+# settled sweep blocks
+# ---------------------------------------------------------------------------
+
+
+def _settled_and_stepped(problem, sweep, monkeypatch):
+    """The outcome and ``rhs`` calls of ``sweep(problem)`` as it runs, and
+    with the settled-block stop off: no ring ever repeats bit for bit."""
+    counted, calls = counting_rhs(problem)
+    settled = sweep(counted)
+    settled_calls = calls[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_same_bits", lambda a, b: False)
+        stepped = sweep(counted)
+    return settled, settled_calls, stepped, calls[0] - settled_calls
+
+
+def _assert_same_bytes(got, want):
+    for got_field, want_field in zip(_outcome_fields(got),
+                                     _outcome_fields(want)):
+        assert got_field.dtype == want_field.dtype
+        assert got_field.shape == want_field.shape
+        assert got_field.tobytes() == want_field.tobytes()
+
+
+@pytest.mark.parametrize("method_id, t_end", [("sspms42", 300.0),
+                                              ("sspms64", 1500.0)])
+@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
+def test_settled_block_stop_keeps_grouped_outcomes(logistic2, monkeypatch,
+                                                   method_id, t_end, prop):
+    # the grouped sweeps of a bisection, long enough for their survivors
+    # to settle: odd and even horizons, and groups that stop at their
+    # first failing element
+    m = get_method(method_id)
+    dts = np.geomspace(0.5, 3.0, 13)
+    n_steps = np.ceil(t_end / dts - 1e-9).astype(int)
+    assert len(set(n_steps % 2)) == 2
+    rows = np.repeat(np.arange(len(LOGISTIC_Y0S)), 3)
+    sufficient = (n.effective_ssp_coefficient(m)
+                  * n.fe_property_bound(logistic2, LOGISTIC_Y0S))
+    thresholds = sufficient[rows] * np.tile([0.25, 0.5, 8.0], 6)
+    checks = experiments._row_checks(logistic2, LOGISTIC_Y0S, prop)
+    k, n_dt = rows.size, dts.size
+
+    def sweep(problem):
+        return run_preservation_sweep(
+            problem, m, PhiKind.PHI5, np.repeat(thresholds, n_dt),
+            np.tile(dts, k), np.repeat(LOGISTIC_Y0S[rows], n_dt, axis=0),
+            np.tile(n_steps, k), _groups=np.repeat(np.arange(k), n_dt),
+            **{key: np.repeat(v[rows], n_dt) for key, v in checks.items()})
+
+    settled, settled_calls, stepped, stepped_calls = _settled_and_stepped(
+        logistic2, sweep, monkeypatch)
+    field = "bound_violated" if prop == BOUNDEDNESS else "weak_violated"
+    decided = getattr(stepped, field).reshape(k, n_dt).any(axis=1)
+    assert decided.any() and not decided.all()
+    _assert_same_bytes(settled, stepped)
+    assert settled_calls < stepped_calls
+
+
+def test_settled_block_stop_keeps_non_finite_and_signed_zero_starts(
+        logistic2, monkeypatch):
+    # a NaN ring repeats bit for bit, payload and all; a -0.0 start whose
+    # closed-form startup states are +0.0 is no repeat until the ring is
+    # +0.0 throughout.  The NaN element has no check to fail, so it runs
+    # to the longest horizon.
+    m = get_method("sspms42")
+    y0s = np.array([[np.nan], [-0.0], [0.0], [0.5], [-0.3], [2.5]])
+    dts = np.array([0.3, 0.3, 0.7, 0.2, 0.4, 1.1])
+    n_steps = np.array([400, 41, 9, 400, 35, 57])
+
+    def sweep(problem):
+        return run_preservation_sweep(
+            problem, m, PhiKind.PHI5, np.full(6, 0.1), dts, y0s, n_steps,
+            lower=np.array([-np.inf, 0.0, 0.0, 0.0, -np.inf, 2.0]),
+            upper=np.array([np.inf, 2.0, 2.0, 2.0, 0.5, np.inf]),
+            weak_direction=np.array([0, 1, 1, 1, -1, -1]))
+
+    settled, settled_calls, stepped, stepped_calls = _settled_and_stepped(
+        logistic2, sweep, monkeypatch)
+    _assert_same_bytes(settled, stepped)
+    assert np.isnan(settled.final_states[0, 0])
+    assert settled_calls < stepped_calls
+
+
+def test_settled_block_stops_before_its_longest_horizon(logistic2):
+    # one sspms42 run from 0.5 settles on a bit-for-bit fixed point within
+    # about 80 steps; without the stop it would make one rhs call per step
+    # to its horizon
+    m = get_method("sspms42")
+    problem, calls = counting_rhs(logistic2)
+    run_preservation_sweep(problem, m, PhiKind.PHI5, np.array([0.4]),
+                           np.array([0.3]), np.array([[0.5]]), 2000,
+                           lower=0.0, upper=2.0)
+    assert calls[0] < 100 < slope_evaluations(m, 2000)
+
+
+@pytest.mark.parametrize("influx, stops", [(0.0, True), (0.1, False)])
+def test_settled_block_stop_waits_for_a_fixed_invariant_target(
+        monkeypatch, influx, stops):
+    # with drift, the invariant's target moves at every step, so even a
+    # repeating ring has later deviations to record; every ring is taken
+    # for a repeat here
+    problem, calls = counting_rhs(n.seir_problem(influx))
+    m = get_method("sspms64")
+    infected = np.array([0.2, 0.5, 0.05])
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    monkeypatch.setattr(experiments, "_same_bits", lambda a, b: True)
+    run_preservation_sweep(
+        problem, m, PhiKind.PHI8, np.full(3, 0.2), np.array([0.1, 0.3, 0.2]),
+        y0s, np.array([50, 80, 65]), invariant_weights=np.ones(4),
+        invariant_drift=influx)
+    starter = (m.steps - 1) * integrate_mod.rhs_calls(get_method("ssprk104"))
+    stepped = m.steps if stops else 80
+    assert calls[0] - starter == slope_evaluations(m, stepped)
 
 
 # ---------------------------------------------------------------------------

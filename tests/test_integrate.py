@@ -22,7 +22,8 @@ from nslmm import (CATALOG, ConfigurationError, DenominatorSpec, ExactStartup,
 from nslmm import cli
 from nslmm.denominator import CATALOG_KINDS, phi_value
 from nslmm.experiments import run_preservation_sweep
-from nslmm.integrate import STARTER_FOR_ORDER, Trajectory, record_bytes
+from nslmm.integrate import (MAX_WORK, STARTER_FOR_ORDER, Trajectory,
+                             _run_steps, record_bytes, rhs_calls, rhs_work)
 from nslmm.methods import effective_ssp_coefficient
 from nslmm.problems import OdeProblem, fe_property_bound
 
@@ -881,6 +882,74 @@ def test_record_limit_is_the_records_size(seir0, seir_y0, monkeypatch,
     final = integrate(_config(seir0, m, phi, 0.1, 5.0, seir_y0,
                               record=RecordMode.FINAL_STATE_ONLY))
     assert final.states.shape == (1, 4)
+
+
+@pytest.mark.parametrize("method_id", list(CATALOG))
+def test_rhs_calls_are_a_steps_rhs_calls(logistic2, method_id):
+    # the work estimate's count: a Runge-Kutta step's calls exactly, and a
+    # multistep run's one per step, which its closed-form startup states
+    # add at most s - 1 to
+    counted, calls = counting_rhs(logistic2)
+    m = get_method(method_id)
+    phi = make_phi_for_method(m, 0.2, PhiKind.PHI5)
+    integrate(_config(counted, m, phi, 0.1, 5.0, [0.5],
+                      record=RecordMode.FINAL_STATE_ONLY))
+    if isinstance(m, MultistepMethod):
+        assert rhs_calls(m) == 1
+        assert calls[0] == slope_evaluations(m, 50)
+    else:
+        assert calls[0] == 50 * rhs_calls(m)
+
+
+@pytest.mark.parametrize("method_id", ["sspms64", "ssprk33"])
+def test_work_limit_is_the_runs_rhs_evaluations(seir0, seir_y0, monkeypatch,
+                                                method_id):
+    counted, calls = counting_rhs(seir0)
+    m = get_method(method_id)
+    phi = make_phi_for_method(m, 0.2, PhiKind.PHI7)
+    config = _config(counted, m, phi, 0.1, 5.0, seir_y0,
+                     record=RecordMode.FINAL_STATE_ONLY)
+    need = rhs_work(50, rhs_calls(m), 4)
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", need)
+    integrate(config)
+    assert calls[0] > 0
+    calls[0] = 0
+    monkeypatch.setattr(integrate_mod, "MAX_WORK", need - 1)
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        integrate(config)
+    assert calls[0] == 0
+
+
+def test_work_limit_takes_a_run_just_under_it_without_stepping():
+    # a one-component multistep run makes one rhs evaluation per step, so
+    # 2**43 - 1 steps are just under the limit and 2**43 + 1 just over it;
+    # neither is stepped
+    assert MAX_WORK == 2 ** 43
+    m = get_method("sspms64")
+    dt = 2.0 ** -43
+    assert _run_steps(m, 0.0, 1.0 - dt, dt, 1) == MAX_WORK - 1
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        _run_steps(m, 0.0, 1.0 + dt, dt, 1)
+
+
+@pytest.mark.parametrize("record", list(RecordMode))
+def test_run_that_cannot_finish_is_refused_before_stepping(logistic2,
+                                                           record):
+    counted, calls = counting_rhs(logistic2)
+    m = get_method("sspms42")
+    phi = make_phi_for_method(m, 0.5, PhiKind.PHI5)
+    with pytest.raises(ConfigurationError, match="rhs evaluations"):
+        integrate(_config(counted, m, phi, 1e-20, 1.0, [0.5],
+                          record=record))
+    assert calls[0] == 0
+
+
+def test_reference_that_cannot_finish_is_refused_before_stepping(seir0,
+                                                                 seir_y0):
+    counted, calls = counting_rhs(seir0)
+    with pytest.raises(ConfigurationError, match="RK4 reference of 1e"):
+        reference_solution(counted, seir_y0, 1.0, 1e-30)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("problem_name, y0", [

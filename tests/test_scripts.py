@@ -58,13 +58,17 @@ def test_output_digests_prints_one_line_per_output():
     assert all(re.fullmatch(r"[0-9a-f]{64} [0-2] \S.*", line)
                for line in lines), lines
     # stdout and stderr of the README commands but bench, then six
-    # convergence CSVs and six sharpness CSVs for each of three settings
+    # convergence CSVs, six sharpness CSVs for each of three settings and
+    # three sweep outcomes
     labels = [line.split(" ", 2)[2] for line in lines]
     assert labels[0].startswith("nslmm solve ")
     assert not any(label.startswith("nslmm bench") for label in labels)
     assert sum(label.endswith(" [stdout]") for label in labels) == \
         sum(label.endswith(" [stderr]") for label in labels) >= 6
     assert sum(label.endswith(".csv") for label in labels) == 6 + 18
+    assert sum(label.endswith(" [SweepOutcome]") for label in labels) == 3
+    assert len(labels) == 2 * sum(label.endswith(" [stdout]")
+                                  for label in labels) + 6 + 18 + 3
     assert sum(label.startswith("run_sharpness.py --setting seir ")
                for label in labels) == 6
     assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
