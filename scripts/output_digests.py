@@ -13,7 +13,10 @@ each of its settings (with that script's exit code), all in-process; the
 one line for the whole ``SweepOutcome`` (every field's bytes, final
 states included) of a small ``logistic_preservation_grid`` and of a small
 ``seir_conservation_sweep`` without and with influx, whose own result is
-the deviations alone; their exit is 0.  It takes a few seconds.  Diffing
+the deviations alone; their exit is 0.  Last, one ``[kernels]`` line
+for every catalog method's ``float_stages`` and the sources of its
+generated step kernels as ``linecache`` holds them: the single-run form
+at m = 1 and m = 4 and the batch form.  It takes a few seconds.  Diffing
 the output of two trees shows which outputs moved:
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
@@ -23,6 +26,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import linecache
 import re
 import shlex
 import sys
@@ -35,7 +39,8 @@ import numpy as np
 
 import run_convergence_tables
 import run_sharpness
-from nslmm import PhiKind, cli, experiments, get_method
+from nslmm import CATALOG, PhiKind, cli, experiments, get_method
+from nslmm.integrate import _step_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,6 +99,23 @@ def sweep_outcomes():
                    outcomes[-1])
 
 
+def kernel_digest() -> str:
+    """sha256 of each catalog method's float stage view and its generated
+    kernels' names and sources, in catalog order."""
+    h = hashlib.sha256()
+    scratch = (np.empty((1, 4)), np.empty((1, 4)))
+    for method in CATALOG.values():
+        h.update(repr(method.float_stages).encode())
+        for kernel in (_step_kernel(method, 0.1, 1),
+                       _step_kernel(method, 0.1, 4),
+                       _step_kernel(method, np.full((1, 4), 0.1), 4,
+                                    scratch)):
+            name = kernel.__code__.co_filename
+            h.update(name.encode())
+            h.update("".join(linecache.cache[name][2]).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     lines = []
     for argv in readme_commands():
@@ -121,6 +143,7 @@ def main() -> int:
                         for field in dataclasses.fields(outcome))
         lines.append(f"{hashlib.sha256(data).hexdigest()} 0 {label} "
                      "[SweepOutcome]")
+    lines.append(f"{kernel_digest()} 0 catalog kernels [kernels]")
     print("\n".join(lines))
     return 0
 

@@ -11,10 +11,9 @@ from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ConvergenceReport,
 from .integrate import (ExactStartup, RecordMode, RunConfig,
                         RungeKuttaStartup, Trajectory, integrate, nslmm_step,
                         nsrk_step, reference_solution)
-from .methods import (CATALOG, MULTISTEP_IDS, RUNGE_KUTTA_IDS,
-                      MultistepMethod, RungeKuttaMethod,
-                      effective_ssp_coefficient, get_method, ssp_coefficient,
-                      validate_method)
+from .methods import (CATALOG, MULTISTEP_IDS, RUNGE_KUTTA_IDS, Method,
+                      effective_ssp_coefficient, get_method, multistep_method,
+                      ssp_coefficient, validate_method)
 from .problems import (OdeProblem, PropertyKind, QualitativeProperty,
                        UNCONDITIONAL_BOUND, default_properties, eval_rhs,
                        exact_solution, fe_property_bound, forward_euler_step,

@@ -43,9 +43,10 @@ from .experiments import (BOUNDEDNESS, WEAK_MONOTONICITY, ErrorNorm,
                           phi_benchmark, sharpness_bisection,
                           sharpness_bytes)
 from .integrate import (ExactStartup, RecordMode, RunConfig,
-                        RungeKuttaStartup, integrate, require_size)
-from .methods import (CATALOG, MultistepMethod, effective_ssp_coefficient,
-                      get_method, ssp_coefficient, validate_method)
+                        RungeKuttaStartup, _run_steps, integrate,
+                        require_size)
+from .methods import (CATALOG, effective_ssp_coefficient, get_method,
+                      ssp_coefficient, validate_method)
 from .problems import (PropertyKind, QualitativeProperty, default_properties,
                        fe_property_bound, make_problem)
 
@@ -237,6 +238,17 @@ def _cmd_convergence(args) -> int:
     else:
         if args.dt_base is None:
             raise ConfigurationError("need --dt-list or --dt-base/--halvings")
+        if args.halvings < 0:
+            raise ConfigurationError(
+                f"--halvings must be >= 0 (got {args.halvings})")
+        # the finest step makes the most steps: check it before the list
+        finest = args.dt_base * 2.0 ** -args.halvings
+        try:
+            _run_steps(method, args.t0, args.t_end, finest, problem.dimension)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"--dt-base {args.dt_base!r} --halvings {args.halvings} "
+                f"give a finest dt of {finest!r}: {exc}") from None
         dts = [args.dt_base * 2.0 ** (-k) for k in range(args.halvings + 1)]
     if args.reference == "exact":
         reference = ExactReference()
@@ -257,7 +269,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_sharpness(args) -> int:
     problem = make_problem(args.problem, _parse_params(args.params))
     method = get_method(args.method)
-    if not isinstance(method, MultistepMethod):
+    if method.steps == 1:
         raise ConfigurationError("sharpness sweeps need a multistep method")
     kind, _p = parse_phi_label(args.phi)
     if kind in (PhiKind.IDENTITY, PhiKind.GENERAL_P):
@@ -295,10 +307,8 @@ def _cmd_list(args) -> int:
     for key, method in CATALOG.items():
         stated = _fmt_coeff(method.stated_ssp_coeff)
         computed = _fmt_coeff(ssp_coefficient(method))
-        if isinstance(method, MultistepMethod):
-            shape = f"s={method.steps}"
-        else:
-            shape = f"stages={method.stage_count}"
+        shape = (f"s={method.steps}" if method.steps > 1
+                 else f"stages={len(method.stages)}")
         lines.append(
             f"  {key}: {method.name} {shape} p={method.design_order} "
             f"C_stated={stated} C_computed={computed} "

@@ -56,7 +56,7 @@ from .integrate import (RecordMode, RunConfig as _RunConfig,
                         _startup_states, _step_kernel, default_startup,
                         integrate, reference_solution, require_size,
                         require_work, rhs_calls, rhs_work)
-from .methods import Method, MultistepMethod
+from .methods import Method
 from .problems import (BOUNDEDNESS, LINEAR_INVARIANCE, WEAK_MONOTONICITY,
                        OdeProblem, default_properties, exact_solution,
                        fe_property_bound)
@@ -256,7 +256,7 @@ def _take(keep: np.ndarray, *arrays) -> tuple:
                  for a in arrays)
 
 
-def run_preservation_sweep(problem: OdeProblem, method: MultistepMethod,
+def run_preservation_sweep(problem: OdeProblem, method: Method,
                            phi_kind: PhiKind, bounds: np.ndarray,
                            dts: np.ndarray, y0s: np.ndarray, n_steps,
                            *, p: int | None = None, startup=None,
@@ -586,7 +586,7 @@ def _row_checks(problem: OdeProblem, y0_states: np.ndarray, what: str,
 
 def logistic_preservation_grid(c: float, y0_values: np.ndarray,
                                dt_values: np.ndarray,
-                               method: MultistepMethod, phi_kind: PhiKind,
+                               method: Method, phi_kind: PhiKind,
                                n_steps: int = 1000) -> SweepOutcome:
     """Preservation sweep on the logistic problem: the full (y0 x dt) grid
     with thresholds C * min(1/c, 1/y0), checking the bounds and windowed
@@ -605,7 +605,7 @@ def logistic_preservation_grid(c: float, y0_values: np.ndarray,
         **{key: np.repeat(v, dv.shape[1]) for key, v in checks.items()})
 
 
-def seir_conservation_sweep(method: MultistepMethod, phi_kind: PhiKind,
+def seir_conservation_sweep(method: Method, phi_kind: PhiKind,
                             y0s: np.ndarray, dts: np.ndarray,
                             n_steps: int = 1000,
                             influx: float = 0.0) -> np.ndarray:
@@ -704,7 +704,7 @@ class SharpnessReport:
         return "\n".join(lines) + "\n"
 
 
-def sharpness_bisection(problem: OdeProblem, method: MultistepMethod,
+def sharpness_bisection(problem: OdeProblem, method: Method,
                         phi_kind: PhiKind, y0_states: np.ndarray,
                         dt_grid: np.ndarray, t_end: float, prop: str,
                         labels: Sequence[float] | None = None,

@@ -77,7 +77,7 @@ import numpy as np
 from .denominator import (DenominatorSpec, PhiKind, eval_phi, phi_value,
                           ssp_threshold)
 from .errors import ConfigurationError
-from .methods import Method, MultistepMethod, RungeKuttaMethod, get_method
+from .methods import Method, get_method
 from .problems import OdeProblem, exact_solution, fe_property_bound
 
 #: (t_end - t0)/dt must be this close to an integer; runs are never shortened
@@ -120,7 +120,7 @@ class RungeKuttaStartup:
     the starter's SSP coefficient times the problem's Euler bound at y0.
     """
 
-    rk: Union[str, RungeKuttaMethod]
+    rk: Union[str, Method]
     phi_kind: PhiKind = PhiKind.PHI8
     p: int | None = None
     bound: float | None = None
@@ -429,7 +429,7 @@ def _single_step(method: Method, phi: DenominatorSpec, problem: OdeProblem,
     return np.reshape(np.array(new, dtype=float), states[0].shape)
 
 
-def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
+def nslmm_step(method: Method, phi: DenominatorSpec,
                problem: OdeProblem, history: Sequence, dt: float) -> np.ndarray:
     """One transformed multistep step.
 
@@ -449,7 +449,7 @@ def nslmm_step(method: MultistepMethod, phi: DenominatorSpec,
     return _single_step(method, phi, problem, states, dt)
 
 
-def nsrk_step(rk: RungeKuttaMethod, phi: DenominatorSpec,
+def nsrk_step(rk: Method, phi: DenominatorSpec,
               problem: OdeProblem, u, dt: float) -> np.ndarray:
     """One transformed Runge-Kutta step (dt replaced by phi(dt) throughout)."""
     if not dt > 0:
@@ -480,7 +480,7 @@ def resolve_startup(config: RunConfig) -> StartupPolicy | None:
 
 
 def default_startup(problem: OdeProblem,
-                    method: MultistepMethod) -> StartupPolicy:
+                    method: Method) -> StartupPolicy:
     """The closed-form solution when the problem has one, otherwise the
     Runge-Kutta starter matching the method's design order."""
     if problem.exact is not None:
@@ -521,9 +521,9 @@ def _startup_states(problem: OdeProblem, method: Method,
     if not isinstance(policy, RungeKuttaStartup):
         raise ConfigurationError(f"unknown startup policy {policy!r}")
     rk = get_method(policy.rk) if isinstance(policy.rk, str) else policy.rk
-    if not isinstance(rk, RungeKuttaMethod):
+    if rk.steps != 1:
         raise ConfigurationError(
-            f"starter {policy.rk!r} is not a Runge-Kutta method")
+            f"starter {policy.rk!r} is not a one-step method")
     kind = policy.phi_kind
     bound = None
     if kind is not PhiKind.IDENTITY:

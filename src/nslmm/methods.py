@@ -1,24 +1,27 @@
 """Catalog of explicit SSP multistep and Runge-Kutta methods in Shu-Osher form.
 
-A multistep step combines the last ``s`` iterates as
+Every method is one ``Method``: the Shu-Osher stage view of a step.  Its
+``steps`` is s, the ring of the last s states a step reads (s = 1 for a
+Runge-Kutta method), and its ``stages`` hold the step's stages, each a
+tuple of exact terms (source, a, b), in which source i < s reads ring
+state i, newest first, and i >= s the value of stage i - s + 1.  A stage
+sums ``a * v + h * b * f(v)`` over its terms, v the value its source
+reads and ``h`` the (possibly transformed) step size; the last stage's
+value is the new state.  Every term with b > 0 is a forward-Euler substep
+of effective size ``h * b / a``, the structure the preservation arguments
+rest on.
 
-    u_next = sum_j ( alpha[j] * u[n+1-j] + h * beta[j] * f(u[n+1-j]) )
+A multistep method is one stage.  ``multistep_method`` builds it from the
+paper's notation,
 
-where ``h`` is the (possibly transformed) step size.  Runge-Kutta methods are
-stored stage by stage, every stage being a convex combination of previously
-computed stage values plus ``h``-scaled slope terms.  Both representations
-expose the forward-Euler substep structure that the preservation arguments
-rest on: each (alpha, beta) pair with beta > 0 is an Euler substep of
-effective size ``h * beta / alpha``.
+    u_next = sum_j ( alpha[j] * u[n+1-j] + h * beta[j] * f(u[n+1-j]) ),
 
-Both give one Shu-Osher stage view of a step: ``steps``, the ring of s last
-states a step reads (s = 1 for a Runge-Kutta method), and ``float_stages``,
-stages of float terms (source, alpha, beta) in which source i < s reads
-ring state i, newest first, and i >= s the value of stage i - s + 1; the
-last stage's value is the new state.  A multistep step is one stage.
+offset j reading ring state j - 1.  A Runge-Kutta method lists its
+stages: source 0 is the step's input state, source k the value of stage k.
 
 Coefficients are kept as exact ``Fraction`` objects wherever they are simple
-fractions and converted to ``float`` exactly once, at construction time.
+fractions and converted to ``float`` exactly once, at construction time,
+into ``float_stages``.
 """
 
 from __future__ import annotations
@@ -30,78 +33,42 @@ from typing import Mapping, Union
 
 Coefficient = Union[Fraction, float]
 
-#: tolerance for the consistency check sum(alpha) == 1
+#: tolerance for the consistency check that a stage's a sum to 1
 CONSISTENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MultistepMethod:
-    """Explicit s-step method in Shu-Osher form with sparse coefficients.
-
-    ``alpha`` and ``beta`` map the step offset j (1 = most recent iterate)
-    to the nonnegative coefficients; absent keys mean zero.
-    """
+class Method:
+    """An explicit SSP method as its Shu-Osher stage view (see above):
+    ``stages`` of exact (source, a, b) terms, and ``float_stages``, the
+    same with int sources and float coefficients, which the kernels read."""
 
     name: str
     steps: int
-    alpha: Mapping[int, Coefficient]
-    beta: Mapping[int, Coefficient]
-    design_order: int
-    stated_ssp_coeff: Coefficient | None = None
-    _terms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        terms = tuple(
-            (j, float(self.alpha.get(j, 0)), float(self.beta.get(j, 0)))
-            for j in sorted(set(self.alpha) | set(self.beta))
-        )
-        object.__setattr__(self, "_terms", terms)
-
-    @property
-    def terms(self) -> tuple[tuple[int, float, float], ...]:
-        """(j, alpha_j, beta_j) triples as floats, ascending in j."""
-        return self._terms
-
-    @property
-    def float_stages(self) -> tuple:
-        """The stage view: one stage, offset j reading ring state j - 1."""
-        return (tuple((j - 1, a, b) for j, a, b in self._terms),)
-
-
-@dataclass(frozen=True)
-class RungeKuttaMethod:
-    """Explicit SSP Runge-Kutta method as a sequence of Shu-Osher stages,
-    each a tuple of (source, a, b) terms numbered as in the stage view:
-    source 0 is the step's input state, source k the value of stage k."""
-
-    name: str
     stages: tuple
     design_order: int
     stated_ssp_coeff: Coefficient | None = None
-    _float_stages: tuple = field(init=False, repr=False, compare=False)
+    float_stages: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fstages = tuple(
             tuple((int(src), float(a), float(b)) for (src, a, b) in stage)
             for stage in self.stages
         )
-        object.__setattr__(self, "_float_stages", fstages)
-
-    @property
-    def float_stages(self) -> tuple:
-        return self._float_stages
-
-    @property
-    def steps(self) -> int:
-        """A one-step method's ring holds its input state alone."""
-        return 1
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
+        object.__setattr__(self, "float_stages", fstages)
 
 
-Method = Union[MultistepMethod, RungeKuttaMethod]
+def multistep_method(name: str, steps: int,
+                     alpha: Mapping[int, Coefficient],
+                     beta: Mapping[int, Coefficient], design_order: int,
+                     stated_ssp_coeff: Coefficient | None = None) -> Method:
+    """The s-step method with sparse ``alpha`` and ``beta``, which map the
+    step offset j (1 = most recent iterate) to the coefficients; absent
+    keys mean zero.  Its one stage has a term per offset, ascending in j,
+    reading ring state j - 1."""
+    stage = tuple((j - 1, alpha.get(j, 0), beta.get(j, 0))
+                  for j in sorted(set(alpha) | set(beta)))
+    return Method(name, steps, (stage,), design_order, stated_ssp_coeff)
 
 
 def _ratio(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -111,25 +78,14 @@ def _ratio(a: Coefficient, b: Coefficient) -> Coefficient:
 
 
 def ssp_coefficient(method: Method) -> Coefficient:
-    """Computed SSP coefficient: min alpha/beta over terms with beta > 0.
+    """Computed SSP coefficient: min a/b over terms with b > 0.
 
     Returns an exact ``Fraction`` when every contributing coefficient is
-    stored as one, and ``math.inf`` when no beta is positive (the step is a
+    stored as one, and ``math.inf`` when no b is positive (the step is a
     bare convex combination and imposes no Euler substep restriction).
     """
-    ratios: list[Coefficient] = []
-    if isinstance(method, MultistepMethod):
-        for j, b in method.beta.items():
-            if b > 0:
-                ratios.append(_ratio(method.alpha.get(j, 0), b))
-    else:
-        for stage in method.stages:
-            for (_src, a, b) in stage:
-                if b > 0:
-                    ratios.append(_ratio(a, b))
-    if not ratios:
-        return math.inf
-    return min(ratios)
+    return min((_ratio(a, b) for stage in method.stages
+                for _src, a, b in stage if b > 0), default=math.inf)
 
 
 def effective_ssp_coefficient(method: Method) -> float:
@@ -154,46 +110,32 @@ class ValidationReport:
 
 
 def validate_method(method: Method) -> ValidationReport:
-    """Check the structural invariants of a Shu-Osher coefficient set."""
+    """Check the structural invariants of a Shu-Osher stage view: each
+    stage's a sum to 1, each term reads a ring state or an earlier stage's
+    value, no coefficient is negative, and b > 0 only where a > 0.  Each
+    failure names its stage (from 1) and, for a term, its source."""
     failures: list[str] = []
-    if isinstance(method, MultistepMethod):
-        if method.steps < 1:
-            failures.append("steps must be >= 1")
-        for j in set(method.alpha) | set(method.beta):
-            if not 1 <= j <= method.steps:
-                failures.append(f"offset {j} outside 1..{method.steps}")
-        total = sum(Fraction(a) if isinstance(a, Fraction) else float(a)
-                    for a in method.alpha.values())
+    for i, stage in enumerate(method.stages, start=1):
+        total = sum(a for _src, a, _b in stage)
         if abs(float(total) - 1.0) > CONSISTENCY_TOL:
-            failures.append(f"sum(alpha) = {float(total)!r} != 1")
-        for j, a in method.alpha.items():
-            if a < 0:
-                failures.append(f"alpha[{j}] < 0")
-        for j, b in method.beta.items():
-            if b < 0:
-                failures.append(f"beta[{j}] < 0")
-            if b > 0 and method.alpha.get(j, 0) == 0:
-                failures.append(f"beta[{j}] > 0 but alpha[{j}] = 0")
-    else:
-        for i, stage in enumerate(method.stages, start=1):
-            total = sum(Fraction(a) if isinstance(a, Fraction) else float(a)
-                        for (_s, a, _b) in stage)
-            if abs(float(total) - 1.0) > CONSISTENCY_TOL:
-                failures.append(f"stage {i}: sum(a) = {float(total)!r} != 1")
-            for (src, a, b) in stage:
-                if not 0 <= src < i:
-                    failures.append(f"stage {i}: source {src} not yet computed")
-                if a < 0 or b < 0:
-                    failures.append(f"stage {i}: negative coefficient")
-                if b > 0 and a == 0:
-                    failures.append(f"stage {i}: b > 0 but a = 0")
+            failures.append(f"stage {i}: sum(a) = {float(total)!r} != 1")
+        readable = method.steps + i - 1
+        for (src, a, b) in stage:
+            where = f"stage {i}, source {src}"
+            if not 0 <= src < readable:
+                failures.append(f"{where}: not a ring state or an earlier "
+                                f"stage's value (0..{readable - 1})")
+            if a < 0 or b < 0:
+                failures.append(f"{where}: negative coefficient")
+            if b > 0 and a == 0:
+                failures.append(f"{where}: b > 0 but a = 0")
     return ValidationReport(method.name, not failures, tuple(failures))
 
 
 def _build_catalog() -> dict[str, Method]:
     F = Fraction
 
-    sspms42 = MultistepMethod(
+    sspms42 = multistep_method(
         name="SSPMS(4,2)",
         steps=4,
         alpha={1: F(8, 9), 4: F(1, 9)},
@@ -204,7 +146,7 @@ def _build_catalog() -> dict[str, Method]:
 
     # beta[1] = 16/9, the unique value compatible with first-order consistency
     # (sum_j j*alpha_j == sum_j beta_j) and with the stated coefficient 1/3.
-    sspms43 = MultistepMethod(
+    sspms43 = multistep_method(
         name="SSPMS(4,3)",
         steps=4,
         alpha={1: F(16, 27), 4: F(11, 27)},
@@ -213,7 +155,7 @@ def _build_catalog() -> dict[str, Method]:
         stated_ssp_coeff=F(1, 3),
     )
 
-    sspms64 = MultistepMethod(
+    sspms64 = multistep_method(
         name="SSPMS(6,4)",
         steps=6,
         alpha={
@@ -231,8 +173,9 @@ def _build_catalog() -> dict[str, Method]:
         stated_ssp_coeff=0.1648,
     )
 
-    ssprk22 = RungeKuttaMethod(
+    ssprk22 = Method(
         name="SSPRK(2,2)",
+        steps=1,
         stages=(
             ((0, F(1), F(1)),),
             ((0, F(1, 2), F(0)), (1, F(1, 2), F(1, 2))),
@@ -241,8 +184,9 @@ def _build_catalog() -> dict[str, Method]:
         stated_ssp_coeff=F(1),
     )
 
-    ssprk33 = RungeKuttaMethod(
+    ssprk33 = Method(
         name="SSPRK(3,3)",
+        steps=1,
         stages=(
             ((0, F(1), F(1)),),
             ((0, F(3, 4), F(0)), (1, F(1, 4), F(1, 4))),
@@ -253,8 +197,9 @@ def _build_catalog() -> dict[str, Method]:
     )
 
     euler_like = lambda src: ((src, F(1), F(1, 6)),)
-    ssprk104 = RungeKuttaMethod(
+    ssprk104 = Method(
         name="SSPRK(10,4)",
+        steps=1,
         stages=(
             euler_like(0),
             euler_like(1),

@@ -70,6 +70,13 @@ def _require_states(traj: Trajectory) -> np.ndarray:
     return states
 
 
+def _require_component(component: int, states: np.ndarray) -> None:
+    """Refuse a ``component`` that is no index 0..m-1 of the states."""
+    m = states.shape[1]
+    if not 0 <= component < m:
+        raise ValueError(f"component {component} out of range 0..{m - 1}")
+
+
 def bound_edges(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """The edges a value x keeps iff ``lo <= x <= hi``: ``lower`` and
     ``upper`` (-inf/+inf where missing) widened by ``VIOLATION_RTOL *
@@ -140,10 +147,10 @@ def check_bounds(traj: Trajectory, component: int | None = None,
     if upper is None and lower is None:
         raise ValueError("need an upper or a lower bound")
     states = _require_states(traj)
-    m = states.shape[1]
-    if component is not None and not 0 <= component < m:
-        raise ValueError(f"component {component} out of range 0..{m - 1}")
-    col_ids = list(range(m)) if component is None else [component]
+    if component is not None:
+        _require_component(component, states)
+    col_ids = (list(range(states.shape[1])) if component is None
+               else [component])
     cols = states[:, col_ids]
     lo, hi = bound_edges(-np.inf if lower is None else lower,
                          np.inf if upper is None else upper)
@@ -181,6 +188,7 @@ def check_weak_monotonicity(traj: Trajectory, component: int, window: int,
     if direction not in ("increase", "decrease"):
         raise ValueError("direction must be 'increase' or 'decrease'")
     states = _require_states(traj)
+    _require_component(component, states)
     if window < 1:
         raise ValueError("window must be >= 1")
     n = states.shape[0]

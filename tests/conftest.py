@@ -53,10 +53,11 @@ def counting_rhs(problem):
 def slope_evaluations(method, n_steps: int) -> int:
     """``rhs`` calls a multistep run of ``n_steps`` makes after its startup
     when every state's slope is evaluated once: the distinct states
-    u^(n+1-j), beta_j != 0, that steps s-1 .. n_steps-1 read.  That is one
-    per step plus at most s - 1 startup states."""
-    needed = {k + 1 - j for k in range(method.steps - 1, n_steps)
-              for j, _a, b in method.terms if b != 0.0}
+    u^(k-i), b != 0 at ring source i, that steps k = s-1 .. n_steps-1
+    read.  That is one per step plus at most s - 1 startup states."""
+    (stage,) = method.float_stages
+    needed = {k - i for k in range(method.steps - 1, n_steps)
+              for i, _a, b in stage if b != 0.0}
     steps = n_steps - method.steps + 1
     assert steps <= len(needed) <= steps + method.steps - 1
     return len(needed)

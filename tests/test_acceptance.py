@@ -189,8 +189,9 @@ def test_c07_convex_combination_oracle():
         direct = n.nslmm_step(method, phi, problem, history, dt)
         h = float(eval_phi(phi, dt))
         oracle = np.zeros(problem.dimension)
-        for j, a, b in method.terms:
-            u = np.asarray(history[j - 1], dtype=float)
+        (stage,) = method.float_stages
+        for src, a, b in stage:
+            u = np.asarray(history[src], dtype=float)
             if b == 0.0:
                 oracle = oracle + a * u
             else:

@@ -236,6 +236,25 @@ def test_convergence_zero_halvings_single_row(capsys):
     assert lines[1].endswith(",")
 
 
+@pytest.mark.parametrize("halvings, message", [
+    ("1000000000", "--halvings 1000000000 give a finest dt of 0.0"),
+    ("60", "--halvings 60 give a finest dt of 8.673617379884036e-20: a run"),
+    ("-1", "--halvings must be >= 0")])
+def test_convergence_halvings_checked_before_the_step_list(capsys, halvings,
+                                                           message):
+    # the list of halvings + 1 steps used to be built first: 3e6 halvings
+    # took 195 MB before "dt_list must be strictly decreasing"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "convergence", "--problem", "logistic", "--params", "c=2",
+        "--y0", "1", "--method", "sspms42", "--dt-base", "0.1",
+        "--halvings", halvings, "--t-end", "1", "--reference", "exact")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_convergence_seir_rk4_reference(capsys):
     code, out, _err = run_cli(
         capsys, "convergence", "--problem", "seir", "--y0", "0.8,0,0.2,0",
@@ -349,6 +368,18 @@ def test_list_catalog(capsys):
     assert "C_stated=1/3" in ms43
     assert "C_computed=1/3" in ms43
     assert "phi8: enabled order 4" in out
+    # a multistep method shows its ring, a Runge-Kutta method its stages
+    assert "sspms42: SSPMS(4,2) s=4 p=2 " in out
+    assert "ssprk104: SSPRK(10,4) stages=10 p=4 " in out
+
+
+def test_sharpness_refuses_a_one_step_method(capsys):
+    code, out, err = run_cli(
+        capsys, "sharpness", "--problem", "logistic", "--params", "c=2",
+        "--method", "ssprk33", "--phi", "phi7", "--y0-grid", "0.5",
+        "--dt-grid", "0.5:3:3")
+    assert (code, out) == (2, "")
+    assert err == "error: sharpness sweeps need a multistep method\n"
 
 
 def test_verify_phi_pass_and_fail(capsys):
@@ -868,7 +899,7 @@ _CONVERGENCE_SLOTS = {
     "--dt-list": ([None, "0.1,0.05"],
                   ["0.05,0.1", "0.1,0.1", "0.1,nan", "0.1,x", "0.3,0.1"]),
     "--dt-base": (["0.1", "0.05"], _BAD_NUMBERS),
-    "--halvings": ([None, "0", "2"], ["-1"]),
+    "--halvings": ([None, "0", "2"], ["-1", "1000000000"]),
     "--reference": (["exact", "rk4:0.01"],
                     ["rk4:0", "rk4:nan", "rk4:-0.01", "rk4:0.3", "rk4:x",
                      "bogus"]),

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import nslmm.integrate  # noqa: F401  (the submodule, looked up below)
 from nslmm import (CATALOG, ConfigurationError, DenominatorSpec, ExactStartup,
-                   MultistepMethod, PhiKind, RecordMode, RunConfig,
-                   RungeKuttaStartup, eval_phi, exact_solution,
-                   forward_euler_step, get_method, integrate,
-                   logistic_problem, make_phi_for_method, make_problem,
-                   nslmm_step, nsrk_step, reference_solution, seir_problem)
+                   PhiKind, RecordMode, RunConfig, RungeKuttaStartup,
+                   eval_phi, exact_solution, forward_euler_step, get_method,
+                   integrate, logistic_problem, make_phi_for_method,
+                   make_problem, nslmm_step, nsrk_step, reference_solution,
+                   seir_problem)
 from nslmm import cli
 from nslmm.denominator import CATALOG_KINDS, phi_value
 from nslmm.experiments import run_preservation_sweep
@@ -86,8 +86,9 @@ def _convex_combination_oracle(method, phi, problem, history, dt):
     """alpha-weighted Euler substeps with effective steps phi(dt)*beta/alpha."""
     h = float(eval_phi(phi, dt))
     acc = np.zeros(problem.dimension)
-    for j, a, b in method.terms:
-        u = np.asarray(history[j - 1], dtype=float)
+    (stage,) = method.float_stages
+    for src, a, b in stage:
+        u = np.asarray(history[src], dtype=float)
         if b == 0.0:
             acc = acc + a * u
         else:
@@ -177,7 +178,7 @@ def _kernel_case(method_id, m, B=5):
     rng = np.random.default_rng(sum(map(ord, method_id)) + m)
     start = [rng.uniform(0.05, 0.95, (B, m)) for _ in range(method.steps)]
     h = rng.uniform(0.01, 0.3, B)
-    s = method.steps if method.steps > 1 else method.stage_count
+    s = method.steps if method.steps > 1 else len(method.stages)
     return (method, problem.rhs, start, h, np.repeat(h[:, None], m, axis=1),
             2 * s + 1)
 
@@ -264,22 +265,12 @@ def test_batch_stage_kernels_drop_what_no_later_stage_reads(method_id):
 # single runs against Python-float coefficients
 # ---------------------------------------------------------------------------
 
-def _float_ms_step(method, rhs, history, h: float) -> np.ndarray:
-    """One multistep step with float alpha_j and h*beta_j, newest-first
-    ``history``, in the kernel's order of operations."""
-    acc = None
-    for j, a, b in method.terms:
-        u = history[j - 1]
-        contrib = a * u
-        if b != 0.0:
-            contrib = contrib + (h * b) * rhs(u)
-        acc = contrib if acc is None else acc + contrib
-    return acc
-
-
-def _float_rk_step(stages, rhs, u, h: float) -> np.ndarray:
-    values = [u]
-    for stage in stages:
+def _float_step(method, rhs, states, h: float) -> np.ndarray:
+    """One step with float a and h*b from the ring ``states``, newest
+    first, in the kernel's order of operations: source i reads ring state
+    i for i < s, else the value of stage i - s + 1."""
+    values = list(states)
+    for stage in method.float_stages:
         acc = None
         for src, a, b in stage:
             contrib = a * values[src]
@@ -295,27 +286,19 @@ def _float_run(problem, method, phi, dt, n, y0) -> list:
     with Python-float coefficients."""
     rhs, y0 = problem.rhs, np.asarray(y0, dtype=float)
     h = float(eval_phi(phi, dt))
-    if not isinstance(method, MultistepMethod):
-        states = [y0]
-        for _ in range(n):
-            states.append(_float_rk_step(method.float_stages, rhs,
-                                         states[-1], h))
-        return states
     s = method.steps
+    states = [y0]
     if problem.exact is not None:
-        states = [y0] + [exact_solution(problem, i * dt, y0)
-                         for i in range(1, s)]
-    else:
+        states += [exact_solution(problem, i * dt, y0) for i in range(1, s)]
+    elif s > 1:
         rk_id, kind = STARTER_FOR_ORDER[method.design_order]
         rk = get_method(rk_id)
         bound = effective_ssp_coefficient(rk) * fe_property_bound(problem, y0)
         h0 = float(phi_value(kind, bound, dt))
-        states = [y0]
         for _ in range(1, s):
-            states.append(_float_rk_step(rk.float_stages, rhs, states[-1],
-                                         h0))
+            states.append(_float_step(rk, rhs, states[-1:], h0))
     for _ in range(s - 1, n):
-        states.append(_float_ms_step(method, rhs, states[::-1][:s], h))
+        states.append(_float_step(method, rhs, states[::-1][:s], h))
     return states
 
 
@@ -351,14 +334,12 @@ def test_single_steps_equal_float_coefficient_steps_bitwise(problem_name,
                               ORDER_MATCHED_PHI[method.design_order])
     h = float(eval_phi(phi, 0.07))
     rng = np.random.default_rng(len(method_id) + m)
-    if isinstance(method, MultistepMethod):
-        history = [rng.uniform(0.05, 0.95, m) for _ in range(method.steps)]
+    history = [rng.uniform(0.05, 0.95, m) for _ in range(method.steps)]
+    if method.steps > 1:
         got = nslmm_step(method, phi, problem, history, 0.07)
-        want = _float_ms_step(method, problem.rhs, history, h)
     else:
-        u = rng.uniform(0.05, 0.95, m)
-        got = nsrk_step(method, phi, problem, u, 0.07)
-        want = _float_rk_step(method.float_stages, problem.rhs, u, h)
+        got = nsrk_step(method, phi, problem, history[0], 0.07)
+    want = _float_step(method, problem.rhs, history, h)
     assert got.shape == (m,)
     assert got.tobytes() == want.tobytes()
 
@@ -385,12 +366,6 @@ def _same_bits(got, want) -> bool:
 
 def _kernel_rhs(m):
     return (logistic_problem(2.0) if m == 1 else seir_problem(0.0)).rhs
-
-
-def _float_step(method, rhs, states, h):
-    if isinstance(method, MultistepMethod):
-        return _float_ms_step(method, rhs, states, h)
-    return _float_rk_step(method.float_stages, rhs, states[0], h)
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -489,7 +464,7 @@ def test_a_second_run_of_one_shape_builds_no_kernel(method_id, y0):
     method = get_method(method_id)
     phi = make_phi_for_method(method, 0.15,
                               ORDER_MATCHED_PHI[method.design_order])
-    multistep = isinstance(method, MultistepMethod)
+    multistep = method.steps > 1
     integrate(_config(problem, method, phi, 0.1, 2.0, y0))
     reference_solution(problem, y0, 2.0, 0.1)
     if multistep:
@@ -569,7 +544,7 @@ def _array_step_chain(problem, method, phi, dt, n, y0) -> np.ndarray:
     """Every state of an ``n``-step run under the default startup, chained
     through ``nslmm_step``/``nsrk_step`` on (m,) arrays."""
     u0 = np.asarray(y0, dtype=float)
-    if isinstance(method, MultistepMethod):
+    if method.steps > 1:
         s = method.steps
         states = [u0] + [exact_solution(problem, i * dt, u0)
                          for i in range(1, s)]
@@ -663,7 +638,7 @@ def test_zero_rhs_reproduces_the_weighted_history_sum(logistic2):
     history = [rng.uniform(-2, 2, size=1) for _ in range(6)]
     out = nslmm_step(m, DenominatorSpec(PhiKind.PHI8, bound=0.4), flat,
                      history, 0.5)
-    expect = sum(a * history[j - 1] for j, a, _b in m.terms)
+    expect = sum(a * history[src] for src, a, _b in m.float_stages[0])
     assert np.array_equal(out, expect)
 
 
@@ -857,6 +832,15 @@ def test_rk_startup_policy_explicit(seir0, seir_y0):
     assert sums == pytest.approx(np.ones(4), rel=1e-14)
 
 
+@pytest.mark.parametrize("starter", ["sspms43", get_method("sspms43")])
+def test_multistep_starter_is_refused(seir0, seir_y0, starter):
+    m = get_method("sspms42")
+    phi = make_phi_for_method(m, 0.2, PhiKind.PHI5)
+    with pytest.raises(ConfigurationError, match="not a one-step method"):
+        integrate(_config(seir0, m, phi, 0.05, 1.0, seir_y0,
+                          startup=RungeKuttaStartup(rk=starter)))
+
+
 def test_oversized_full_record_is_refused_before_stepping(logistic2):
     # 1e12 steps: the record alone would take about 130 TiB
     counted, calls = counting_rhs(logistic2)
@@ -894,7 +878,7 @@ def test_rhs_calls_are_a_steps_rhs_calls(logistic2, method_id):
     phi = make_phi_for_method(m, 0.2, PhiKind.PHI5)
     integrate(_config(counted, m, phi, 0.1, 5.0, [0.5],
                       record=RecordMode.FINAL_STATE_ONLY))
-    if isinstance(m, MultistepMethod):
+    if m.steps > 1:
         assert rhs_calls(m) == 1
         assert calls[0] == slope_evaluations(m, 50)
     else:

@@ -119,6 +119,26 @@ def test_window_longer_than_trajectory_rejected():
         check_weak_monotonicity(_traj([1, 2, 3]), 0, 2, "sideways")
 
 
+@pytest.mark.parametrize("component", [-1, 4])
+def test_out_of_range_component_rejected_by_every_componentwise_check(
+        component):
+    # component -1 used to check the last component of a windowed
+    # monotonicity series and report it as -1, and component m to raise a
+    # bare IndexError
+    traj = _traj([[0.1, 0.2, 0.3, 0.4]] * 5)
+    message = f"component {component} out of range 0..3"
+    with pytest.raises(ValueError, match=message):
+        check_weak_monotonicity(traj, component, 2, "increase")
+    with pytest.raises(ValueError, match=message):
+        check_bounds(traj, component, upper=1.0)
+    for prop in (QualitativeProperty(PropertyKind.WEAK_MONOTONE_DECREASE,
+                                     component),
+                 QualitativeProperty(PropertyKind.BOUND_BELOW, component,
+                                     0.0)):
+        with pytest.raises(ValueError, match=message):
+            check_property(traj, prop, window=2)
+
+
 def test_transformed_run_keeps_windowed_decrease_where_strict_fails(logistic2):
     # four-step second-order run from above the capacity with a big step:
     # the windowed decrease holds even though plain decrease does not
