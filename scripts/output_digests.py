@@ -11,13 +11,15 @@ one for each CSV that ``run_sharpness.py --n-y0 6 --n-dt 10`` writes for
 each of its settings (with that script's exit code), all in-process; the
 ``seir`` setting starts its sweeps with batched Runge-Kutta steps.  Then
 one line for the whole ``SweepOutcome`` (every field's bytes, final
-states included) of a small ``logistic_preservation_grid`` and of a small
+states included) of a small ``logistic_preservation_grid``, of a small
 ``seir_conservation_sweep`` without and with influx, whose own result is
-the deviations alone; their exit is 0.  Last, one ``[kernels]`` line
-for every catalog method's ``float_stages`` and the sources of its
-generated step kernels as ``linecache`` holds them: the single-run form
-at m = 1 and m = 4 and the batch form.  It takes a few seconds.  Diffing
-the output of two trees shows which outputs moved:
+the deviations alone, and of a SEIR ``run_preservation_sweep`` of two
+blocks that compact (so that a block's arrays are made again, and reused
+from step to step, under the same check); their exit is 0.  Last, one
+``[kernels]`` line for every catalog method's ``float_stages`` and the
+sources of its generated step kernels as ``linecache`` holds them: the
+single-run form at m = 1 and m = 4 and the batch form.  It takes a few
+seconds.  Diffing the output of two trees shows which outputs moved:
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 """
@@ -40,7 +42,9 @@ import numpy as np
 import run_convergence_tables
 import run_sharpness
 from nslmm import CATALOG, PhiKind, cli, experiments, get_method
-from nslmm.integrate import _step_kernel
+from nslmm.denominator import ssp_threshold
+from nslmm.integrate import _step_kernel, stage_slots
+from nslmm.problems import fe_property_bound, seir_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,9 +76,9 @@ def digest(text: str) -> str:
 
 
 def sweep_outcomes():
-    """(label, ``SweepOutcome``) of small sweeps: a logistic grid whose
-    elements settle, cycle or fail, and SEIR batches whose invariant has a
-    fixed and a moving target."""
+    """(label, ``SweepOutcome``) of sweeps: a logistic grid whose elements
+    settle, cycle or fail, SEIR batches whose invariant has a fixed and a
+    moving target, and a SEIR batch of two blocks that compact."""
     outcomes = []
     sweep = experiments.run_preservation_sweep
 
@@ -97,19 +101,32 @@ def sweep_outcomes():
                 influx=influx)
             yield (f"seir_conservation_sweep influx={influx} sspms64 phi8",
                    outcomes[-1])
+    # two blocks of 2500 elements whose horizons end apart, so that each
+    # compacts and the next reuses nothing of the one before
+    infected = np.linspace(0.01, 0.9, 5000)
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    problem = seir_problem(0.0)
+    method = get_method("sspms64")
+    dts = np.geomspace(0.01, 3.0, 5000)[::-1]
+    yield ("run_preservation_sweep seir sspms64 phi8 B=5000 horizons 6-69",
+           experiments.run_preservation_sweep(
+               problem, method, PhiKind.PHI8,
+               ssp_threshold(method, fe_property_bound(problem, y0s)), dts,
+               y0s, 6 + np.arange(5000) % 64, lower=0.0,
+               invariant_weights=np.ones(4)))
 
 
 def kernel_digest() -> str:
     """sha256 of each catalog method's float stage view and its generated
     kernels' names and sources, in catalog order."""
     h = hashlib.sha256()
-    scratch = (np.empty((1, 4)), np.empty((1, 4)))
     for method in CATALOG.values():
         h.update(repr(method.float_stages).encode())
+        work = [np.empty((1, 4)) for _ in range(2 + stage_slots(method))]
         for kernel in (_step_kernel(method, 0.1, 1),
                        _step_kernel(method, 0.1, 4),
-                       _step_kernel(method, np.full((1, 4), 0.1), 4,
-                                    scratch)):
+                       _step_kernel(method, np.full((1, 4), 0.1), 4, work)):
             name = kernel.__code__.co_filename
             h.update(name.encode())
             h.update("".join(linecache.cache[name][2]).encode())

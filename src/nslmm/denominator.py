@@ -71,12 +71,25 @@ CATALOG_KINDS = (
 # unconditional sentinel) degrade gracefully to phi(x) = x instead of
 # overflowing.  Where an intermediate t can overflow, a formula returns
 # ns.guard(value, t, large): large(), an overflow-free form (B for phi3 and
-# the power forms), where t() is inf, else value.
+# the power forms), where t() is inf, else value.  Where one can underflow
+# and take the value's precision with it, it returns ns.tiny(value, t,
+# small): small() where t() is subnormal or zero, else value.  There t is
+# so small against x that phi(x) = x is the correctly rounded value: x
+# itself for phi1 and phi5 (t = x/B), and for phi4 (t = x * arctan(s)) x
+# times arctan(s)/s, which is 1 for any s that small and stays accurate
+# for the bounds below about 1e-292 that allow a larger s.
 
 def _phi4(ns, x, B, p):
     s = (x * (ns.pi / 2.0)) / B
+    w = ns.where(s == 0.0, 1.0, s)
+    # the small form takes arctan(s)/s as 1 at s = 0, and keeps phi4(-0.0)
+    # the +0.0 of the formula
+    value = ns.tiny(
+        x * ns.arctan(s) / w, lambda: x * ns.arctan(s),
+        lambda: ns.where(x == 0.0, 0.0,
+                         x * ns.where(s == 0.0, 1.0, ns.arctan(s) / w)))
     return ns.guard(
-        x * ns.arctan(s) / ns.where(s == 0.0, 1.0, s), lambda: s,
+        value, lambda: s,
         lambda: (2.0 / ns.pi) * B * ns.arctan((x / B) * (ns.pi / 2.0)))
 
 
@@ -98,12 +111,14 @@ def _phi8(ns, x, B, p):
 
 #: kind -> (enabled order, formula); the general family's order is its p
 _TRANSFORMS = {
-    PhiKind.PHI1: (1, lambda ns, x, B, p: B * (-ns.expm1(-x / B))),
+    PhiKind.PHI1: (1, lambda ns, x, B, p: ns.tiny(
+        B * (-ns.expm1(-x / B)), lambda: x / B, lambda: x)),
     PhiKind.PHI2: (1, lambda ns, x, B, p: x * ns.exp(-(x / B) / ns.e)),
     PhiKind.PHI3: (1, lambda ns, x, B, p: ns.guard(
         x / (1.0 + x / B), lambda: x / B, lambda: B)),
     PhiKind.PHI4: (2, _phi4),
-    PhiKind.PHI5: (2, lambda ns, x, B, p: B * ns.tanh(x / B)),
+    PhiKind.PHI5: (2, lambda ns, x, B, p: ns.tiny(
+        B * ns.tanh(x / B), lambda: x / B, lambda: x)),
     PhiKind.PHI6: (2, _phi6),
     PhiKind.PHI7: (3, _phi7),
     PhiKind.PHI8: (4, _phi8),
@@ -120,18 +135,26 @@ _TRANSFORMS = {
 _NP = SimpleNamespace(e=np.e, pi=np.pi, exp=np.exp, expm1=np.expm1,
                       tanh=np.tanh, sqrt=np.sqrt, cbrt=np.cbrt,
                       arctan=np.arctan, where=np.where,
-                      guard=lambda value, t, large: value)
+                      guard=lambda value, t, large: value,
+                      tiny=lambda value, t, small: value)
 
-#: the same with each guard on, for a call in which an intermediate overflows
+#: the smallest normal float
+_TINY = float(np.finfo(float).tiny)
+
+#: the same with each guard on, for a call in which an intermediate
+#: overflows or underflows
 _NP_GUARDED = SimpleNamespace(**{
     **vars(_NP),
-    "guard": lambda value, t, large: np.where(t() == np.inf, large(), value)})
+    "guard": lambda value, t, large: np.where(t() == np.inf, large(), value),
+    "tiny": lambda value, t, small: np.where(np.abs(t()) < _TINY, small(),
+                                             value)})
 
 #: the numpy names the formulas use, in mpmath, where nothing overflows
 _MP = SimpleNamespace(e=mp.e, pi=mp.pi, exp=mp.exp, expm1=mp.expm1,
                       tanh=mp.tanh, sqrt=mp.sqrt, cbrt=mp.cbrt, arctan=mp.atan,
                       where=lambda cond, a, b: a if cond else b,
-                      guard=lambda value, t, large: value)
+                      guard=lambda value, t, large: value,
+                      tiny=lambda value, t, small: value)
 
 
 @dataclass(frozen=True)
@@ -168,7 +191,8 @@ class DenominatorSpec:
 
 def phi_value(kind: PhiKind, bound, x, p: int | None = None):
     """Evaluate a transform elementwise; broadcasts over ``bound`` and ``x``.
-    Where an intermediate overflows, its formula's guard gives the value."""
+    Where an intermediate overflows or underflows, its formula's guard gives
+    the value."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("step size must be nonnegative")
@@ -181,10 +205,10 @@ def phi_value(kind: PhiKind, bound, x, p: int | None = None):
         raise ValueError("general family requires p")
     _order, formula = _TRANSFORMS[kind]
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", under="raise"):
             out = formula(_NP, x, bound, p)
     except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             out = formula(_NP_GUARDED, x, bound, p)
     return out if out.shape else float(out)
 

@@ -27,30 +27,45 @@ h*beta.  ``integrate``, the starter of ``_startup_states``, ``nslmm_step``,
 ``nsrk_step`` and the sweep blocks all step through it.  A single run
 carries its state as Python floats, a float for one component and a list
 of m floats for several, and its form sums component by component.  A
-batch's form works on (B, m) arrays and forms each term in a pair of
-scratch arrays the batch driver owns, with ufunc ``out=``, adding it in
-place into the stage's one new array.  Python's float ``+``, ``-`` and
-``*`` are the IEEE double operations numpy's are, so both forms give the
-same bits.  The RK4 reference has its own kernel (``_rk4_factory``): its
-sum ``u + sixth*(((k1 + two*k2) + two*k3) + k4)`` is in no Shu-Osher term
-order.  The kernels take ``rhs`` per call, so the rows of a convergence
-table share one; their sources hold only identifiers and integer indices,
-and their lines are kept in ``linecache`` under names such as ``<nslmm
-kernel j=1,4,5,6 f=1,4,5 m=4>`` or ``<nslmm batch kernel j=1;1,v1;1,v2
-f=1;v1;v2>`` (``ssprk33``), so tracebacks and profiles show
-them.  ``_single_state`` puts ``y0`` and the closed-form startup states in
-single-run form, and the record is copied into a (K, m) array at the end;
-``nslmm_step`` and ``nsrk_step`` take and return arrays.  Every stepping
-loop runs with numpy's overflow and invalid-value warnings off, as the
-sweep's does: a run that leaves the property region shows its inf and NaN
-states in the record and in any check.
+batch's form works on (B, m) arrays and allocates nothing: it writes
+each stage with ufunc ``out=`` into arrays the batch driver owns, the
+new state into the ring slot its caller names, each slope into the slot
+beside its state (``rhs(u, out)``), a Runge-Kutta step's stage values
+and their slopes into stage slots (``stage_slots``), a stage's first
+state term into the stage's own array and every other product into a
+scratch pair, from which it is added in place.  Python's float ``+``,
+``-`` and ``*`` are the IEEE double operations numpy's are, so both
+forms give the same bits.  The RK4 reference has its own kernel
+(``_rk4_factory``): its sum ``u + sixth*(((k1 + two*k2) + two*k3) +
+k4)`` is in no Shu-Osher term order.  The kernels take ``rhs`` per call,
+so the rows of a convergence table share one; their sources hold only
+identifiers and integer indices, and their lines are kept in
+``linecache`` under names such as ``<nslmm kernel j=1,4,5,6 f=1,4,5
+m=4>`` or ``<nslmm batch kernel j=1;1,v1;1,v2 f=1;v1;v2>``
+(``ssprk33``), so tracebacks and profiles show them.  ``_single_state``
+puts ``y0`` and the closed-form startup states in single-run form, and
+the record is copied into a (K, m) array at the end; ``nslmm_step`` and
+``nsrk_step`` take and return arrays.  Every stepping loop runs with
+numpy's overflow and invalid-value warnings off, as the sweep's does: a
+run that leaves the property region shows its inf and NaN states in the
+record and in any check.
 
 A batch's (B, m) states are component-major (Fortran-ordered), so that
 each component a right-hand side reads or writes is contiguous: the batch
-driver starts from a Fortran-ordered ``y0``, ``_component_major`` lays
-out per-element step sizes the same way, and numpy's ufuncs keep the
-layout of their operands.  On a 2-vCPU Xeon virtual machine one SEIR
-``rhs`` call on 4000 states took 23 instead of 40 us that way.
+driver's arrays come from ``_block_arrays`` in that order,
+``_component_major`` lays out per-element step sizes the same way, and
+numpy's ufuncs keep the layout of their operands.  On a 2-vCPU Xeon
+virtual machine one SEIR ``rhs`` call on 4000 states took 23 instead of
+40 us that way.  ``_block_arrays`` also starts each of them on a
+64-byte cache line, which numpy does not: it places an array at a random
+16-byte offset within one.  On a 2-vCPU AVX-512 Xeon virtual machine
+``multiply(h, f, out=o)`` over a (4096, 4) block took 5.1-6.5 us with
+``o`` on a line boundary and 10-15 us with it 16, 32 or 48 bytes past
+one (fastest and median of eight rounds), and the SEIR ``rhs`` writing
+its slope with ufunc ``out=`` into such an array took 13-18 us per call
+on 4096 states, against 20-25 us for four temporaries copied into a new
+array (fastest of 30 timings in each of three alternating rounds).
+Where an array starts changes no bit of any value.
 
 A full-trajectory run whose record would take more than
 ``MAX_RECORD_BYTES`` (see ``record_bytes``) is refused before it steps,
@@ -64,6 +79,7 @@ levels of a bisection.
 from __future__ import annotations
 
 import functools
+import inspect
 import linecache
 import math
 import sys
@@ -95,6 +111,13 @@ MAX_RECORD_BYTES = 2 ** 30
 #: 960 ns per evaluation), on a 2-vCPU Xeon virtual machine with numpy 2.4;
 #: at that cost the limit is about a day of stepping
 MAX_WORK = 2 ** 43
+
+#: bytes of a processor cache line, on which a batch block's arrays start
+#: (see the module docstring)
+CACHE_LINE = 64
+
+#: float64 values per cache line
+_LINE_FLOATS = CACHE_LINE // 8
 
 #: rows per piece of a trajectory's CSV text (``Trajectory.csv_chunks``)
 CSV_CHUNK_ROWS = 512
@@ -279,6 +302,29 @@ def _component_major(values, m: int) -> np.ndarray:
     return np.repeat(np.reshape(values, (1, -1)), m, axis=0).T
 
 
+def _block_arrays(count: int, b: int, m: int) -> list:
+    """``count`` Fortran-ordered (b, m) float64 arrays cut from one buffer,
+    each starting on a ``CACHE_LINE`` boundary, with one address lookup
+    for them all (``ndarray.ctypes.data`` takes about 3 us)."""
+    size = b * m
+    stride = -(-size // _LINE_FLOATS) * _LINE_FLOATS
+    buffer = np.empty(count * stride + _LINE_FLOATS - 1)
+    first = -buffer.ctypes.data % CACHE_LINE // buffer.itemsize
+    return [buffer[first + k * stride:first + k * stride + size]
+            .reshape(m, b).T for k in range(count)]
+
+
+def _rhs_into(rhs):
+    """``rhs`` as a batch kernel calls it, ``rhs(u, out)`` (see
+    ``OdeProblem``): itself if it takes a second argument, else a function
+    that leaves ``out`` aside and returns the slope ``rhs(u)`` makes."""
+    try:
+        inspect.signature(rhs).bind(None, None)
+    except (TypeError, ValueError):
+        return lambda u, out: rhs(u)
+    return rhs
+
+
 def _compile_factory(filename: str, source: str):
     """The function ``factory`` that ``source`` defines, compiled under
     ``filename``, with the source's lines kept in ``linecache`` so that
@@ -308,25 +354,44 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
     ``pattern`` is a stage view (see ``methods``) without coefficients:
     per stage, (source, has a slope) per term.  The factory takes alpha,
     then h*beta where there is a slope, term by term through the stages,
-    and in batch form then the batch's two scratch arrays.  It returns
-    ``kernel(rhs, states, slopes)``, one whole step: ``states[i]`` is ring
-    state i, newest first, and ``slopes[i]`` its rhs, or None until a term
-    first needs it, then filled in place; a stage value's slope is
-    evaluated where a term first needs it.  Each stage fetches its slopes
-    and sums its terms in term order, state term before slope term.
+    and in batch form then the batch's work arrays: its scratch pair and
+    ``stage_slots`` slots.  It returns ``kernel(rhs, states, slopes)``, one
+    whole step: ``states[i]`` is ring state i, newest first, and
+    ``slopes[i]`` its rhs, or None until a term first needs it, then
+    filled in place; a stage value's slope is evaluated where a term first
+    needs it.  Each stage fetches its slopes and sums its terms in term
+    order, state term before slope term.
 
     The single-run form writes each stage out component by component, on
     states of m components, a bare float for m = 1.  The batch form works
-    on (B, m) arrays: each term is formed in the scratch pair with ufunc
-    ``out=`` and added in place into the stage's one new array, never a
-    scratch one, and after each stage the stage values that no later
-    stage reads are released with their slopes.  The name lists per stage
-    (``;`` between) the values read, ring state i as offset i + 1 and
-    stage value k as ``vk``, and those with a slope (``f``).
+    on (B, m) arrays and writes only into arrays its caller owns: it is
+    ``kernel(rhs, states, slopes, fslots)``, with ``states[s]`` the array
+    the new state is written into and ``fslots[i]`` the one ring state
+    i's slope is written into, as ``rhs(u, fslots[i])``; the kernel keeps
+    the array ``rhs`` returns.  A stage's first state term is formed in
+    the stage's own array with ufunc ``out=``, every other product in the
+    scratch pair, and added in place.  A stage value and its slope each go
+    into the lowest free of the factory's ``stage_slots`` slots, freed
+    after the last stage that reads them.  The name lists per stage (``;``
+    between) the values read, ring state i as offset i + 1 and stage value
+    k as ``vk``, and those with a slope (``f``).
     """
     last_read = {src: k for k, stage in enumerate(pattern)
                  for src, _slope in stage}
     params, lines, sloped, t = [], [], set(), 0
+    # batch form: the slot of each stage value vk and slope gk, and the
+    # slots free to take again
+    slot, free, made = {}, [], []
+
+    def take(name: str) -> str:
+        if free:
+            slot[name] = min(free)
+            free.remove(slot[name])
+        else:
+            slot[name] = len(made)
+            made.append(name)
+        return f"w{slot[name]}"
+
     for k, stage in enumerate(pattern):
         final = k == len(pattern) - 1
         into = "acc" if final else f"v{k + 1}"
@@ -337,28 +402,31 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
                 u, f = f"u{t}", f"f{t}"
                 lines.append(f"{u} = states[{src}]")
                 if slope:
+                    out = "" if m is not None else f", fslots[{src}]"
                     lines += [f"{f} = slopes[{src}]", f"if {f} is None:",
-                              f"    {f} = slopes[{src}] = rhs({u})"]
+                              f"    {f} = slopes[{src}] = rhs({u}{out})"]
             else:
                 u, f = f"v{src - s + 1}", f"g{src - s + 1}"
                 if slope and src not in sloped:
                     sloped.add(src)
-                    lines.append(f"{f} = rhs({u})")
+                    out = "" if m is not None else f", {take(f)}"
+                    lines.append(f"{f} = rhs({u}{out})")
             reads.append((t, u, f if slope else None))
             t += 1
         if m is None:
+            target = f"states[{s}]" if final else take(into)
             for i, (n, u, f) in enumerate(reads):
-                target = "term" if i else into
-                lines.append(f"{target} = multiply(a{n}, {u}"
-                             + (", out=s0)" if i else ")"))
+                value = "term" if i else into
+                lines.append(f"{value} = multiply(a{n}, {u}, out="
+                             + ("s0)" if i else f"{target})"))
                 if f:
-                    lines.append(f"{target} += multiply(h{n}, {f}, out=s1)")
+                    lines.append(f"{value} += multiply(h{n}, {f}, out=s1)")
                 if i:
                     lines.append(f"{into} += term")
-            lines += [f"v{src - s + 1} = "
-                      + (f"g{src - s + 1} = " if src in sloped else "")
-                      + "None" for src, last in last_read.items()
-                      if src >= s and last == k and not final]
+            free += [slot[name] for src, last in last_read.items()
+                     if src >= s and last == k and not final
+                     for name in (f"v{src - s + 1}", f"g{src - s + 1}")
+                     if name in slot]
         else:
             def component(c: str) -> str:
                 return " + ".join(f"(a{n}*{u}{c} + h{n}*{f}{c})" if f
@@ -367,7 +435,7 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
             lines.append(("return " if final else f"{into} = ")
                          + _state_source(m, component))
     if m is None:
-        params += ["s0", "s1"]
+        params += ["s0", "s1"] + [f"w{j}" for j in range(len(made))]
         lines.append("return acc")
 
     def label(with_slope: bool) -> str:
@@ -381,30 +449,48 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
             else f"<nslmm kernel j={label(False)} f={label(True)} m={m}>")
     source = "\n".join(
         [f"def factory({', '.join(params)}):",
-         "    def kernel(rhs, states, slopes):"]
+         "    def kernel(rhs, states, slopes"
+         + ("):" if m is not None else ", fslots):")]
         + ["        " + line for line in lines] + ["    return kernel", ""])
-    return _compile_factory(name, source)
+    factory = _compile_factory(name, source)
+    factory.stage_slots = len(made)
+    return factory
 
 
-def _step_kernel(method: Method, h, m: int, scratch=None):
+def _pattern(method: Method) -> tuple:
+    """``method``'s stage view without coefficients (see
+    ``_kernel_factory``)."""
+    return tuple(tuple((src, b != 0.0) for src, _a, b in stage)
+                 for stage in method.float_stages)
+
+
+def stage_slots(method: Method) -> int:
+    """Slots the batch kernel of ``method`` keeps its stage values and
+    their slopes in (see ``_kernel_factory``): none for a multistep
+    method, five for ``ssprk104``'s ten stages."""
+    return _kernel_factory(method.steps, _pattern(method), None).stage_slots
+
+
+def _step_kernel(method: Method, h, m: int, work=None):
     """``method``'s step kernel (see ``_kernel_factory``) at step size
     ``h``: a single run's on states of m components at a float ``h``, or
-    with ``scratch``, a pair of arrays of the states' shape that the batch
-    driver owns, a batch's at a (B, m) array of per-element step sizes.
-    Terms with equal beta share one product h*beta, which the kernels only
-    read."""
-    pattern, coefs, products = [], [], {}
+    with ``work``, arrays of the states' shape that the batch driver owns
+    (the scratch pair, then ``stage_slots(method)`` or more slots), a
+    batch's at a (B, m) array of per-element step sizes.  Terms with equal
+    beta share one product h*beta, which the kernels only read."""
+    coefs, products = [], {}
     for stage in method.float_stages:
-        pattern.append(tuple((src, b != 0.0) for src, _a, b in stage))
         for _src, a, b in stage:
             coefs.append(a)
             if b != 0.0:
                 if b not in products:
                     products[b] = h * b
                 coefs.append(products[b])
-    factory = _kernel_factory(method.steps, tuple(pattern),
-                              m if scratch is None else None)
-    return factory(*coefs, *(scratch or ()))
+    factory = _kernel_factory(method.steps, _pattern(method),
+                              m if work is None else None)
+    if work is None:
+        return factory(*coefs)
+    return factory(*coefs, *work[:2 + factory.stage_slots])
 
 
 def rhs_calls(method: Method) -> int:
@@ -495,28 +581,38 @@ def default_startup(problem: OdeProblem,
 
 def _startup_states(problem: OdeProblem, method: Method,
                     policy: StartupPolicy | None, y0: np.ndarray, dt,
-                    scratch=None) -> list:
+                    block=None) -> list:
     """u^0..u^(s-1) of a run under a startup policy; a one-step method's
     is ``y0`` alone, whatever the policy.
 
-    ``y0`` is one state of shape (m,) with a float ``dt``, or a batch of
-    shape (B, m) with a (B,) array of per-element ``dt``.  A single run's
-    states come as it steps them (see ``_single_state``), a batch's with
-    the shape of ``y0``.  A Runge-Kutta starter steps through its kernel
-    (see ``_step_kernel``), in batch form with the batch driver's
-    ``scratch``.
+    ``y0`` is one state of shape (m,) with a float ``dt``, or, with
+    ``block``, a batch of shape (B, m) with a (B,) array of per-element
+    ``dt``.  A single run's states come as it steps them (see
+    ``_single_state``).  A batch's are written into arrays of its block:
+    ``block`` is (slots, spare), the s arrays u^0..u^(s-1) go into, and
+    arrays free until startup ends, the first two the kernels' scratch
+    pair.  A Runge-Kutta starter steps through its kernel (see
+    ``_step_kernel``), in batch form with the slope of the state it steps
+    from and its stage slots in ``spare`` after the pair, and more from
+    ``_block_arrays`` only if ``spare`` is too short.
     """
     s = method.steps
-    batch = y0.ndim == 2
-    pack = (lambda u: u) if batch else _single_state
-    states = [pack(y0)]
+
+    def place(i: int, u):
+        """u^i as the run keeps it."""
+        if block is None:
+            return _single_state(u)
+        np.copyto(block[0][i], u)
+        return block[0][i]
+
+    states = [place(0, y0)]
     if s == 1:
         return states
     if isinstance(policy, ExactStartup):
         if problem.exact is None:
             raise ConfigurationError(
                 f"{problem.name} has no closed-form solution for startup")
-        return states + [pack(exact_solution(problem, i * dt, y0))
+        return states + [place(i, exact_solution(problem, i * dt, y0))
                          for i in range(1, s)]
     if not isinstance(policy, RungeKuttaStartup):
         raise ConfigurationError(f"unknown startup policy {policy!r}")
@@ -534,13 +630,22 @@ def _startup_states(problem: OdeProblem, method: Method,
         # Euler rule gives are positive and finite
         DenominatorSpec(kind, bound=float(np.min(bound)), p=policy.p)
     h = phi_value(kind, bound, dt, policy.p)
-    if batch:
-        # a full (B, m) array: numpy multiplies two full arrays several
-        # times faster than an array and a (B, 1) column
-        h = _component_major(h, y0.shape[1])
-    kernel = _step_kernel(rk, h, y0.shape[-1], scratch)
-    for _ in range(1, s):
-        states.append(kernel(problem.rhs, states[-1:], [None]))
+    if block is None:
+        kernel = _step_kernel(rk, h, y0.size)
+        for _ in range(1, s):
+            states.append(kernel(problem.rhs, states[-1:], [None]))
+        return states
+    slots, spare = block
+    need = 3 + stage_slots(rk)
+    if len(spare) < need:
+        spare = [*spare, *_block_arrays(need - len(spare), *y0.shape)]
+    # a full (B, m) array: numpy multiplies two full arrays several times
+    # faster than an array and a (B, 1) column
+    kernel = _step_kernel(rk, _component_major(h, y0.shape[1]), y0.shape[1],
+                          [*spare[:2], *spare[3:]])
+    rhs = _rhs_into(problem.rhs)
+    for i in range(1, s):
+        states.append(kernel(rhs, [states[-1], slots[i]], [None], spare[2:3]))
     return states
 
 

@@ -16,6 +16,7 @@ closures (see ``OdeProblem``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -29,6 +30,11 @@ from .errors import ConfigurationError, UnsupportedError
 UNCONDITIONAL_BOUND = float(np.finfo(float).max)
 
 SEIR_CONTACT_RATE = 5.0
+
+#: the operations of the SEIR slope on a single run's Python floats (see
+#: ``seir_problem``): a product, three differences and a copy
+_FLOAT_OPS = (operator.mul, operator.sub, operator.sub, operator.sub,
+              operator.pos)
 
 #: the property classes a sweep checks; a sharpness sweep bisects on the
 #: first two
@@ -70,7 +76,15 @@ class OdeProblem:
     output (..., m)) and deterministic.  A single run steps one state as
     Python floats, and ``rhs`` must take that too: for a one-component
     problem (``dimension == 1``) it maps a float to a float, otherwise a
-    list of m floats to a sequence of m floats.  ``exact``, when present,
+    list of m floats to a sequence of m floats.  A sweep block calls
+    ``rhs(u, out)`` on its (B, m) states when ``rhs`` takes a second
+    argument: ``out`` is a Fortran-ordered (B, m) array the block owns,
+    starting on a 64-byte cache line, that no other operand shares, and
+    the slope is what ``rhs`` returns.  The built-in problems write it
+    into ``out`` with ufunc ``out=`` and return ``out``, which spares a
+    new array and the copies of temporaries into it per call (see
+    ``integrate``); an ``rhs`` of one argument is called as ``rhs(u)``
+    and its new array kept.  ``exact``, when present,
     maps an elapsed time t (scalar or array) and an initial state to the
     solution state; ``exact(0, y0) == y0``.  ``bound_rule`` maps states of shape
     (..., m) to their Euler property bounds B_FE, elementwise.
@@ -148,8 +162,12 @@ def logistic_problem(c: float) -> OdeProblem:
         raise ValueError("c must be positive")
     c = float(c)
 
-    def rhs(u):
-        return u * (c - u)
+    def rhs(u, out=None):
+        # the same two operations on a float, an array or, into ``out``, a
+        # batch's slopes
+        if out is None:
+            return u * (c - u)
+        return np.multiply(u, np.subtract(c, u, out=out), out=out)
 
     def exact(t, y0):
         # stable rearrangement of c e^{ct} y0 / (y0 (e^{ct} - 1) + c):
@@ -210,28 +228,33 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         raise ValueError("influx must be nonnegative")
     pi = float(influx)
 
-    def slopes(s, e, i, out):
-        # f from a single run's Python floats or a batch's component rows,
-        # the same IEEE operations in the same order, so the same bits;
-        # each component is written into ``out`` as soon as it is formed
-        infection = SEIR_CONTACT_RATE * s * i
-        out[0] = pi - infection
-        out[1] = infection - e
-        out[2] = e - i
-        out[3] = i
-        return out
+    def slopes(s, e, i, ops):
+        # f from a single run's Python floats or an array's components, the
+        # same IEEE operations in the same order, so the same bits; ``ops``
+        # forms each component, with Python's operators or with numpy's
+        # ufuncs writing it into its place (see ``rhs``)
+        mul1, sub0, sub1, sub2, keep3 = ops
+        infection = mul1(mul1(SEIR_CONTACT_RATE, s), i)
+        return [sub0(pi, infection), sub1(infection, e), sub2(e, i), keep3(i)]
 
-    def rhs(u):
+    def rhs(u, out=None):
         if type(u) is list:
             # one state of a single run, on Python floats
             s, e, i, _ = u
-            return slopes(s, e, i, [0.0] * 4)
-        # a batch through the transpose gives component rows; the output is
-        # written as rows and returned transposed, so a batch's slopes are
-        # Fortran-ordered and its rows contiguous
-        rows = u.T
-        s, e, i, _ = rows
-        return slopes(s, e, i, np.empty(rows.shape)).T
+            return slopes(s, e, i, _FLOAT_OPS)
+        # states of shape (..., 4): each component of the slope is formed
+        # in its column of ``out``, made Fortran-ordered when not given, so
+        # that a batch's columns are contiguous
+        if out is None:
+            out = np.empty(u.shape[::-1]).T
+        f0, f1, f2, f3 = (out[..., k] for k in range(4))
+        slopes(u[..., 0], u[..., 1], u[..., 2], (
+            lambda a, b: np.multiply(a, b, out=f1),
+            lambda a, b: np.subtract(a, b, out=f0),
+            lambda a, b: np.subtract(a, b, out=f1),
+            lambda a, b: np.subtract(a, b, out=f2),
+            lambda a: np.copyto(f3, a)))
+        return out
 
     def bound_rule(y0):
         if np.any(y0 < 0):

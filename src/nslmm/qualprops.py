@@ -115,11 +115,16 @@ def _weighted_sum(x: np.ndarray, weights: np.ndarray, out: np.ndarray,
                   tmp: np.ndarray) -> np.ndarray:
     """``x[:, 0]*w_0 + x[:, 1]*w_1 + ...`` for a (b, m) batch, left to right,
     into ``out``: elementwise, so each row's value is the same in a batch of
-    any size (numpy's matrix product rounds differently with the rows)."""
+    any size (numpy's matrix product rounds differently with the rows).  A
+    later column of weight exactly 1.0 is added as it is: ``v*1.0`` is
+    ``v`` for every v, and adding a signalling NaN quiets it as the product
+    would, so the sum keeps its bits, NaN payloads and -0.0 included."""
     np.multiply(x[:, 0], weights[0], out=out)
     for k in range(1, len(weights)):
-        np.multiply(x[:, k], weights[k], out=tmp)
-        out += tmp
+        if weights[k] == 1.0:
+            out += x[:, k]
+        else:
+            out += np.multiply(x[:, k], weights[k], out=tmp)
     return out
 
 

@@ -100,6 +100,40 @@ def test_phi_stays_in_its_range_where_an_intermediate_overflows(kind, p,
             assert abs(one - want) <= 1e-15 * want, (x, one, want)
 
 
+#: most ulps between a transform at its small end and its value in
+#: mpmath, as measured over the grid below (1; 0 at the largest bound)
+_SMALL_END_ULPS = 1
+
+
+@pytest.mark.parametrize("bound", [1e-300, 0.37, 1e20, 1e300,
+                                   UNCONDITIONAL_BOUND])
+@pytest.mark.parametrize("kind", [PhiKind.PHI1, PhiKind.PHI4, PhiKind.PHI5],
+                         ids=lambda kind: kind.value)
+def test_phi_keeps_its_value_where_an_intermediate_underflows(kind, bound):
+    # x/B (phi1, phi5) or x * arctan(s) (phi4) subnormal or zero used to
+    # take the value's digits, or all of it; x runs from the smallest
+    # subnormal to 1, through array and float evaluations alike
+    xs = np.geomspace(5e-324, 1.0, 200)
+    formula = _TRANSFORMS[kind][1]
+    with mp.workdps(60):
+        want = np.array([float(formula(_MP, mp.mpf(x), mp.mpf(bound), None))
+                         for x in xs])
+    for got in (phi_value(kind, bound, xs),
+                np.array([phi_value(kind, bound, float(x)) for x in xs])):
+        assert (got > 0).all()
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= _SMALL_END_ULPS, (xs[ulps.argmax()], ulps.max())
+
+
+def test_phi_is_x_where_an_intermediate_underflows():
+    # the cases that read 0, 1.0000260557327025e-160 and 0.09999999999999963
+    assert phi_value(PhiKind.PHI4, 0.37, 1e-300) == 1e-300
+    assert phi_value(PhiKind.PHI4, 0.37, 1e-160) == 1e-160
+    assert phi_value(PhiKind.PHI1, 1e300, 1e-300) == 1e-300
+    for kind in (PhiKind.PHI1, PhiKind.PHI5):
+        assert phi_value(kind, UNCONDITIONAL_BOUND, 0.1) == 0.1
+
+
 def test_enabled_orders():
     expect = {PhiKind.PHI1: 1, PhiKind.PHI2: 1, PhiKind.PHI3: 1,
               PhiKind.PHI4: 2, PhiKind.PHI5: 2, PhiKind.PHI6: 2,

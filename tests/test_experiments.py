@@ -4,6 +4,7 @@ import statistics
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from nslmm.experiments import (bisect_threshold,
                                run_preservation_sweep,
                                seir_conservation_sweep, sweep_bytes)
 from nslmm.integrate import STARTER_FOR_ORDER
+from nslmm.methods import multistep_method
 from nslmm.problems import OdeProblem, logistic_fe_bounds
 from nslmm.qualprops import sweep_checks
 
@@ -889,19 +891,21 @@ def test_compacted_sweep_equals_uncompacted_logistic(logistic2, monkeypatch):
 def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
     # Runge-Kutta starter, checks that stop some elements early and
     # horizons that stop others; compaction fires several times in the one
-    # block, also when an invariant is monitored.  The kernel's scratch
-    # shrinks with the block's states.
+    # block, also when an invariant is monitored.  The block's arrays (its
+    # ring's state and slope slots and the kernel's work arrays) shrink
+    # with the block's states.
     problem, sizes = _batch_sizes(seir0)
     bind = experiments._step_kernel
     scratch_shapes = []
 
-    def spy(method, h, m, scratch):
-        kernel = bind(method, h, m, scratch)
+    def spy(method, h, m, work):
+        kernel = bind(method, h, m, work)
 
-        def step(rhs, states, slopes):
+        def step(rhs, states, slopes, fslots):
             scratch_shapes.append({states[0].shape,
-                                   *(buf.shape for buf in scratch)})
-            return kernel(rhs, states, slopes)
+                                   *(buf.shape for buf in
+                                     [*states, *fslots, *work])})
+            return kernel(rhs, states, slopes, fslots)
         return step
 
     monkeypatch.setattr(experiments, "_step_kernel", spy)
@@ -1080,20 +1084,21 @@ def test_one_element_sweep_invariant_equals_batch(weights, drift):
 
 
 def test_seir_block_stays_component_major(seir0, monkeypatch):
-    # the states, slopes and kernel scratch of a SEIR block are
-    # Fortran-ordered after the Runge-Kutta startup and after compactions
+    # the states, slopes and work arrays of a SEIR block, and the slots
+    # new states and slopes go into, are Fortran-ordered after the
+    # Runge-Kutta startup and after compactions
     bind = experiments._step_kernel
     seen = []
 
-    def spy(method, h, m, scratch):
-        kernel = bind(method, h, m, scratch)
+    def spy(method, h, m, work):
+        kernel = bind(method, h, m, work)
 
-        def step(rhs, states, slopes):
-            arrays = [*states, *scratch,
+        def step(rhs, states, slopes, fslots):
+            arrays = [*states, *work, *fslots,
                       *(f for f in slopes if f is not None)]
             seen.append((states[0].shape[0],
                          all(a.flags.f_contiguous for a in arrays)))
-            return kernel(rhs, states, slopes)
+            return kernel(rhs, states, slopes, fslots)
         return step
 
     monkeypatch.setattr(experiments, "_step_kernel", spy)
@@ -1107,6 +1112,101 @@ def test_seir_block_stays_component_major(seir0, monkeypatch):
         invariant_weights=np.ones(4))
     assert len({size for size, _ in seen}) >= 3  # two compactions
     assert all(ordered for _, ordered in seen)
+
+
+def _two_block_sweep(problem):
+    """A SEIR sweep of 40 elements, in two blocks when a block holds 20:
+    it starts through ssprk104 (sspms64's default starter), checks a
+    bound and the invariant, and compacts as its horizons pass."""
+    infected = np.linspace(0.05, 0.9, 40)
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    return run_preservation_sweep(
+        problem, get_method("sspms64"), PhiKind.PHI8,
+        np.linspace(0.05, 2.0, 40), np.geomspace(0.05, 0.9, 40)[::-1], y0s,
+        6 + np.arange(40) % 37, lower=0.0, invariant_weights=np.ones(4))
+
+
+def test_block_arrays_start_on_cache_lines(seir0, monkeypatch):
+    # every array a block's step writes into (its ring's state and slope
+    # slots and the kernel's work arrays) starts on a 64-byte boundary,
+    # after startup and after compactions
+    bind = experiments._step_kernel
+    seen = []
+
+    def spy(method, h, m, work):
+        kernel = bind(method, h, m, work)
+
+        def step(rhs, states, slopes, fslots):
+            seen.append((states[0].shape[0],
+                         {a.ctypes.data % 64 for a in
+                          [*states, *fslots, *work]}))
+            return kernel(rhs, states, slopes, fslots)
+        return step
+
+    monkeypatch.setattr(experiments, "_step_kernel", spy)
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 20 * 4)
+    _two_block_sweep(seir0)
+    assert len({size for size, _ in seen}) >= 4  # two blocks that compact
+    assert all(offsets == {0} for _, offsets in seen)
+
+
+def test_alignment_shows_in_no_sweep_result(seir0, monkeypatch):
+    # the same sweep with every array of its blocks 8 bytes past a cache
+    # line gives every outcome field byte for byte
+    monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", 20 * 4)
+    aligned = _two_block_sweep(seir0)
+    block_arrays = experiments._block_arrays
+    offsets = set()
+
+    def shifted(count, b, m):
+        arrays = [a[1:, 0].reshape(m, b).T
+                  for a in block_arrays(count, b * m + 1, 1)]
+        offsets.update(a.ctypes.data % 64 for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(experiments, "_block_arrays", shifted)
+    moved = _two_block_sweep(seir0)
+    assert offsets == {8}
+    for field in dataclasses.fields(aligned):
+        assert (getattr(moved, field.name).tobytes()
+                == getattr(aligned, field.name).tobytes()), field.name
+
+
+def test_starter_with_more_stages_than_free_arrays_equals_single_runs(
+        seir0, monkeypatch):
+    # a two-step method leaves its ssprk104 starter six of the eight
+    # arrays it needs (the scratch pair, its input's slope and five stage
+    # slots), so the startup makes two more; each element still equals its
+    # single run (phi3 rounds alike on arrays and floats)
+    method = multistep_method("SSPMS(2,1)", 2, {1: Fraction(3, 4),
+                                                 2: Fraction(1, 4)},
+                              {1: Fraction(5, 4)}, design_order=1)
+    starter = n.RungeKuttaStartup("ssprk104", PhiKind.PHI3)
+    made = []
+    integrate_mod = sys.modules["nslmm.integrate"]
+    block_arrays = integrate_mod._block_arrays
+
+    def counting(count, b, m):
+        made.append(count)
+        return block_arrays(count, b, m)
+
+    monkeypatch.setattr(integrate_mod, "_block_arrays", counting)
+    infected = np.linspace(0.05, 0.9, 5)
+    y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                    0.0 * infected], axis=1)
+    bounds, dts = np.linspace(0.05, 0.5, 5), np.geomspace(0.05, 1.0, 5)
+    outcome = run_preservation_sweep(seir0, method, PhiKind.PHI3, bounds,
+                                     dts, y0s, 30, startup=starter)
+    assert made == [2]
+    for i in range(5):
+        traj = n.integrate(n.RunConfig(
+            problem=seir0, method=method,
+            phi=n.DenominatorSpec(PhiKind.PHI3, bound=bounds[i]),
+            dt=dts[i], t_end=30 * dts[i], y0=y0s[i], startup=starter,
+            record=n.RecordMode.FINAL_STATE_ONLY))
+        assert traj.final_state.tobytes() == \
+            outcome.final_states[i].tobytes(), i
 
 
 def test_seir_conservation_sweep_is_one_public_call(monkeypatch):

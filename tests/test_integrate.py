@@ -5,7 +5,6 @@ import re
 import sys
 import traceback
 import tracemalloc
-import weakref
 from collections import deque
 
 import numpy as np
@@ -152,14 +151,28 @@ def _kernel_steps(method, rhs, start, h, n, scratch=None) -> list:
     """The states ``n`` steps of ``method``'s kernel return, from the
     newest-first states ``start`` (one for a Runge-Kutta method), with a
     float ``h`` or a per-element (B, m) array.  With ``scratch``, a batch
-    steps through the batch form of the generated kernel; without,
-    through its single-run form, for a list of m floats or a bare state
-    (a float, or a whole array, each operation applied to all of it)."""
+    steps through the batch form of the generated kernel, with the pair
+    and ``stage_slots`` more arrays as its work arrays and a fresh array
+    for each new state and slope; without, through its single-run form,
+    for a list of m floats or a bare state (a float, or a whole array,
+    each operation applied to all of it)."""
     m = len(start[0]) if type(start[0]) is list else 1
     s = method.steps
     states = deque(start, maxlen=s)
     slopes = deque([None] * s, maxlen=s)
-    kernel = integrate_mod._step_kernel(method, h, m, scratch)
+    if scratch is None:
+        kernel = integrate_mod._step_kernel(method, h, m)
+    else:
+        def fresh():
+            return np.empty_like(scratch[0])
+
+        work = [*scratch, *(fresh() for _ in
+                            range(integrate_mod.stage_slots(method)))]
+        batch = integrate_mod._step_kernel(method, h, m, work)
+
+        def kernel(rhs, states, slopes):
+            return batch(rhs, [*states, fresh()], slopes,
+                         [fresh() for _ in range(s)])
     out = []
     for _ in range(n):
         new = kernel(rhs, states, slopes)
@@ -220,10 +233,12 @@ def test_in_place_batch_kernel_returns_fresh_states(method_id, m):
 
 @pytest.mark.parametrize("method_id", ["ssprk22", "ssprk33", "ssprk104"])
 def test_batch_stage_kernels_drop_what_no_later_stage_reads(method_id):
-    # a ten-stage batch step holds a few stage values and slopes at a
-    # time: whenever a stage calls rhs, a stage value made before, and its
-    # slope, are alive exactly when this stage or a later one reads it
-    stages = get_method(method_id).float_stages
+    # a ten-stage batch step keeps its stage values and slopes in a few
+    # slots: whenever a stage calls rhs, a stage value made before, and its
+    # slope, still hold their bits when this stage or a later one reads
+    # them; the slots of the others are free, and taken again
+    method = get_method(method_id)
+    stages = method.float_stages
     last_read = {src: k for k, stage in enumerate(stages)
                  for src, _a, _b in stage}
     first_slope = {}
@@ -235,26 +250,33 @@ def test_batch_stage_kernels_drop_what_no_later_stage_reads(method_id):
     seir = seir_problem(0.0).rhs
     made, seen = [], []
 
-    def rhs(u):
+    def rhs(u, out):
         src = calls[len(made)]
         seen.append((first_slope[src],
-                     [(made_src, value() is not None, slope() is not None)
-                      for made_src, value, slope in made]))
-        f = seir(u)
-        made.append((src, weakref.ref(u), weakref.ref(f)))
+                     [(made_src, _same_bits(value, kept),
+                       _same_bits(slope, kept_slope))
+                      for made_src, value, kept, slope, kept_slope in made]))
+        f = seir(u, out)
+        made.append((src, u, u.copy(), f, f.copy()))
         return f
 
     batch = np.full((3, 4), 0.25, order="F")
     scratch = (np.empty_like(batch), np.empty_like(batch))
-    _kernel_steps(get_method(method_id), rhs, [batch],
-                  np.full((3, 4), 0.1, order="F"), 1, scratch)
+    _kernel_steps(method, rhs, [batch], np.full((3, 4), 0.1, order="F"), 1,
+                  scratch)
     assert len(made) == len(calls)
     held = set()
     for k, values in seen:
         # source 0, the step's input state, is the caller's ring's
         for src, value, slope in values[1:]:
-            assert value == slope == (last_read[src] >= k), (k, src)
-            held.add(value)
+            if last_read[src] >= k:
+                assert value and slope, (k, src)
+            held.add(last_read[src] >= k)
+    # every stage value and slope is in a slot, and the slots are reused
+    slots = {id(a) for _src, value, _v, slope, _f in made[1:]
+             for a in (value, slope)}
+    assert len(slots) == integrate_mod.stage_slots(method) == {
+        "ssprk22": 2, "ssprk33": 3, "ssprk104": 5}[method_id]
     # ssprk22 makes no stage value before its last stage; ssprk33's last
     # stage reads the input and its second stage value alone
     assert held == {"ssprk22": set(), "ssprk33": {False},
@@ -513,9 +535,9 @@ def test_generated_kernels_show_their_lines_in_tracebacks(seir0, seir_y0):
     # a sweep's batch kernels, starter stages and multistep step alike
     for count, name, line in [
             (3, "<nslmm batch kernel j=1;v1;v2;v3;1,v4;v5;v6;v7;v8;1,v4,v9"
-                " f=1;v1;v2;v3;v4;v5;v6;v7;v8;v4,v9>", "g2 = rhs(v2)"),
+                " f=1;v1;v2;v3;v4;v5;v6;v7;v8;v4,v9>", "g2 = rhs(v2, w0)"),
             (52, "<nslmm batch kernel j=1,4,5,6 f=1,4,5>",
-             "f1 = slopes[3] = rhs(u1)")]:
+             "f1 = slopes[3] = rhs(u1, fslots[3])")]:
         calls[0] = 52 - count
         with pytest.raises(ZeroDivisionError) as info:
             run_preservation_sweep(problem, method, PhiKind.PHI8, [0.15],

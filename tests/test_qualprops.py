@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
                    DenominatorSpec, PhiKind, QualitativeProperty, RunConfig,
@@ -11,7 +13,7 @@ from nslmm import (BOUNDEDNESS, WEAK_MONOTONICITY, ConfigurationError,
                    integrate, logistic_problem, make_phi_for_method,
                    seir_problem)
 from nslmm.problems import LINEAR_INVARIANCE, PropertyKind
-from nslmm.qualprops import sweep_checks
+from nslmm.qualprops import _weighted_sum, sweep_checks
 
 
 def _traj(values, dt=1.0):
@@ -198,6 +200,32 @@ def test_linear_invariant_sums_each_state_left_to_right():
             report = check_linear_invariant(_traj(np.tile(x, (rows, 1))), w,
                                             drift=0.0, m0=0.0)
             assert report.worst_margin == want, (x, w, rows)
+
+
+#: a state component: any float, and the values whose bits a sum could
+#: lose drawn often
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                    math.nan, -math.nan]), st.floats())
+
+
+@settings(derandomize=True)
+@given(data=st.data())
+def test_weighted_sum_adds_unit_weight_columns_bit_for_bit(data):
+    # a column of weight exactly 1.0 is added as it is, without the product
+    # v*1.0; the sum keeps the bits of multiplying every column first
+    m = data.draw(st.integers(1, 5))
+    b = data.draw(st.integers(1, 4))
+    weights = np.array(data.draw(st.lists(
+        st.one_of(st.just(1.0), st.floats()), min_size=m, max_size=m)))
+    rows = data.draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m),
+                              min_size=b, max_size=b))
+    x = np.asfortranarray(np.array(rows, dtype=float).reshape(b, m))
+    with np.errstate(all="ignore"):
+        want = x[:, 0] * weights[0]
+        for k in range(1, m):
+            want = want + x[:, k] * weights[k]
+        got = _weighted_sum(x, weights, np.empty(b), np.empty(b))
+    assert got.tobytes() == want.tobytes(), (x, weights, got, want)
 
 
 def test_single_euler_step_conserves_the_sum(seir0, seir_y0):
