@@ -30,10 +30,11 @@ writes and every term go into arrays the block made when it started or
 last compacted, each starting on a 64-byte cache line, so that no pass
 writes across line boundaries (see ``run_preservation_sweep``).  On the
 benchmark's SEIR sweep (2e4 elements, 200 steps, ``sspms64`` started by
-``ssprk104``) that, with the invariant's weighted sum adding its unit
-weights without multiplying by 1.0, took the job from 14.9 to 13.2 times
-the benchmark's reference kernel in a prototype, with every final state
-bit for bit the same.
+``ssprk104``, on a 2-vCPU Xeon virtual machine) that, with the
+invariant's weighted sum adding its unit weights without multiplying by
+1.0, took the job from 14.7 to 12.6 times the benchmark's reference
+kernel (medians of ten alternating runs), with every final state bit for
+bit the same.
 
 A block also ends once it has settled: when a step's new states equal
 every state of its ring bit for bit (NaN payloads and the sign of zero
@@ -498,19 +499,22 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                 viol[v] = True
                 changed = True
 
-        def record(state: np.ndarray, step_idx: int, older=None) -> None:
+        def record(state: np.ndarray, step_idx: int, stepped=False) -> None:
             """Monitor ``state``, the states of step ``step_idx``, for the
-            elements ``live``; the weak window is the ``older`` states,
-            oldest first (None: a startup state, checked only for NaN/inf)."""
+            elements ``live``; a ``stepped`` state's weak window is the
+            ring's s states (else a startup state, checked only for
+            NaN/inf)."""
             if check_bounds_on:
                 flag(b_watch & ~_rows_all((state >= lo) & (state <= hi)),
                      bound_viol, first_bound, step_idx)
             if check_weak:
                 v = ~_rows_all(np.isfinite(state))
-                if older is not None:
+                if stepped:
+                    # oldest first
                     v |= window_violations(
                         state[:, weak_component],
-                        [u[:, weak_component] for u in older], w_inc)
+                        [ring[i][:, weak_component]
+                         for i in range(s - 1, -1, -1)], w_inc)
                 flag(v & w_watch, weak_viol, first_weak, step_idx)
             if check_inv:
                 if elapsed is not None:
@@ -604,7 +608,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                 if frozen is not None:
                     np.copyto(new, ring[0], where=frozen)
 
-                record(new, step_idx, islice(reversed(ring), 1, None))
+                record(new, step_idx, True)
                 # a step whose new states repeat its whole ring bit for bit
                 # repeats it at every later step: its verdicts and states
                 # are all recorded already

@@ -310,8 +310,8 @@ def _block_arrays(count: int, b: int, m: int) -> list:
     stride = -(-size // _LINE_FLOATS) * _LINE_FLOATS
     buffer = np.empty(count * stride + _LINE_FLOATS - 1)
     first = -buffer.ctypes.data % CACHE_LINE // buffer.itemsize
-    return [buffer[first + k * stride:first + k * stride + size]
-            .reshape(m, b).T for k in range(count)]
+    rows = buffer[first:first + count * stride].reshape(count, stride)
+    return list(rows[:, :size].reshape(count, m, b).transpose(0, 2, 1))
 
 
 def _rhs_into(rhs):

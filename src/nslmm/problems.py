@@ -16,7 +16,6 @@ closures (see ``OdeProblem``).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -30,11 +29,6 @@ from .errors import ConfigurationError, UnsupportedError
 UNCONDITIONAL_BOUND = float(np.finfo(float).max)
 
 SEIR_CONTACT_RATE = 5.0
-
-#: the operations of the SEIR slope on a single run's Python floats (see
-#: ``seir_problem``): a product, three differences and a copy
-_FLOAT_OPS = (operator.mul, operator.sub, operator.sub, operator.sub,
-              operator.pos)
 
 #: the property classes a sweep checks; a sharpness sweep bisects on the
 #: first two
@@ -228,32 +222,36 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         raise ValueError("influx must be nonnegative")
     pi = float(influx)
 
-    def slopes(s, e, i, ops):
-        # f from a single run's Python floats or an array's components, the
-        # same IEEE operations in the same order, so the same bits; ``ops``
-        # forms each component, with Python's operators or with numpy's
-        # ufuncs writing it into its place (see ``rhs``)
-        mul1, sub0, sub1, sub2, keep3 = ops
-        infection = mul1(mul1(SEIR_CONTACT_RATE, s), i)
-        return [sub0(pi, infection), sub1(infection, e), sub2(e, i), keep3(i)]
+    def slopes(s, e, i, out):
+        # f from a single run's Python floats, each component written into
+        # the list ``out`` as soon as it is formed
+        infection = SEIR_CONTACT_RATE * s * i
+        out[0] = pi - infection
+        out[1] = infection - e
+        out[2] = e - i
+        out[3] = i
+        return out
 
     def rhs(u, out=None):
         if type(u) is list:
             # one state of a single run, on Python floats
             s, e, i, _ = u
-            return slopes(s, e, i, _FLOAT_OPS)
-        # states of shape (..., 4): each component of the slope is formed
-        # in its column of ``out``, made Fortran-ordered when not given, so
+            return slopes(s, e, i, [0.0] * 4)
+        # states of shape (..., 4): the operations of ``slopes`` in the
+        # same order, so the same bits, each writing its component with
+        # ufunc ``out=`` into its column of ``out``, so that no temporary
+        # array is made; ``out`` is made Fortran-ordered when not given, so
         # that a batch's columns are contiguous
         if out is None:
             out = np.empty(u.shape[::-1]).T
+        s, e, i = u[..., 0], u[..., 1], u[..., 2]
         f0, f1, f2, f3 = (out[..., k] for k in range(4))
-        slopes(u[..., 0], u[..., 1], u[..., 2], (
-            lambda a, b: np.multiply(a, b, out=f1),
-            lambda a, b: np.subtract(a, b, out=f0),
-            lambda a, b: np.subtract(a, b, out=f1),
-            lambda a, b: np.subtract(a, b, out=f2),
-            lambda a: np.copyto(f3, a)))
+        infection = np.multiply(np.multiply(SEIR_CONTACT_RATE, s, out=f1), i,
+                                out=f1)
+        np.subtract(pi, infection, out=f0)
+        np.subtract(infection, e, out=f1)
+        np.subtract(e, i, out=f2)
+        np.copyto(f3, i)
         return out
 
     def bound_rule(y0):
