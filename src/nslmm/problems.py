@@ -223,8 +223,9 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
     pi = float(influx)
 
     def slopes(s, e, i, out):
-        # f from a single run's Python floats, each component written into
-        # the list ``out`` as soon as it is formed
+        # f from a single run's Python floats or a batch's component rows,
+        # the same IEEE operations in the same order, so the same bits;
+        # each component is written into ``out`` as soon as it is formed
         infection = SEIR_CONTACT_RATE * s * i
         out[0] = pi - infection
         out[1] = infection - e
@@ -237,15 +238,19 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
             # one state of a single run, on Python floats
             s, e, i, _ = u
             return slopes(s, e, i, [0.0] * 4)
-        # states of shape (..., 4): the operations of ``slopes`` in the
-        # same order, so the same bits, each writing its component with
-        # ufunc ``out=`` into its column of ``out``, so that no temporary
-        # array is made; ``out`` is made Fortran-ordered when not given, so
-        # that a batch's columns are contiguous
         if out is None:
-            out = np.empty(u.shape[::-1]).T
-        s, e, i = u[..., 0], u[..., 1], u[..., 2]
-        f0, f1, f2, f3 = (out[..., k] for k in range(4))
+            # a batch through the transpose gives component rows; the
+            # output is written as rows and returned transposed, so a
+            # batch's slopes are Fortran-ordered and its rows contiguous
+            rows = u.T
+            s, e, i, _ = rows
+            return slopes(s, e, i, np.empty(rows.shape)).T
+        # a sweep block's (B, 4) states into its array ``out``: the
+        # operations of ``slopes`` in the same order, each writing its
+        # component with ufunc ``out=`` into its column, so that no
+        # temporary array is made
+        s, e, i = u[:, 0], u[:, 1], u[:, 2]
+        f0, f1, f2, f3 = out.T
         infection = np.multiply(np.multiply(SEIR_CONTACT_RATE, s, out=f1), i,
                                 out=f1)
         np.subtract(pi, infection, out=f0)
