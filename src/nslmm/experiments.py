@@ -327,7 +327,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     its kernels write into (see ``integrate._kernel_factory``), all cut
     from one buffer by ``integrate._block_arrays``, each on a 64-byte
     cache line: s + 1 ring slots for states, the newest s of them the ring
-    and the last the one the next state goes into; s + 1 slots beside them
+    and the last the one the next state goes into; s slots beside the ring
     for their slopes, which ``rhs`` writes with ufunc ``out=``; and the
     work arrays, the scratch pair in which terms are formed and a
     Runge-Kutta method's stage slots.  A step writes its new state into
@@ -459,11 +459,11 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
         def buffers(size: int) -> None:
             """(Re)make the arrays the block owns for ``size`` elements, all
             cut from one aligned buffer: the kernels' work arrays (scratch
-            pair and stage slots), s + 1 slots for the ring's states and
-            s + 1 for their slopes; and the invariant's sums.  Bind the step
+            pair and stage slots), s + 1 slots for the ring's states and s
+            for their slopes; and the invariant's sums.  Bind the step
             kernel to the work arrays and to ``block_h``."""
             nonlocal work, ring, fring, kernel, sums, elapsed
-            arrays = _block_arrays(n_work + 2 * (s + 1), size, m)
+            arrays = _block_arrays(n_work + 2 * s + 1, size, m)
             work = arrays[:n_work]
             ring = deque(arrays[n_work:n_work + s + 1])
             fring = deque(arrays[n_work + s + 1:])
@@ -555,7 +555,8 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
 
         # the ring of states (``ring[s]`` the slot the next one goes into),
         # their slopes as the shared kernel fills them, and where it writes
-        # each slope: state, slope and slot rotate together
+        # each slope: state, slope and slot rotate together, so the slot
+        # that comes round to the newest state held the dropped one's slope
         slopes = deque([None] * s, maxlen=s)
         # the steps after which some element's horizon has passed
         ends = set((horizon + 1).tolist())

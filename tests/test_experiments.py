@@ -1175,10 +1175,10 @@ def test_alignment_shows_in_no_sweep_result(seir0, monkeypatch):
 
 def test_starter_with_more_stages_than_free_arrays_equals_single_runs(
         seir0, monkeypatch):
-    # a two-step method leaves its ssprk104 starter six of the eight
+    # a two-step method leaves its ssprk104 starter five of the eight
     # arrays it needs (the scratch pair, its input's slope and five stage
-    # slots), so the startup makes two more; each element still equals its
-    # single run (phi3 rounds alike on arrays and floats)
+    # slots), so the startup makes three more; each element still equals
+    # its single run (phi3 rounds alike on arrays and floats)
     method = multistep_method("SSPMS(2,1)", 2, {1: Fraction(3, 4),
                                                  2: Fraction(1, 4)},
                               {1: Fraction(5, 4)}, design_order=1)
@@ -1198,7 +1198,7 @@ def test_starter_with_more_stages_than_free_arrays_equals_single_runs(
     bounds, dts = np.linspace(0.05, 0.5, 5), np.geomspace(0.05, 1.0, 5)
     outcome = run_preservation_sweep(seir0, method, PhiKind.PHI3, bounds,
                                      dts, y0s, 30, startup=starter)
-    assert made == [2]
+    assert made == [3]
     for i in range(5):
         traj = n.integrate(n.RunConfig(
             problem=seir0, method=method,
