@@ -264,7 +264,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def _take_into(keep: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The rows ``keep`` of a (b, m) component-major array, written into
     ``out``, a component-major array of their number of rows."""
-    np.compress(keep, a.T, axis=-1, out=out.T)
+    a.T.compress(keep, axis=-1, out=out.T)
     return out
 
 

@@ -319,12 +319,19 @@ def _block_arrays(count: int, b: int, m: int) -> list:
 def _rhs_into(rhs):
     """``rhs`` as a batch kernel calls it, ``rhs(u, out)`` (see
     ``OdeProblem``): itself if it takes a second argument, else a function
-    that leaves ``out`` aside and returns the slope ``rhs(u)`` makes."""
-    try:
-        inspect.signature(rhs).bind(None, None)
-    except (TypeError, ValueError):
-        return lambda u, out: rhs(u)
-    return rhs
+    that leaves ``out`` aside and returns the slope ``rhs(u)`` makes.  A
+    plain function's code object tells; ``inspect.signature``, which
+    tells for any callable, took 17 us, a percent of a sharpness job."""
+    code = getattr(rhs, "__code__", None)
+    if code is not None and not inspect.ismethod(rhs):
+        takes = code.co_argcount >= 2 or code.co_flags & inspect.CO_VARARGS
+    else:
+        try:
+            inspect.signature(rhs).bind(None, None)
+            takes = True
+        except (TypeError, ValueError):
+            takes = False
+    return rhs if takes else lambda u, out: rhs(u)
 
 
 def _compile_factory(filename: str, source: str):
