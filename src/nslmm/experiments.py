@@ -32,7 +32,7 @@ writes across line boundaries (see ``run_preservation_sweep``).  On the
 benchmark's SEIR sweep (2e4 elements, 200 steps, ``sspms64`` started by
 ``ssprk104``, on a 2-vCPU Xeon virtual machine) that, with the
 invariant's weighted sum adding its unit weights without multiplying by
-1.0, took the job from 15.0 to 12.0 times the benchmark's reference
+1.0, took the job from 14.2 to 11.1 times the benchmark's reference
 kernel (medians of ten alternating runs), with every final state bit for
 bit the same.
 
