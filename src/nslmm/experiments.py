@@ -255,15 +255,25 @@ def _rows_all(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays of one shape hold the same bits, NaN
-    payloads and the sign of zero included."""
-    return bool((a.view(np.int64) == b.view(np.int64)).all())
+def _bound_inputs(lower: np.ndarray, upper: np.ndarray) -> dict:
+    """The bound check of elements with bounds ``lower`` and ``upper``
+    (-inf/+inf where missing), as a sweep pool takes it: whether each has
+    one, and the edges its states keep (see ``qualprops.bound_edges``)."""
+    lo_edge, hi_edge = bound_edges(lower, upper)
+    return {"b_req": ~(np.isneginf(lower) & np.isposinf(upper)),
+            "lo_edge": lo_edge, "hi_edge": hi_edge}
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row of two (B, m) float arrays holds the same bits in
+    both, NaN payloads and the sign of zero included."""
+    return _rows_all(a.view(np.int64) == b.view(np.int64))
 
 
 def _take_into(keep: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The rows ``keep`` of a (b, m) component-major array, written into
-    ``out``, a component-major array of their number of rows."""
+    ``out``, a (b', m) array (or a row slice of one) of their number of
+    rows."""
     a.T.compress(keep, axis=-1, out=out.T)
     return out
 
@@ -274,6 +284,444 @@ def _take(keep: np.ndarray, *arrays) -> tuple:
     ``a.T[:, keep].T`` give it in row-major order)."""
     return tuple(None if a is None else a.T.compress(keep, axis=-1).T
                  for a in arrays)
+
+
+#: a pool step after every horizon
+_NEVER = np.iinfo(np.int64).max
+
+
+class _SweepPool:
+    """A lockstep pool of sweep elements that elements join between steps.
+
+    Every element of a pool shares its problem, method, startup policy and
+    kinds of checks; each has its own transformed step, step size, initial
+    state, horizon, check values and group.  ``admit`` queues elements;
+    ``run`` starts from an empty pool, lets queued elements join as room
+    allows, advances them all in lockstep and writes each one's results
+    into ``out`` (when given) as it leaves.  ``run_preservation_sweep``
+    describes the step, the monitors, compaction and settling;
+    ``sharpness_bisection`` admits as it goes.
+
+    An element counts its steps from the pool step at which it joined: its
+    horizon, first failing step and invariant drift all count from there.
+    Joining is a rebuild, made as a compaction is: the finished elements
+    are written out, the kept rows gathered into new arrays and the new
+    ones appended; their startup states go into their ring rows and are
+    checked as a sweep's startup is.  Every slope slot then goes back to
+    None and ``rhs`` makes the slopes again, elementwise and
+    deterministic, so the kept elements' states keep their bits.
+    """
+
+    def __init__(self, problem: OdeProblem, method: Method, startup, *,
+                 check_bounds: bool, check_weak: bool,
+                 weak_component: int = 0, invariant_weights=None,
+                 invariant_drift: float = 0.0, grouped: bool = False,
+                 out: SweepOutcome | None = None):
+        self.problem, self.method, self.startup = problem, method, startup
+        self.check_bounds, self.check_weak = check_bounds, check_weak
+        self.weak_component = weak_component
+        self.invariant_weights = invariant_weights
+        self.invariant_drift = invariant_drift
+        self.grouped = grouped
+        self.out = out
+        #: most elements the pool holds, unless one unit is larger
+        self.capacity = max(1, MAX_SWEEP_ELEMENTS // problem.dimension)
+        # [count, unit, take, elements taken so far] per admission
+        self.queue: deque = deque()
+
+    def admit(self, count: int, unit: int, take) -> None:
+        """Queue ``count`` elements, which join in whole runs of ``unit``
+        (a group, or a whole block): ``take(a, b)`` gives the inputs of the
+        admission's elements a..b-1 as a dict of per-element arrays,
+        ``phis`` (transformed steps), ``dts``, ``y0s``, ``n_steps`` and
+        ``direction`` (the weak check's, 0 for none), with the bound check's
+        ``_bound_inputs`` when the pool checks bounds, ``group`` when it is
+        grouped and ``ids`` (their rows in ``out``) when it writes
+        results."""
+        if count:
+            self.queue.append([count, unit, take, 0])
+
+    def _joiners(self, room: int, empty: bool) -> dict | None:
+        """The inputs of the queued elements that fit into ``room``, in
+        whole units; an ``empty`` pool takes at least one unit."""
+        parts, got = [], 0
+        while self.queue:
+            item = self.queue[0]
+            count, unit, take, at = item
+            fit = min(count - at, (room - got) // unit * unit)
+            if fit <= 0 and empty and not got:
+                fit = min(unit, count - at)
+            if fit <= 0:
+                break
+            parts.append(take(at, at + fit))
+            got += fit
+            item[3] = at + fit
+            if item[3] == count:
+                self.queue.popleft()
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        return {key: None if value is None
+                else np.concatenate([part[key] for part in parts])
+                for key, value in parts[0].items()}
+
+    def run(self, on_decided=None) -> None:
+        """Advance the pool from empty until no element evolves and the
+        queue is empty.  With ``on_decided`` (a grouped pool), each group is
+        reported once decided, at the step it is: ``on_decided(groups,
+        held)`` gets the group ids and whether each held (no element of it
+        failed, every one passed its horizon or settled).  It may admit
+        more, and the run ends once it returns True."""
+        problem, method, startup = self.problem, self.method, self.startup
+        s, m = method.steps, problem.dimension
+        rhs = _rhs_into(problem.rhs)
+        # the kernels' scratch pair and the stage slots of a Runge-Kutta step
+        n_work = 2 + stage_slots(method)
+        check_bounds_on, check_weak = self.check_bounds, self.check_weak
+        gamma, drift = self.invariant_weights, self.invariant_drift
+        check_inv = gamma is not None
+        wc = self.weak_component
+        # a drifting invariant's target moves with the step, so no element
+        # whose states repeat has its verdicts settled
+        settles = not (check_inv and drift != 0)
+        out, queue, capacity = self.out, self.queue, self.capacity
+        grouped = self.grouped
+        if not queue:
+            return
+
+        def joining(inputs: dict, base_new: int) -> list:
+            """The columns of elements that join with their step 0 at pool
+            step ``base_new`` (see ``unpack``)."""
+            b = inputs["dts"].size
+            ints = np.empty((7, b), dtype=np.int64)
+            ints[0] = base_new
+            np.add(base_new, inputs["n_steps"], out=ints[1])
+            ints[2:4] = -1
+            ints[4] = inputs["group"] if grouped else 0
+            ints[5] = inputs["ids"] if out is not None else 0
+            ints[6] = ints[1]
+            flags = np.zeros((5, b), dtype=bool)
+            np.not_equal(inputs["direction"], 0, out=flags[1])
+            np.greater(inputs["direction"], 0, out=flags[2])
+            floats = np.zeros((6, b))
+            floats[0] = inputs["phis"]
+            if check_inv:
+                _weighted_sum(inputs["y0s"], gamma, floats[2], np.empty(b))
+                floats[3] = inputs["dts"]
+            if check_bounds_on:
+                flags[0] = inputs["b_req"]
+                floats[4] = inputs["lo_edge"]
+                floats[5] = inputs["hi_edge"]
+            return [ints, flags, floats]
+
+        def unpack(columns: list) -> None:
+            """Take ``columns`` as the pool's: one row per element and
+            column, by type, of everything carried from step to step for
+            it.  ``base`` is the pool step of an element's step 0, ``last``
+            the pool step of its horizon (``_NEVER`` once it has settled)
+            and ``fin`` the pool step it finishes at, its horizon or where
+            it settled; ``group`` and ``ids`` are 0 in a pool without
+            groups or without results."""
+            nonlocal ints, flags, floats, size, base, last, first_bound, \
+                first_weak, group, ids, fin, b_req, w_req, w_inc, \
+                bound_viol, weak_viol, phis, inv_dev, level, dts, lo_edge, \
+                hi_edge, n_settled
+            ints, flags, floats = columns
+            size = ints.shape[1]
+            n_settled = 0
+            base, last, first_bound, first_weak, group, ids, fin = ints
+            b_req, w_req, w_inc, bound_viol, weak_viol = flags
+            phis, inv_dev, level, dts, lo_edge, hi_edge = floats
+
+        ints = flags = floats = None
+        (base, last, first_bound, first_weak, group, ids, fin, b_req, w_req,
+         w_inc, bound_viol, weak_viol, phis, inv_dev, level, dts, lo_edge,
+         hi_edge) = (None,) * 18
+        # the pool's size, and how many of its active elements settled
+        size = n_settled = 0
+        # full (b, m) operands, component-major like the states: numpy
+        # multiplies and compares two full arrays several times faster than
+        # an array and a (b, 1) column
+        lo = hi = None
+        work = ring = fring = kernel = sums = elapsed = local = None
+
+        def buffers() -> None:
+            """(Re)make the arrays the pool owns for its ``size`` rows, all
+            cut from one aligned buffer: the kernels' work arrays (scratch
+            pair and stage slots), s + 1 slots for the ring's states and s
+            for their slopes; the bound edges and the invariant's sums.
+            Bind the step kernel to the work arrays and the rows' steps."""
+            nonlocal work, ring, fring, kernel, lo, hi, sums, elapsed, local
+            arrays = _block_arrays(n_work + 2 * s + 1, size, m)
+            work = arrays[:n_work]
+            ring = deque(arrays[n_work:n_work + s + 1])
+            fring = deque(arrays[n_work + s + 1:])
+            kernel = _step_kernel(method, _component_major(phis, m), m, work)
+            if check_bounds_on:
+                lo = _component_major(lo_edge, m)
+                hi = _component_major(hi_edge, m)
+            if check_inv:
+                sums = (np.empty(size), np.empty(size))
+                if drift != 0:
+                    elapsed = np.empty(size)
+                    local = np.empty(size, dtype=np.int64)
+
+        def watch(live) -> None:
+            """The elements each monitor watches: those ``live`` (None: all
+            of them) whose check is requested and has not failed yet."""
+            nonlocal b_watch, w_watch
+
+            def watched(req, viol):
+                mask = req & ~viol
+                if live is not None:
+                    mask &= live
+                return mask
+
+            if check_bounds_on:
+                b_watch = watched(b_req, bound_viol)
+            if check_weak:
+                w_watch = watched(w_req, weak_viol)
+
+        def flag(v, viol, first, at: int) -> None:
+            """Mark the watched elements ``v`` as failing at pool step
+            ``at``."""
+            nonlocal changed
+            if np.count_nonzero(v):
+                first[v] = at - base[v]
+                viol[v] = True
+                changed = True
+
+        def record(state: np.ndarray, at: int, stepped=False) -> None:
+            """Monitor ``state``, the states of pool step ``at``, for the
+            elements ``live``; a ``stepped`` state's weak window is the
+            ring's s states (else a startup state, checked only for
+            NaN/inf)."""
+            if check_bounds_on:
+                # watched and outside its edges (a & ~b is a > b on bools)
+                flag(np.greater(b_watch,
+                                _rows_all((state >= lo) & (state <= hi))),
+                     bound_viol, first_bound, at)
+            if check_weak:
+                v = ~_rows_all(np.isfinite(state))
+                if stepped:
+                    # oldest first
+                    v |= window_violations(
+                        state[:, wc],
+                        [ring[i][:, wc] for i in range(s - 1, -1, -1)], w_inc)
+                flag(v & w_watch, weak_viol, first_weak, at)
+            if check_inv:
+                if elapsed is not None:
+                    np.subtract(at, base, out=local)
+                    np.multiply(local, dts, out=elapsed)
+                dev, _ = invariant_deviation(state, gamma, level, drift,
+                                             elapsed, *sums)
+                np.abs(dev, out=dev)
+                np.maximum(inv_dev, dev, out=inv_dev,
+                           where=True if live is None else live)
+
+        def retire(sel) -> None:
+            """Write the results of the pool's elements ``sel``."""
+            if out is None:
+                return
+            at = ids[sel]
+            out.bound_violated[at] = bound_viol[sel]
+            out.weak_violated[at] = weak_viol[sel]
+            # a NaN deviation sticks in the running maximum; it is an
+            # infinite one, as in a recorded run's monitor
+            dev = inv_dev[sel]
+            out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
+            out.first_bound_step[at] = first_bound[sel]
+            out.first_weak_step[at] = first_weak[sel]
+            out.final_states[at] = ring[0][sel]
+
+        def rebuild(keep, join: bool) -> None:
+            """Write out the elements not ``keep`` (None: the pool is
+            empty), gather the kept ones into new arrays and, with ``join``,
+            append the queued elements that fit."""
+            nonlocal slopes, live, n_groups, waiting, starts, run_group, \
+                run_waiting, run_end, changed
+            k = 0 if keep is None else int(np.count_nonzero(keep))
+            new = self._joiners(capacity - k, k == 0) if join else None
+            if keep is not None and k < size:
+                retire(~keep)
+            if k:
+                columns = [c.compress(keep, axis=1)
+                           for c in (ints, flags, floats)]
+                old = list(ring)[:s], list(slopes)
+            if new is not None:
+                fresh = joining(new, step - (s - 1))
+                columns = fresh if not k else [
+                    np.concatenate([c, f], axis=1)
+                    for c, f in zip(columns, fresh)]
+            unpack(columns)
+            buffers()
+            # the active set, and with it the finished elements and groups,
+            # is made again at the next event
+            changed = True
+            for i in range(s if k else 0):
+                _take_into(keep, old[0][i], ring[i][:k])
+            if new is None:
+                for i, f in enumerate(old[1]):
+                    if f is not None:
+                        slopes[i] = _take_into(keep, f, fring[i])
+            else:
+                slopes = deque([None] * s, maxlen=s)
+                # u^0 .. u^(s-1) of the new rows go into their rows of the
+                # ring's slots s-1 .. 0, newest first; the other arrays are
+                # free until the next step
+                new_rows = slice(k, None)
+                _startup_states(
+                    problem, method, startup, new["y0s"], new["dts"],
+                    ([ring[s - 1 - i][new_rows] for i in range(s)],
+                     [a[new_rows] for a in (*work[:2], ring[s], *fring,
+                                            *work[2:])]))
+                for i in range(s):
+                    live = np.zeros(size, dtype=bool)
+                    live[new_rows] = i <= new["n_steps"]
+                    live = None if live.all() else live
+                    watch(live)
+                    record(ring[s - 1 - i], step - (s - 1) + i)
+                if grouped:
+                    n_groups = max(n_groups, int(group.max()) + 1)
+            if on_decided is not None:
+                if new is not None:
+                    waiting = np.concatenate(
+                        [waiting, np.zeros(n_groups - waiting.size, bool)])
+                    waiting[group[new_rows]] = True
+                # a group's rows join together and keep their order
+                starts = np.flatnonzero(np.concatenate(
+                    [[True], group[1:] != group[:-1]]))
+                run_group = group[starts]
+                run_waiting = waiting[run_group]
+                run_end = np.maximum.reduceat(fin, starts)
+
+        # the pool step of the newest ring state
+        step = s - 1
+        # the ring of states (``ring[s]`` the slot the next one goes into),
+        # their slopes as the shared kernel fills them, and where it writes
+        # each slope: state, slope and slot rotate together, so the slot
+        # that comes round to the newest state held the dropped one's slope
+        slopes = deque([None] * s, maxlen=s)
+        b_watch = w_watch = live = frozen = hit = None
+        # groups: how many ids there are and those in the pool undecided;
+        # per run of rows of one group in the pool, where it starts, its
+        # group, whether it is undecided and its last horizon; and the last
+        # horizon of the first undecided group to pass all of them
+        n_groups, waiting = 0, np.zeros(0, dtype=bool)
+        starts = run_group = run_waiting = run_end = run_due = None
+        # the pool step after which the next active element's horizon has
+        # passed
+        due = None
+        changed = True
+        # violated elements may blow up before they freeze; their inf/nan
+        # arithmetic is elementwise and never poisons the others.  A
+        # starter may overflow too (an untransformed one at a large step).
+        with np.errstate(over="ignore", invalid="ignore"):
+            rebuild(None, True)
+            while True:
+                nxt = step + 1
+                # the active set changes only on events: a newly failed
+                # check, which may finish an element and its group, a
+                # passed horizon, a settled element or a rebuild
+                while changed or nxt == due:
+                    rewatch = changed
+                    if changed:
+                        # an element finishes once every check requested
+                        # for it has failed; one with nothing to check, or
+                        # with an invariant to watch, runs to its horizon
+                        done = ((bound_viol | ~b_req) & (weak_viol | ~w_req)
+                                & (b_req | w_req) & (not check_inv))
+                        hit = None
+                        if grouped and done.any():
+                            hit = np.zeros(n_groups, dtype=bool)
+                            hit[group[done]] = True
+                            done = hit[group]
+                        active = (nxt <= last) & ~done
+                        if n_settled:
+                            n_settled = np.count_nonzero(active
+                                                         & (last == _NEVER))
+                    else:
+                        active &= nxt <= last
+                    changed = False
+                    n_active = np.count_nonzero(active)
+                    # settled elements stay active, with no horizon left
+                    due = int(last.min(initial=_NEVER, where=active)) + 1
+                    admitted = False
+                    if on_decided is not None and (rewatch or nxt > run_due):
+                        # a group is decided once one of its rows fails or
+                        # all of them have passed their horizons or settled
+                        free = run_waiting & (run_end < nxt)
+                        if hit is not None:
+                            free |= run_waiting & hit[run_group]
+                        if free.any():
+                            run_waiting &= ~free
+                            decided = run_group[free]
+                            waiting[decided] = False
+                            queued = len(queue)
+                            if on_decided(decided, np.ones(decided.size, bool)
+                                          if hit is None else ~hit[decided]):
+                                return
+                            admitted = len(queue) > queued
+                        run_due = int(run_end.min(initial=_NEVER,
+                                                  where=run_waiting))
+                    # the elements still to evolve
+                    going = n_active - n_settled
+                    compact = n_active <= COMPACT_AT * size
+                    if queue and (going == 0 or compact or admitted
+                                  and queue[0][1] <= capacity - going):
+                        rebuild(active & (last < _NEVER) if n_settled
+                                else active, True)
+                    elif going == 0:
+                        retire(slice(None))
+                        return
+                    elif compact:
+                        rebuild(active & (last < _NEVER) if n_settled
+                                else active, False)
+                    else:
+                        live = None if n_active == size else active
+                        # a pool that writes no results reads no state of
+                        # an element that has stopped, which steps on
+                        frozen = (None if live is None or out is None
+                                  else ~live[:, None])
+                        if rewatch:
+                            watch(live)
+                        else:
+                            # only horizons passed: fewer elements watched
+                            if check_bounds_on:
+                                b_watch &= active
+                            if check_weak:
+                                w_watch &= active
+
+                new = kernel(rhs, ring, slopes, fring)
+                if frozen is not None:
+                    np.copyto(new, ring[0], where=frozen)
+
+                record(new, nxt, True)
+                # an element whose new state repeats its whole ring bit for
+                # bit repeats it, and its verdicts, at every later step: its
+                # results are final, so it has finished, and stepping it on
+                # past its horizon changes none of them
+                if settles and nxt % s == 0:
+                    same = _same_rows(new, ring[0])
+                    if live is not None:
+                        same &= live
+                    # settled elements repeat their newest state
+                    if np.count_nonzero(same) > n_settled:
+                        same &= last < _NEVER
+                        for u in islice(ring, 1, s):
+                            same &= _same_rows(new, u)
+                        newly = np.count_nonzero(same)
+                        if newly:
+                            n_settled += newly
+                            last[same] = _NEVER
+                            due = nxt + 1
+                            if on_decided is not None:
+                                np.minimum(fin, nxt, out=fin, where=same)
+                                run_end = np.maximum.reduceat(fin, starts)
+                                run_due = nxt
+                step = nxt
+                ring.rotate(1)
+                fring.rotate(1)
+                slopes.appendleft(None)
 
 
 def run_preservation_sweep(problem: OdeProblem, method: Method,
@@ -310,41 +758,43 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     ``MAX_WORK`` rhs evaluations: B times the longest horizon times the
     method's rhs calls per step times m.
 
-    The batch advances in blocks of at most ``MAX_SWEEP_ELEMENTS // m``
-    elements, each block to its own last active step, so that a block's
-    rings of states and slopes stay in the processor caches.  Once at most
-    ``COMPACT_AT`` of a block's elements still evolve, the stopped ones'
-    results are written out and the block goes on with the others alone.
-    Elements are independent, so neither blocks nor compaction show in any
-    result.  A block that has settled ends early: tested every s steps,
-    once the new states repeat the whole ring of s states bit for bit and
-    no invariant with drift is watched, every later step would repeat them
+    The batch runs through one lockstep pool (``_SweepPool``), admitted in
+    blocks of at most ``MAX_SWEEP_ELEMENTS // m`` elements, each block
+    once the one before has left it, so that a block's rings of states and
+    slopes stay in the processor caches.  Once at most ``COMPACT_AT`` of a
+    block's elements still evolve, the stopped ones' results are written
+    out and the block goes on with the others alone.  Elements are
+    independent, so neither blocks nor compaction show in any result.  An
+    element that has settled ends early: tested every s steps, once its
+    new state repeats its whole ring of s states bit for bit and no
+    invariant with drift is watched, every later step would repeat them
     and their verdicts (the kernel and ``rhs`` are elementwise and
-    deterministic, frozen elements keep their states), so the results are
-    already final.  With drift the invariant's target moves at each step.
+    deterministic), so its results are already final.  With drift the
+    invariant's target moves at each step.  A block that never settles
+    pays one compare of its new states with the newest ring state and one
+    reduction per s steps.
 
-    A block's step allocates nothing.  The block owns every (b, m) array
-    its kernels write into (see ``integrate._kernel_factory``), all cut
-    from one buffer by ``integrate._block_arrays``, each on a 64-byte
-    cache line: s + 1 ring slots for states, the newest s of them the ring
-    and the last the one the next state goes into; s slots beside the ring
-    for their slopes, which ``rhs`` writes with ufunc ``out=``; and the
-    work arrays, the scratch pair in which terms are formed and a
-    Runge-Kutta method's stage slots.  A step writes its new state into
-    the free ring slot, and state, slope and slot rotate together.  The
-    startup writes u^0..u^(s-1) into the ring and its Runge-Kutta
-    starter's stage values and slopes into the arrays still free then
-    (the slope slots and the last ring slot), so they take no memory of
-    their own.  A compaction makes all of them again at the new
-    size, gathers the kept states and slopes into them and binds the step
-    kernel to the new work arrays.  numpy places an array at a random
-    16-byte offset within a cache line, and a pass whose output is not
-    line-aligned ran up to twice as slow (see ``integrate``); where an
-    array starts changes no result.
+    A step allocates nothing.  The pool owns every (b, m) array its
+    kernels write into (see ``integrate._kernel_factory``), all cut from
+    one buffer by ``integrate._block_arrays``, each on a 64-byte cache
+    line: s + 1 ring slots for states, the newest s of them the ring and
+    the last the one the next state goes into; s slots beside the ring for
+    their slopes, which ``rhs`` writes with ufunc ``out=``; and the work
+    arrays, the scratch pair in which terms are formed and a Runge-Kutta
+    method's stage slots.  A step writes its new state into the free ring
+    slot, and state, slope and slot rotate together.  The startup writes
+    u^0..u^(s-1) into the ring and its Runge-Kutta starter's stage values
+    and slopes into the arrays still free then (the slope slots and the
+    last ring slot), so they take no memory of their own.  A compaction
+    makes all of them again at the new size, gathers the kept states and
+    slopes into them and binds the step kernel to the new work arrays.
+    numpy places an array at a random 16-byte offset within a cache line,
+    and a pass whose output is not line-aligned ran up to twice as slow
+    (see ``integrate``); where an array starts changes no result.
 
     ``_groups`` (private) gives each element a nonnegative integer group id:
-    once one element stops at its failed checks, all elements of its group
-    stop too, and their results cover only the steps they made.
+    once one element stops at its failed checks, all elements of its block
+    and group stop too, and their results cover only the steps they made.
     Whether a group has a failing element is the same with and without it.
     """
     y0s = np.asarray(y0s, dtype=float)
@@ -380,10 +830,6 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                  f"a sweep of {B} elements of up to {longest:.3g} steps")
     if startup is None:
         startup = default_startup(problem, method)
-    s = method.steps
-    rhs = _rhs_into(problem.rhs)
-    # the kernels' scratch pair and the stage slots of a Runge-Kutta step
-    n_work = 2 + stage_slots(method)
 
     if phi_kind is PhiKind.IDENTITY:
         phis = dts.copy()
@@ -391,36 +837,28 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
         phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
 
     check_bounds_on = lower is not None or upper is not None
+    inputs = {"phis": phis, "dts": dts, "y0s": y0s, "n_steps": n_steps,
+              "direction": np.broadcast_to(
+                  np.asarray(weak_direction, dtype=int), (B,))}
     if check_bounds_on:
         lower, upper = (np.broadcast_to(np.asarray(bound, dtype=float), (B,))
                         for bound in (-np.inf if lower is None else lower,
                                       np.inf if upper is None else upper))
-        bound_req = ~(np.isneginf(lower) & np.isposinf(upper))
-        lo_edge, hi_edge = bound_edges(lower, upper)
-    else:
-        bound_req = np.zeros(B, dtype=bool)
-    direction = np.broadcast_to(np.asarray(weak_direction, dtype=int), (B,))
-    weak_req = direction != 0
-    check_weak = bool(weak_req.any())
+    check_weak = bool((inputs["direction"] != 0).any())
     if check_weak and not 0 <= weak_component < m:
         raise ConfigurationError(
             f"weak_component {weak_component} is not a component index "
             f"of a state of length {m}")
-    check_inv = invariant_weights is not None
-    if check_inv:
+    gamma = None
+    if invariant_weights is not None:
         gamma = np.asarray(invariant_weights, dtype=float)
         if gamma.shape != (m,):
             raise ConfigurationError(
                 f"invariant_weights has shape {gamma.shape}, a state of "
                 f"length {m} needs ({m},)")
-        level = _weighted_sum(y0s, gamma, np.empty(B), np.empty(B))
-    # a drifting invariant's target moves with the step, so no block whose
-    # states repeat has its verdicts settled
-    settles = not (check_inv and invariant_drift != 0)
-    groups = None
     if _groups is not None:
-        groups = np.broadcast_to(np.asarray(_groups, dtype=np.intp), (B,))
-        n_groups = int(groups.max(initial=0)) + 1
+        inputs["group"] = np.broadcast_to(
+            np.asarray(_groups, dtype=np.intp), (B,))
 
     out = SweepOutcome(bound_violated=np.zeros(B, dtype=bool),
                        weak_violated=np.zeros(B, dtype=bool),
@@ -428,203 +866,29 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                        first_bound_step=np.full(B, -1, dtype=np.int64),
                        first_weak_step=np.full(B, -1, dtype=np.int64),
                        final_states=np.empty((B, m)))
+    pool = _SweepPool(problem, method, startup, check_bounds=check_bounds_on,
+                      check_weak=check_weak, weak_component=weak_component,
+                      invariant_weights=gamma,
+                      invariant_drift=invariant_drift,
+                      grouped=_groups is not None, out=out)
 
-    def advance(sl: slice) -> None:
-        """Step the elements ``sl`` to their last active step and write
-        their results into ``out``."""
-        # the block's elements (global indices) and everything carried
-        # from step to step for them; a compaction gathers all of it
-        idx = np.arange(sl.start, sl.stop)
-        b = idx.size
-        horizon, b_req, w_req = n_steps[sl], bound_req[sl], weak_req[sl]
-        # True: a windowed increase, else a decrease (or no check: unwatched)
-        w_inc = direction[sl] > 0
-        group = None if groups is None else groups[sl]
-        bound_viol = np.zeros(b, dtype=bool)
-        weak_viol = np.zeros(b, dtype=bool)
-        first_bound = np.full(b, -1, dtype=np.int64)
-        first_weak = np.full(b, -1, dtype=np.int64)
-        inv_dev = np.zeros(b)
-        # full (b, m) operands, component-major like the states: numpy
-        # multiplies and compares two full arrays several times faster than
-        # an array and a (b, 1) column
-        lo = hi = None
-        if check_bounds_on:
-            lo = _component_major(lo_edge[sl], m)
-            hi = _component_major(hi_edge[sl], m)
-        block_h = _component_major(phis[sl], m)
-        block_level, block_dts = ((level[sl], dts[sl]) if check_inv
-                                  else (None, None))
+    def block(a: int, b: int):
+        """The inputs of elements a..b-1 of the batch, as ``admit`` asks for
+        a block of them that starts at ``start``."""
+        def take(i: int, j: int) -> dict:
+            sl = slice(a + i, a + j)
+            bound = (_bound_inputs(lower[sl], upper[sl]) if check_bounds_on
+                     else {})
+            return {"ids": np.arange(sl.start, sl.stop), **bound,
+                    **{key: value[sl] for key, value in inputs.items()}}
+        return take
 
-        def buffers(size: int) -> None:
-            """(Re)make the arrays the block owns for ``size`` elements, all
-            cut from one aligned buffer: the kernels' work arrays (scratch
-            pair and stage slots), s + 1 slots for the ring's states and s
-            for their slopes; and the invariant's sums.  Bind the step
-            kernel to the work arrays and to ``block_h``."""
-            nonlocal work, ring, fring, kernel, sums, elapsed
-            arrays = _block_arrays(n_work + 2 * s + 1, size, m)
-            work = arrays[:n_work]
-            ring = deque(arrays[n_work:n_work + s + 1])
-            fring = deque(arrays[n_work + s + 1:])
-            kernel = _step_kernel(method, block_h, m, work)
-            if check_inv:
-                sums = (np.empty(size), np.empty(size))
-                elapsed = None if invariant_drift == 0 else np.empty(size)
-
-        work = ring = fring = kernel = sums = elapsed = None
-        buffers(b)
-
-        def watch(live) -> None:
-            """The elements each monitor watches: those ``live`` (None: all
-            of them) whose check is requested and has not failed yet."""
-            nonlocal b_watch, w_watch
-
-            def watched(req, viol):
-                mask = req & ~viol
-                if live is not None:
-                    mask &= live
-                return mask
-
-            if check_bounds_on:
-                b_watch = watched(b_req, bound_viol)
-            if check_weak:
-                w_watch = watched(w_req, weak_viol)
-
-        def flag(v, viol, first, step_idx: int) -> None:
-            """Mark the watched elements ``v`` as failing at ``step_idx``."""
-            nonlocal changed
-            if np.count_nonzero(v):
-                first[v] = step_idx
-                viol[v] = True
-                changed = True
-
-        def record(state: np.ndarray, step_idx: int, stepped=False) -> None:
-            """Monitor ``state``, the states of step ``step_idx``, for the
-            elements ``live``; a ``stepped`` state's weak window is the
-            ring's s states (else a startup state, checked only for
-            NaN/inf)."""
-            if check_bounds_on:
-                flag(b_watch & ~_rows_all((state >= lo) & (state <= hi)),
-                     bound_viol, first_bound, step_idx)
-            if check_weak:
-                v = ~_rows_all(np.isfinite(state))
-                if stepped:
-                    # oldest first
-                    v |= window_violations(
-                        state[:, weak_component],
-                        [ring[i][:, weak_component]
-                         for i in range(s - 1, -1, -1)], w_inc)
-                flag(v & w_watch, weak_viol, first_weak, step_idx)
-            if check_inv:
-                if elapsed is not None:
-                    np.multiply(step_idx, block_dts, out=elapsed)
-                dev, _ = invariant_deviation(state, gamma, block_level,
-                                             invariant_drift, elapsed, *sums)
-                np.abs(dev, out=dev)
-                np.maximum(inv_dev, dev, out=inv_dev,
-                           where=True if live is None else live)
-
-        def retire(sel) -> None:
-            """Write the results of the block's elements ``sel``."""
-            at = idx[sel]
-            out.bound_violated[at] = bound_viol[sel]
-            out.weak_violated[at] = weak_viol[sel]
-            # a NaN deviation sticks in the running maximum; it is an
-            # infinite one, as in a recorded run's monitor
-            dev = inv_dev[sel]
-            out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
-            out.first_bound_step[at] = first_bound[sel]
-            out.first_weak_step[at] = first_weak[sel]
-            out.final_states[at] = ring[0][sel]
-
-        b_watch = w_watch = None
-        # a starter may overflow too (an untransformed one at a large step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # u^0 .. u^(s-1) go into the ring's slots s-1 .. 0, newest
-            # first; the other arrays are free until the first step
-            startup_states = _startup_states(
-                problem, method, startup, y0s[sl], dts[sl],
-                ([ring[s - 1 - i] for i in range(s)],
-                 [*work[:2], ring[s], *fring, *work[2:]]))
-            for i, state in enumerate(startup_states):
-                live = i <= horizon
-                live = None if live.all() else live
-                watch(live)
-                record(state, i)
-
-        # the ring of states (``ring[s]`` the slot the next one goes into),
-        # their slopes as the shared kernel fills them, and where it writes
-        # each slope: state, slope and slot rotate together, so the slot
-        # that comes round to the newest state held the dropped one's slope
-        slopes = deque([None] * s, maxlen=s)
-        # the steps after which some element's horizon has passed
-        ends = set((horizon + 1).tolist())
-        # the active set changes only on events: a newly failed check, which
-        # may finish an element and its group, or a passed horizon
-        changed = True
-        # violated elements may blow up before they freeze; their inf/nan
-        # arithmetic is elementwise and never poisons the others
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(s - 1, int(horizon.max())):
-                step_idx = n + 1
-                if changed:
-                    # an element finishes once every check requested for
-                    # it has failed; one with nothing to check, or with an
-                    # invariant to watch, runs to its horizon
-                    done = ((bound_viol | ~b_req) & (weak_viol | ~w_req)
-                            & (b_req | w_req) & (not check_inv))
-                    if group is not None and done.any():
-                        hit = np.zeros(n_groups, dtype=bool)
-                        hit[group[done]] = True
-                        done = hit[group]
-                if changed or step_idx in ends:
-                    changed = False
-                    active = (step_idx <= horizon) & ~done
-                    n_active = np.count_nonzero(active)
-                    if n_active == 0:
-                        break
-                    if n_active <= COMPACT_AT * active.size:
-                        retire(~active)
-                        (idx, horizon, b_req, w_req, w_inc, group, done,
-                         lo, hi, bound_viol, weak_viol, first_bound,
-                         first_weak, inv_dev, block_level, block_dts,
-                         block_h) = _take(
-                            active, idx, horizon, b_req, w_req, w_inc,
-                            group, done, lo, hi, bound_viol, weak_viol,
-                            first_bound, first_weak, inv_dev, block_level,
-                            block_dts, block_h)
-                        old = list(ring)[:s], list(slopes)
-                        buffers(n_active)
-                        for i, (u, f) in enumerate(zip(*old)):
-                            _take_into(active, u, ring[i])
-                            if f is not None:
-                                slopes[i] = _take_into(active, f, fring[i])
-                        active = active[active]
-                    live = None if n_active == active.size else active
-                    frozen = None if live is None else ~live[:, None]
-                    watch(live)
-
-                new = kernel(rhs, ring, slopes, fring)
-                if frozen is not None:
-                    np.copyto(new, ring[0], where=frozen)
-
-                record(new, step_idx, True)
-                # a step whose new states repeat its whole ring bit for bit
-                # repeats it at every later step: its verdicts and states
-                # are all recorded already
-                if (settles and step_idx % s == 0
-                        and all(_same_bits(new, u) for u in islice(ring, s))):
-                    break
-                ring.rotate(1)
-                fring.rotate(1)
-                slopes.appendleft(None)
-        retire(slice(None))
-
-    # blocks of near-equal size
-    n_blocks = -(-B // max(1, MAX_SWEEP_ELEMENTS // m))
+    # blocks of near-equal size, each run to its end alone
+    n_blocks = -(-B // pool.capacity)
     for k in range(n_blocks):
-        advance(slice(k * B // n_blocks, (k + 1) * B // n_blocks))
+        a, b = k * B // n_blocks, (k + 1) * B // n_blocks
+        pool.admit(b - a, b - a, block(a, b))
+        pool.run()
     return out
 
 
@@ -696,11 +960,12 @@ COMPACT_AT = 0.5
 
 def sweep_bytes(n_elements: int, m: int) -> int:
     """Peak bytes of a preservation sweep beside its blocks: per element
-    its outcome entries (26 + 8 m bytes) and its inputs normalised at full
-    size.  Rounded up from tracemalloc peaks of logistic and SEIR sweeps
-    with every check (about 68 bytes per element for m = 1 and 95 for
-    m = 4 on Python 3.11 with numpy 2.4)."""
-    return n_elements * (72 + 8 * m)
+    its outcome entries (26 + 8 m bytes) and its transformed step; every
+    other per-element input is made a block at a time.  Rounded up from
+    tracemalloc peaks of logistic and SEIR sweeps with every check (about
+    48 bytes per element for m = 1 and 68 for m = 4 on Python 3.11 with
+    numpy 2.4)."""
+    return n_elements * (48 + 8 * m)
 
 
 def sharpness_bytes(n_rows: int, n_dt: int) -> int:
@@ -830,75 +1095,159 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         raise ConfigurationError(
             f"no sharpness property set for {problem.name}")
     per_row = _row_checks(problem, y0_states, prop, weak_component)
-    rows_per_sweep = max(1, MAX_SWEEP_ELEMENTS // (n_dt * problem.dimension))
+    if prop == BOUNDEDNESS:
+        per_row = _bound_inputs(per_row["lower"], per_row["upper"])
+    else:
+        per_row = {"direction": per_row["weak_direction"]}
+    if startup is None:
+        startup = default_startup(problem, method)
+    pool = _SweepPool(problem, method, startup,
+                      check_bounds=prop == BOUNDEDNESS,
+                      check_weak=prop == WEAK_MONOTONICITY,
+                      weak_component=weak_component, grouped=True)
+    # per tested threshold (group id): whether it is decided, and held
+    decided = held = np.zeros(0, dtype=bool)
 
-    def holds(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """Whether ``prop`` holds for row rows[k] at thresholds[k] for every
-        step size."""
-        out = np.empty(rows.size, dtype=bool)
-        for start in range(0, rows.size, rows_per_sweep):
-            chunk = rows[start:start + rows_per_sweep]
-            k = chunk.size
-            # one group per tested threshold: its first failing step size
-            # decides it, and the others stop there
-            outcome = run_preservation_sweep(
-                problem, method, phi_kind,
-                np.repeat(thresholds[start:start + k], n_dt),
-                np.tile(dt_grid, k), np.repeat(y0_states[chunk], n_dt, axis=0),
-                np.tile(n_steps, k), startup=startup,
-                weak_component=weak_component,
-                _groups=np.repeat(np.arange(k), n_dt),
-                **{key: np.repeat(v[chunk], n_dt)
-                   for key, v in per_row.items()})
-            violated = (outcome.bound_violated if prop == BOUNDEDNESS
-                        else outcome.weak_violated)
-            out[start:start + k] = ~violated.reshape(k, n_dt).any(axis=1)
-        return out
+    def admit(parts) -> list:
+        """Queue, in one admission, one group per tested threshold of each
+        (rows, thresholds) of ``parts``, thresholds[k] for row rows[k]: one
+        element per step size, with the row's checks, and its first
+        failing element decides it.  The groups' ids, per part."""
+        nonlocal decided, held
+        rows = np.concatenate([r for r, _ in parts])
+        thresholds = np.concatenate([t for _, t in parts])
+        if phi_kind is not PhiKind.IDENTITY and not (
+                np.isfinite(thresholds).all() and (thresholds > 0).all()):
+            raise ConfigurationError("bounds must be positive and finite")
+        first = decided.size
+        decided = np.concatenate([decided, np.zeros(rows.size, dtype=bool)])
+        held = np.concatenate([held, np.zeros(rows.size, dtype=bool)])
 
-    def settle(rows: np.ndarray, points: np.ndarray, ok: np.ndarray):
+        def take(a: int, b: int) -> dict:
+            g = slice(a // n_dt, b // n_dt)
+            k = g.stop - g.start
+            dts = np.tile(dt_grid, k)
+            phis = (dts.copy() if phi_kind is PhiKind.IDENTITY else
+                    np.asarray(phi_value(phi_kind,
+                                         np.repeat(thresholds[g], n_dt), dts)))
+            return {"phis": phis, "dts": dts,
+                    "y0s": np.repeat(y0_states[rows[g]], n_dt, axis=0),
+                    "n_steps": np.tile(n_steps, k),
+                    "direction": np.zeros(b - a, dtype=int),
+                    "group": np.repeat(np.arange(first + g.start,
+                                                 first + g.stop), n_dt),
+                    **{key: np.repeat(v[rows[g]], n_dt)
+                       for key, v in per_row.items()}}
+
+        pool.admit(rows.size * n_dt, n_dt, take)
+        return np.split(np.arange(first, first + rows.size),
+                        np.cumsum([r.size for r, _ in parts[:-1]]))
+
+    def next_round(rows: np.ndarray, ends=()):
+        """Admit ``ends`` (pairs of rows and thresholds) with the next two
+        bisection levels of the ``rows`` whose bracket is still wider than
+        tol and that have a level left: each row's midpoint and the
+        midpoint its next level needs on either side whose half is still
+        wider than tol; the midpoint's verdict picks which counts.  The
+        round (None when no row is in it) and the group ids of ``ends``."""
+        active = rows[(hi[rows] - lo[rows] > tol) & (levels[rows] < max_iter)]
+        parts = list(ends)
+        if active.size:
+            a_lo, a_hi = lo[active], hi[active]
+            mid = 0.5 * (a_lo + a_hi)
+            more = levels[active] + 1 < max_iter
+            left = more & (mid - a_lo > tol)
+            right = more & (a_hi - mid > tol)
+            points = (mid, 0.5 * (a_lo[left] + mid[left]),
+                      0.5 * (mid[right] + a_hi[right]))
+            parts += zip((active, active[left], active[right]), points)
+        if not parts:
+            return None, []
+        ids = admit(parts)
+        if not active.size:
+            return None, ids
+        return (active, left, right, points, ids[len(ends):]), ids[:len(ends)]
+
+    def narrow(rows: np.ndarray, points: np.ndarray, ok: np.ndarray):
         # one bisection step: a point that holds becomes its row's lower
         # end, one that fails its upper end
         lo[rows[ok]] = points[ok]
         hi[rows[~ok]] = points[~ok]
 
+    def on_decided(groups: np.ndarray, verdicts: np.ndarray) -> bool:
+        """Take the verdicts of newly decided groups.  Once every group of
+        the current round whose row still bisects is decided, narrow those
+        rows' brackets and admit the next round.  True once no round is
+        left and the range ends of every row are decided."""
+        nonlocal current, awaited
+        decided[groups] = True
+        held[groups] = verdicts
+        if (groups < 2 * n_rows).any():
+            # a range end is decided: a row bisects until its lower end
+            # fails or its upper end holds
+            stopped[:] = ((decided[lower] & ~held[lower])
+                          | (decided[upper] & held[upper]))
+            awaited = None
+        going = np.zeros(0, dtype=int)
+        if current is not None:
+            active, left, right, points, ids = current
+            on = ~stopped[active]
+            if awaited is None:
+                awaited = np.concatenate(
+                    [ids[0][on], ids[1][on[left]], ids[2][on[right]]])
+            if not decided[awaited].all():
+                return False
+            ok, ok_left, ok_right = (held[g] for g in ids)
+            narrow(active[on], points[0][on], ok[on])
+            use = ~ok[left] & on[left]
+            narrow(active[left][use], points[1][use], ok_left[use])
+            use = ok[right] & on[right]
+            narrow(active[right][use], points[2][use], ok_right[use])
+            going = active[on]
+            levels[going] += 2
+        # a late row starts once its range ends ask for a bisection
+        start = (late & decided[lower] & held[lower] & decided[upper]
+                 & ~held[upper])
+        late[start] = False
+        current, _ = next_round(np.concatenate([going,
+                                                np.flatnonzero(start)]))
+        awaited = None
+        return current is None and bool(
+            (decided[lower] & (decided[upper] | ~held[lower])).all())
+
     # the same steps as bisect_threshold, for every row at once
     lo = interval_scale[0] * sufficient
     # finite where the sufficient threshold is unconditional
     hi = capped_product(interval_scale[1], sufficient)
+    top = hi.copy()
+    levels = np.zeros(n_rows, dtype=int)
+    # a range reaching past half the largest float could overflow its
+    # midpoints: such a row bisects only once its range ends ask for it,
+    # as alone
+    late = top > np.finfo(float).max / 2
+    all_rows = np.arange(n_rows)
+    lower = upper = all_rows
+    # the round under test, the groups it waits for, and the rows that
+    # stopped bisecting
+    current = awaited = None
+    stopped = np.zeros(n_rows, dtype=bool)
+    if n_rows:
+        # the range ends and the first round join the pool together; no
+        # later round waits for the range ends' verdicts
+        current, (lower, upper) = next_round(
+            all_rows[~late], [(all_rows, lo), (all_rows, top)])
+        pool.run(on_decided)
     values = np.full(n_rows, np.nan)
-    statuses = ["below-range"] * n_rows
-    rows = np.arange(n_rows)
-    rows = rows[holds(rows, lo[rows])]
-    at_top = holds(rows, hi[rows])
-    for i in rows[at_top]:
-        values[i], statuses[i] = hi[i], "at-range-top"
-    bisecting = rows[~at_top]
-    active = bisecting
-    # two bisection levels per sweep: beside each row's midpoint, the sweep
-    # tests the midpoint the next level needs on either side whose bracket
-    # is still wider than tol; the midpoint's verdict picks which counts
-    for level in range(0, max_iter, 2):
-        active = active[hi[active] - lo[active] > tol]
-        if active.size == 0:
-            break
-        a_lo, a_hi = lo[active], hi[active]
-        mid = 0.5 * (a_lo + a_hi)
-        more = level + 1 < max_iter
-        left = more & (mid - a_lo > tol)
-        right = more & (a_hi - mid > tol)
-        q_left = 0.5 * (a_lo[left] + mid[left])
-        q_right = 0.5 * (mid[right] + a_hi[right])
-        ok, ok_left, ok_right = np.split(
-            holds(np.concatenate([active, active[left], active[right]]),
-                  np.concatenate([mid, q_left, q_right])),
-            [active.size, active.size + q_left.size])
-        settle(active, mid, ok)
-        use = ~ok[left]
-        settle(active[left][use], q_left[use], ok_left[use])
-        use = ok[right]
-        settle(active[right][use], q_right[use], ok_right[use])
-    for i in bisecting:
-        values[i], statuses[i] = 0.5 * (lo[i] + hi[i]), "ok"
+    statuses = []
+    for i in range(n_rows):
+        if not held[lower[i]]:
+            statuses.append("below-range")
+        elif held[upper[i]]:
+            values[i] = top[i]
+            statuses.append("at-range-top")
+        else:
+            values[i] = 0.5 * (lo[i] + hi[i])
+            statuses.append("ok")
 
     rows_out = tuple(
         SharpnessRow(label_values[i], float(sufficient[i]), float(values[i]),

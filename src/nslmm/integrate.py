@@ -298,7 +298,9 @@ def _single_state(u: np.ndarray):
 
 def _component_major(values, m: int) -> np.ndarray:
     """A (B, m) array whose row i repeats ``values[i]``, Fortran-ordered
-    like the states of a batch."""
+    like the states of a batch; for m = 1 a view of ``values``."""
+    if m == 1:
+        return np.reshape(values, (-1, 1))
     return np.repeat(np.reshape(values, (1, -1)), m, axis=0).T
 
 

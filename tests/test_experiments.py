@@ -411,52 +411,56 @@ def test_lockstep_sharpness_equals_row_by_row_seir(seir0):
     assert [r.y0_label for r in report.rows] == list(labels)
 
 
-@pytest.mark.parametrize("cap,largest", [(1, 12), (2 * 12 + 1, 2 * 12)])
-def test_lockstep_sharpness_chunked_sweeps(logistic2, monkeypatch, cap,
-                                           largest):
-    # a cap below one row's dt grid still sweeps one row at a time; a cap
-    # of two rows splits the six rows into three chunks
+@pytest.mark.parametrize("cap", [1, 2 * 12 + 1])
+def test_lockstep_sharpness_queued_groups(logistic2, monkeypatch, cap):
+    # a cap below one row's dt grid still holds one tested threshold (one
+    # group of 12 step sizes) at a time; a cap of two groups and one
+    # element holds up to 25 elements, and the other groups wait in the
+    # queue
     m = get_method("sspms42")
     dts = np.geomspace(0.5, 3.0, 12)
     whole = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
                                 dts, 30.0, WEAK_MONOTONICITY, tol=1e-3)
     sizes = []
-    original = experiments.run_preservation_sweep
+    block_arrays = experiments._block_arrays
 
-    def counting(*args, **kwargs):
-        sizes.append(len(args[4]))
-        return original(*args, **kwargs)
+    def counting(count, b, m):
+        sizes.append(b)
+        return block_arrays(count, b, m)
 
-    monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
+    monkeypatch.setattr(experiments, "_block_arrays", counting)
     monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", cap)
-    chunked = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
-                                  dts, 30.0, WEAK_MONOTONICITY, tol=1e-3)
-    assert chunked.to_csv() == whole.to_csv()
-    assert max(sizes) == largest
-    _assert_matches_oracle(chunked, _row_by_row(
+    queued = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
+                                 dts, 30.0, WEAK_MONOTONICITY, tol=1e-3)
+    assert queued.to_csv() == whole.to_csv()
+    assert dts.size <= max(sizes) <= max(cap, dts.size)
+    # more than one group at once where two fit
+    assert (max(sizes) > dts.size) == (cap > 2 * dts.size)
+    _assert_matches_oracle(queued, _row_by_row(
         logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S, dts, 30.0,
         WEAK_MONOTONICITY, tol=1e-3))
 
 
-def test_lockstep_sharpness_sweeps_once_per_iteration(logistic2, monkeypatch):
+def test_lockstep_sharpness_admits_once_per_round(logistic2, monkeypatch):
     m = get_method("sspms42")
     dts = np.geomspace(0.5, 3.0, 12)
-    calls = []
-    original = experiments.run_preservation_sweep
+    counts = []
+    admit = experiments._SweepPool.admit
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[4]))
-        return original(*args, **kwargs)
+    def counting(self, count, unit, take):
+        counts.append(count)
+        return admit(self, count, unit, take)
 
-    monkeypatch.setattr(experiments, "run_preservation_sweep", counting)
+    monkeypatch.setattr(experiments._SweepPool, "admit", counting)
     report = sharpness_bisection(logistic2, m, PhiKind.PHI5, LOGISTIC_Y0S,
                                  dts, 30.0, BOUNDEDNESS, tol=1e-3)
-    # lower ends, upper ends, then one sweep per two halvings of the
-    # widest bracket (ten times the sufficient threshold at most)
+    # the range ends join with the first round, then one admission per two
+    # halvings of the widest bracket (ten times the sufficient threshold at
+    # most)
     widest = 10.0 * max(r.sufficient_bound for r in report.rows)
     levels = math.ceil(math.log2(widest / 1e-3))
-    assert len(calls) <= 2 + math.ceil(levels / 2)
-    assert calls[0] == LOGISTIC_Y0S.shape[0] * dts.size
+    assert len(counts) <= 1 + math.ceil(levels / 2)
+    assert counts[0] >= 2 * LOGISTIC_Y0S.shape[0] * dts.size
 
 
 # ---------------------------------------------------------------------------
@@ -1602,7 +1606,8 @@ def _settled_and_stepped(problem, sweep, monkeypatch):
     settled = sweep(counted)
     settled_calls = calls[0]
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_same_bits", lambda a, b: False)
+        patch.setattr(experiments, "_same_rows",
+                      lambda a, b: np.zeros(a.shape[0], dtype=bool))
         stepped = sweep(counted)
     return settled, settled_calls, stepped, calls[0] - settled_calls
 
@@ -1698,7 +1703,8 @@ def test_settled_block_stop_waits_for_a_fixed_invariant_target(
     infected = np.array([0.2, 0.5, 0.05])
     y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
                     0.0 * infected], axis=1)
-    monkeypatch.setattr(experiments, "_same_bits", lambda a, b: True)
+    monkeypatch.setattr(experiments, "_same_rows",
+                        lambda a, b: np.ones(a.shape[0], dtype=bool))
     run_preservation_sweep(
         problem, m, PhiKind.PHI8, np.full(3, 0.2), np.array([0.1, 0.3, 0.2]),
         y0s, np.array([50, 80, 65]), invariant_weights=np.ones(4),
