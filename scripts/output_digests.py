@@ -15,8 +15,10 @@ states included) of a small ``logistic_preservation_grid``, of a small
 ``seir_conservation_sweep`` without and with influx, whose own result is
 the deviations alone, and of a SEIR ``run_preservation_sweep`` of two
 blocks that compact (so that a block's arrays are made again, and reused
-from step to step, under the same check); their exit is 0.  Last, one
-``[kernels]`` line for every catalog method's ``float_stages`` and the
+from step to step, under the same check); their exit is 0.  Then one
+``[SharpnessReport]`` line for every row (status included) of a logistic
+bisection whose rows end below range, at its top and inside it, and of a
+SEIR weak-monotonicity bisection.  Last, one ``[kernels]`` line for every catalog method's ``float_stages`` and the
 sources of its generated step kernels as ``linecache`` holds them: the
 single-run form at m = 1 and m = 4 and the batch form.  It takes a few
 seconds.  Diffing the output of two trees shows which outputs moved:
@@ -41,10 +43,11 @@ import numpy as np
 
 import run_convergence_tables
 import run_sharpness
-from nslmm import CATALOG, PhiKind, cli, experiments, get_method
+from nslmm import (BOUNDEDNESS, CATALOG, WEAK_MONOTONICITY, PhiKind, cli,
+                   experiments, get_method)
 from nslmm.denominator import ssp_threshold
 from nslmm.integrate import _step_kernel, stage_slots
-from nslmm.problems import fe_property_bound, seir_problem
+from nslmm.problems import fe_property_bound, logistic_problem, seir_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,6 +120,28 @@ def sweep_outcomes():
                invariant_weights=np.ones(4)))
 
 
+def sharpness_reports():
+    """(label, ``SharpnessReport``) of two bisections that every status
+    and both checked property classes show in: logistic rows of which the
+    narrow range puts some below range, one at its top and the others in
+    it, and a SEIR weak-monotonicity bisection started by Runge-Kutta
+    steps."""
+    y0s = np.array([[0.3], [1.0], [1.9], [2.0], [2.5], [4.0]])
+    yield ("sharpness_bisection logistic c=2 sspms64 phi8 boundedness "
+           "interval_scale=(1.1, 1.5)",
+           experiments.sharpness_bisection(
+               logistic_problem(2.0), get_method("sspms64"), PhiKind.PHI8,
+               y0s, np.geomspace(0.5, 3.0, 12), 30.0, BOUNDEDNESS,
+               interval_scale=(1.1, 1.5), tol=1e-3))
+    problem = seir_problem(0.0)
+    labels = np.array([0.01, 0.2, 0.6, 0.95])
+    yield ("sharpness_bisection seir sspms43 phi7 weak-monotonicity",
+           experiments.sharpness_bisection(
+               problem, get_method("sspms43"), PhiKind.PHI7,
+               problem.sharpness_states(labels), np.geomspace(0.5, 3.0, 8),
+               20.0, WEAK_MONOTONICITY, labels=labels, tol=1e-3))
+
+
 def kernel_digest() -> str:
     """sha256 of each catalog method's float stage view and its generated
     kernels' names and sources, in catalog order."""
@@ -160,6 +185,10 @@ def main() -> int:
                         for field in dataclasses.fields(outcome))
         lines.append(f"{hashlib.sha256(data).hexdigest()} 0 {label} "
                      "[SweepOutcome]")
+    for label, report in sharpness_reports():
+        # every row's fields, its status included, as repr writes them
+        lines.append(f"{digest(repr(report.rows))} 0 {label} "
+                     "[SharpnessReport]")
     lines.append(f"{kernel_digest()} 0 catalog kernels [kernels]")
     print("\n".join(lines))
     return 0

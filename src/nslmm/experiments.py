@@ -5,45 +5,59 @@ micro-benchmark.
 The sweep machinery is vectorized: a batch of independent runs (one per
 combination of initial value, step size and threshold) advances in lockstep
 as numpy arrays, with property monitors evaluated on the fly; bounds and
-monotonicity directions may differ per element.  A batch starts through
-the startup routine of a single run (``integrate._startup_states``) and
-steps with the batch form of the kernel a single run steps with, which
+monotonicity directions may differ per element.  One engine does it, a
+lockstep pool (``_SweepPool``) that elements join between steps: a
+preservation sweep admits its batch a block at a time, and a sharpness
+bisection admits each round of tested thresholds while earlier ones, the
+range ends among them, still run.  Elements join through the startup
+routine of a single run (``integrate._startup_states``) and step with the
+batch form of the kernel a single run steps with, which
 ``integrate._kernel_factory`` emits from the same method shape: the same
 slope ring, one ``rhs`` call per step for all elements, and the same
 operations in the same order.  So each element's states equal its single
-run bit for bit, whatever else shares its batch, given the same
-transformed step h.  ``phi_value`` on an array can round differently in
-the last bit from the same transform of one float (numpy's vectorised
-``**``), and then so do the element's states.
+run bit for bit, whatever else shares its pool and whenever it joined,
+given the same transformed step h.  ``phi_value`` on an array can round
+differently in the last bit from the same transform of one float (numpy's
+vectorised ``**``), and then so do the element's states.
+
+An element counts its steps from the pool step at which it joined.
+Joining is a rebuild, made as a compaction is: the finished elements are
+written out, the kept ones gathered into new arrays and the new ones
+appended, their startup states written into their ring rows and checked.
+The slopes are then made again by ``rhs``, which is elementwise and
+deterministic, so the kept elements' states keep their bits.
 
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
-newly fails (which may finish an element and its group) or a horizon that
-passes.  These sets are kept from step to step and made again only on the
-step after an event, so most steps form the new states and test them
-against cached masks.  The monitors call the elementwise predicates of
-``qualprops``, so an element's verdicts and invariant deviation do not
-depend on its batch, and equal a recorded run's of the same states.
+newly fails (which may finish an element and its group), the next horizon
+of an element still active, an element that settles, or a rebuild.  These
+sets are kept from step to step and made again only on the step after an
+event, so most steps form the new states and test them against cached
+masks.  The monitors call the elementwise predicates of ``qualprops``, so
+an element's verdicts and invariant deviation do not depend on its pool,
+and equal a recorded run's of the same states.
 
 A step allocates no array either.  Its new state, the slopes ``rhs``
-writes and every term go into arrays the block made when it started or
-last compacted, each starting on a 64-byte cache line, so that no pass
-writes across line boundaries (see ``run_preservation_sweep``).  On the
-benchmark's SEIR sweep (2e4 elements, 200 steps, ``sspms64`` started by
-``ssprk104``, on a 2-vCPU Xeon virtual machine) that, with the
-invariant's weighted sum adding its unit weights without multiplying by
-1.0, took the job from 14.2 to 11.1 times the benchmark's reference
-kernel (medians of ten alternating runs), with every final state bit for
-bit the same.
+writes and every term go into arrays the pool made at its last rebuild,
+each starting on a 64-byte cache line, so that no pass writes across line
+boundaries (see ``run_preservation_sweep``).  On the benchmark's SEIR
+sweep (2e4 elements, 200 steps, ``sspms64`` started by ``ssprk104``, on a
+2-vCPU Xeon virtual machine) that, with the invariant's weighted sum
+adding its unit weights without multiplying by 1.0, took the job from
+14.2 to 11.1 times the benchmark's reference kernel (medians of ten
+alternating runs), with every final state bit for bit the same.
 
-A block also ends once it has settled: when a step's new states equal
+An element finishes early once it has settled: when its new state equals
 every state of its ring bit for bit (NaN payloads and the sign of zero
 included), and no invariant with drift is watched.  The step kernel and
-``rhs`` are elementwise and deterministic, and frozen elements keep their
-states, so every later step would give the same states and the same
-verdicts; each element's final state, at whatever horizon, is its current
-one.  So the stop shows in no result.  It is tested every s steps (s the
-ring length), and a test ends at the first ring state that differs.
+``rhs`` are elementwise and deterministic, so every later step would give
+it the same states and the same verdicts, and its final state, at
+whatever horizon, is its current one.  So settling shows in no result.
+A settled element counts as finished for its group and for the end of
+the pool, and steps on, repeating its states, until the next rebuild
+writes it out.  It is tested every s steps (s the ring length): a test
+in which no element still evolving repeats its newest ring state costs
+one compare and one count.
 """
 
 from __future__ import annotations
@@ -309,7 +323,14 @@ class _SweepPool:
     ones appended; their startup states go into their ring rows and are
     checked as a sweep's startup is.  Every slope slot then goes back to
     None and ``rhs`` makes the slopes again, elementwise and
-    deterministic, so the kept elements' states keep their bits.
+    deterministic, so the kept elements' states keep their bits.  Queued
+    elements join when the pool runs empty, at a compaction, and when
+    ``run``'s listener admits them and they fit; the pool holds at most
+    ``capacity`` elements, but always takes at least one unit.
+
+    A pool without ``out`` reads no state of a stopped element (its
+    verdicts no longer change), so it does not hold such an element's
+    state fixed: it steps on with the others until a rebuild drops it.
     """
 
     def __init__(self, problem: OdeProblem, method: Method, startup, *,
@@ -360,17 +381,18 @@ class _SweepPool:
                 self.queue.popleft()
         if len(parts) < 2:
             return parts[0] if parts else None
-        return {key: None if value is None
-                else np.concatenate([part[key] for part in parts])
-                for key, value in parts[0].items()}
+        return {key: np.concatenate([part[key] for part in parts])
+                for key in parts[0]}
 
     def run(self, on_decided=None) -> None:
-        """Advance the pool from empty until no element evolves and the
-        queue is empty.  With ``on_decided`` (a grouped pool), each group is
-        reported once decided, at the step it is: ``on_decided(groups,
-        held)`` gets the group ids and whether each held (no element of it
-        failed, every one passed its horizon or settled).  It may admit
-        more, and the run ends once it returns True."""
+        """Advance the pool from empty until every element has finished
+        (failed its checks, passed its horizon or settled) and the queue is
+        empty.  With ``on_decided`` (a grouped pool whose groups join whole,
+        so that each is one run of rows), each group is reported at the
+        step it is decided: ``on_decided(groups, held)`` gets the group ids
+        and whether each held (no element of it failed, every one passed
+        its horizon or settled).  It may admit more, and the run ends once
+        it returns True."""
         problem, method, startup = self.problem, self.method, self.startup
         s, m = method.steps, problem.dimension
         rhs = _rhs_into(problem.rhs)
@@ -604,8 +626,8 @@ class _SweepPool:
         b_watch = w_watch = live = frozen = hit = None
         # groups: how many ids there are and those in the pool undecided;
         # per run of rows of one group in the pool, where it starts, its
-        # group, whether it is undecided and its last horizon; and the last
-        # horizon of the first undecided group to pass all of them
+        # group, whether it is undecided and the pool step its last row
+        # finishes at; and the first such step of an undecided run
         n_groups, waiting = 0, np.zeros(0, dtype=bool)
         starts = run_group = run_waiting = run_end = run_due = None
         # the pool step after which the next active element's horizon has
@@ -663,9 +685,15 @@ class _SweepPool:
                             admitted = len(queue) > queued
                         run_due = int(run_end.min(initial=_NEVER,
                                                   where=run_waiting))
-                    # the elements still to evolve
+                    # the elements still to evolve.  While elements wait in
+                    # the queue, a settled element's row is room to reclaim;
+                    # else it steps on until the next rebuild.  (Counted as
+                    # evolving always, ``run_sharpness.py``'s logistic-c500
+                    # setting took 1.10 times as long as before the pool;
+                    # as now, 0.76 times.)
                     going = n_active - n_settled
-                    compact = n_active <= COMPACT_AT * size
+                    compact = (going if queue else n_active) <= (
+                        COMPACT_AT * size)
                     if queue and (going == 0 or compact or admitted
                                   and queue[0][1] <= capacity - going):
                         rebuild(active & (last < _NEVER) if n_settled
@@ -969,12 +997,15 @@ def sweep_bytes(n_elements: int, m: int) -> int:
 
 
 def sharpness_bytes(n_rows: int, n_dt: int) -> int:
-    """Peak bytes of a sharpness bisection beside its sweep blocks: per row
-    its initial state, label, checks, bracket and output row, and per step
-    size its entries in a one-row sweep.  Rounded up from tracemalloc peaks
-    of logistic and SEIR bisections (about 600 bytes per row and 175 per
-    step size on Python 3.11 with numpy 2.4)."""
-    return 1024 * n_rows + 256 * n_dt
+    """Peak bytes of a sharpness bisection beside its pool's arrays for
+    ``MAX_SWEEP_ELEMENTS // m`` elements: per row its initial state,
+    label, checks, brackets, queued tests and output row, and per step
+    size the pool's arrays for one group, which the pool holds whole even
+    where one group is more than that.  Rounded up from tracemalloc peaks
+    of logistic and SEIR bisections (about 300 bytes per row, and per step
+    size 350 for logistic and 1070 for SEIR with ``sspms64``, on Python
+    3.11 with numpy 2.4)."""
+    return 1024 * n_rows + 1280 * n_dt
 
 
 def bisect_threshold(predicate, lo: float, hi: float, tol: float,
@@ -1039,25 +1070,38 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
     there is marked "below-range", and one where it still holds at the top
     is censored at the top ("at-range-top").
 
-    All rows bisect in lockstep: one sweep tests the lower ends of every
-    row, one the upper ends of the rows that pass, and each further sweep
-    makes two bisection iterations.  It tests every bisecting row's
-    midpoint together with the midpoint the next iteration needs on each
-    side whose half is still wider than ``tol`` (and only while
-    ``max_iter`` allows another iteration); the midpoint's verdict then
-    picks the side that counts.  Each tested threshold is one group of
-    elements, one per step size, with its own row's checks, and stops at
-    its first failing element.  Every row sees the midpoints
-    ``bisect_threshold`` would give it alone, so the rows equal a
-    row-by-row bisection exactly.  A sweep holds at most
-    ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension); larger
-    ones run in chunks of tested thresholds.
+    All rows bisect in lockstep through one sweep pool (``_SweepPool``).
+    Each tested threshold is one group of elements, one per step size,
+    with its own row's checks: it fails at its first failing element,
+    which stops the others, and holds once every element has passed its
+    horizon or settled.  A round tests two bisection levels: every
+    bisecting row's midpoint together with the midpoint the next level
+    needs on each side whose half is still wider than ``tol`` (and only
+    while ``max_iter`` allows another level); the midpoint's verdict then
+    picks the side that counts.  The first round joins the pool at step 0
+    together with every row's range ends, and each later round as soon as
+    every group of the round before is decided, so no round waits for the
+    range ends, whose steps are the longest: on the benchmark's bisection
+    (10 rows, 100 step sizes) the pool makes about 690 lockstep steps where
+    sweeps of the range ends first took about 890.  A row stops bisecting
+    once its lower end has failed or its upper end has held, and the pool
+    runs until every range end that counts is decided; a row may so bisect
+    a few levels it did not need, which shows in no output.  A row whose
+    range reaches past half the largest float, whose midpoints could
+    overflow, bisects only once its range ends ask for it.  Every row sees
+    the midpoints ``bisect_threshold`` would give it alone, so the rows
+    equal a row-by-row bisection exactly.  The pool holds at most
+    ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension), and at
+    least one group; tested thresholds beyond that wait in its queue and
+    join as room is made.
 
     A row checks ``prop`` as its initial state's property set states it
     (see ``qualprops.sweep_checks``).  ``startup`` None is
-    ``integrate.default_startup``.  A bisection of more than ``MAX_WORK``
-    rhs evaluations, counted as its sweeps' at every one of the 2 +
-    ``max_iter`` levels it may make, is refused before any sweep.
+    ``integrate.default_startup``.  ``interval_scale`` is the search
+    interval in units of the row's sufficient threshold, 0 < lower < upper,
+    both finite.  A bisection of more than ``MAX_WORK`` rhs evaluations,
+    counted as its groups' at every one of the 2 + ``max_iter`` levels it
+    may make, is refused before any step.
     """
     if prop not in (BOUNDEDNESS, WEAK_MONOTONICITY):
         raise ValueError(f"unknown property {prop!r}")
@@ -1066,6 +1110,11 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
             f"t_end must be positive and finite (got {t_end!r})")
     if not tol >= 0:
         raise ConfigurationError(f"tol must be nonnegative (got {tol!r})")
+    scale_lo, scale_hi = (float(v) for v in interval_scale)
+    if not (0 < scale_lo < scale_hi and math.isfinite(scale_hi)):
+        raise ConfigurationError(
+            "interval_scale must hold a lower and an upper factor with "
+            f"0 < lower < upper, both finite (got {interval_scale!r})")
     y0_states = np.asarray(y0_states, dtype=float)
     dt_grid = np.asarray(dt_grid, dtype=float)
     n_dt = dt_grid.size
@@ -1216,9 +1265,9 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
             (decided[lower] & (decided[upper] | ~held[lower])).all())
 
     # the same steps as bisect_threshold, for every row at once
-    lo = interval_scale[0] * sufficient
+    lo = scale_lo * sufficient
     # finite where the sufficient threshold is unconditional
-    hi = capped_product(interval_scale[1], sufficient)
+    hi = capped_product(scale_hi, sufficient)
     top = hi.copy()
     levels = np.zeros(n_rows, dtype=int)
     # a range reaching past half the largest float could overflow its

@@ -463,6 +463,32 @@ def test_lockstep_sharpness_admits_once_per_round(logistic2, monkeypatch):
     assert counts[0] >= 2 * LOGISTIC_Y0S.shape[0] * dts.size
 
 
+@given(method_id=st.sampled_from(["sspms42", "sspms43", "sspms64"]),
+       prop=st.sampled_from([BOUNDEDNESS, WEAK_MONOTONICITY]),
+       data=st.data())
+def test_pool_bisection_equals_row_by_row(logistic2, method_id, prop, data):
+    # a few rows, step sizes and range scales (the narrow one ends rows
+    # below range and at range top), in a pool so small that tested
+    # thresholds wait in its queue; sspms43 and sspms64 read older slopes,
+    # which every admission makes again
+    m = get_method(method_id)
+    picks = data.draw(st.lists(st.integers(0, len(LOGISTIC_Y0S) - 1),
+                               min_size=1, max_size=4, unique=True))
+    y0s = LOGISTIC_Y0S[sorted(picks)]
+    dts = np.geomspace(0.5, 3.0, data.draw(st.integers(2, 6)))
+    t_end = data.draw(st.sampled_from([10.0, 30.0]))
+    scale = data.draw(st.sampled_from([(1e-4, 10.0), (1.1, 1.5)]))
+    max_iter = data.draw(st.sampled_from([3, 60]))
+    cap = data.draw(st.integers(1, 3)) * dts.size
+    with mock.patch.object(experiments, "MAX_SWEEP_ELEMENTS", cap):
+        report = sharpness_bisection(logistic2, m, PhiKind.PHI5, y0s, dts,
+                                     t_end, prop, interval_scale=scale,
+                                     tol=1e-2, max_iter=max_iter)
+    _assert_matches_oracle(report, _row_by_row(
+        logistic2, m, PhiKind.PHI5, y0s, dts, t_end, prop,
+        interval_scale=scale, tol=1e-2, max_iter=max_iter))
+
+
 # ---------------------------------------------------------------------------
 # batched sweeps
 # ---------------------------------------------------------------------------
@@ -1380,6 +1406,17 @@ def test_sharpness_rejects_bad_horizon_or_tolerance(logistic2, t_end, tol):
                             BOUNDEDNESS, tol=tol)
 
 
+@pytest.mark.parametrize("scale", [(0.0, 1.0), (10.0, 1e-4), (1.0, 1.0),
+                                   (-1.0, 1.0), (1e-4, np.inf),
+                                   (np.nan, 10.0)])
+def test_sharpness_rejects_bad_interval_scale(logistic2, scale):
+    # 0 < lower < upper, both finite, or no bisection is made
+    with pytest.raises(ConfigurationError, match="interval_scale"):
+        sharpness_bisection(logistic2, get_method("sspms42"), PhiKind.PHI5,
+                            np.array([[1.0]]), np.array([0.5, 1.0]), 5.0,
+                            BOUNDEDNESS, interval_scale=scale)
+
+
 def test_sweep_refuses_batches_over_the_size_limit(seir0):
     # broadcast views allocate nothing: a billion-element batch costs only
     # its refusal, which comes before any full-size array is made
@@ -1712,6 +1749,79 @@ def test_settled_block_stop_waits_for_a_fixed_invariant_target(
     starter = (m.steps - 1) * integrate_mod.rhs_calls(get_method("ssprk104"))
     stepped = m.steps if stops else 80
     assert calls[0] - starter == slope_evaluations(m, stepped)
+
+
+def _settling_pool(problem, outcome):
+    """A logistic sspms42 pool of two groups of three elements each, from
+    0.5 with dt 0.25 to 0.35 and horizons of 2000 steps, bounded to [0, 2]:
+    group 0 at threshold 0.4 settles on its fixed point within about 100
+    steps, group 1 at 1e-5 creeps and never settles.  Results go into
+    ``outcome``."""
+    m = get_method("sspms42")
+    pool = experiments._SweepPool(problem, m,
+                                  integrate_mod.default_startup(problem, m),
+                                  check_bounds=True, check_weak=False,
+                                  grouped=True, out=outcome)
+    thresholds = np.repeat([0.4, 1e-5], 3)
+    dts = np.tile([0.25, 0.3, 0.35], 2)
+
+    def take(a, b):
+        return {"ids": np.arange(a, b),
+                "phis": experiments.phi_value(
+                    PhiKind.PHI5, thresholds[a:b], dts[a:b]),
+                "dts": dts[a:b], "y0s": np.full((b - a, 1), 0.5),
+                "n_steps": np.full(b - a, 2000),
+                "direction": np.zeros(b - a, dtype=int),
+                "group": np.repeat([0, 1], 3)[a:b],
+                **experiments._bound_inputs(np.zeros(b - a),
+                                            np.full(b - a, 2.0))}
+
+    pool.admit(6, 3, take)
+    return pool
+
+
+def _empty_outcome(B, m):
+    return experiments.SweepOutcome(
+        bound_violated=np.zeros(B, dtype=bool),
+        weak_violated=np.zeros(B, dtype=bool), invariant_max_dev=np.zeros(B),
+        first_bound_step=np.full(B, -1, dtype=np.int64),
+        first_weak_step=np.full(B, -1, dtype=np.int64),
+        final_states=np.empty((B, m)))
+
+
+def test_settled_group_is_decided_before_its_horizon(logistic2,
+                                                     monkeypatch):
+    problem, calls = counting_rhs(logistic2)
+
+    def run():
+        outcome = _empty_outcome(6, 1)
+        decided = {}
+
+        def on_decided(groups, held):
+            for g, h in zip(groups.tolist(), held.tolist()):
+                decided[g] = (h, calls[0])
+            return False
+
+        calls[0] = 0
+        _settling_pool(problem, outcome).run(on_decided)
+        return outcome, decided
+
+    settled, decided = run()
+    horizon = slope_evaluations(get_method("sspms42"), 2000)
+    # both hold; the settling group is decided long before its horizon,
+    # the creeping one at it
+    assert decided[0][0] and decided[1][0]
+    assert decided[0][1] < 200 < horizon <= decided[1][1]
+    # with the settle compare never matching, every element steps to its
+    # horizon, and every result keeps its bytes
+    monkeypatch.setattr(experiments, "_same_rows",
+                        lambda a, b: np.zeros(a.shape[0], dtype=bool))
+    stepped, decided = run()
+    assert decided[0][1] >= horizon
+    for field in dataclasses.fields(settled):
+        got, want = getattr(stepped, field.name), getattr(settled, field.name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), field.name
 
 
 # ---------------------------------------------------------------------------

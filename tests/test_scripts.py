@@ -59,7 +59,7 @@ def test_output_digests_prints_one_line_per_output():
                for line in lines), lines
     # stdout and stderr of the README commands but bench, then six
     # convergence CSVs, six sharpness CSVs for each of three settings,
-    # four sweep outcomes and the catalog's kernels
+    # four sweep outcomes, two sharpness reports and the catalog's kernels
     labels = [line.split(" ", 2)[2] for line in lines]
     assert labels[0].startswith("nslmm solve ")
     assert not any(label.startswith("nslmm bench") for label in labels)
@@ -67,9 +67,11 @@ def test_output_digests_prints_one_line_per_output():
         sum(label.endswith(" [stderr]") for label in labels) >= 6
     assert sum(label.endswith(".csv") for label in labels) == 6 + 18
     assert sum(label.endswith(" [SweepOutcome]") for label in labels) == 4
+    assert sum(label.endswith(" [SharpnessReport]")
+               for label in labels) == 2
     assert labels[-1] == "catalog kernels [kernels]"
     assert len(labels) == 2 * sum(label.endswith(" [stdout]")
-                                  for label in labels) + 6 + 18 + 4 + 1
+                                  for label in labels) + 6 + 18 + 4 + 2 + 1
     assert sum(label.startswith("run_sharpness.py --setting seir ")
                for label in labels) == 6
     assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
