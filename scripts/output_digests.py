@@ -16,11 +16,12 @@ states included) of a small ``logistic_preservation_grid``, of a small
 the deviations alone, and of a SEIR ``run_preservation_sweep`` of two
 blocks that compact (so that a block's arrays are made again, and reused
 from step to step, under the same check); their exit is 0.  Then one
-``[SharpnessReport]`` line for every row (status included) of a logistic
-bisection whose rows end below range, at its top and inside it, and of a
-SEIR weak-monotonicity bisection.  Last, one ``[kernels]`` line for every catalog method's ``float_stages`` and the
-sources of its generated step kernels as ``linecache`` holds them: the
-single-run form at m = 1 and m = 4 and the batch form.  It takes a few
+``[SharpnessReport]`` line, over every row with its status, for each of
+a logistic bisection whose rows end below range, at its top and inside
+it, and a SEIR weak-monotonicity bisection.  Last, one ``[kernels]`` line for
+every catalog method's ``float_stages`` and the sources of its generated
+step kernels as ``linecache`` holds them: the single-run form at m = 1
+and m = 4 and the batch form.  It takes a few
 seconds.  Diffing the output of two trees shows which outputs moved:
 
     PYTHONPATH=src python scripts/output_digests.py > digests.txt

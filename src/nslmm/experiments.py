@@ -18,14 +18,9 @@ operations in the same order.  So each element's states equal its single
 run bit for bit, whatever else shares its pool and whenever it joined,
 given the same transformed step h.  ``phi_value`` on an array can round
 differently in the last bit from the same transform of one float (numpy's
-vectorised ``**``), and then so do the element's states.
-
-An element counts its steps from the pool step at which it joined.
-Joining is a rebuild, made as a compaction is: the finished elements are
-written out, the kept ones gathered into new arrays and the new ones
-appended, their startup states written into their ring rows and checked.
-The slopes are then made again by ``rhs``, which is elementwise and
-deterministic, so the kept elements' states keep their bits.
+vectorised ``**``), and then so do the element's states.  How elements
+join, and why joining keeps every kept element's bits, is told at
+``_SweepPool``.
 
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
@@ -55,9 +50,10 @@ it the same states and the same verdicts, and its final state, at
 whatever horizon, is its current one.  So settling shows in no result.
 A settled element counts as finished for its group and for the end of
 the pool, and steps on, repeating its states, until the next rebuild
-writes it out.  It is tested every s steps (s the ring length): a test
-in which no element still evolving repeats its newest ring state costs
-one compare and one count.
+writes it out; while elements wait to join, its row counts as room.  It
+is tested every s steps (s the ring length): a test in which no element
+still evolving repeats its newest ring state costs one compare and one
+count.
 """
 
 from __future__ import annotations
@@ -290,14 +286,6 @@ def _take_into(keep: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     rows."""
     a.T.compress(keep, axis=-1, out=out.T)
     return out
-
-
-def _take(keep: np.ndarray, *arrays) -> tuple:
-    """The entries ``keep`` of each array along its first axis, passing None
-    through; a (b, m) array stays component-major (``a[keep]`` and
-    ``a.T[:, keep].T`` give it in row-major order)."""
-    return tuple(None if a is None else a.T.compress(keep, axis=-1).T
-                 for a in arrays)
 
 
 #: a pool step after every horizon
@@ -791,16 +779,12 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     once the one before has left it, so that a block's rings of states and
     slopes stay in the processor caches.  Once at most ``COMPACT_AT`` of a
     block's elements still evolve, the stopped ones' results are written
-    out and the block goes on with the others alone.  Elements are
-    independent, so neither blocks nor compaction show in any result.  An
-    element that has settled ends early: tested every s steps, once its
-    new state repeats its whole ring of s states bit for bit and no
-    invariant with drift is watched, every later step would repeat them
-    and their verdicts (the kernel and ``rhs`` are elementwise and
-    deterministic), so its results are already final.  With drift the
-    invariant's target moves at each step.  A block that never settles
-    pays one compare of its new states with the newest ring state and one
-    reduction per s steps.
+    out and the block goes on with the others alone.  An element that has
+    settled (see the module notes) has finished, and a block ends once
+    every element has.  Elements are independent, so neither blocks,
+    compaction nor settling show in any result.  A block none of whose
+    elements settles pays one compare of its new states with the newest
+    ring state and one count per s steps.
 
     A step allocates nothing.  The pool owns every (b, m) array its
     kernels write into (see ``integrate._kernel_factory``), all cut from
@@ -971,18 +955,19 @@ def seir_conservation_sweep(method: Method, phi_kind: PhiKind,
 # ---------------------------------------------------------------------------
 
 #: most values (elements x state dimension) in one state array of a sweep
-#: block or a sharpness chunk.  A block's arrays then take 128 KB each and
-#: its six-step rings of states and slopes stay in a 2 MB L2 cache.  On a
-#: SEIR sweep of 2e4 elements (m = 4), blocks of 2**14 or 2**15 values ran
+#: pool (a sweep block, or a bisection's tested thresholds at one time,
+#: but at least one of them).  Its arrays then take 128 KB each and its
+#: six-step rings of states and slopes stay in a 2 MB L2 cache.  On a SEIR
+#: sweep of 2e4 elements (m = 4), blocks of 2**14 or 2**15 values ran
 #: about 20% faster than one block, 2**13 about 10%, and 2**12 slower (the
 #: per-step Python work grows with the block count); on a 400 x 1000 SEIR
 #: grid, sharpness chunks of 2**12 to 2**14 elements ran about 1.7 times
 #: faster than chunks of 2**17
 MAX_SWEEP_ELEMENTS = 2 ** 14
 
-#: a sweep block is compacted (its stopped elements written out, the rest
-#: gathered into smaller arrays) once at most this fraction of its elements
-#: still evolves; 0 never compacts
+#: a sweep pool is compacted (its stopped elements written out, the rest
+#: gathered into smaller arrays, and queued ones let in) once at most this
+#: fraction of its elements still evolves; 0 compacts only an empty pool
 COMPACT_AT = 0.5
 
 
@@ -1232,8 +1217,9 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         decided[groups] = True
         held[groups] = verdicts
         if (groups < 2 * n_rows).any():
-            # a range end is decided: a row bisects until its lower end
-            # fails or its upper end holds
+            # a range end is decided (they are the first groups admitted):
+            # a row bisects until its lower end fails or its upper end
+            # holds
             stopped[:] = ((decided[lower] & ~held[lower])
                           | (decided[upper] & held[upper]))
             awaited = None
