@@ -319,6 +319,19 @@ class _SweepPool:
     A pool without ``out`` reads no state of a stopped element (its
     verdicts no longer change), so it does not hold such an element's
     state fixed: it steps on with the others until a rebuild drops it.
+    Nor does it make an event at every horizon, as a pool with results
+    must to hold a state and its invariant maximum there.  It reads an
+    element's horizon only where it decides something: a verdict (a
+    failure past it is dropped, and a run that repeats its ring past it
+    has not settled), a group's decision, and the count by which the pool
+    compacts and admits.  For that count it makes one event, at the step
+    where passed horizons alone bring it to ``COMPACT_AT`` of the pool, so
+    it compacts and admits at the very steps a pool with an event at every
+    horizon would.  On the benchmark's bisection (10 rows of 100 step
+    sizes, 685 lockstep steps) that makes 96 events, where an event at
+    every horizon makes 418.  ``counts`` holds the last run's lockstep
+    steps, admissions, compactions (rebuilds that admit nothing) and
+    events.
     """
 
     def __init__(self, problem: OdeProblem, method: Method, startup, *,
@@ -380,7 +393,10 @@ class _SweepPool:
         step it is decided: ``on_decided(groups, held)`` gets the group ids
         and whether each held (no element of it failed, every one passed
         its horizon or settled).  It may admit more, and the run ends once
-        it returns True."""
+        it returns True.  A pool without ``out`` is run with ``on_decided``:
+        it makes an event at a horizon only where one decides a group or a
+        compaction, so without groups its settled rows could keep it
+        stepping past the last horizon."""
         problem, method, startup = self.problem, self.method, self.startup
         s, m = method.steps, problem.dimension
         rhs = _rhs_into(problem.rhs)
@@ -395,6 +411,8 @@ class _SweepPool:
         settles = not (check_inv and drift != 0)
         out, queue, capacity = self.out, self.queue, self.capacity
         grouped = self.grouped
+        counts = self.counts = dict.fromkeys(
+            ("steps", "admissions", "compactions", "events"), 0)
         if not queue:
             return
 
@@ -491,11 +509,21 @@ class _SweepPool:
             if check_weak:
                 w_watch = watched(w_req, weak_viol)
 
-        def flag(v, viol, first, at: int) -> None:
-            """Mark the watched elements ``v`` as failing at pool step
-            ``at``."""
+        def flag(v, mask, viol, first, at: int) -> None:
+            """Mark the elements ``v`` of the watch ``mask`` as failing at
+            pool step ``at``.  A pool without results watches an element
+            past its horizon until the next event: such an element is
+            dropped from ``v`` and cleared from ``mask``."""
             nonlocal changed
             if np.count_nonzero(v):
+                if out is None:
+                    late = v & (last < at)
+                    if late.any():
+                        # a & ~b is a > b on bools
+                        np.greater(mask, late, out=mask)
+                        np.greater(v, late, out=v)
+                        if not v.any():
+                            return
                 first[v] = at - base[v]
                 viol[v] = True
                 changed = True
@@ -509,7 +537,7 @@ class _SweepPool:
                 # watched and outside its edges (a & ~b is a > b on bools)
                 flag(np.greater(b_watch,
                                 _rows_all((state >= lo) & (state <= hi))),
-                     bound_viol, first_bound, at)
+                     b_watch, bound_viol, first_bound, at)
             if check_weak:
                 v = ~_rows_all(np.isfinite(state))
                 if stepped:
@@ -517,7 +545,7 @@ class _SweepPool:
                     v |= window_violations(
                         state[:, wc],
                         [ring[i][:, wc] for i in range(s - 1, -1, -1)], w_inc)
-                flag(v & w_watch, weak_viol, first_weak, at)
+                flag(v & w_watch, w_watch, weak_viol, first_weak, at)
             if check_inv:
                 if elapsed is not None:
                     np.subtract(at, base, out=local)
@@ -551,6 +579,7 @@ class _SweepPool:
                 run_waiting, run_end, changed
             k = 0 if keep is None else int(np.count_nonzero(keep))
             new = self._joiners(capacity - k, k == 0) if join else None
+            counts["compactions" if new is None else "admissions"] += 1
             if keep is not None and k < size:
                 retire(~keep)
             if k:
@@ -617,9 +646,9 @@ class _SweepPool:
         # group, whether it is undecided and the pool step its last row
         # finishes at; and the first such step of an undecided run
         n_groups, waiting = 0, np.zeros(0, dtype=bool)
-        starts = run_group = run_waiting = run_end = run_due = None
-        # the pool step after which the next active element's horizon has
-        # passed
+        starts = run_group = run_waiting = run_end = None
+        run_due = _NEVER
+        # the pool step of the next event not set off by a step's checks
         due = None
         changed = True
         # violated elements may blow up before they freeze; their inf/nan
@@ -631,8 +660,13 @@ class _SweepPool:
                 nxt = step + 1
                 # the active set changes only on events: a newly failed
                 # check, which may finish an element and its group, a
-                # passed horizon, a settled element or a rebuild
+                # passed horizon, a settled element or a rebuild.  A pool
+                # without results reads a passed horizon only where it
+                # decides a group or compacts the pool, and steps the
+                # element on, watched, until then
                 while changed or nxt == due:
+                    counts["events"] += 1
+                    counts["steps"] = nxt - s
                     rewatch = changed
                     if changed:
                         # an element finishes once every check requested
@@ -653,8 +687,6 @@ class _SweepPool:
                         active &= nxt <= last
                     changed = False
                     n_active = np.count_nonzero(active)
-                    # settled elements stay active, with no horizon left
-                    due = int(last.min(initial=_NEVER, where=active)) + 1
                     admitted = False
                     if on_decided is not None and (rewatch or nxt > run_due):
                         # a group is decided once one of its rows fails or
@@ -680,8 +712,8 @@ class _SweepPool:
                     # setting took 1.10 times as long as before the pool;
                     # as now, 0.76 times.)
                     going = n_active - n_settled
-                    compact = (going if queue else n_active) <= (
-                        COMPACT_AT * size)
+                    counted = going if queue else n_active
+                    compact = counted <= COMPACT_AT * size
                     if queue and (going == 0 or compact or admitted
                                   and queue[0][1] <= capacity - going):
                         rebuild(active & (last < _NEVER) if n_settled
@@ -706,6 +738,25 @@ class _SweepPool:
                                 b_watch &= active
                             if check_weak:
                                 w_watch &= active
+                        if out is not None:
+                            # the next horizon of an active element, where
+                            # its state and invariant maximum stop; settled
+                            # elements stay active, with no horizon left
+                            due = int(last.min(initial=_NEVER,
+                                               where=active)) + 1
+                        else:
+                            # a horizon changes no outcome but a group's
+                            # decision and the rule's count, and nothing
+                            # else moves that count between events: it is
+                            # at most COMPACT_AT * size from the step after
+                            # the over-th smallest counted horizon on
+                            # (_NEVER with settled rows counted, while some
+                            # group still waits)
+                            over = counted - int(COMPACT_AT * size)
+                            h = last[active & (last < _NEVER)
+                                     if queue and n_settled else active]
+                            h.partition(over - 1)
+                            due = min(run_due, int(h[over - 1])) + 1
 
                 new = kernel(rhs, ring, slopes, fring)
                 if frozen is not None:
@@ -722,7 +773,8 @@ class _SweepPool:
                         same &= live
                     # settled elements repeat their newest state
                     if np.count_nonzero(same) > n_settled:
-                        same &= last < _NEVER
+                        # neither settled nor past its horizon
+                        same &= (nxt <= last) & (last < _NEVER)
                         for u in islice(ring, 1, s):
                             same &= _same_rows(new, u)
                         newly = np.count_nonzero(same)
@@ -1297,6 +1349,8 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         "property": prop,
         "dt_grid": [float(dt_grid.min()), float(dt_grid.max()), int(n_dt)],
         "tol": tol,
+        # the pool's lockstep steps, admissions, compactions and events
+        "pool": dict(pool.counts),
     }
     return SharpnessReport(rows=rows_out, config=config)
 

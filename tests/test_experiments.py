@@ -470,13 +470,15 @@ def test_pool_bisection_equals_row_by_row(logistic2, method_id, prop, data):
     # a few rows, step sizes and range scales (the narrow one ends rows
     # below range and at range top), in a pool so small that tested
     # thresholds wait in its queue; sspms43 and sspms64 read older slopes,
-    # which every admission makes again
+    # which every admission makes again.  Short horizons (one step or a
+    # few at the largest step sizes) end runs that would fail later, and
+    # that a bisection's pool steps on past their horizons
     m = get_method(method_id)
     picks = data.draw(st.lists(st.integers(0, len(LOGISTIC_Y0S) - 1),
                                min_size=1, max_size=4, unique=True))
     y0s = LOGISTIC_Y0S[sorted(picks)]
     dts = np.geomspace(0.5, 3.0, data.draw(st.integers(2, 6)))
-    t_end = data.draw(st.sampled_from([10.0, 30.0]))
+    t_end = data.draw(st.sampled_from([3.0, 6.0, 10.0, 30.0]))
     scale = data.draw(st.sampled_from([(1e-4, 10.0), (1.1, 1.5)]))
     max_iter = data.draw(st.sampled_from([3, 60]))
     cap = data.draw(st.integers(1, 3)) * dts.size
@@ -1893,3 +1895,136 @@ def test_phi_benchmark_full_ordering():
             assert t[slow] > t[fast], (slow, fast)
     spread = [t[k] for k in algebraic]
     assert max(spread) <= 2.5 * min(spread)
+
+
+# ---------------------------------------------------------------------------
+# bisection pools
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cap, steps, admissions, compactions", [
+    (None, 685, 8, 13), (2000, 977, 18, 8)])
+def test_bisection_pool_schedule(logistic2, monkeypatch, cap, steps,
+                                 admissions, compactions):
+    # the benchmark's bisection shape (10 rows of 100 step sizes), alone in
+    # the pool and with tested thresholds queued 20 groups at a time: the
+    # pool steps, admits and compacts where it did when every passed
+    # horizon was an event, and makes far fewer events than steps
+    if cap is not None:
+        monkeypatch.setattr(experiments, "MAX_SWEEP_ELEMENTS", cap)
+    sizes = []
+    block_arrays = experiments._block_arrays
+
+    def counting(count, b, m):
+        sizes.append(b)
+        return block_arrays(count, b, m)
+
+    monkeypatch.setattr(experiments, "_block_arrays", counting)
+    report = sharpness_bisection(
+        logistic2, get_method("sspms42"), PhiKind.PHI5,
+        np.linspace(0.25, 5.0, 10)[:, None], np.geomspace(0.5, 3.0, 100),
+        100.0, BOUNDEDNESS, tol=1e-4)
+    pool = report.config["pool"]
+    assert {key: pool[key] for key in ("steps", "admissions",
+                                       "compactions")} == {
+        "steps": steps, "admissions": admissions, "compactions": compactions}
+    assert len(sizes) == admissions + compactions
+    assert pool["events"] < steps / 4
+
+
+def _bisection_pool(problem, phis, dts, y0s, n_steps, groups, upper):
+    """A grouped sspms42 pool without results, as a bisection makes, of
+    hand-made elements that all join at its start: per element its
+    transformed step, step size, initial value, horizon, group and upper
+    bound (a lower bound of 0)."""
+    m = get_method("sspms42")
+    pool = experiments._SweepPool(problem, m,
+                                  integrate_mod.default_startup(problem, m),
+                                  check_bounds=True, check_weak=False,
+                                  grouped=True)
+    columns = [np.asarray(c) for c in (phis, dts, y0s, n_steps, groups,
+                                       upper)]
+
+    def take(a, b):
+        phis, dts, y0s, n_steps, groups, upper = (c[a:b] for c in columns)
+        return {"phis": phis, "dts": dts, "y0s": y0s[:, None],
+                "n_steps": n_steps, "direction": np.zeros(b - a, dtype=int),
+                "group": groups,
+                **experiments._bound_inputs(np.zeros(b - a), upper)}
+
+    pool.admit(columns[0].size, columns[0].size, take)
+    return pool
+
+
+def _verdicts(pool) -> list:
+    """The (group, held) pairs a pool's run decides, in order."""
+    decided = []
+
+    def on_decided(groups, held):
+        decided.extend(zip(groups.tolist(), held.tolist()))
+        return False
+
+    pool.run(on_decided)
+    return decided
+
+
+def test_bisection_pool_reads_no_verdict_past_a_horizon():
+    # one group of four runs of u' = 1 from 0 at unit steps, whose state
+    # at step k is k: one with the horizon given, bounded above by
+    # leaves - 0.5, beside three of 20 steps that stay bounded.  At a
+    # horizon of 5 steps the pool makes no event (three of the four
+    # elements still count), so the short run steps on past it, watched
+    # until the next event
+    drift = OdeProblem(name="drift", dimension=1, params={},
+                       rhs=lambda u: u * 0.0 + 1.0,
+                       exact=lambda t, y0: y0 + np.asarray(t)[..., None])
+
+    def verdicts(horizon, leaves):
+        ones = np.ones(4)
+        return _verdicts(_bisection_pool(
+            drift, ones, ones, np.zeros(4), [horizon, 20, 20, 20],
+            np.zeros(4, dtype=int), [leaves - 0.5, 1e9, 1e9, 1e9]))
+
+    # leaving its bounds at step 8, past its horizon, fails nothing
+    assert verdicts(5, 8) == [(0, True)]
+    # leaving them at its horizon, or at step 8 within a longer one, fails
+    # the group
+    assert verdicts(5, 5) == [(0, False)]
+    assert verdicts(20, 8) == [(0, False)]
+
+
+def test_run_past_its_horizon_does_not_settle(logistic2, monkeypatch):
+    # logistic sspms42 runs from 0.5 at dt 0.25 bounded to [0, 2]: at
+    # threshold 0.4 a run repeats its ring from about step 90 on, at 1e-5
+    # it creeps.  Group 0 is one repeating run with a horizon of 40 steps
+    # and three creeping ones of 2000, group 1 three creeping runs of 150
+    dts = np.full(7, 0.25)
+    phis = experiments.phi_value(PhiKind.PHI5, np.array([0.4] + [1e-5] * 6),
+                                 dts)
+
+    problem, calls = counting_rhs(logistic2)
+
+    def pool(n_steps):
+        return _bisection_pool(problem, phis, dts, np.full(7, 0.5), n_steps,
+                               np.repeat([0, 1], [4, 3]), np.full(7, 2.0))
+
+    # with a horizon of 2000 steps (and its creepers cut short), the
+    # repeating run settles and decides group 0 before group 1, and the
+    # pool ends after 150 steps, one rhs call each
+    assert _verdicts(pool([2000, 40, 40, 40] + [150] * 3)) == [
+        (0, True), (1, True)]
+    assert calls[0] < 200
+    sizes = []
+    block_arrays = experiments._block_arrays
+
+    def counting(count, b, m):
+        sizes.append(b)
+        return block_arrays(count, b, m)
+
+    monkeypatch.setattr(experiments, "_block_arrays", counting)
+    # once group 1 is decided, three of the seven elements still evolve,
+    # and the pool compacts to them: the run past its horizon has not
+    # settled, where a settled row would count as a fourth
+    assert _verdicts(pool([40] + [2000] * 3 + [150] * 3)) == [
+        (1, True), (0, True)]
+    assert sizes == [7, 3]
