@@ -18,9 +18,12 @@ blocks that compact (so that a block's arrays are made again, and reused
 from step to step, under the same check); their exit is 0.  Then one
 ``[SharpnessReport]`` line, over every row with its status, for each of
 a logistic bisection whose rows end below range, at its top and inside
-it, and a SEIR weak-monotonicity bisection.  Last, one ``[kernels]`` line for
-every catalog method's ``float_stages`` and the sources of its generated
-step kernels as ``linecache`` holds them: the single-run form at m = 1
+it, and a SEIR weak-monotonicity bisection.  Then one ``[inlined kernels]``
+line for the single-run step kernels of every catalog method and the RK4
+reference kernel with the logistic and the SEIR slope source written in,
+as ``linecache`` holds their names and sources.  Last, one ``[kernels]``
+line for every catalog method's ``float_stages`` and the sources of its
+generated step kernels that call ``rhs``: the single-run form at m = 1
 and m = 4 and the batch form.  It takes a few
 seconds.  Diffing the output of two trees shows which outputs moved:
 
@@ -47,8 +50,9 @@ import run_sharpness
 from nslmm import (BOUNDEDNESS, CATALOG, WEAK_MONOTONICITY, PhiKind, cli,
                    experiments, get_method)
 from nslmm.denominator import ssp_threshold
-from nslmm.integrate import _step_kernel, stage_slots
-from nslmm.problems import fe_property_bound, logistic_problem, seir_problem
+from nslmm.integrate import _rk4_factory, _step_kernel, stage_slots
+from nslmm.problems import (fe_property_bound, inline_slope,
+                            logistic_problem, seir_problem)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,6 +163,23 @@ def kernel_digest() -> str:
     return h.hexdigest()
 
 
+def inlined_kernel_digest() -> str:
+    """sha256 of the names and sources of the single-run kernels with a
+    built-in problem's slope source written in: every catalog method's,
+    then the RK4 reference's, for logistic and then SEIR."""
+    h = hashlib.sha256()
+    for problem in (logistic_problem(2.0), seir_problem(0.0)):
+        slope = inline_slope(problem)
+        codes = [_step_kernel(method, 0.1, problem.dimension,
+                              slope=slope).__code__
+                 for method in CATALOG.values()]
+        codes.append(_rk4_factory(problem.dimension, slope.source).__code__)
+        for code in codes:
+            h.update(code.co_filename.encode())
+            h.update("".join(linecache.cache[code.co_filename][2]).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     lines = []
     for argv in readme_commands():
@@ -190,6 +211,8 @@ def main() -> int:
         # every row's fields, its status included, as repr writes them
         lines.append(f"{digest(repr(report.rows))} 0 {label} "
                      "[SharpnessReport]")
+    lines.append(f"{inlined_kernel_digest()} 0 catalog kernels with slope "
+                 "sources [inlined kernels]")
     lines.append(f"{kernel_digest()} 0 catalog kernels [kernels]")
     print("\n".join(lines))
     return 0

@@ -37,12 +37,18 @@ scratch pair, from which it is added in place.  Python's float ``+``,
 ``-`` and ``*`` are the IEEE double operations numpy's are, so both
 forms give the same bits.  The RK4 reference has its own kernel
 (``_rk4_factory``): its sum ``u + sixth*(((k1 + two*k2) + two*k3) +
-k4)`` is in no Shu-Osher term order.  The kernels take ``rhs`` per call,
-so the rows of a convergence table share one; their sources hold only
-identifiers and integer indices, and their lines are kept in
-``linecache`` under names such as ``<nslmm kernel j=1,4,5,6 f=1,4,5
-m=4>`` or ``<nslmm batch kernel j=1;1,v1;1,v2 f=1;v1;v2>``
-(``ssprk33``), so tracebacks and profiles show them.  ``_single_state``
+k4)`` is in no Shu-Osher term order.  A single run of a problem whose
+``rhs`` is the one built from its slope source (``problems.inline_slope``)
+steps through kernels with that source written in place of ``rhs(u)``,
+and the source's constants passed to the factory; any other problem, a
+wrapped ``rhs`` among them, through kernels that call ``rhs``.  Either
+way one factory serves a method shape and problem family, so the rows of
+a convergence table share one; their sources hold only identifiers and
+integer indices, and their lines are kept in ``linecache`` under names
+such as ``<nslmm kernel j=1,4,5,6 f=1,4,5 m=4>``, ``<nslmm kernel
+j=1,4,5,6 f=1,4,5 m=4 slope=seir>`` or ``<nslmm batch kernel j=1;1,v1;1,v2
+f=1;v1;v2>`` (``ssprk33``), so tracebacks and profiles show them.
+``_single_state``
 puts ``y0`` and the closed-form startup states in single-run form, and
 the record is copied into a (K, m) array at the end; ``nslmm_step`` and
 ``nsrk_step`` take and return arrays.  Every stepping loop runs with
@@ -80,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import linecache
 import math
 import sys
 from collections import deque
@@ -90,11 +95,13 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
+from .codegen import compile_factory, state_list, state_source
 from .denominator import (DenominatorSpec, PhiKind, eval_phi, phi_value,
                           ssp_threshold)
 from .errors import ConfigurationError
 from .methods import Method, get_method
-from .problems import OdeProblem, exact_solution, fe_property_bound
+from .problems import (OdeProblem, Slope, SlopeSource, exact_solution,
+                       fe_property_bound, inline_slope)
 
 #: (t_end - t0)/dt must be this close to an integer; runs are never shortened
 ALIGNMENT_TOL = 1e-8
@@ -336,42 +343,40 @@ def _rhs_into(rhs):
     return rhs if takes else lambda u, out: rhs(u)
 
 
-def _compile_factory(filename: str, source: str):
-    """The function ``factory`` that ``source`` defines, compiled under
-    ``filename``, with the source's lines kept in ``linecache`` so that
-    tracebacks and profiles inside it show real lines.  The source may
-    call numpy's ``multiply``."""
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    namespace: dict = {"multiply": np.multiply}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["factory"]
-
-
-def _state_source(m: int, component) -> str:
-    """Source of a state of m components, ``component(c)`` the source of
-    the component that the index suffix c selects: for m = 1 the bare
-    float (no suffix), else a list of m components."""
-    if m == 1:
-        return component("")
-    return "[" + ", ".join(component(f"[{k}]") for k in range(m)) + "]"
+def _slope_lines(source: SlopeSource | None, target: str, value: str,
+                 m: int, out: str = "") -> list:
+    """Lines that set ``target`` to the slope of the state ``value`` of m
+    components: ``rhs(value)`` (with ``out``, ``rhs(value, out)``), or
+    with a slope ``source`` that source written over ``value``'s
+    components, a float for m = 1, else a list."""
+    if source is None:
+        return [f"{target} = rhs({value}{out})"]
+    lines, slope = source.render(
+        lambda k: value if m == 1 else f"{value}[{k}]")
+    return lines + [f"{target} = {state_list(slope)}"]
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_factory(s: int, pattern: tuple, m: int | None):
+def _kernel_factory(s: int, pattern: tuple, m: int | None,
+                    source: SlopeSource | None):
     """The factory of the step kernel of one method shape, in single-run
-    form (m an int) or batch form (m None), built once per process.
+    form (m an int) or batch form (m None), built once per process and
+    slope source.
 
     ``pattern`` is a stage view (see ``methods``) without coefficients:
     per stage, (source, has a slope) per term.  The factory takes alpha,
     then h*beta where there is a slope, term by term through the stages,
     and in batch form then the batch's work arrays: its scratch pair and
-    ``stage_slots`` slots.  It returns ``kernel(rhs, states, slopes)``, one
+    ``stage_slots`` slots, or in single-run form with a slope ``source``
+    (see ``problems.SlopeSource``) the values of its constants.  It
+    returns ``kernel(rhs, states, slopes)``, one
     whole step: ``states[i]`` is ring state i, newest first, and
     ``slopes[i]`` its rhs, or None until a term first needs it, then
     filled in place; a stage value's slope is evaluated where a term first
-    needs it.  Each stage fetches its slopes and sums its terms in term
-    order, state term before slope term.
+    needs it, by a call ``rhs(u)``, or with a ``source`` by that source
+    written into the kernel, which then leaves ``rhs`` aside.  Each stage
+    fetches its slopes and sums its terms in term order, state term before
+    slope term.
 
     The single-run form writes each stage out component by component, on
     states of m components, a bare float for m = 1.  The batch form works
@@ -385,8 +390,10 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
     into the lowest free of the factory's ``stage_slots`` slots, freed
     after the last stage that reads them.  The name lists per stage (``;``
     between) the values read, ring state i as offset i + 1 and stage value
-    k as ``vk``, and those with a slope (``f``).
+    k as ``vk``, and those with a slope (``f``), and the slope source, if
+    any.
     """
+    assert source is None or m is not None
     last_read = {src: k for k, stage in enumerate(pattern)
                  for src, _slope in stage}
     params, lines, sloped, t = [], [], set(), 0
@@ -414,14 +421,15 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
                 lines.append(f"{u} = states[{src}]")
                 if slope:
                     out = "" if m is not None else f", fslots[{src}]"
-                    lines += [f"{f} = slopes[{src}]", f"if {f} is None:",
-                              f"    {f} = slopes[{src}] = rhs({u}{out})"]
+                    lines += [f"{f} = slopes[{src}]", f"if {f} is None:"]
+                    lines += ["    " + line for line in _slope_lines(
+                        source, f"{f} = slopes[{src}]", u, m, out)]
             else:
                 u, f = f"v{src - s + 1}", f"g{src - s + 1}"
                 if slope and src not in sloped:
                     sloped.add(src)
                     out = "" if m is not None else f", {take(f)}"
-                    lines.append(f"{f} = rhs({u}{out})")
+                    lines += _slope_lines(source, f, u, m, out)
             reads.append((t, u, f if slope else None))
             t += 1
         if m is None:
@@ -444,10 +452,12 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
                                   else f"a{n}*{u}{c}" for n, u, f in reads)
 
             lines.append(("return " if final else f"{into} = ")
-                         + _state_source(m, component))
+                         + state_source(m, component))
     if m is None:
         params += ["s0", "s1"] + [f"w{j}" for j in range(len(made))]
         lines.append("return acc")
+    elif source is not None:
+        params += [f"k_{c}" for c in source.constants]
 
     def label(with_slope: bool) -> str:
         return ";".join(",".join(str(src + 1) if src < s else f"v{src - s + 1}"
@@ -457,13 +467,14 @@ def _kernel_factory(s: int, pattern: tuple, m: int | None):
 
     name = (f"<nslmm batch kernel j={label(False)} f={label(True)}>"
             if m is None
-            else f"<nslmm kernel j={label(False)} f={label(True)} m={m}>")
-    source = "\n".join(
+            else f"<nslmm kernel j={label(False)} f={label(True)} m={m}"
+            + ("" if source is None else f" slope={source.name}") + ">")
+    text = "\n".join(
         [f"def factory({', '.join(params)}):",
          "    def kernel(rhs, states, slopes"
          + ("):" if m is not None else ", fslots):")]
         + ["        " + line for line in lines] + ["    return kernel", ""])
-    factory = _compile_factory(name, source)
+    factory = compile_factory(name, text)
     factory.stage_slots = len(made)
     return factory
 
@@ -479,16 +490,19 @@ def stage_slots(method: Method) -> int:
     """Slots the batch kernel of ``method`` keeps its stage values and
     their slopes in (see ``_kernel_factory``): none for a multistep
     method, five for ``ssprk104``'s ten stages."""
-    return _kernel_factory(method.steps, _pattern(method), None).stage_slots
+    return _kernel_factory(method.steps, _pattern(method), None,
+                           None).stage_slots
 
 
-def _step_kernel(method: Method, h, m: int, work=None):
+def _step_kernel(method: Method, h, m: int, work=None,
+                 slope: Slope | None = None):
     """``method``'s step kernel (see ``_kernel_factory``) at step size
-    ``h``: a single run's on states of m components at a float ``h``, or
-    with ``work``, arrays of the states' shape that the batch driver owns
-    (the scratch pair, then ``stage_slots(method)`` or more slots), a
-    batch's at a (B, m) array of per-element step sizes.  Terms with equal
-    beta share one product h*beta, which the kernels only read."""
+    ``h``: a single run's on states of m components at a float ``h``, with
+    ``slope`` (see ``problems.inline_slope``) written into it, or with
+    ``work``, arrays of the states' shape that the batch driver owns (the
+    scratch pair, then ``stage_slots(method)`` or more slots), a batch's
+    at a (B, m) array of per-element step sizes.  Terms with equal beta
+    share one product h*beta, which the kernels only read."""
     coefs, products = [], {}
     for stage in method.float_stages:
         for _src, a, b in stage:
@@ -497,11 +511,13 @@ def _step_kernel(method: Method, h, m: int, work=None):
                 if b not in products:
                     products[b] = h * b
                 coefs.append(products[b])
-    factory = _kernel_factory(method.steps, _pattern(method),
-                              m if work is None else None)
-    if work is None:
-        return factory(*coefs)
-    return factory(*coefs, *work[:2 + factory.stage_slots])
+    if work is not None:
+        factory = _kernel_factory(method.steps, _pattern(method), None, None)
+        return factory(*coefs, *work[:2 + factory.stage_slots])
+    if slope is None:
+        return _kernel_factory(method.steps, _pattern(method), m, None)(*coefs)
+    return _kernel_factory(method.steps, _pattern(method), m,
+                           slope.source)(*coefs, *slope.constants)
 
 
 def rhs_calls(method: Method) -> int:
@@ -520,7 +536,8 @@ def _single_step(method: Method, phi: DenominatorSpec, problem: OdeProblem,
     """One step of ``method`` from its ring of checked (m,) arrays
     ``states``, newest first, through the single-run kernel."""
     h = float(eval_phi(phi, dt))
-    kernel = _step_kernel(method, h, problem.dimension)
+    kernel = _step_kernel(method, h, problem.dimension,
+                          slope=inline_slope(problem))
     new = kernel(problem.rhs, [_single_state(u) for u in states],
                  [None] * method.steps)
     return np.reshape(np.array(new, dtype=float), states[0].shape)
@@ -642,7 +659,7 @@ def _startup_states(problem: OdeProblem, method: Method,
         DenominatorSpec(kind, bound=float(np.min(bound)), p=policy.p)
     h = phi_value(kind, bound, dt, policy.p)
     if block is None:
-        kernel = _step_kernel(rk, h, y0.size)
+        kernel = _step_kernel(rk, h, y0.size, slope=inline_slope(problem))
         for _ in range(1, s):
             states.append(kernel(problem.rhs, states[-1:], [None]))
         return states
@@ -705,7 +722,8 @@ def integrate(config: RunConfig) -> Trajectory:
         recorded = list(start) if full else [start[-1]]
         states = deque(reversed(start), maxlen=s)
         slopes = deque([None] * s, maxlen=s)
-        kernel = _step_kernel(method, h, y0.size)
+        kernel = _step_kernel(method, h, y0.size,
+                              slope=inline_slope(problem))
         for _ in range(s - 1, n):
             new = kernel(rhs, states, slopes)
             states.appendleft(new)
@@ -739,28 +757,53 @@ def integrate(config: RunConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _rk4_factory(m: int):
+def _rk4_factory(m: int, source: SlopeSource | None = None):
     """The factory of the classical RK4 step kernel on states of m
-    components (a bare float for m = 1), built once per process.  It takes
-    0.5*dt, dt, dt/6 and 2.0 and returns ``kernel(rhs, u)``, which forms
-    each stage state as ``x + half*k`` and the new state as
-    ``x + sixth*(((a + two*b) + two*c) + d)``, component by component."""
-    def stage(step: str, k: int) -> str:
-        return _state_source(m, lambda c: f"u{c} + {step}*k{k}{c}")
+    components (a bare float for m = 1), built once per process and slope
+    source.  It takes 0.5*dt, dt, dt/6 and 2.0, and with a slope
+    ``source`` (see ``problems.SlopeSource``) the values of its constants,
+    and returns ``kernel(rhs, u)``, which forms each stage state as
+    ``x + half*k`` and the new state as
+    ``x + sixth*(((a + two*b) + two*c) + d)``, component by component.
+    Without ``source`` it calls ``rhs`` on each stage state, a list; with
+    it, the source is written into the kernel, and the stage states and
+    their slopes are kept as one local per component."""
+    def read(name: str):
+        """Component c of the state ``name`` as the kernel reads it."""
+        if m == 1:
+            return lambda c: name
+        if source is None:
+            return lambda c: f"{name}[{c}]"
+        return lambda c: f"{name}_{c}"
 
-    new = _state_source(m, lambda c: (f"u{c} + sixth*(((k1{c} + two*k2{c})"
-                                      f" + two*k3{c}) + k4{c})"))
-    source = "\n".join([
-        "def factory(half, full, sixth, two):",
-        "    def kernel(rhs, u):",
-        "        k1 = rhs(u)",
-        f"        k2 = rhs({stage('half', 1)})",
-        f"        k3 = rhs({stage('half', 2)})",
-        f"        k4 = rhs({stage('full', 3)})",
-        f"        return {new}",
-        "    return kernel",
-        ""])
-    return _compile_factory(f"<nslmm rk4 kernel m={m}>", source)
+    u = read("u")
+    k = [None] + [read(f"k{j}") for j in range(1, 5)]
+    lines = ([] if source is None or m == 1
+             else [", ".join(u(c) for c in range(m)) + " = u"])
+    for j, step in enumerate([None, "half", "half", "full"], 1):
+        stage = ([] if step is None else
+                 [f"{u(c)} + {step}*{k[j - 1](c)}" for c in range(m)])
+        if source is None:
+            lines.append(f"k{j} = rhs({state_list(stage) if stage else 'u'})")
+            continue
+        # a stage state's components, those the slope reads, then its slope
+        x = read("x") if stage else u
+        lines += [f"{x(c)} = {value}" for c, value in enumerate(stage)
+                  if c in source.reads()]
+        temps, slope = source.render(x)
+        lines += temps + [f"{k[j](c)} = {value}"
+                          for c, value in enumerate(slope)]
+    lines.append("return " + state_list(
+        [f"{u(c)} + sixth*((({k[1](c)} + two*{k[2](c)}) + two*{k[3](c)})"
+         f" + {k[4](c)})" for c in range(m)]))
+    params = ["half", "full", "sixth", "two"]
+    name = f"<nslmm rk4 kernel m={m}>"
+    if source is not None:
+        params += [f"k_{c}" for c in source.constants]
+        name = f"<nslmm rk4 kernel m={m} slope={source.name}>"
+    return compile_factory(name, "\n".join(
+        [f"def factory({', '.join(params)}):", "    def kernel(rhs, u):"]
+        + ["        " + line for line in lines] + ["    return kernel", ""]))
 
 
 def reference_solution(problem: OdeProblem, y0, t_end: float,
@@ -772,7 +815,12 @@ def reference_solution(problem: OdeProblem, y0, t_end: float,
                  f"an RK4 reference of {n:.3g} steps")
     y0 = _initial_state(problem, y0)
     rhs = problem.rhs
-    kernel = _rk4_factory(y0.size)(0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)
+    slope = inline_slope(problem)
+    steps = (0.5 * dt_ref, dt_ref, dt_ref / 6.0, 2.0)
+    if slope is None:
+        kernel = _rk4_factory(y0.size)(*steps)
+    else:
+        kernel = _rk4_factory(y0.size, slope.source)(*steps, *slope.constants)
     u = _single_state(y0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):

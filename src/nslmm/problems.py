@@ -11,17 +11,21 @@ Two built-in problems:
   component sum for dt <= min(1/(5 M), 1), M the initial component sum.
 
 Each problem carries its structure, its property set among it, as
-closures (see ``OdeProblem``).
+closures (see ``OdeProblem``), and states its single-run slope once, as
+source text (``SlopeSource``).
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
 import numpy as np
 
+from .codegen import compile_factory
 from .errors import ConfigurationError, UnsupportedError
 
 #: sentinel for "preserved for every step size" (kept finite so that bound
@@ -62,6 +66,111 @@ class QualitativeProperty:
     drift: float = 0.0
 
 
+#: a name in slope source
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+
+
+@dataclass(frozen=True)
+class SlopeSource:
+    """One problem family's single-run slope f(u), stated once as source.
+
+    ``state`` names the state components in order and ``constants`` the
+    family's constants; ``lines`` are statements ``name = expression``
+    that form temporaries, and ``slope`` is each component's slope as an
+    expression, all over those names and Python's float operations.  A
+    constant's value is not part of the source: a problem passes it in
+    (``Slope``), so that one generated function serves every value.
+    ``render`` writes the source over a state read in some other way;
+    ``integrate`` writes it into its single-run step kernels and the RK4
+    reference, and the built-in problems compile their float ``rhs`` from
+    it (``slope_factory``), so both make the same operations in the same
+    order."""
+
+    name: str
+    state: tuple
+    constants: tuple
+    lines: tuple
+    slope: tuple
+
+    def __post_init__(self):
+        if len(self.slope) != len(self.state):
+            raise ValueError(f"{len(self.state)} state components but "
+                             f"{len(self.slope)} slope expressions")
+        self.render(str)   # every name is a component, constant or temporary
+
+    def render(self, read) -> tuple[list, list]:
+        """(statements, slope expressions) with state component k written
+        as ``read(k)``, constant ``c`` as ``k_c`` and temporary ``t`` as
+        ``t_t``, so that no name of the source meets one of the code it is
+        written into."""
+        table = {name: read(k) for k, name in enumerate(self.state)}
+        table.update((name, f"k_{name}") for name in self.constants)
+
+        def sub(text: str) -> str:
+            try:
+                return _NAME.sub(lambda match: table[match.group()], text)
+            except KeyError as err:
+                raise ValueError(f"slope {self.name}: unknown name "
+                                 f"{err.args[0]!r}") from None
+
+        lines = []
+        for line in self.lines:
+            name, value = (part.strip() for part in line.split("=", 1))
+            lines.append(f"t_{name} = {sub(value)}")
+            table[name] = f"t_{name}"
+        return lines, [sub(value) for value in self.slope]
+
+    def reads(self) -> set:
+        """The indices of the state components the slope reads."""
+        used = {name for text in self.lines + self.slope
+                for name in _NAME.findall(text)}
+        return {k for k, name in enumerate(self.state) if name in used}
+
+
+@functools.lru_cache(maxsize=None)
+def slope_factory(source: SlopeSource):
+    """The factory of ``source``'s slope, built once per family: it takes
+    the constants' values and returns the slope as a function.  For one
+    component that is ``slope(u)``, which returns the slope of a float, or
+    of an array elementwise.  For m components it is ``slope(u, out)``,
+    which reads component k as ``u[k]``, writes its slope into ``out[k]``
+    as soon as it is formed and returns ``out``: a list of m floats, or
+    the component rows of arrays, alike."""
+    m = len(source.state)
+    lines, slope = source.render(lambda k: "u" if m == 1 else f"u[{k}]")
+    if m == 1:
+        head, lines = "def slope(u):", lines + [f"return {slope[0]}"]
+    else:
+        head = "def slope(u, out):"
+        lines += [f"out[{k}] = {value}" for k, value in enumerate(slope)]
+        lines.append("return out")
+    return compile_factory(f"<nslmm slope {source.name}>", "\n".join(
+        [f"def factory({', '.join(f'k_{c}' for c in source.constants)}):",
+         "    " + head] + ["        " + line for line in lines]
+        + ["    return slope", ""]))
+
+
+@dataclass(frozen=True)
+class Slope:
+    """A problem's slope source, its constants' values, and the ``rhs``
+    whose float branch is compiled from them."""
+
+    source: SlopeSource
+    constants: tuple
+    rhs: Callable
+
+
+def inline_slope(problem: "OdeProblem") -> Slope | None:
+    """``problem.slope`` while ``problem.rhs`` is the very function built
+    from it, else None.  A problem whose ``rhs`` was replaced, say with
+    ``dataclasses.replace`` by a wrapper that counts or times its calls,
+    keeps its ``slope`` but not that ``rhs``, and its single runs call the
+    wrapper.  Identity decides: ``functools.wraps`` copies a function's
+    attributes onto its wrapper, so a marker on ``rhs`` would not."""
+    slope = problem.slope
+    return slope if slope is not None and slope.rhs is problem.rhs else None
+
+
 @dataclass(frozen=True)
 class OdeProblem:
     """An autonomous system u' = f(u) plus the metadata the toolkit needs.
@@ -70,7 +179,17 @@ class OdeProblem:
     output (..., m)) and deterministic.  A single run steps one state as
     Python floats, and ``rhs`` must take that too: for a one-component
     problem (``dimension == 1``) it maps a float to a float, otherwise a
-    list of m floats to a sequence of m floats.  A sweep block calls
+    list of m floats to a sequence of m floats.  ``slope``, when present,
+    states that float slope once as source (``SlopeSource``) with its
+    constants' values, and names the ``rhs`` whose float branch is
+    compiled from it.  While ``rhs`` is that very function (an identity
+    test, ``inline_slope``), a single run, the Runge-Kutta starter,
+    ``nslmm_step``, ``nsrk_step`` and the RK4 reference write the source
+    into their step kernels and make no ``rhs`` call; otherwise, a
+    problem without ``slope`` or one whose ``rhs`` was replaced, they call
+    ``rhs`` once per slope.  So a run whose ``rhs`` is wrapped to count or
+    time its calls, as a traced benchmark run's is, sees every slope
+    evaluation, with the same bits.  A sweep block calls
     ``rhs(u, out)`` on its (B, m) states when ``rhs`` takes a second
     argument: ``out`` is a Fortran-ordered (B, m) array the block owns,
     starting on a 64-byte cache line, that no other operand shares, and
@@ -101,6 +220,7 @@ class OdeProblem:
     bound_proven: bool = True
     property_set: Callable | None = None
     sharpness_states: Callable | None = None
+    slope: Slope | None = None
 
 
 def eval_rhs(problem: OdeProblem, u) -> np.ndarray:
@@ -151,16 +271,21 @@ def forward_euler_step(problem: OdeProblem, u, dt: float) -> np.ndarray:
 # logistic growth
 # ---------------------------------------------------------------------------
 
+#: y' = y (c - y)
+LOGISTIC_SLOPE = SlopeSource("logistic", ("y",), ("c",), (), ("y*(c - y)",))
+
+
 def logistic_problem(c: float) -> OdeProblem:
     if not c > 0:
         raise ValueError("c must be positive")
     c = float(c)
+    slope = slope_factory(LOGISTIC_SLOPE)(c)
 
     def rhs(u, out=None):
         # the same two operations on a float, an array or, into ``out``, a
         # batch's slopes
         if out is None:
-            return u * (c - u)
+            return slope(u)
         return np.multiply(u, np.subtract(c, u, out=out), out=out)
 
     def exact(t, y0):
@@ -201,6 +326,7 @@ def logistic_problem(c: float) -> OdeProblem:
         bound_rule=bound_rule,
         property_set=property_set,
         sharpness_states=sharpness_states,
+        slope=Slope(LOGISTIC_SLOPE, (c,), rhs),
     )
 
 
@@ -217,36 +343,33 @@ def logistic_fe_bounds(c: float, y0s: np.ndarray) -> np.ndarray:
 # SEIR epidemic model
 # ---------------------------------------------------------------------------
 
+#: S' = influx - rate*S*I, E' = rate*S*I - E, I' = E - I, R' = I
+SEIR_SLOPE = SlopeSource(
+    "seir", ("S", "E", "I", "R"), ("influx", "rate"),
+    ("infection = rate*S*I",),
+    ("influx - infection", "infection - E", "E - I", "I"))
+
+
 def seir_problem(influx: float = 0.0) -> OdeProblem:
     if influx < 0:
         raise ValueError("influx must be nonnegative")
     pi = float(influx)
-
-    def slopes(s, e, i, out):
-        # f from a single run's Python floats or a batch's component rows,
-        # the same IEEE operations in the same order, so the same bits;
-        # each component is written into ``out`` as soon as it is formed
-        infection = SEIR_CONTACT_RATE * s * i
-        out[0] = pi - infection
-        out[1] = infection - e
-        out[2] = e - i
-        out[3] = i
-        return out
+    constants = (pi, SEIR_CONTACT_RATE)
+    slope = slope_factory(SEIR_SLOPE)(*constants)
 
     def rhs(u, out=None):
         if type(u) is list:
             # one state of a single run, on Python floats
-            s, e, i, _ = u
-            return slopes(s, e, i, [0.0] * 4)
+            return slope(u, [0.0] * 4)
         if out is None:
-            # a batch through the transpose gives component rows; the
-            # output is written as rows and returned transposed, so a
+            # a batch through the transpose gives component rows, the
+            # same IEEE operations in the same order, so the same bits;
+            # the output is written as rows and returned transposed, so a
             # batch's slopes are Fortran-ordered and its rows contiguous
             rows = u.T
-            s, e, i, _ = rows
-            return slopes(s, e, i, np.empty(rows.shape)).T
+            return slope(rows, np.empty(rows.shape)).T
         # a sweep block's (B, 4) states into its array ``out``: the
-        # operations of ``slopes`` in the same order, each writing its
+        # operations of ``SEIR_SLOPE`` in the same order, each writing its
         # component with ufunc ``out=`` into its column, so that no
         # temporary array is made
         s, e, i = u[:, 0], u[:, 1], u[:, 2]
@@ -301,6 +424,7 @@ def seir_problem(influx: float = 0.0) -> OdeProblem:
         bound_proven=(pi == 0.0),
         property_set=property_set,
         sharpness_states=sharpness_states,
+        slope=Slope(SEIR_SLOPE, constants, rhs),
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import linecache
 import math
 import re
@@ -24,7 +25,7 @@ from nslmm.experiments import run_preservation_sweep
 from nslmm.integrate import (MAX_WORK, STARTER_FOR_ORDER, Trajectory,
                              _run_steps, record_bytes, rhs_calls, rhs_work)
 from nslmm.methods import effective_ssp_coefficient
-from nslmm.problems import OdeProblem, fe_property_bound
+from nslmm.problems import OdeProblem, fe_property_bound, inline_slope
 
 from conftest import ORDER_MATCHED_PHI, counting_rhs, slope_evaluations
 
@@ -560,6 +561,135 @@ def test_generated_kernel_sources_hold_no_coefficient(seir0, seir_y0):
     for name in names:
         source = "".join(linecache.cache[name][2])
         assert not re.search(r"\d\.|\.\d|\de", source), name
+
+
+# ---------------------------------------------------------------------------
+# slope source written into the kernels against calls of rhs
+# ---------------------------------------------------------------------------
+
+def _wrapped(problem):
+    """``problem`` with its ``rhs`` wrapped as a tracer wraps it
+    (``functools.wraps``, which copies the function's attributes), and the
+    list of the wrapper's calls."""
+    calls = []
+    rhs = problem.rhs
+
+    @functools.wraps(rhs)
+    def traced(*args, **kwargs):
+        calls.append(args[0])
+        return rhs(*args, **kwargs)
+
+    return dataclasses.replace(problem, rhs=traced), calls
+
+
+#: a logistic initial value below 0, inside [0, c] or above c, as a
+#: fraction of c
+_LOGISTIC_Y0 = st.one_of(st.floats(min_value=-1.0, max_value=-0.01),
+                         st.floats(min_value=0.0, max_value=1.0),
+                         st.floats(min_value=1.01, max_value=3.0))
+
+
+@settings(max_examples=40)
+@given(method_id=st.sampled_from(sorted(CATALOG)),
+       seir=st.booleans(),
+       c=st.floats(min_value=0.5, max_value=4.0),
+       y0=_LOGISTIC_Y0,
+       influx=st.sampled_from([0.0, 0.3]),
+       infected=st.floats(min_value=0.01, max_value=0.9),
+       dt=st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+       starter=st.booleans(),
+       n=st.integers(min_value=6, max_value=24))
+def test_inlined_slope_equals_calling_rhs_bitwise(method_id, seir, c, y0,
+                                                  influx, infected, dt,
+                                                  starter, n):
+    # a built-in problem's runs write its slope source into the kernels;
+    # the same problem with its rhs wrapped calls rhs once per slope.  Both
+    # make the same operations in the same order, so the same bits, in the
+    # runs with their startups, the single steps and the RK4 reference
+    if seir:
+        problem = seir_problem(influx)
+        u0 = [1.0 - infected, 0.0, infected, 0.0]
+    else:
+        problem = logistic_problem(c)
+        u0 = [y0 * c]
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, fe_property_bound(problem, u0),
+                              ORDER_MATCHED_PHI[method.design_order])
+    startup = None
+    if starter and method.steps > 1:
+        startup = RungeKuttaStartup(*STARTER_FOR_ORDER[method.design_order])
+    history = [np.array(u0) * (1.0 + 0.01 * k) for k in range(method.steps)]
+    calling, calls = _wrapped(problem)
+    assert inline_slope(problem) is problem.slope
+    assert inline_slope(calling) is None
+
+    def outputs(p):
+        runs = [integrate(_config(p, method, phi, dt, n * dt, u0,
+                                  startup=startup, record=record)).states
+                for record in RecordMode]
+        if method.steps > 1:
+            step = nslmm_step(method, phi, p, history, dt)
+        else:
+            step = nsrk_step(method, phi, p, history[0], dt)
+        return runs + [step, reference_solution(p, u0, n * dt, dt)]
+
+    with np.errstate(all="ignore"):
+        inlined = outputs(problem)
+        called = outputs(calling)
+    assert calls
+    for got, want in zip(inlined, called):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method_id,seir", [
+    ("sspms64", True), ("sspms43", False), ("ssprk104", True),
+    ("ssprk33", False)])
+def test_a_wrapped_rhs_sees_every_slope_evaluation(method_id, seir):
+    # a wrapper made with functools.wraps carries the attributes of the
+    # rhs it wraps, but is not that rhs, so runs call it: once per slope
+    # that ``rhs_calls`` counts, the starter's included, four per RK4
+    # reference step, as a traced run counts them
+    problem = seir_problem(0.0) if seir else logistic_problem(2.0)
+    y0 = [0.8, 0.0, 0.2, 0.0] if seir else [0.4]
+    method = get_method(method_id)
+    phi = make_phi_for_method(method, 0.1, PhiKind.PHI8)
+    problem.rhs.marker = "built from the slope source"
+    try:
+        wrapped, calls = _wrapped(problem)
+    finally:
+        del problem.rhs.marker
+    assert wrapped.rhs.marker == "built from the slope source"
+    assert wrapped.rhs.__wrapped__ is problem.rhs
+    n = 30
+    integrate(_config(wrapped, method, phi, 0.05, n * 0.05, y0))
+    s = method.steps
+    if s == 1:
+        want = n * rhs_calls(method)
+    else:
+        starter = 0
+        if seir:
+            rk = get_method(STARTER_FOR_ORDER[method.design_order][0])
+            starter = (s - 1) * rhs_calls(rk)
+        want = starter + slope_evaluations(method, n)
+    assert len(calls) == want
+    calls.clear()
+    reference_solution(wrapped, y0, 1.0, 0.05)
+    assert len(calls) == 4 * 20
+    calls.clear()
+    history = [np.array(y0)] * s
+    if s > 1:
+        # a lone step has no slope ring to take slopes from
+        nslmm_step(method, phi, wrapped, history, 0.05)
+        (stage,) = method.float_stages
+        assert len(calls) == sum(b != 0.0 for _src, _a, b in stage)
+    else:
+        nsrk_step(method, phi, wrapped, history[0], 0.05)
+        assert len(calls) == rhs_calls(method)
+    # the problem as built calls nothing: its slope is in the kernels
+    calls.clear()
+    integrate(_config(problem, method, phi, 0.05, n * 0.05, y0))
+    reference_solution(problem, y0, 1.0, 0.05)
+    assert calls == []
 
 
 def _array_step_chain(problem, method, phi, dt, n, y0) -> np.ndarray:

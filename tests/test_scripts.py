@@ -1,10 +1,14 @@
-"""Smoke runs of the experiment scripts at their smallest sizes."""
+"""Smoke runs of the experiment scripts at their smallest sizes, and the
+benchmark pairs summary on canned results."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,7 +63,8 @@ def test_output_digests_prints_one_line_per_output():
                for line in lines), lines
     # stdout and stderr of the README commands but bench, then six
     # convergence CSVs, six sharpness CSVs for each of three settings,
-    # four sweep outcomes, two sharpness reports and the catalog's kernels
+    # four sweep outcomes, two sharpness reports, the catalog's kernels
+    # with the slope sources written in and the catalog's kernels
     labels = [line.split(" ", 2)[2] for line in lines]
     assert labels[0].startswith("nslmm solve ")
     assert not any(label.startswith("nslmm bench") for label in labels)
@@ -69,9 +74,71 @@ def test_output_digests_prints_one_line_per_output():
     assert sum(label.endswith(" [SweepOutcome]") for label in labels) == 4
     assert sum(label.endswith(" [SharpnessReport]")
                for label in labels) == 2
-    assert labels[-1] == "catalog kernels [kernels]"
+    assert labels[-2:] == [
+        "catalog kernels with slope sources [inlined kernels]",
+        "catalog kernels [kernels]"]
     assert len(labels) == 2 * sum(label.endswith(" [stdout]")
-                                  for label in labels) + 6 + 18 + 4 + 2 + 1
+                                  for label in labels) + 6 + 18 + 4 + 2 + 2
     assert sum(label.startswith("run_sharpness.py --setting seir ")
                for label in labels) == 6
     assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
+
+
+def _bench_pairs():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return bench_pairs
+
+
+def _result_line(correct, failed, p50, rss):
+    return json.dumps({
+        "correct": correct, "attempted": 10, "failed": failed,
+        "metrics": {"job_ref_p50": {"value": p50, "unit": "ref"},
+                    "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+
+
+def test_bench_pairs_summarizes_canned_results():
+    bench_pairs = _bench_pairs()
+    stdout = ("workload scalar, seed 0: checked\n"
+              "wall time: job_s_p50 0.0215 s, job_s_tail 0.03 s, reference "
+              "kernel median 0.0081 s\n"
+              "scalar     job_ref_p50      2.5 ref\n"
+              + _result_line(True, 0, 2.5, 40.0) + "\n")
+    assert bench_pairs.parse_result(stdout) == {
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {"job_ref_p50": 2.5, "peak_rss_mb": 40.0,
+                    "job_s_p50": 0.0215}}
+    # four pairs: the change is faster in three and ties in one; its
+    # memory is higher in two, lower in one and tied in one
+    parent = [(2.8, 40.0), (2.7, 40.0), (2.9, 41.0), (2.6, 40.0)]
+    change = [(2.4, 40.5), (2.7, 40.0), (2.5, 40.2), (2.3, 40.4)]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, (p50, rss) in (("parent", p), ("change", c)):
+            runs.append({"workload": "scalar", "seed": 0, "pair": pair,
+                         "side": side, "result": bench_pairs.parse_result(
+                             _result_line(True, 0, p50, rss))})
+    # a pair with one side missing counts for nothing
+    runs.append({"workload": "scalar", "seed": 0, "pair": 4,
+                 "side": "parent",
+                 "result": bench_pairs.parse_result(
+                     _result_line(False, 2, 9.0, 99.0))})
+    metrics = [{"name": "job_ref_p50", "better": "lower"},
+               {"name": "peak_rss_mb", "better": "higher"}]
+    entry = bench_pairs.summarize(runs, metrics)["scalar"]["0"]
+    assert entry["pairs"] == 4 and entry["correct"] is True
+    assert entry["failed_jobs"] == {"parent": 0, "change": 0}
+    p50 = entry["job_ref_p50"]
+    assert p50["wins"] == 3
+    assert p50["parent"]["runs"] == [2.8, 2.7, 2.9, 2.6]
+    assert p50["parent"]["median"] == 2.75
+    assert p50["parent"]["q1"] == pytest.approx(2.675)
+    assert p50["parent"]["q3"] == pytest.approx(2.825)
+    assert p50["change"]["median"] == 2.45
+    # "higher" is better here: the change wins the pairs it reads higher
+    assert entry["peak_rss_mb"]["wins"] == 2
+    assert bench_pairs.quartiles([1.5]) == {"median": 1.5, "q1": 1.5,
+                                            "q3": 1.5}
