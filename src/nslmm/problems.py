@@ -333,7 +333,8 @@ def logistic_problem(c: float) -> OdeProblem:
 def logistic_fe_bounds(c: float, y0s: np.ndarray) -> np.ndarray:
     """Vectorized Euler bound min(1/c, 1/y0) for batches of initial values."""
     y = np.asarray(y0s, dtype=float)
-    with np.errstate(divide="ignore"):
+    # 1/y0 overflows to inf for a subnormal y0, which leaves the bound 1/c
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(y > 0, 1.0 / np.where(y > 0, y, 1.0), np.inf)
     b = np.minimum(1.0 / c, inv)
     return np.where(y < 0, UNCONDITIONAL_BOUND, b)

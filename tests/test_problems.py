@@ -168,6 +168,8 @@ def test_logistic_fe_bounds_vectorized():
     assert out[1] == pytest.approx(1e-3)
     assert out[2] == UNCONDITIONAL_BOUND
     assert out[3] == pytest.approx(0.5)
+    # a subnormal y0 has 1/y0 = inf: the bound is 1/c, without a warning
+    assert logistic_fe_bounds(1.0, np.array([2.225073858507e-311])) == 1.0
 
 
 def test_forward_euler_examples(logistic2, seir0, seir_y0):
