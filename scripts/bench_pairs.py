@@ -4,10 +4,10 @@
 
     python scripts/bench_pairs.py --parent DIR --change DIR \\
         --pairs scalar:0:10 --pairs scalar:7:10 --pairs sharpness:0:3 \\
-        --seconds 30 --out BENCH_<parent commit>.json
+        --out BENCH_<parent commit>.json
 
-A pair is one ``bench/run.py --workload W --seed S --seconds T --trace 0``
-run in each checkout, one process at a time, with the side that runs first
+A pair is one ``bench/run.py --workload W --seed S --trace 0`` run in each
+checkout, of the run length that ``bench/run.py`` sets, one process at a time, with the side that runs first
 alternating from pair to pair; ``--pairs W:S:N`` asks for N pairs of
 workload W on seed S.  For every (workload, seed) and every end-to-end
 metric that the change's ``BENCHMARK.json`` names, and the job's wall-time
@@ -17,7 +17,7 @@ each side's median, quartiles and runs, and the pairs the change won in
 the metric's better direction (a tie counts for neither side).  Beside them:
 the machine (CPU, vCPU count, Python and numpy versions), each checkout's
 ``git describe``, and per-step timings of single runs, the fastest of
-``--probe-rounds`` alternating rounds in fresh processes (``--probe``).
+``PROBE_ROUNDS`` alternating rounds in fresh processes (``--probe``).
 The file is named after the parent commit: it records the change made on
 top of it, which cannot name its own commit.
 """
@@ -103,12 +103,11 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
-def bench_run(checkout: Path, workload: str, seed: int,
-              seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", repr(seconds),
-         "--trace", "0"], stdout=subprocess.PIPE, text=True, check=True)
+         workload, "--seed", str(seed), "--trace", "0"],
+        stdout=subprocess.PIPE, text=True, check=True)
     return parse_result(proc.stdout)
 
 
@@ -119,6 +118,8 @@ PROBE_RUNS = {
     "logistic sspms64": ("logistic", "sspms64", [0.5], 0.001),
 }
 PROBE_STEPS = 2000
+#: alternating rounds of probes, one fresh process per side and round
+PROBE_ROUNDS = 3
 
 
 def probe() -> dict:
@@ -207,8 +208,6 @@ def parse_args(argv):
     ap.add_argument("--change", type=Path, help="checkout of the change")
     ap.add_argument("--pairs", action="append", default=[],
                     metavar="WORKLOAD:SEED:N")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--probe-rounds", type=int, default=3)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -233,27 +232,25 @@ def main(argv=None) -> int:
         for pair in range(int(count)):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = bench_run(checkouts[side], workload, int(seed),
-                                   args.seconds)
+                result = bench_run(checkouts[side], workload, int(seed))
                 runs.append({"workload": workload, "seed": int(seed),
                              "pair": pair, "side": side, "result": result})
                 print(f"{workload} seed {seed} pair {pair} {side}: "
                       f"job_ref_p50 {result['metrics']['job_ref_p50']:.4g}",
                       file=sys.stderr, flush=True)
     probes = {side: [] for side in SIDES}
-    for round_ in range(args.probe_rounds):
+    for round_ in range(PROBE_ROUNDS):
         for side in (SIDES if round_ % 2 == 0 else SIDES[::-1]):
             probes[side].append(probe_run(checkouts[side]))
     record = {
         "parent": describe(checkouts["parent"]),
         "change": describe(checkouts["change"]),
         "machine": machine(),
-        "command": (f"bench/run.py --workload W --seed S --seconds "
-                    f"{args.seconds:g} --trace 0, one process per run, "
-                    "parent and change alternating"),
+        "command": ("bench/run.py --workload W --seed S --trace 0, one "
+                    "process per run, parent and change alternating"),
         "end_to_end": summarize(runs, metrics),
         "per_step_us": {
-            "how": (f"fastest of {args.probe_rounds} alternating rounds, "
+            "how": (f"fastest of {PROBE_ROUNDS} alternating rounds, "
                     "each the fastest of 7 timings in a fresh process"),
             **{side: {name: min(p[name] for p in probes[side])
                       for name in probes[side][0]} if probes[side] else {}

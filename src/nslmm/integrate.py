@@ -764,27 +764,23 @@ def _rk4_factory(m: int, source: SlopeSource | None = None):
     ``source`` (see ``problems.SlopeSource``) the values of its constants,
     and returns ``kernel(rhs, u)``, which forms each stage state as
     ``x + half*k`` and the new state as
-    ``x + sixth*(((a + two*b) + two*c) + d)``, component by component.
+    ``x + sixth*(((a + two*b) + two*c) + d)``, component by component,
+    with the state and the stage slopes kept as one local per component.
     Without ``source`` it calls ``rhs`` on each stage state, a list; with
-    it, the source is written into the kernel, and the stage states and
-    their slopes are kept as one local per component."""
+    it, the source is written into the kernel in place of the call."""
     def read(name: str):
         """Component c of the state ``name`` as the kernel reads it."""
-        if m == 1:
-            return lambda c: name
-        if source is None:
-            return lambda c: f"{name}[{c}]"
-        return lambda c: f"{name}_{c}"
+        return (lambda c: name) if m == 1 else (lambda c: f"{name}_{c}")
 
     u = read("u")
     k = [None] + [read(f"k{j}") for j in range(1, 5)]
-    lines = ([] if source is None or m == 1
-             else [", ".join(u(c) for c in range(m)) + " = u"])
+    lines = [] if m == 1 else [", ".join(u(c) for c in range(m)) + " = u"]
     for j, step in enumerate([None, "half", "half", "full"], 1):
         stage = ([] if step is None else
                  [f"{u(c)} + {step}*{k[j - 1](c)}" for c in range(m)])
         if source is None:
-            lines.append(f"k{j} = rhs({state_list(stage) if stage else 'u'})")
+            lines.append(", ".join(k[j](c) for c in range(m)) + " = rhs("
+                         + (state_list(stage) if stage else "u") + ")")
             continue
         # a stage state's components, those the slope reads, then its slope
         x = read("x") if stage else u

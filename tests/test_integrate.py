@@ -532,7 +532,8 @@ def test_generated_kernels_show_their_lines_in_tracebacks(seir0, seir_y0):
     frames = [f for f in traceback.extract_tb(info.tb)
               if f.filename.startswith("<nslmm")]
     assert [f.filename for f in frames] == ["<nslmm rk4 kernel m=4>"]
-    assert frames[0].line.startswith("k2 = rhs([u[0] + half*k1[0], ")
+    assert frames[0].line.startswith(
+        "k2_0, k2_1, k2_2, k2_3 = rhs([u_0 + half*k1_0, ")
     # a sweep's batch kernels, starter stages and multistep step alike
     for count, name, line in [
             (3, "<nslmm batch kernel j=1;v1;v2;v3;1,v4;v5;v6;v7;v8;1,v4,v9"
