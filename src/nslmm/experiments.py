@@ -25,7 +25,8 @@ join, and why joining keeps every kept element's bits, is told at
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
 newly fails (which may finish an element and its group), the next horizon
-of an element still active, an element that settles, or a rebuild.  These
+of an element still active (a bisection pool reads only the horizons that
+decide something), an element that settles, or a rebuild.  These
 sets are kept from step to step and made again only on the step after an
 event, so most steps form the new states and test them against cached
 masks.  The monitors call the elementwise predicates of ``qualprops``, so
@@ -49,11 +50,11 @@ included), and no invariant with drift is watched.  The step kernel and
 it the same states and the same verdicts, and its final state, at
 whatever horizon, is its current one.  So settling shows in no result.
 A settled element counts as finished for its group and for the end of
-the pool, and steps on, repeating its states, until the next rebuild
-writes it out; while elements wait to join, its row counts as room.  It
-is tested every s steps (s the ring length): a test in which no element
-still evolving repeats its newest ring state costs one compare and one
-count.
+the pool; a sweep writes its results at the event after it settles, and
+it steps on, repeating its states, until the next rebuild drops it.
+While elements wait to join, its row counts as room.  It is tested every
+s steps (s the ring length): a test in which no element still evolving
+repeats its newest ring state costs one compare and one count.
 """
 
 from __future__ import annotations
@@ -292,60 +293,167 @@ def _take_into(keep: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 _NEVER = np.iinfo(np.int64).max
 
 
+class _Columns:
+    """Everything a sweep pool carries from step to step for its elements,
+    one entry per row, in one 2-D array per type whose rows ``FIELDS``
+    names.  ``base`` is the pool step of an element's step 0, ``last`` the
+    pool step of its horizon (``_NEVER`` once it has settled) and ``fin``
+    the pool step it finishes at, its horizon or where it settled;
+    ``first_bound`` and ``first_weak`` are its first failing steps (-1:
+    none), ``group`` its group in a bisection pool and ``ids`` its row of
+    ``out`` in a sweep pool.  ``b_req`` and ``w_req`` say whether it has a
+    bound and a weak check, ``w_inc`` whether its window increases, and
+    ``bound_viol`` and ``weak_viol`` whether each has failed.  ``phis`` is
+    its transformed step, ``inv_dev`` its invariant's largest deviation so
+    far, ``level`` that invariant's initial value, ``dts`` its step size,
+    and ``lo_edge`` and ``hi_edge`` the edges its states keep."""
+
+    FIELDS = ((np.int64, ("base", "last", "first_bound", "first_weak",
+                          "group", "ids", "fin")),
+              (bool, ("b_req", "w_req", "w_inc", "bound_viol", "weak_viol")),
+              (float, ("phis", "inv_dev", "level", "dts", "lo_edge",
+                       "hi_edge")))
+
+    def __init__(self, arrays: list):
+        self.arrays = arrays
+        self.size = arrays[0].shape[1]
+        for (_, names), rows in zip(self.FIELDS, arrays):
+            self.__dict__.update(zip(names, rows))
+
+    @classmethod
+    def joining(cls, inputs: dict, base: int, weights) -> _Columns:
+        """The columns of elements that join with their step 0 at pool step
+        ``base``, from their inputs (see ``_SweepPool.admit``); their
+        invariant's level with ``weights`` (None: none watched)."""
+        b, last = inputs["dts"].size, base + inputs["n_steps"]
+        # the inputs that name a column, and the other columns' values (0
+        # where none is given)
+        values = {**inputs, "base": base, "last": last, "fin": last,
+                  "first_bound": -1, "first_weak": -1,
+                  "w_req": inputs["direction"] != 0,
+                  "w_inc": inputs["direction"] > 0}
+        if weights is not None:
+            values["level"] = _weighted_sum(inputs["y0s"], weights,
+                                            np.empty(b), np.empty(b))
+        cols = cls([np.zeros((len(names), b), dtype)
+                    for dtype, names in cls.FIELDS])
+        for name in values.keys() & vars(cols).keys():
+            getattr(cols, name)[:] = values[name]
+        return cols
+
+    def take(self, keep: np.ndarray) -> _Columns:
+        """The rows ``keep``, in their order."""
+        return _Columns([a.compress(keep, axis=1) for a in self.arrays])
+
+    def join(self, other: _Columns) -> _Columns:
+        """These rows, then those of ``other``."""
+        return _Columns([np.concatenate(pair, axis=1)
+                         for pair in zip(self.arrays, other.arrays)])
+
+
+def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
+              n_settled: int, head: int, admitted: bool, capacity: int,
+              results: bool, run_due: int = _NEVER) -> tuple:
+    """What a sweep pool does at an event, as ``(action, due)``: "admit"
+    (rebuild with the queued elements that fit), "compact" (rebuild
+    without them), "finish", or "step" on to ``due``, the pool step of the
+    next event that no check sets off.
+
+    The pool has ``active.size`` rows, ``n_active`` of them ``active``,
+    and ``n_settled`` of those have settled (``last``, the pool step of
+    each row's horizon, is ``_NEVER``).  ``head`` is the unit of the
+    queue's head (0: nothing queued), and ``admitted`` whether the
+    listener queued it at this event.  Queued elements join once nothing
+    evolves, once at most ``COMPACT_AT`` of the pool is counted, or after
+    the listener admitted them and the head fits beside the evolving rows.
+    A settled row counts as room only while elements queue; else it steps
+    on, repeating its states, until the next rebuild.  (Counted as
+    evolving always, ``run_sharpness.py``'s logistic-c500 setting took
+    1.10 times as long as before the pool; as now, 0.76 times.)
+
+    A pool with ``results`` makes an event at every horizon of an active
+    row, where its results are written.  One without them reads a horizon
+    only where it decides a group (the listener's next one, ``run_due``) or
+    the count above: nothing else moves that count between events, so it
+    is at most ``COMPACT_AT`` of the pool from the step after the counted
+    horizon that brings it there.
+    """
+    going = n_active - n_settled
+    counted = going if head else n_active
+    compact = counted <= COMPACT_AT * active.size
+    if head and (going == 0 or compact
+                 or admitted and head <= capacity - going):
+        return "admit", None
+    if going == 0:
+        return "finish", None
+    if compact:
+        return "compact", None
+    if results:
+        return "step", int(last.min(initial=_NEVER, where=active)) + 1
+    over = counted - int(COMPACT_AT * active.size)
+    h = last[active & (last < _NEVER) if head and n_settled else active]
+    h.partition(over - 1)
+    return "step", min(run_due, int(h[over - 1])) + 1
+
+
 class _SweepPool:
     """A lockstep pool of sweep elements that elements join between steps.
 
     Every element of a pool shares its problem, method, startup policy and
     kinds of checks; each has its own transformed step, step size, initial
-    state, horizon, check values and group.  ``admit`` queues elements;
-    ``run`` starts from an empty pool, lets queued elements join as room
-    allows, advances them all in lockstep and writes each one's results
-    into ``out`` (when given) as it leaves.  ``run_preservation_sweep``
-    describes the step, the monitors, compaction and settling;
-    ``sharpness_bisection`` admits as it goes.
+    state, horizon, check values and, in a bisection pool, group.
+    ``admit`` queues elements; ``run`` starts from an empty pool, lets
+    queued elements join as room allows and advances them all in lockstep.
+    ``run_preservation_sweep`` describes the step, the monitors,
+    compaction and settling; ``sharpness_bisection`` admits as it goes.
+    A pool comes in one of two kinds:
+
+    - a sweep pool, with ``out``, writes each element's results into
+      ``out`` at the event where it stops: it has failed every check,
+      passed its horizon or settled.  It makes an event at every horizon.
+    - a bisection pool, without ``out``, reports groups to ``run``'s
+      listener as they are decided and writes no results.  It reads no
+      state of a stopped element, which steps on with the others until a
+      rebuild drops it, and it reads an element's horizon only where it
+      decides something: a verdict (a failure past it is dropped, and a
+      run that repeats its ring past it has not settled), a group's
+      decision, and the count by which the pool compacts and admits (see
+      ``_schedule``).  So it compacts and admits at the very steps a pool
+      with an event at every horizon would.  On the benchmark's bisection
+      (10 rows of 100 step sizes, 685 lockstep steps) that makes 96
+      events, where an event at every horizon makes 418.
 
     An element counts its steps from the pool step at which it joined: its
     horizon, first failing step and invariant drift all count from there.
-    Joining is a rebuild, made as a compaction is: the finished elements
-    are written out, the kept rows gathered into new arrays and the new
-    ones appended; their startup states go into their ring rows and are
-    checked as a sweep's startup is.  Every slope slot then goes back to
-    None and ``rhs`` makes the slopes again, elementwise and
-    deterministic, so the kept elements' states keep their bits.  Queued
-    elements join when the pool runs empty, at a compaction, and when
-    ``run``'s listener admits them and they fit; the pool holds at most
-    ``capacity`` elements, but always takes at least one unit.
-
-    A pool without ``out`` reads no state of a stopped element (its
-    verdicts no longer change), so it does not hold such an element's
-    state fixed: it steps on with the others until a rebuild drops it.
-    Nor does it make an event at every horizon, as a pool with results
-    must to hold a state and its invariant maximum there.  It reads an
-    element's horizon only where it decides something: a verdict (a
-    failure past it is dropped, and a run that repeats its ring past it
-    has not settled), a group's decision, and the count by which the pool
-    compacts and admits.  For that count it makes one event, at the step
-    where passed horizons alone bring it to ``COMPACT_AT`` of the pool, so
-    it compacts and admits at the very steps a pool with an event at every
-    horizon would.  On the benchmark's bisection (10 rows of 100 step
-    sizes, 685 lockstep steps) that makes 96 events, where an event at
-    every horizon makes 418.  ``counts`` holds the last run's lockstep
+    Joining is a rebuild, made as a compaction is: the kept rows are
+    gathered into new arrays and the new ones appended; their startup
+    states go into their ring rows and are checked as a sweep's startup
+    is.  Every slope slot then goes back to None and ``rhs`` makes the
+    slopes again, elementwise and deterministic, so the kept elements'
+    states keep their bits.  Queued elements join when the pool runs
+    empty, at a compaction, and when ``run``'s listener admits them and
+    they fit; the pool holds at most ``capacity`` elements, but always
+    takes at least one unit.  ``counts`` holds the last run's lockstep
     steps, admissions, compactions (rebuilds that admit nothing) and
     events.
+
+    A run's state is the pool's own: its rows' columns (``cols``), the
+    ring and the arrays and kernel made for it at the last rebuild, the
+    active set and watch masks made at the last event, and the pool steps
+    of the next events.  ``_schedule`` decides each event from counts and
+    arrays alone; the run itself is the lockstep loop.
     """
 
     def __init__(self, problem: OdeProblem, method: Method, startup, *,
                  check_bounds: bool, check_weak: bool,
                  weak_component: int = 0, invariant_weights=None,
-                 invariant_drift: float = 0.0, grouped: bool = False,
+                 invariant_drift: float = 0.0,
                  out: SweepOutcome | None = None):
         self.problem, self.method, self.startup = problem, method, startup
         self.check_bounds, self.check_weak = check_bounds, check_weak
-        self.weak_component = weak_component
+        self.weak_component, self.out = weak_component, out
         self.invariant_weights = invariant_weights
         self.invariant_drift = invariant_drift
-        self.grouped = grouped
-        self.out = out
         #: most elements the pool holds, unless one unit is larger
         self.capacity = max(1, MAX_SWEEP_ELEMENTS // problem.dimension)
         # [count, unit, take, elements taken so far] per admission
@@ -357,9 +465,9 @@ class _SweepPool:
         admission's elements a..b-1 as a dict of per-element arrays,
         ``phis`` (transformed steps), ``dts``, ``y0s``, ``n_steps`` and
         ``direction`` (the weak check's, 0 for none), with the bound check's
-        ``_bound_inputs`` when the pool checks bounds, ``group`` when it is
-        grouped and ``ids`` (their rows in ``out``) when it writes
-        results."""
+        ``_bound_inputs`` when the pool checks bounds, and ``group`` in a
+        bisection pool or ``ids`` (their rows in ``out``) in a sweep
+        pool."""
         if count:
             self.queue.append([count, unit, take, 0])
 
@@ -388,408 +496,334 @@ class _SweepPool:
     def run(self, on_decided=None) -> None:
         """Advance the pool from empty until every element has finished
         (failed its checks, passed its horizon or settled) and the queue is
-        empty.  With ``on_decided`` (a grouped pool whose groups join whole,
-        so that each is one run of rows), each group is reported at the
-        step it is decided: ``on_decided(groups, held)`` gets the group ids
-        and whether each held (no element of it failed, every one passed
-        its horizon or settled).  It may admit more, and the run ends once
-        it returns True.  A pool without ``out`` is run with ``on_decided``:
-        it makes an event at a horizon only where one decides a group or a
-        compaction, so without groups its settled rows could keep it
-        stepping past the last horizon."""
-        problem, method, startup = self.problem, self.method, self.startup
-        s, m = method.steps, problem.dimension
-        rhs = _rhs_into(problem.rhs)
-        # the kernels' scratch pair and the stage slots of a Runge-Kutta step
-        n_work = 2 + stage_slots(method)
-        check_bounds_on, check_weak = self.check_bounds, self.check_weak
-        gamma, drift = self.invariant_weights, self.invariant_drift
-        check_inv = gamma is not None
-        wc = self.weak_component
+        empty.  A bisection pool is run with ``on_decided``, and its groups
+        join whole, so that each is one run of rows: each group is reported
+        at the step it is decided, ``on_decided(groups, held)`` getting the
+        group ids and whether each held (no element of it failed, every one
+        passed its horizon or settled).  It may admit more, and the run ends
+        once it returns True."""
+        s = self.method.steps
+        rhs = _rhs_into(self.problem.rhs)
         # a drifting invariant's target moves with the step, so no element
         # whose states repeat has its verdicts settled
-        settles = not (check_inv and drift != 0)
-        out, queue, capacity = self.out, self.queue, self.capacity
-        grouped = self.grouped
-        counts = self.counts = dict.fromkeys(
+        settles = not (self.invariant_weights is not None
+                       and self.invariant_drift != 0)
+        self.counts = dict.fromkeys(
             ("steps", "admissions", "compactions", "events"), 0)
-        if not queue:
+        if not self.queue:
             return
-
-        def joining(inputs: dict, base_new: int) -> list:
-            """The columns of elements that join with their step 0 at pool
-            step ``base_new`` (see ``unpack``)."""
-            b = inputs["dts"].size
-            ints = np.empty((7, b), dtype=np.int64)
-            ints[0] = base_new
-            np.add(base_new, inputs["n_steps"], out=ints[1])
-            ints[2:4] = -1
-            ints[4] = inputs["group"] if grouped else 0
-            ints[5] = inputs["ids"] if out is not None else 0
-            ints[6] = ints[1]
-            flags = np.zeros((5, b), dtype=bool)
-            np.not_equal(inputs["direction"], 0, out=flags[1])
-            np.greater(inputs["direction"], 0, out=flags[2])
-            floats = np.zeros((6, b))
-            floats[0] = inputs["phis"]
-            if check_inv:
-                _weighted_sum(inputs["y0s"], gamma, floats[2], np.empty(b))
-                floats[3] = inputs["dts"]
-            if check_bounds_on:
-                flags[0] = inputs["b_req"]
-                floats[4] = inputs["lo_edge"]
-                floats[5] = inputs["hi_edge"]
-            return [ints, flags, floats]
-
-        def unpack(columns: list) -> None:
-            """Take ``columns`` as the pool's: one row per element and
-            column, by type, of everything carried from step to step for
-            it.  ``base`` is the pool step of an element's step 0, ``last``
-            the pool step of its horizon (``_NEVER`` once it has settled)
-            and ``fin`` the pool step it finishes at, its horizon or where
-            it settled; ``group`` and ``ids`` are 0 in a pool without
-            groups or without results."""
-            nonlocal ints, flags, floats, size, base, last, first_bound, \
-                first_weak, group, ids, fin, b_req, w_req, w_inc, \
-                bound_viol, weak_viol, phis, inv_dev, level, dts, lo_edge, \
-                hi_edge, n_settled
-            ints, flags, floats = columns
-            size = ints.shape[1]
-            n_settled = 0
-            base, last, first_bound, first_weak, group, ids, fin = ints
-            b_req, w_req, w_inc, bound_viol, weak_viol = flags
-            phis, inv_dev, level, dts, lo_edge, hi_edge = floats
-
-        ints = flags = floats = None
-        (base, last, first_bound, first_weak, group, ids, fin, b_req, w_req,
-         w_inc, bound_viol, weak_viol, phis, inv_dev, level, dts, lo_edge,
-         hi_edge) = (None,) * 18
-        # the pool's size, and how many of its active elements settled
-        size = n_settled = 0
-        # full (b, m) operands, component-major like the states: numpy
-        # multiplies and compares two full arrays several times faster than
-        # an array and a (b, 1) column
-        lo = hi = None
-        work = ring = fring = kernel = sums = elapsed = local = None
-
-        def buffers() -> None:
-            """(Re)make the arrays the pool owns for its ``size`` rows, all
-            cut from one aligned buffer: the kernels' work arrays (scratch
-            pair and stage slots), s + 1 slots for the ring's states and s
-            for their slopes; the bound edges and the invariant's sums.
-            Bind the step kernel to the work arrays and the rows' steps."""
-            nonlocal work, ring, fring, kernel, lo, hi, sums, elapsed, local
-            arrays = _block_arrays(n_work + 2 * s + 1, size, m)
-            work = arrays[:n_work]
-            ring = deque(arrays[n_work:n_work + s + 1])
-            fring = deque(arrays[n_work + s + 1:])
-            kernel = _step_kernel(method, _component_major(phis, m), m, work)
-            if check_bounds_on:
-                lo = _component_major(lo_edge, m)
-                hi = _component_major(hi_edge, m)
-            if check_inv:
-                sums = (np.empty(size), np.empty(size))
-                if drift != 0:
-                    elapsed = np.empty(size)
-                    local = np.empty(size, dtype=np.int64)
-
-        def watch(live) -> None:
-            """The elements each monitor watches: those ``live`` (None: all
-            of them) whose check is requested and has not failed yet."""
-            nonlocal b_watch, w_watch
-
-            def watched(req, viol):
-                mask = req & ~viol
-                if live is not None:
-                    mask &= live
-                return mask
-
-            if check_bounds_on:
-                b_watch = watched(b_req, bound_viol)
-            if check_weak:
-                w_watch = watched(w_req, weak_viol)
-
-        def flag(v, mask, viol, first, at: int) -> None:
-            """Mark the elements ``v`` of the watch ``mask`` as failing at
-            pool step ``at``.  A pool without results watches an element
-            past its horizon until the next event: such an element is
-            dropped from ``v`` and cleared from ``mask``."""
-            nonlocal changed
-            if np.count_nonzero(v):
-                if out is None:
-                    late = v & (last < at)
-                    if late.any():
-                        # a & ~b is a > b on bools
-                        np.greater(mask, late, out=mask)
-                        np.greater(v, late, out=v)
-                        if not v.any():
-                            return
-                first[v] = at - base[v]
-                viol[v] = True
-                changed = True
-
-        def record(state: np.ndarray, at: int, stepped=False) -> None:
-            """Monitor ``state``, the states of pool step ``at``, for the
-            elements ``live``; a ``stepped`` state's weak window is the
-            ring's s states (else a startup state, checked only for
-            NaN/inf)."""
-            if check_bounds_on:
-                # watched and outside its edges (a & ~b is a > b on bools)
-                flag(np.greater(b_watch,
-                                _rows_all((state >= lo) & (state <= hi))),
-                     b_watch, bound_viol, first_bound, at)
-            if check_weak:
-                v = ~_rows_all(np.isfinite(state))
-                if stepped:
-                    # oldest first
-                    v |= window_violations(
-                        state[:, wc],
-                        [ring[i][:, wc] for i in range(s - 1, -1, -1)], w_inc)
-                flag(v & w_watch, w_watch, weak_viol, first_weak, at)
-            if check_inv:
-                if elapsed is not None:
-                    np.subtract(at, base, out=local)
-                    np.multiply(local, dts, out=elapsed)
-                dev, _ = invariant_deviation(state, gamma, level, drift,
-                                             elapsed, *sums)
-                np.abs(dev, out=dev)
-                np.maximum(inv_dev, dev, out=inv_dev,
-                           where=True if live is None else live)
-
-        def retire(sel) -> None:
-            """Write the results of the pool's elements ``sel``."""
-            if out is None:
-                return
-            at = ids[sel]
-            out.bound_violated[at] = bound_viol[sel]
-            out.weak_violated[at] = weak_viol[sel]
-            # a NaN deviation sticks in the running maximum; it is an
-            # infinite one, as in a recorded run's monitor
-            dev = inv_dev[sel]
-            out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
-            out.first_bound_step[at] = first_bound[sel]
-            out.first_weak_step[at] = first_weak[sel]
-            out.final_states[at] = ring[0][sel]
-
-        def rebuild(keep, join: bool) -> None:
-            """Write out the elements not ``keep`` (None: the pool is
-            empty), gather the kept ones into new arrays and, with ``join``,
-            append the queued elements that fit."""
-            nonlocal slopes, live, n_groups, waiting, starts, run_group, \
-                run_waiting, run_end, changed
-            k = 0 if keep is None else int(np.count_nonzero(keep))
-            new = self._joiners(capacity - k, k == 0) if join else None
-            counts["compactions" if new is None else "admissions"] += 1
-            if keep is not None and k < size:
-                retire(~keep)
-            if k:
-                columns = [c.compress(keep, axis=1)
-                           for c in (ints, flags, floats)]
-                old = list(ring)[:s], list(slopes)
-            if new is not None:
-                fresh = joining(new, step - (s - 1))
-                columns = fresh if not k else [
-                    np.concatenate([c, f], axis=1)
-                    for c, f in zip(columns, fresh)]
-            unpack(columns)
-            buffers()
-            # the active set, and with it the finished elements and groups,
-            # is made again at the next event
-            changed = True
-            for i in range(s if k else 0):
-                _take_into(keep, old[0][i], ring[i][:k])
-            if new is None:
-                for i, f in enumerate(old[1]):
-                    if f is not None:
-                        slopes[i] = _take_into(keep, f, fring[i])
-            else:
-                slopes = deque([None] * s, maxlen=s)
-                # u^0 .. u^(s-1) of the new rows go into their rows of the
-                # ring's slots s-1 .. 0, newest first; the other arrays are
-                # free until the next step
-                new_rows = slice(k, None)
-                _startup_states(
-                    problem, method, startup, new["y0s"], new["dts"],
-                    ([ring[s - 1 - i][new_rows] for i in range(s)],
-                     [a[new_rows] for a in (*work[:2], ring[s], *fring,
-                                            *work[2:])]))
-                for i in range(s):
-                    live = np.zeros(size, dtype=bool)
-                    live[new_rows] = i <= new["n_steps"]
-                    live = None if live.all() else live
-                    watch(live)
-                    record(ring[s - 1 - i], step - (s - 1) + i)
-                if grouped:
-                    n_groups = max(n_groups, int(group.max()) + 1)
-            if on_decided is not None:
-                if new is not None:
-                    waiting = np.concatenate(
-                        [waiting, np.zeros(n_groups - waiting.size, bool)])
-                    waiting[group[new_rows]] = True
-                # a group's rows join together and keep their order
-                starts = np.flatnonzero(np.concatenate(
-                    [[True], group[1:] != group[:-1]]))
-                run_group = group[starts]
-                run_waiting = waiting[run_group]
-                run_end = np.maximum.reduceat(fin, starts)
-
-        # the pool step of the newest ring state
-        step = s - 1
-        # the ring of states (``ring[s]`` the slot the next one goes into),
-        # their slopes as the shared kernel fills them, and where it writes
-        # each slope: state, slope and slot rotate together, so the slot
-        # that comes round to the newest state held the dropped one's slope
-        slopes = deque([None] * s, maxlen=s)
-        b_watch = w_watch = live = frozen = hit = None
-        # groups: how many ids there are and those in the pool undecided;
-        # per run of rows of one group in the pool, where it starts, its
-        # group, whether it is undecided and the pool step its last row
-        # finishes at; and the first such step of an undecided run
-        n_groups, waiting = 0, np.zeros(0, dtype=bool)
-        starts = run_group = run_waiting = run_end = None
-        run_due = _NEVER
-        # the pool step of the next event not set off by a step's checks
-        due = None
-        changed = True
+        self.on_decided, record = on_decided, self._record
         # violated elements may blow up before they freeze; their inf/nan
         # arithmetic is elementwise and never poisons the others.  A
         # starter may overflow too (an untransformed one at a large step).
         with np.errstate(over="ignore", invalid="ignore"):
-            rebuild(None, True)
+            # the pool step of the newest ring state
+            step = s - 1
+            self._rebuild(None, True, step + 1)
             while True:
                 nxt = step + 1
                 # the active set changes only on events: a newly failed
                 # check, which may finish an element and its group, a
-                # passed horizon, a settled element or a rebuild.  A pool
-                # without results reads a passed horizon only where it
-                # decides a group or compacts the pool, and steps the
-                # element on, watched, until then
-                while changed or nxt == due:
-                    counts["events"] += 1
-                    counts["steps"] = nxt - s
-                    rewatch = changed
-                    if changed:
-                        # an element finishes once every check requested
-                        # for it has failed; one with nothing to check, or
-                        # with an invariant to watch, runs to its horizon
-                        done = ((bound_viol | ~b_req) & (weak_viol | ~w_req)
-                                & (b_req | w_req) & (not check_inv))
-                        hit = None
-                        if grouped and done.any():
-                            hit = np.zeros(n_groups, dtype=bool)
-                            hit[group[done]] = True
-                            done = hit[group]
-                        active = (nxt <= last) & ~done
-                        if n_settled:
-                            n_settled = np.count_nonzero(active
-                                                         & (last == _NEVER))
-                    else:
-                        active &= nxt <= last
-                    changed = False
-                    n_active = np.count_nonzero(active)
-                    admitted = False
-                    if on_decided is not None and (rewatch or nxt > run_due):
-                        # a group is decided once one of its rows fails or
-                        # all of them have passed their horizons or settled
-                        free = run_waiting & (run_end < nxt)
-                        if hit is not None:
-                            free |= run_waiting & hit[run_group]
-                        if free.any():
-                            run_waiting &= ~free
-                            decided = run_group[free]
-                            waiting[decided] = False
-                            queued = len(queue)
-                            if on_decided(decided, np.ones(decided.size, bool)
-                                          if hit is None else ~hit[decided]):
-                                return
-                            admitted = len(queue) > queued
-                        run_due = int(run_end.min(initial=_NEVER,
-                                                  where=run_waiting))
-                    # the elements still to evolve.  While elements wait in
-                    # the queue, a settled element's row is room to reclaim;
-                    # else it steps on until the next rebuild.  (Counted as
-                    # evolving always, ``run_sharpness.py``'s logistic-c500
-                    # setting took 1.10 times as long as before the pool;
-                    # as now, 0.76 times.)
-                    going = n_active - n_settled
-                    counted = going if queue else n_active
-                    compact = counted <= COMPACT_AT * size
-                    if queue and (going == 0 or compact or admitted
-                                  and queue[0][1] <= capacity - going):
-                        rebuild(active & (last < _NEVER) if n_settled
-                                else active, True)
-                    elif going == 0:
-                        retire(slice(None))
-                        return
-                    elif compact:
-                        rebuild(active & (last < _NEVER) if n_settled
-                                else active, False)
-                    else:
-                        live = None if n_active == size else active
-                        # a pool that writes no results reads no state of
-                        # an element that has stopped, which steps on
-                        frozen = (None if live is None or out is None
-                                  else ~live[:, None])
-                        if rewatch:
-                            watch(live)
-                        else:
-                            # only horizons passed: fewer elements watched
-                            if check_bounds_on:
-                                b_watch &= active
-                            if check_weak:
-                                w_watch &= active
-                        if out is not None:
-                            # the next horizon of an active element, where
-                            # its state and invariant maximum stop; settled
-                            # elements stay active, with no horizon left
-                            due = int(last.min(initial=_NEVER,
-                                               where=active)) + 1
-                        else:
-                            # a horizon changes no outcome but a group's
-                            # decision and the rule's count, and nothing
-                            # else moves that count between events: it is
-                            # at most COMPACT_AT * size from the step after
-                            # the over-th smallest counted horizon on
-                            # (_NEVER with settled rows counted, while some
-                            # group still waits)
-                            over = counted - int(COMPACT_AT * size)
-                            h = last[active & (last < _NEVER)
-                                     if queue and n_settled else active]
-                            h.partition(over - 1)
-                            due = min(run_due, int(h[over - 1])) + 1
-
+                # passed horizon that counts, a settled element or a
+                # rebuild, which makes the ring, slopes and kernel again
+                if self.changed or nxt == self.due:
+                    while self.changed or nxt == self.due:
+                        if self._event(nxt):
+                            # the next run makes arrays of its own
+                            self.cols = self.ring = self.fring = None
+                            self.slopes = self.work = self.kernel = None
+                            self.lo = self.hi = None
+                            return
+                    ring, slopes, fring = self.ring, self.slopes, self.fring
+                    kernel = self.kernel
                 new = kernel(rhs, ring, slopes, fring)
-                if frozen is not None:
-                    np.copyto(new, ring[0], where=frozen)
-
                 record(new, nxt, True)
-                # an element whose new state repeats its whole ring bit for
-                # bit repeats it, and its verdicts, at every later step: its
-                # results are final, so it has finished, and stepping it on
-                # past its horizon changes none of them
                 if settles and nxt % s == 0:
-                    same = _same_rows(new, ring[0])
-                    if live is not None:
-                        same &= live
-                    # settled elements repeat their newest state
-                    if np.count_nonzero(same) > n_settled:
-                        # neither settled nor past its horizon
-                        same &= (nxt <= last) & (last < _NEVER)
-                        for u in islice(ring, 1, s):
-                            same &= _same_rows(new, u)
-                        newly = np.count_nonzero(same)
-                        if newly:
-                            n_settled += newly
-                            last[same] = _NEVER
-                            due = nxt + 1
-                            if on_decided is not None:
-                                np.minimum(fin, nxt, out=fin, where=same)
-                                run_end = np.maximum.reduceat(fin, starts)
-                                run_due = nxt
+                    self._settle(new, nxt)
                 step = nxt
                 ring.rotate(1)
                 fring.rotate(1)
                 slopes.appendleft(None)
+
+    def _event(self, nxt: int) -> bool:
+        """The event before pool step ``nxt``: make the active set again,
+        write the results of the elements that stopped (a sweep pool) or
+        report the groups decided (a bisection pool), and admit, compact,
+        finish or step on as ``_schedule`` decides.  True once the run
+        ends."""
+        cols, counts, results = self.cols, self.counts, self.out is not None
+        counts["events"] += 1
+        counts["steps"] = nxt - self.method.steps
+        rewatch, hit = self.changed, None
+        if rewatch:
+            # an element finishes once every check requested for it has
+            # failed; one with nothing to check, or with an invariant to
+            # watch, runs to its horizon.  In a bisection pool a failing
+            # element finishes its group
+            done = ((cols.bound_viol | ~cols.b_req)
+                    & (cols.weak_viol | ~cols.w_req)
+                    & (cols.b_req | cols.w_req)
+                    & (self.invariant_weights is None))
+            if not results and done.any():
+                hit = np.zeros(int(self.run_group.max()) + 1, dtype=bool)
+                hit[cols.group[done]] = True
+                done = hit[cols.group]
+            active = (nxt <= cols.last) & ~done
+            if self.n_settled:
+                self.n_settled = np.count_nonzero(cols.last[active] == _NEVER)
+        else:
+            active = self.active & (nxt <= cols.last)
+        self.changed, self.active = False, active
+        n_active = np.count_nonzero(active)
+        admitted = False
+        if results:
+            going = self._going(active)
+            stop = ~going if self.going is None else self.going > going
+            if stop.any():
+                self._write(stop, nxt)
+            self.going = going
+        elif rewatch or nxt > self.run_due:
+            ended, admitted = self._decide_groups(nxt, hit)
+            if ended:
+                return True
+        action, due = _schedule(
+            active, cols.last, n_active, self.n_settled,
+            self.queue[0][1] if self.queue else 0, admitted, self.capacity,
+            results, self.run_due)
+        if action == "step":
+            self.due = due
+            self.live = None if n_active == cols.size else active
+            self._watch(active)
+        elif action != "finish":
+            self._rebuild(self._going(active), action == "admit", nxt)
+        return action == "finish"
+
+    def _going(self, active: np.ndarray) -> np.ndarray:
+        """The ``active`` rows that still evolve: those not settled."""
+        return active & (self.cols.last < _NEVER) if self.n_settled else active
+
+    def _decide_groups(self, nxt: int, hit) -> tuple:
+        """Report the groups decided by pool step ``nxt`` to the listener:
+        a group is decided once one of its rows fails (``hit``, per group
+        id) or all of them have passed their horizons or settled.  Whether
+        the listener ended the run, and whether it admitted more."""
+        free = self.run_waiting & (self.run_end < nxt)
+        if hit is not None:
+            free |= self.run_waiting & hit[self.run_group]
+        ended = admitted = False
+        if free.any():
+            self.run_waiting &= ~free
+            decided = self.run_group[free]
+            queued = len(self.queue)
+            ended = self.on_decided(
+                decided, np.ones(decided.size, bool) if hit is None
+                else ~hit[decided])
+            admitted = len(self.queue) > queued
+        self.run_due = int(self.run_end.min(initial=_NEVER,
+                                            where=self.run_waiting))
+        return ended, admitted
+
+    def _rebuild(self, keep, join: bool, nxt: int) -> None:
+        """Gather the rows ``keep`` (None: the pool is empty) into new
+        arrays and, with ``join``, append the queued elements that fit,
+        run their startup and check its states, so that their next step is
+        pool step ``nxt``.  The ring of states (``ring[s]`` the slot the
+        next one goes into), their slopes as the shared kernel fills them,
+        and where it writes each slope: state, slope and slot rotate
+        together, so the slot that comes round to the newest state held the
+        dropped one's slope."""
+        s = self.method.steps
+        k = 0 if keep is None else int(np.count_nonzero(keep))
+        new = self._joiners(self.capacity - k, k == 0) if join else None
+        self.counts["compactions" if new is None else "admissions"] += 1
+        if k:
+            cols = self.cols.take(keep)
+            old = list(self.ring)[:s], list(self.slopes)
+        if new is not None:
+            fresh = _Columns.joining(new, nxt - s, self.invariant_weights)
+            cols = cols.join(fresh) if k else fresh
+        self.cols = cols
+        self._arrays()
+        # the active set, and with it the finished elements and groups, is
+        # made again at the next event, and so is the pool step of the next
+        # event that no check sets off (``due``) and of the listener's next
+        # decision by horizon (``run_due``)
+        self.changed, self.n_settled, self.going = True, 0, None
+        self.due, self.run_due = None, _NEVER
+        ring = self.ring
+        for i in range(s if k else 0):
+            _take_into(keep, old[0][i], ring[i][:k])
+        if new is None:
+            for i, f in enumerate(old[1]):
+                if f is not None:
+                    self.slopes[i] = _take_into(keep, f, self.fring[i])
+        else:
+            self.slopes = deque([None] * s, maxlen=s)
+            # u^0 .. u^(s-1) of the new rows go into their rows of the
+            # ring's slots s-1 .. 0, newest first; the other arrays are
+            # free until the next step
+            new_rows = slice(k, None)
+            slots = [ring[s - 1 - i][new_rows] for i in range(s)]
+            spare = [a[new_rows] for a in (*self.work[:2], ring[s],
+                                           *self.fring, *self.work[2:])]
+            _startup_states(self.problem, self.method, self.startup,
+                            new["y0s"], new["dts"], (slots, spare))
+            for i in range(s):
+                live = np.zeros(cols.size, dtype=bool)
+                live[new_rows] = i <= new["n_steps"]
+                self.live = None if live.all() else live
+                self._watch(live)
+                self._record(ring[s - 1 - i], nxt - s + i)
+        if self.out is None:
+            self._runs()
+
+    def _arrays(self) -> None:
+        """Make the arrays the pool owns for its rows, all cut from one
+        aligned buffer: the kernels' work arrays (scratch pair and stage
+        slots), s + 1 slots for the ring's states and s for their slopes;
+        the bound edges and the invariant's sums.  Bind the step kernel to
+        the work arrays and the rows' steps."""
+        cols, s, m = self.cols, self.method.steps, self.problem.dimension
+        n_work = 2 + stage_slots(self.method)
+        arrays = _block_arrays(n_work + 2 * s + 1, cols.size, m)
+        self.work = arrays[:n_work]
+        self.ring = deque(arrays[n_work:n_work + s + 1])
+        self.fring = deque(arrays[n_work + s + 1:])
+        self.kernel = _step_kernel(
+            self.method, _component_major(cols.phis, m), m, self.work)
+        # full (b, m) operands, component-major like the states: numpy
+        # multiplies and compares two full arrays several times faster
+        # than an array and a (b, 1) column
+        if self.check_bounds:
+            self.lo = _component_major(cols.lo_edge, m)
+            self.hi = _component_major(cols.hi_edge, m)
+        # the invariant's sums, and the steps and times of its drift
+        self.sums = (np.empty(cols.size), np.empty(cols.size))
+        self.local = np.empty(cols.size, dtype=np.int64)
+        self.elapsed = np.empty(cols.size) if self.invariant_drift else None
+
+    def _runs(self) -> None:
+        """Make the runs of rows of one group again, a group's rows joining
+        together and keeping their order: where each starts, its group,
+        whether it waits for a decision and the pool step its last row
+        finishes at.  Every group in the pool waits: a decided one has no
+        row left to evolve, so a rebuild keeps none of its rows."""
+        group = self.cols.group
+        self.starts = np.flatnonzero(np.concatenate(
+            [[True], group[1:] != group[:-1]]))
+        self.run_group = group[self.starts]
+        self.run_waiting = np.ones(self.starts.size, dtype=bool)
+        self.run_end = np.maximum.reduceat(self.cols.fin, self.starts)
+
+    def _watch(self, rows: np.ndarray) -> None:
+        """The elements each monitor watches: those of ``rows`` whose check
+        is requested and has not failed yet."""
+        cols = self.cols
+        # a & ~b is a > b on bools
+        if self.check_bounds:
+            self.b_watch = (cols.b_req & rows) > cols.bound_viol
+        if self.check_weak:
+            self.w_watch = (cols.w_req & rows) > cols.weak_viol
+
+    def _flag(self, v, mask, viol, first, at: int) -> None:
+        """Mark the elements ``v`` of the watch ``mask`` as failing at pool
+        step ``at``.  A bisection pool watches an element past its horizon
+        until the next event: such an element is dropped from ``v`` and
+        cleared from ``mask``."""
+        late = v & (self.cols.last < at)
+        if late.any():
+            # a & ~b is a > b on bools
+            np.greater(mask, late, out=mask)
+            np.greater(v, late, out=v)
+            if not v.any():
+                return
+        first[v] = at - self.cols.base[v]
+        viol[v] = True
+        self.changed = True
+
+    def _record(self, state: np.ndarray, at: int, stepped=False) -> None:
+        """Monitor ``state``, the states of pool step ``at``, for the
+        elements ``live``; a ``stepped`` state's weak window is the ring's
+        s states (else a startup state, checked only for NaN/inf)."""
+        cols = self.cols
+        if self.check_bounds:
+            # watched and outside its edges (a & ~b is a > b on bools)
+            watch = self.b_watch
+            v = np.greater(watch, _rows_all((state >= self.lo)
+                                            & (state <= self.hi)))
+            if np.count_nonzero(v):
+                self._flag(v, watch, cols.bound_viol, cols.first_bound, at)
+        if self.check_weak:
+            wc, ring = self.weak_component, self.ring
+            v = ~_rows_all(np.isfinite(state))
+            if stepped:
+                # oldest first
+                v |= window_violations(state[:, wc], [
+                    ring[i][:, wc] for i in range(len(ring) - 2, -1, -1)],
+                    cols.w_inc)
+            watch = self.w_watch
+            v &= watch
+            if np.count_nonzero(v):
+                self._flag(v, watch, cols.weak_viol, cols.first_weak, at)
+        if self.invariant_weights is not None:
+            if self.elapsed is not None:
+                np.subtract(at, cols.base, out=self.local)
+                np.multiply(self.local, cols.dts, out=self.elapsed)
+            dev, _ = invariant_deviation(
+                state, self.invariant_weights, cols.level,
+                self.invariant_drift, self.elapsed, *self.sums)
+            np.abs(dev, out=dev)
+            np.maximum(cols.inv_dev, dev, out=cols.inv_dev,
+                       where=True if self.live is None else self.live)
+
+    def _settle(self, new: np.ndarray, nxt: int) -> None:
+        """Mark the elements whose ``new`` state, of pool step ``nxt``,
+        repeats their whole ring bit for bit as settled: they repeat it,
+        and their verdicts, at every later step, so their results are
+        final, and stepping them on past their horizons changes none of
+        them."""
+        cols, ring = self.cols, self.ring
+        same = _same_rows(new, ring[0])
+        if self.live is not None:
+            same &= self.live
+        # settled elements repeat their newest state
+        if np.count_nonzero(same) <= self.n_settled:
+            return
+        # neither settled nor past its horizon
+        same &= (nxt <= cols.last) & (cols.last < _NEVER)
+        for u in islice(ring, 1, self.method.steps):
+            same &= _same_rows(new, u)
+        newly = np.count_nonzero(same)
+        if newly:
+            self.n_settled += newly
+            cols.last[same] = _NEVER
+            self.due = nxt + 1
+            if self.out is None:
+                np.minimum(cols.fin, nxt, out=cols.fin, where=same)
+                self.run_end = np.maximum.reduceat(cols.fin, self.starts)
+                self.run_due = nxt
+
+    def _write(self, sel: np.ndarray, nxt: int) -> None:
+        """Write the results of the rows ``sel``, which stopped before
+        pool step ``nxt``.  A row's final state is its newest one, or for a
+        horizon inside the startup (it stops at the event after the
+        startup) its state at the horizon, ``nxt - 1 - last`` slots
+        back."""
+        out, cols, ring = self.out, self.cols, self.ring
+        at = cols.ids[sel]
+        out.bound_violated[at] = cols.bound_viol[sel]
+        out.weak_violated[at] = cols.weak_viol[sel]
+        # a NaN deviation sticks in the running maximum; it is an infinite
+        # one, as in a recorded run's monitor
+        dev = cols.inv_dev[sel]
+        out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
+        out.first_bound_step[at] = cols.first_bound[sel]
+        out.first_weak_step[at] = cols.first_weak[sel]
+        out.final_states[at] = ring[0][sel]
+        for back in range(1, self.method.steps):
+            rows = sel & (cols.last == nxt - 1 - back)
+            if rows.any():
+                out.final_states[cols.ids[rows]] = ring[back][rows]
 
 
 def run_preservation_sweep(problem: OdeProblem, method: Method,
@@ -799,15 +833,17 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                            lower=None, upper=None,
                            weak_direction: int = 0, weak_component: int = 0,
                            invariant_weights=None,
-                           invariant_drift: float = 0.0,
-                           _groups=None) -> SweepOutcome:
+                           invariant_drift: float = 0.0) -> SweepOutcome:
     """Advance a batch of runs in lockstep and monitor preserved properties.
 
     Per batch element i: threshold bounds[i], step size dts[i], initial
     state y0s[i], horizon n_steps[i] steps.  ``dts`` has shape (B,) and
     holds positive finite steps whose horizons n_steps * dts are finite;
-    ``bounds`` and ``n_steps`` are one value for the whole batch or arrays
-    of shape (B,).  ``lower``/``upper`` are bounds applied to every
+    ``n_steps`` holds whole numbers, 0 or more; ``bounds`` and ``n_steps``
+    are one value for the whole batch or arrays of shape (B,).  An
+    element's final state is u^n at its horizon n, or where it stopped
+    before it; a horizon inside the startup (n < s - 1) has it from the
+    startup.  ``lower``/``upper`` are bounds applied to every
     component and ``weak_direction`` is +1 (windowed increase), -1
     (decrease) or 0 (skip); each is either one value for the whole batch or
     an array of shape (B,).  In an array a missing bound is
@@ -829,11 +865,12 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     The batch runs through one lockstep pool (``_SweepPool``), admitted in
     blocks of at most ``MAX_SWEEP_ELEMENTS // m`` elements, each block
     once the one before has left it, so that a block's rings of states and
-    slopes stay in the processor caches.  Once at most ``COMPACT_AT`` of a
-    block's elements still evolve, the stopped ones' results are written
-    out and the block goes on with the others alone.  An element that has
-    settled (see the module notes) has finished, and a block ends once
-    every element has.  Elements are independent, so neither blocks,
+    slopes stay in the processor caches.  Each element's results are
+    written at the step it stops: once every check requested for it has
+    failed, past its horizon, or once it has settled (see the module
+    notes).  Once at most ``COMPACT_AT`` of a block's elements still
+    evolve, the block goes on with them alone, and it ends once every
+    element has stopped.  Elements are independent, so neither blocks,
     compaction nor settling show in any result.  A block none of whose
     elements settles pays one compare of its new states with the newest
     ring state and one count per s steps.
@@ -855,11 +892,6 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     numpy places an array at a random 16-byte offset within a cache line,
     and a pass whose output is not line-aligned ran up to twice as slow
     (see ``integrate``); where an array starts changes no result.
-
-    ``_groups`` (private) gives each element a nonnegative integer group id:
-    once one element stops at its failed checks, all elements of its block
-    and group stop too, and their results cover only the steps they made.
-    Whether a group has a failing element is the same with and without it.
     """
     y0s = np.asarray(y0s, dtype=float)
     B, m = y0s.shape
@@ -867,7 +899,15 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                  f"a sweep of {B} elements of {m} components")
     dts = np.asarray(dts, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    n_steps = np.asarray(n_steps, dtype=int)
+    n_steps = np.asarray(n_steps)
+    if n_steps.dtype.kind not in "iu":
+        n_steps = n_steps.astype(float)
+    bad = ~(np.isfinite(n_steps) & (n_steps >= 0)
+            & (np.floor(n_steps) == n_steps))
+    if bad.any():
+        raise ConfigurationError(
+            "n_steps must be whole numbers of steps, 0 or more (got "
+            f"{n_steps[bad][0].item()!r})")
     if dts.shape != (B,):
         raise ConfigurationError(
             f"dts has shape {dts.shape}, the batch needs ({B},)")
@@ -877,7 +917,6 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                 f"{name} has shape {value.shape}, the batch needs ({B},) "
                 "or one value")
     bounds = np.broadcast_to(bounds, (B,))
-    n_steps = np.broadcast_to(n_steps, (B,))
     # a finite horizon keeps every invariant target finite; with no drift
     # it is then exactly the initial level
     with np.errstate(over="ignore"):
@@ -892,6 +931,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     longest = n_steps.max(initial=0)
     require_work(B * rhs_work(longest, rhs_calls(method), m),
                  f"a sweep of {B} elements of up to {longest:.3g} steps")
+    n_steps = np.broadcast_to(n_steps.astype(np.int64, copy=False), (B,))
     if startup is None:
         startup = default_startup(problem, method)
 
@@ -920,9 +960,6 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
             raise ConfigurationError(
                 f"invariant_weights has shape {gamma.shape}, a state of "
                 f"length {m} needs ({m},)")
-    if _groups is not None:
-        inputs["group"] = np.broadcast_to(
-            np.asarray(_groups, dtype=np.intp), (B,))
 
     out = SweepOutcome(bound_violated=np.zeros(B, dtype=bool),
                        weak_violated=np.zeros(B, dtype=bool),
@@ -933,25 +970,21 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     pool = _SweepPool(problem, method, startup, check_bounds=check_bounds_on,
                       check_weak=check_weak, weak_component=weak_component,
                       invariant_weights=gamma,
-                      invariant_drift=invariant_drift,
-                      grouped=_groups is not None, out=out)
+                      invariant_drift=invariant_drift, out=out)
 
-    def block(a: int, b: int):
-        """The inputs of elements a..b-1 of the batch, as ``admit`` asks for
-        a block of them that starts at ``start``."""
-        def take(i: int, j: int) -> dict:
-            sl = slice(a + i, a + j)
-            bound = (_bound_inputs(lower[sl], upper[sl]) if check_bounds_on
-                     else {})
-            return {"ids": np.arange(sl.start, sl.stop), **bound,
-                    **{key: value[sl] for key, value in inputs.items()}}
-        return take
+    def take(a: int, b: int) -> dict:
+        """The inputs of elements a..b-1 of the batch, as ``admit`` asks
+        for them."""
+        bound = (_bound_inputs(lower[a:b], upper[a:b]) if check_bounds_on
+                 else {})
+        return {"ids": np.arange(a, b), **bound,
+                **{key: value[a:b] for key, value in inputs.items()}}
 
-    # blocks of near-equal size, each run to its end alone
+    # blocks of near-equal size, each one unit run to its end alone
     n_blocks = -(-B // pool.capacity)
     for k in range(n_blocks):
         a, b = k * B // n_blocks, (k + 1) * B // n_blocks
-        pool.admit(b - a, b - a, block(a, b))
+        pool.admit(b - a, b - a, lambda i, j, a=a: take(a + i, a + j))
         pool.run()
     return out
 
@@ -1190,7 +1223,7 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
     pool = _SweepPool(problem, method, startup,
                       check_bounds=prop == BOUNDEDNESS,
                       check_weak=prop == WEAK_MONOTONICITY,
-                      weak_component=weak_component, grouped=True)
+                      weak_component=weak_component)
     # per tested threshold (group id): whether it is decided, and held
     decided = held = np.zeros(0, dtype=bool)
 

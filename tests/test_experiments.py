@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import statistics
 import sys
 import tracemalloc
@@ -966,43 +967,7 @@ def test_compacted_sweep_equals_uncompacted_seir(seir0, monkeypatch):
     _assert_same_outcome(conserved, sweep(invariant_weights=np.ones(4)))
 
 
-@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
-def test_grouped_sweep_decides_each_group_as_ungrouped(logistic2, prop):
-    # six rows at three thresholds each, one group per (row, threshold):
-    # a group stops at its first failing element, which decides it alone
-    m = get_method("sspms42")
-    dts = np.geomspace(0.5, 3.0, 12)
-    n_steps = np.ceil(30.0 / dts - 1e-9).astype(int)
-    rows = np.repeat(np.arange(len(LOGISTIC_Y0S)), 3)
-    sufficient = (n.effective_ssp_coefficient(m)
-                  * n.fe_property_bound(logistic2, LOGISTIC_Y0S))
-    thresholds = sufficient[rows] * np.tile([0.5, 1.5, 4.0], 6)
-    checks = experiments._row_checks(logistic2, LOGISTIC_Y0S, prop)
-    k, n_dt = rows.size, dts.size
-
-    def sweep(groups):
-        return run_preservation_sweep(
-            logistic2, m, PhiKind.PHI5, np.repeat(thresholds, n_dt),
-            np.tile(dts, k), np.repeat(LOGISTIC_Y0S[rows], n_dt, axis=0),
-            np.tile(n_steps, k), _groups=groups,
-            **{key: np.repeat(v[rows], n_dt) for key, v in checks.items()})
-
-    grouped = sweep(np.repeat(np.arange(k), n_dt))
-    alone = sweep(None)
-    field = "bound_violated" if prop == BOUNDEDNESS else "weak_violated"
-    decided = getattr(alone, field).reshape(k, n_dt).any(axis=1)
-    assert decided.any() and not decided.all()
-    assert np.array_equal(
-        getattr(grouped, field).reshape(k, n_dt).any(axis=1), decided)
-    # groups that never fail run as before; failing groups stop early
-    same = np.repeat(~decided, n_dt)
-    for got, want in zip(_outcome_fields(grouped), _outcome_fields(alone)):
-        assert np.array_equal(got[same], want[same], equal_nan=True)
-    assert (getattr(grouped, field).sum()
-            < getattr(alone, field).sum())
-
-
-def _sweep_slice(problem, m, args, sel, groups=None):
+def _sweep_slice(problem, m, args, sel):
     """``run_preservation_sweep`` on the elements ``sel`` of a batch whose
     per-element arguments are ``args``."""
     per_element = {key: value[sel] for key, value in args.items()
@@ -1013,7 +978,7 @@ def _sweep_slice(problem, m, args, sel, groups=None):
         problem, m, PhiKind.PHI5 if m.design_order == 2 else PhiKind.PHI8,
         per_element.pop("bounds"), per_element.pop("dts"),
         per_element.pop("y0s"), per_element.pop("n_steps"),
-        _groups=groups, **per_element, **rest)
+        **per_element, **rest)
 
 
 @st.composite
@@ -1059,34 +1024,85 @@ def _sweep_batches(draw):
     return problem, m, args
 
 
-@given(batch=_sweep_batches(), compact_at=st.sampled_from([0.0, 0.5]),
-       grouped=st.booleans(), data=st.data())
-def test_sweep_elements_equal_their_own_sweeps(batch, compact_at, grouped,
-                                               data):
+@given(batch=_sweep_batches(), compact_at=st.sampled_from([0.0, 0.5]))
+def test_sweep_elements_equal_their_own_sweeps(batch, compact_at):
     # whatever shares a batch, and whenever the batch compacts, each
-    # element's outcome is its own sweep's; a group's is the sweep of its
-    # elements alone
+    # element's outcome is its own sweep's
     problem, m, args = batch
     B = args["dts"].size
-    groups = None
-    if grouped:
-        groups = np.array(data.draw(st.lists(st.integers(0, 2), min_size=B,
-                                             max_size=B)))
     with mock.patch.object(experiments, "COMPACT_AT", compact_at):
-        whole = _sweep_slice(problem, m, args, slice(None), groups)
-        if groups is None:
-            parts = [(np.array([i]), _sweep_slice(problem, m, args,
-                                                  slice(i, i + 1)))
-                     for i in range(B)]
-        else:
-            parts = [(np.flatnonzero(groups == g),
-                      _sweep_slice(problem, m, args, groups == g,
-                                   np.zeros(np.count_nonzero(groups == g),
-                                            dtype=int)))
-                     for g in np.unique(groups)]
+        whole = _sweep_slice(problem, m, args, slice(None))
+        parts = [(np.array([i]), _sweep_slice(problem, m, args,
+                                              slice(i, i + 1)))
+                 for i in range(B)]
     for at, part in parts:
         for got, want in zip(_outcome_fields(whole), _outcome_fields(part)):
             assert np.array_equal(got[at], want, equal_nan=True)
+
+
+def _batch_startup(problem, m, y0s, dts):
+    """u^0..u^(s-1) of a batch, as the batch startup writes them."""
+    s, (B, dim) = m.steps, y0s.shape
+    arrays = integrate_mod._block_arrays(
+        2 * s + 3 + integrate_mod.stage_slots(m), B, dim)
+    states = integrate_mod._startup_states(
+        problem, m, integrate_mod.default_startup(problem, m), y0s, dts,
+        (arrays[:s], arrays[s:]))
+    return [u.copy() for u in states]
+
+
+@pytest.mark.parametrize("problem_name", ["logistic", "seir"])
+def test_horizon_inside_the_startup_ends_at_its_startup_state(problem_name):
+    # logistic starts sspms64 from its exact solution, SEIR with ssprk104
+    # steps; a horizon n < s - 1 = 5 ends at u^n, alone and in a batch
+    # with longer runs (n = 30) that step on
+    m = get_method("sspms64")
+    n_steps = np.array([0, 1, 2, 5, 30, 3, 4, 30, 0])
+    B = n_steps.size
+    dts = np.linspace(0.1, 0.5, B)
+    if problem_name == "logistic":
+        problem = n.logistic_problem(2.0)
+        y0s = np.linspace(0.3, 1.5, B)[:, None]
+    else:
+        problem = n.seir_problem(0.0)
+        infected = np.linspace(0.05, 0.6, B)
+        y0s = np.stack([1.0 - infected, 0.0 * infected, infected,
+                        0.0 * infected], axis=1)
+    bounds = n.ssp_threshold(m, n.fe_property_bound(problem, y0s))
+    startup = _batch_startup(problem, m, y0s, dts)
+    whole = run_preservation_sweep(problem, m, PhiKind.PHI8, bounds, dts,
+                                   y0s, n_steps, lower=-1.0)
+    assert not whole.bound_violated.any()
+    for i in np.flatnonzero(n_steps < m.steps):
+        alone = run_preservation_sweep(
+            problem, m, PhiKind.PHI8, bounds[i:i + 1], dts[i:i + 1],
+            y0s[i:i + 1], n_steps[i], lower=-1.0)
+        want = startup[n_steps[i]][i].tobytes()
+        assert whole.final_states[i].tobytes() == want
+        assert alone.final_states[0].tobytes() == want
+    assert not np.array_equal(whole.final_states[4], startup[-1][4])
+
+
+@pytest.mark.parametrize("n_steps, shown", [
+    (-1, "-1"), (-10 ** 6, "-1000000"), (2.5, "2.5"), (2.9, "2.9"),
+    ([3.7], "3.7"), (np.nan, "nan"), (np.inf, "inf"), ([4, -2], "-2")])
+def test_sweep_refuses_bad_horizons(logistic2, n_steps, shown):
+    B = np.size(n_steps)
+    with pytest.raises(ConfigurationError,
+                       match=rf"n_steps .*\(got {re.escape(shown)}\)"):
+        run_preservation_sweep(logistic2, get_method("sspms42"),
+                               PhiKind.PHI5, 0.3, np.full(B, 0.2),
+                               np.full((B, 1), 0.5), n_steps)
+
+
+@pytest.mark.parametrize("whole", [7.0, np.float64(7), [7.0, 7.0]])
+def test_sweep_takes_whole_number_horizons(logistic2, whole):
+    def sweep(n_steps):
+        return run_preservation_sweep(
+            logistic2, get_method("sspms42"), PhiKind.PHI5, 0.3,
+            np.array([0.2, 0.4]), np.full((2, 1), 0.5), n_steps, lower=0.0)
+
+    _assert_same_outcome(sweep(whole), sweep(7))
 
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 1.0),
@@ -1659,41 +1675,6 @@ def _assert_same_bytes(got, want):
         assert got_field.tobytes() == want_field.tobytes()
 
 
-@pytest.mark.parametrize("method_id, t_end", [("sspms42", 300.0),
-                                              ("sspms64", 1500.0)])
-@pytest.mark.parametrize("prop", [BOUNDEDNESS, WEAK_MONOTONICITY])
-def test_settled_block_stop_keeps_grouped_outcomes(logistic2, monkeypatch,
-                                                   method_id, t_end, prop):
-    # the grouped sweeps of a bisection, long enough for their survivors
-    # to settle: odd and even horizons, and groups that stop at their
-    # first failing element
-    m = get_method(method_id)
-    dts = np.geomspace(0.5, 3.0, 13)
-    n_steps = np.ceil(t_end / dts - 1e-9).astype(int)
-    assert len(set(n_steps % 2)) == 2
-    rows = np.repeat(np.arange(len(LOGISTIC_Y0S)), 3)
-    sufficient = (n.effective_ssp_coefficient(m)
-                  * n.fe_property_bound(logistic2, LOGISTIC_Y0S))
-    thresholds = sufficient[rows] * np.tile([0.25, 0.5, 8.0], 6)
-    checks = experiments._row_checks(logistic2, LOGISTIC_Y0S, prop)
-    k, n_dt = rows.size, dts.size
-
-    def sweep(problem):
-        return run_preservation_sweep(
-            problem, m, PhiKind.PHI5, np.repeat(thresholds, n_dt),
-            np.tile(dts, k), np.repeat(LOGISTIC_Y0S[rows], n_dt, axis=0),
-            np.tile(n_steps, k), _groups=np.repeat(np.arange(k), n_dt),
-            **{key: np.repeat(v[rows], n_dt) for key, v in checks.items()})
-
-    settled, settled_calls, stepped, stepped_calls = _settled_and_stepped(
-        logistic2, sweep, monkeypatch)
-    field = "bound_violated" if prop == BOUNDEDNESS else "weak_violated"
-    decided = getattr(stepped, field).reshape(k, n_dt).any(axis=1)
-    assert decided.any() and not decided.all()
-    _assert_same_bytes(settled, stepped)
-    assert settled_calls < stepped_calls
-
-
 def test_settled_block_stop_keeps_non_finite_and_signed_zero_starts(
         logistic2, monkeypatch):
     # a NaN ring repeats bit for bit, payload and all; a -0.0 start whose
@@ -1753,23 +1734,20 @@ def test_settled_block_stop_waits_for_a_fixed_invariant_target(
     assert calls[0] - starter == slope_evaluations(m, stepped)
 
 
-def _settling_pool(problem, outcome):
-    """A logistic sspms42 pool of two groups of three elements each, from
-    0.5 with dt 0.25 to 0.35 and horizons of 2000 steps, bounded to [0, 2]:
-    group 0 at threshold 0.4 settles on its fixed point within about 100
-    steps, group 1 at 1e-5 creeps and never settles.  Results go into
-    ``outcome``."""
+def _settling_pool(problem):
+    """A logistic sspms42 bisection pool of two groups of three elements
+    each, from 0.5 with dt 0.25 to 0.35 and horizons of 2000 steps, bounded
+    to [0, 2]: group 0 at threshold 0.4 settles on its fixed point within
+    about 100 steps, group 1 at 1e-5 creeps and never settles."""
     m = get_method("sspms42")
     pool = experiments._SweepPool(problem, m,
                                   integrate_mod.default_startup(problem, m),
-                                  check_bounds=True, check_weak=False,
-                                  grouped=True, out=outcome)
+                                  check_bounds=True, check_weak=False)
     thresholds = np.repeat([0.4, 1e-5], 3)
     dts = np.tile([0.25, 0.3, 0.35], 2)
 
     def take(a, b):
-        return {"ids": np.arange(a, b),
-                "phis": experiments.phi_value(
+        return {"phis": experiments.phi_value(
                     PhiKind.PHI5, thresholds[a:b], dts[a:b]),
                 "dts": dts[a:b], "y0s": np.full((b - a, 1), 0.5),
                 "n_steps": np.full(b - a, 2000),
@@ -1782,21 +1760,11 @@ def _settling_pool(problem, outcome):
     return pool
 
 
-def _empty_outcome(B, m):
-    return experiments.SweepOutcome(
-        bound_violated=np.zeros(B, dtype=bool),
-        weak_violated=np.zeros(B, dtype=bool), invariant_max_dev=np.zeros(B),
-        first_bound_step=np.full(B, -1, dtype=np.int64),
-        first_weak_step=np.full(B, -1, dtype=np.int64),
-        final_states=np.empty((B, m)))
-
-
 def test_settled_group_is_decided_before_its_horizon(logistic2,
                                                      monkeypatch):
     problem, calls = counting_rhs(logistic2)
 
     def run():
-        outcome = _empty_outcome(6, 1)
         decided = {}
 
         def on_decided(groups, held):
@@ -1805,25 +1773,22 @@ def test_settled_group_is_decided_before_its_horizon(logistic2,
             return False
 
         calls[0] = 0
-        _settling_pool(problem, outcome).run(on_decided)
-        return outcome, decided
+        _settling_pool(problem).run(on_decided)
+        return decided
 
-    settled, decided = run()
+    decided = run()
     horizon = slope_evaluations(get_method("sspms42"), 2000)
     # both hold; the settling group is decided long before its horizon,
     # the creeping one at it
     assert decided[0][0] and decided[1][0]
     assert decided[0][1] < 200 < horizon <= decided[1][1]
     # with the settle compare never matching, every element steps to its
-    # horizon, and every result keeps its bytes
+    # horizon, and both groups still hold
     monkeypatch.setattr(experiments, "_same_rows",
                         lambda a, b: np.zeros(a.shape[0], dtype=bool))
-    stepped, decided = run()
+    decided = run()
+    assert decided[0][0] and decided[1][0]
     assert decided[0][1] >= horizon
-    for field in dataclasses.fields(settled):
-        got, want = getattr(stepped, field.name), getattr(settled, field.name)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), field.name
 
 
 # ---------------------------------------------------------------------------
@@ -1940,8 +1905,7 @@ def _bisection_pool(problem, phis, dts, y0s, n_steps, groups, upper):
     m = get_method("sspms42")
     pool = experiments._SweepPool(problem, m,
                                   integrate_mod.default_startup(problem, m),
-                                  check_bounds=True, check_weak=False,
-                                  grouped=True)
+                                  check_bounds=True, check_weak=False)
     columns = [np.asarray(c) for c in (phis, dts, y0s, n_steps, groups,
                                        upper)]
 
@@ -2028,3 +1992,66 @@ def test_run_past_its_horizon_does_not_settle(logistic2, monkeypatch):
     assert _verdicts(pool([40] + [2000] * 3 + [150] * 3)) == [
         (1, True), (0, True)]
     assert sizes == [7, 3]
+
+
+def _schedule(active, last, n_settled=0, head=0, admitted=False,
+              capacity=100, results=False, run_due=experiments._NEVER):
+    """``experiments._schedule`` on hand-made rows."""
+    active = np.array(active, dtype=bool)
+    return experiments._schedule(
+        active, np.array(last, dtype=np.int64), np.count_nonzero(active),
+        n_settled, head, admitted, capacity, results, run_due)
+
+
+def test_schedule_admits_what_the_listener_admitted_once_it_fits():
+    # eight rows, all evolving: no compaction is due
+    on, far = [True] * 8, [50] * 8
+    assert _schedule(on, far, head=2, admitted=True, capacity=10)[0] == (
+        "admit")
+    # a head that does not fit beside the eight waits, and so does one the
+    # listener did not admit at this event
+    assert _schedule(on, far, head=3, admitted=True, capacity=10)[0] == (
+        "step")
+    assert _schedule(on, far, head=2, capacity=10)[0] == "step"
+
+
+def test_schedule_finishes_once_nothing_evolves_and_nothing_queues():
+    assert _schedule([False] * 4, [3] * 4) == ("finish", None)
+    # settled rows do not evolve
+    never = experiments._NEVER
+    assert _schedule([True, True, False], [never, never, 3],
+                     n_settled=2) == ("finish", None)
+    # with elements queued, they join
+    assert _schedule([False] * 4, [3] * 4, head=5) == ("admit", None)
+
+
+def test_schedule_compacts_at_compact_at():
+    never = experiments._NEVER
+    # four of eight rows still active: at most COMPACT_AT of the pool
+    assert _schedule([True] * 4 + [False] * 4, [50] * 8)[0] == "compact"
+    assert _schedule([True] * 5 + [False] * 3, [50] * 8)[0] == "step"
+    # six active, two of them settled: with nothing queued the settled
+    # rows count, and the pool steps on; with elements queued they are
+    # room, and the pool admits
+    rows, last = [True] * 6 + [False] * 2, [50] * 4 + [never] * 2 + [3] * 2
+    assert _schedule(rows, last, n_settled=2)[0] == "step"
+    assert _schedule(rows, last, n_settled=2, head=9)[0] == "admit"
+
+
+def test_schedule_next_due_step_of_each_kind_of_pool():
+    never = experiments._NEVER
+    rows = [True] * 7 + [False]
+    last = [9, 3, 7, 11, 5, 15, 13, 1]
+    # with results: the step after the next horizon of an active row
+    assert _schedule(rows, last, results=True) == ("step", 4)
+    # without: the step at which passed horizons bring the seven counted
+    # rows to COMPACT_AT of the eight (three passed, the third at 7), or
+    # the listener's next decision if that comes first
+    assert _schedule(rows, last) == ("step", 8)
+    assert _schedule(rows, last, run_due=5) == ("step", 6)
+    # a settled row has no horizon; counted as room while elements queue,
+    # it brings the bar nearer (two passed horizons, the second at 5)
+    last[5] = never
+    assert _schedule(rows, last, n_settled=1, results=True) == ("step", 4)
+    assert _schedule(rows, last, n_settled=1) == ("step", 8)
+    assert _schedule(rows, last, n_settled=1, head=99) == ("step", 6)

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at their smallest sizes, and the
-benchmark pairs summary on canned results."""
+benchmark pairs summary and the code line count on canned input."""
 
+import importlib
 import json
 import os
 import re
@@ -84,13 +85,17 @@ def test_output_digests_prints_one_line_per_output():
     assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
 
 
-def _bench_pairs():
+def _script(name):
+    """The module of ``scripts/<name>.py``."""
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
-        import bench_pairs
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(ROOT / "scripts"))
-    return bench_pairs
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def _result_line(correct, failed, p50, rss):
@@ -142,3 +147,41 @@ def test_bench_pairs_summarizes_canned_results():
     assert entry["peak_rss_mb"]["wins"] == 2
     assert bench_pairs.quartiles([1.5]) == {"median": 1.5, "q1": 1.5,
                                             "q3": 1.5}
+
+
+CANNED_SOURCE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment beside code
+
+
+# a comment line
+@decorator
+def f(x):
+    """A function docstring."""
+    s = """a string
+that is code"""
+    return x
+
+
+class C:
+    \'\'\'A class docstring.\'\'\'
+
+    def g(self):
+
+        return 1
+'''
+
+
+def test_code_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    code_lines = _script("code_lines")
+    # import; decorator, def, the string's two lines, return; class, def,
+    # return
+    assert code_lines.count(CANNED_SOURCE) == (9, [("f", 5), ("C", 3)])
+    path = tmp_path / "canned.py"
+    path.write_text(CANNED_SOURCE)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"9 {path}\n  5 f\n  3 C\n"
