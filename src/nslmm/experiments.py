@@ -512,7 +512,7 @@ class _SweepPool:
             ("steps", "admissions", "compactions", "events"), 0)
         if not self.queue:
             return
-        self.on_decided, record = on_decided, self._record
+        record = self._record
         # violated elements may blow up before they freeze; their inf/nan
         # arithmetic is elementwise and never poisons the others.  A
         # starter may overflow too (an untransformed one at a large step).
@@ -528,7 +528,7 @@ class _SweepPool:
                 # rebuild, which makes the ring, slopes and kernel again
                 if self.changed or nxt == self.due:
                     while self.changed or nxt == self.due:
-                        if self._event(nxt):
+                        if self._event(nxt, on_decided):
                             # the next run makes arrays of its own
                             self.cols = self.ring = self.fring = None
                             self.slopes = self.work = self.kernel = None
@@ -545,12 +545,12 @@ class _SweepPool:
                 fring.rotate(1)
                 slopes.appendleft(None)
 
-    def _event(self, nxt: int) -> bool:
+    def _event(self, nxt: int, on_decided) -> bool:
         """The event before pool step ``nxt``: make the active set again,
         write the results of the elements that stopped (a sweep pool) or
-        report the groups decided (a bisection pool), and admit, compact,
-        finish or step on as ``_schedule`` decides.  True once the run
-        ends."""
+        report the groups decided to ``on_decided`` (a bisection pool), and
+        admit, compact, finish or step on as ``_schedule`` decides.  True
+        once the run ends."""
         cols, counts, results = self.cols, self.counts, self.out is not None
         counts["events"] += 1
         counts["steps"] = nxt - self.method.steps
@@ -583,7 +583,7 @@ class _SweepPool:
                 self._write(stop, nxt)
             self.going = going
         elif rewatch or nxt > self.run_due:
-            ended, admitted = self._decide_groups(nxt, hit)
+            ended, admitted = self._decide_groups(nxt, hit, on_decided)
             if ended:
                 return True
         action, due = _schedule(
@@ -602,8 +602,8 @@ class _SweepPool:
         """The ``active`` rows that still evolve: those not settled."""
         return active & (self.cols.last < _NEVER) if self.n_settled else active
 
-    def _decide_groups(self, nxt: int, hit) -> tuple:
-        """Report the groups decided by pool step ``nxt`` to the listener:
+    def _decide_groups(self, nxt: int, hit, on_decided) -> tuple:
+        """Report the groups decided by pool step ``nxt`` to ``on_decided``:
         a group is decided once one of its rows fails (``hit``, per group
         id) or all of them have passed their horizons or settled.  Whether
         the listener ended the run, and whether it admitted more."""
@@ -615,7 +615,7 @@ class _SweepPool:
             self.run_waiting &= ~free
             decided = self.run_group[free]
             queued = len(self.queue)
-            ended = self.on_decided(
+            ended = on_decided(
                 decided, np.ones(decided.size, bool) if hit is None
                 else ~hit[decided])
             admitted = len(self.queue) > queued
@@ -698,8 +698,9 @@ class _SweepPool:
             self.lo = _component_major(cols.lo_edge, m)
             self.hi = _component_major(cols.hi_edge, m)
         # the invariant's sums, and the steps and times of its drift
-        self.sums = (np.empty(cols.size), np.empty(cols.size))
-        self.local = np.empty(cols.size, dtype=np.int64)
+        if self.invariant_weights is not None:
+            self.sums = (np.empty(cols.size), np.empty(cols.size))
+            self.local = np.empty(cols.size, dtype=np.int64)
         self.elapsed = np.empty(cols.size) if self.invariant_drift else None
 
     def _runs(self) -> None:
