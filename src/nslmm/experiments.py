@@ -390,8 +390,10 @@ def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
         return "compact", None
     if results:
         return "step", int(last.min(initial=_NEVER, where=active)) + 1
+    # settled rows (``_NEVER``) sort last: with elements queued they are
+    # not counted, and the over-th smallest is an evolving row's horizon
     over = counted - int(COMPACT_AT * active.size)
-    h = last[active & (last < _NEVER) if head and n_settled else active]
+    h = last[active]
     h.partition(over - 1)
     return "step", min(run_due, int(h[over - 1])) + 1
 
@@ -577,6 +579,8 @@ class _SweepPool:
         n_active = np.count_nonzero(active)
         admitted = False
         if results:
+            # the rows that stopped since the last event (all that do not
+            # evolve after a rebuild); a & ~b is a > b on bools
             going = self._going(active)
             stop = ~going if self.going is None else self.going > going
             if stop.any():
