@@ -16,8 +16,10 @@ that the program shapes can read differently in ``ref``), the file holds
 each side's median, quartiles and runs, and the pairs the change won in
 the metric's better direction (a tie counts for neither side).  Beside them:
 the machine (CPU, vCPU count, Python and numpy versions), each checkout's
-``git describe``, and per-step timings of single runs, the fastest of
-``PROBE_ROUNDS`` alternating rounds in fresh processes (``--probe``).
+``git describe``, and per-step timings of single runs from
+``PROBE_ROUNDS`` alternating rounds in fresh processes (``--probe``),
+recorded as the metrics are: each side's rounds, their median and
+quartiles, and the rounds the change won.
 The file is named after the parent commit: it records the change made on
 top of it, which cannot name its own commit.
 """
@@ -68,6 +70,19 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(values: dict, better: str) -> dict:
+    """One metric's entry from ``values``, each side's runs pair by pair:
+    each side's median, quartiles and runs, and the pairs the change won
+    in the ``better`` direction ("lower" or "higher"; a tie counts for
+    neither side)."""
+    sign = 1 if better == "lower" else -1
+    return {"better": better,
+            "wins": sum(sign * (c - p) < 0 for p, c in
+                        zip(values["parent"], values["change"])),
+            **{side: {**quartiles(values[side]), "runs": values[side]}
+               for side in SIDES}}
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """workload -> seed -> metric -> each side's median, quartiles and
     runs, and the pairs the change won, from ``runs`` (dicts with
@@ -89,18 +104,21 @@ def summarize(runs: list, metrics: list) -> dict:
                                            for pair in done)
                                  for side in SIDES}}
         for metric in metrics:
-            name, sign = metric["name"], (1 if metric["better"] == "lower"
-                                          else -1)
-            values = {side: [pair[side]["metrics"][name] for pair in done]
-                      for side in SIDES}
-            entry[name] = {
-                "better": metric["better"],
-                "wins": sum(sign * (c - p) < 0 for p, c in
-                            zip(values["parent"], values["change"])),
-                **{side: {**quartiles(values[side]), "runs": values[side]}
-                   for side in SIDES}}
+            name = metric["name"]
+            entry[name] = compare(
+                {side: [pair[side]["metrics"][name] for pair in done]
+                 for side in SIDES}, metric["better"])
         out.setdefault(workload, {})[seed] = entry
     return out
+
+
+def summarize_probes(probes: dict) -> dict:
+    """probe figure -> its ``compare`` entry (lower is better), from
+    ``probes``, each side's ``probe`` results round by round; the rounds
+    pair up in order."""
+    return {name: compare({side: [p[name] for p in probes[side]]
+                           for side in SIDES}, "lower")
+            for name in probes["parent"][0]}
 
 
 def bench_run(checkout: Path, workload: str, seed: int) -> dict:
@@ -250,11 +268,9 @@ def main(argv=None) -> int:
                     "process per run, parent and change alternating"),
         "end_to_end": summarize(runs, metrics),
         "per_step_us": {
-            "how": (f"fastest of {PROBE_ROUNDS} alternating rounds, "
-                    "each the fastest of 7 timings in a fresh process"),
-            **{side: {name: min(p[name] for p in probes[side])
-                      for name in probes[side][0]} if probes[side] else {}
-               for side in SIDES}},
+            "how": (f"{PROBE_ROUNDS} alternating rounds, each the fastest "
+                    "of 7 timings in a fresh process"),
+            **summarize_probes(probes)},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -24,9 +24,9 @@ join, and why joining keeps every kept element's bits, is told at
 
 A step does only the bookkeeping it needs.  Which elements are active, and
 which ones each monitor still watches, changes only on events: a check that
-newly fails (which may finish an element and its group), the next horizon
-of an element still active (a bisection pool reads only the horizons that
-decide something), an element that settles, or a rebuild.  These
+newly fails (which may finish an element and its group), a horizon that
+decides a group or brings the pool to compaction, an element that settles,
+or a rebuild.  These
 sets are kept from step to step and made again only on the step after an
 event, so most steps form the new states and test them against cached
 masks.  The monitors call the elementwise predicates of ``qualprops``, so
@@ -50,8 +50,9 @@ included), and no invariant with drift is watched.  The step kernel and
 it the same states and the same verdicts, and its final state, at
 whatever horizon, is its current one.  So settling shows in no result.
 A settled element counts as finished for its group and for the end of
-the pool; a sweep writes its results at the event after it settles, and
-it steps on, repeating its states, until the next rebuild drops it.
+the pool; a sweep element, a group of its own, has its results written at
+the event after it settles, and it steps on, repeating its states, until
+the next rebuild drops it.
 While elements wait to join, its row counts as room.  It is tested every
 s steps (s the ring length): a test in which no element still evolving
 repeats its newest ring state costs one compare and one count.
@@ -281,6 +282,18 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _rows_all(a.view(np.int64) == b.view(np.int64))
 
 
+def _batch_states(name: str, states, problem: OdeProblem) -> np.ndarray:
+    """``states`` as an (n, m) float array, m the state dimension of
+    ``problem``; any other shape is refused, naming it."""
+    states = np.asarray(states, dtype=float)
+    m = problem.dimension
+    if states.ndim != 2 or states.shape[1] != m:
+        raise ConfigurationError(
+            f"{name} has shape {states.shape}, states of {problem.name} "
+            f"need (n, {m})")
+    return states
+
+
 def _take_into(keep: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The rows ``keep`` of a (b, m) component-major array, written into
     ``out``, a (b', m) array (or a row slice of one) of their number of
@@ -300,8 +313,8 @@ class _Columns:
     pool step of its horizon (``_NEVER`` once it has settled) and ``fin``
     the pool step it finishes at, its horizon or where it settled;
     ``first_bound`` and ``first_weak`` are its first failing steps (-1:
-    none), ``group`` its group in a bisection pool and ``ids`` its row of
-    ``out`` in a sweep pool.  ``b_req`` and ``w_req`` say whether it has a
+    none) and ``group`` its group (a sweep element's is its row of
+    ``out``).  ``b_req`` and ``w_req`` say whether it has a
     bound and a weak check, ``w_inc`` whether its window increases, and
     ``bound_viol`` and ``weak_viol`` whether each has failed.  ``phis`` is
     its transformed step, ``inv_dev`` its invariant's largest deviation so
@@ -309,7 +322,7 @@ class _Columns:
     and ``lo_edge`` and ``hi_edge`` the edges its states keep."""
 
     FIELDS = ((np.int64, ("base", "last", "first_bound", "first_weak",
-                          "group", "ids", "fin")),
+                          "group", "fin")),
               (bool, ("b_req", "w_req", "w_inc", "bound_viol", "weak_viol")),
               (float, ("phis", "inv_dev", "level", "dts", "lo_edge",
                        "hi_edge")))
@@ -353,7 +366,7 @@ class _Columns:
 
 def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
               n_settled: int, head: int, admitted: bool, capacity: int,
-              results: bool, run_due: int = _NEVER) -> tuple:
+              run_due: int) -> tuple:
     """What a sweep pool does at an event, as ``(action, due)``: "admit"
     (rebuild with the queued elements that fit), "compact" (rebuild
     without them), "finish", or "step" on to ``due``, the pool step of the
@@ -371,12 +384,11 @@ def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
     evolving always, ``run_sharpness.py``'s logistic-c500 setting took
     1.10 times as long as before the pool; as now, 0.76 times.)
 
-    A pool with ``results`` makes an event at every horizon of an active
-    row, where its results are written.  One without them reads a horizon
-    only where it decides a group (the listener's next one, ``run_due``) or
-    the count above: nothing else moves that count between events, so it
-    is at most ``COMPACT_AT`` of the pool from the step after the counted
-    horizon that brings it there.
+    The pool reads a horizon only where it decides a group (the next one
+    by horizon, ``run_due``) or the count above: nothing else moves that
+    count between events, so it is at most ``COMPACT_AT`` of the pool from
+    the step after the counted horizon that brings it there.  In a sweep,
+    whose every element is a group of its own, each horizon decides one.
     """
     going = n_active - n_settled
     counted = going if head else n_active
@@ -388,8 +400,6 @@ def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
         return "finish", None
     if compact:
         return "compact", None
-    if results:
-        return "step", int(last.min(initial=_NEVER, where=active)) + 1
     # settled rows (``_NEVER``) sort last: with elements queued they are
     # not counted, and the over-th smallest is an evolving row's horizon
     over = counted - int(COMPACT_AT * active.size)
@@ -403,27 +413,28 @@ class _SweepPool:
 
     Every element of a pool shares its problem, method, startup policy and
     kinds of checks; each has its own transformed step, step size, initial
-    state, horizon, check values and, in a bisection pool, group.
-    ``admit`` queues elements; ``run`` starts from an empty pool, lets
-    queued elements join as room allows and advances them all in lockstep.
-    ``run_preservation_sweep`` describes the step, the monitors,
-    compaction and settling; ``sharpness_bisection`` admits as it goes.
-    A pool comes in one of two kinds:
+    state, horizon, check values and group.  ``admit`` queues elements;
+    ``run`` starts from an empty pool, lets queued elements join as room
+    allows and advances them all in lockstep.  ``run_preservation_sweep``
+    describes the step, the monitors, compaction and settling;
+    ``sharpness_bisection`` admits as it goes.
 
-    - a sweep pool, with ``out``, writes each element's results into
-      ``out`` at the event where it stops: it has failed every check,
-      passed its horizon or settled.  It makes an event at every horizon.
-    - a bisection pool, without ``out``, reports groups to ``run``'s
-      listener as they are decided and writes no results.  It reads no
-      state of a stopped element, which steps on with the others until a
-      rebuild drops it, and it reads an element's horizon only where it
-      decides something: a verdict (a failure past it is dropped, and a
-      run that repeats its ring past it has not settled), a group's
-      decision, and the count by which the pool compacts and admits (see
-      ``_schedule``).  So it compacts and admits at the very steps a pool
-      with an event at every horizon would.  On the benchmark's bisection
-      (10 rows of 100 step sizes, 685 lockstep steps) that makes 96
-      events, where an event at every horizon makes 418.
+    A group is decided once one of its elements has failed every check
+    requested for it, which stops the others, or once all of them have
+    passed their horizons or settled.  Its rows then go where the pool
+    sends them: a pool with ``out`` (a sweep, whose every element is a
+    group of its own, numbered by its row of ``out``) writes their results
+    there, and one without (a bisection) reports the group to ``run``'s
+    listener.  The pool reads no state of a decided element, which steps
+    on with the others until a rebuild drops it, and it reads an element's
+    horizon only where it decides something: a verdict (a failure past it
+    is dropped, and a run that repeats its ring past it has not settled),
+    a group's decision, and the count by which the pool compacts and
+    admits (see ``_schedule``).  So it compacts and admits at the very
+    steps a pool with an event at every horizon would.  On the benchmark's
+    bisection (10 rows of 100 step sizes, 685 lockstep steps) that makes 96
+    events, where an event at every horizon makes 418; a sweep makes one
+    at each horizon, as each decides a group.
 
     An element counts its steps from the pool step at which it joined: its
     horizon, first failing step and invariant drift all count from there.
@@ -466,10 +477,9 @@ class _SweepPool:
         (a group, or a whole block): ``take(a, b)`` gives the inputs of the
         admission's elements a..b-1 as a dict of per-element arrays,
         ``phis`` (transformed steps), ``dts``, ``y0s``, ``n_steps`` and
-        ``direction`` (the weak check's, 0 for none), with the bound check's
-        ``_bound_inputs`` when the pool checks bounds, and ``group`` in a
-        bisection pool or ``ids`` (their rows in ``out``) in a sweep
-        pool."""
+        ``direction`` (the weak check's, 0 for none) and ``group``, with
+        the bound check's ``_bound_inputs`` when the pool checks bounds.
+        A group's elements join together, as one run of rows."""
         if count:
             self.queue.append([count, unit, take, 0])
 
@@ -498,12 +508,11 @@ class _SweepPool:
     def run(self, on_decided=None) -> None:
         """Advance the pool from empty until every element has finished
         (failed its checks, passed its horizon or settled) and the queue is
-        empty.  A bisection pool is run with ``on_decided``, and its groups
-        join whole, so that each is one run of rows: each group is reported
-        at the step it is decided, ``on_decided(groups, held)`` getting the
-        group ids and whether each held (no element of it failed, every one
-        passed its horizon or settled).  It may admit more, and the run ends
-        once it returns True."""
+        empty.  A pool without ``out`` is run with ``on_decided``: each
+        group is reported at the step it is decided, ``on_decided(groups,
+        held)`` getting the group ids and whether each held (no element of
+        it failed, every one passed its horizon or settled).  It may admit
+        more, and the run ends once it returns True."""
         s = self.method.steps
         rhs = _rhs_into(self.problem.rhs)
         # a drifting invariant's target moves with the step, so no element
@@ -549,24 +558,23 @@ class _SweepPool:
 
     def _event(self, nxt: int, on_decided) -> bool:
         """The event before pool step ``nxt``: make the active set again,
-        write the results of the elements that stopped (a sweep pool) or
-        report the groups decided to ``on_decided`` (a bisection pool), and
-        admit, compact, finish or step on as ``_schedule`` decides.  True
-        once the run ends."""
-        cols, counts, results = self.cols, self.counts, self.out is not None
+        take the groups decided (see ``_decide_groups``), and admit,
+        compact, finish or step on as ``_schedule`` decides.  True once the
+        run ends."""
+        cols, counts = self.cols, self.counts
         counts["events"] += 1
         counts["steps"] = nxt - self.method.steps
         rewatch, hit = self.changed, None
         if rewatch:
             # an element finishes once every check requested for it has
             # failed; one with nothing to check, or with an invariant to
-            # watch, runs to its horizon.  In a bisection pool a failing
-            # element finishes its group
+            # watch, runs to its horizon.  A failing element finishes its
+            # group
             done = ((cols.bound_viol | ~cols.b_req)
                     & (cols.weak_viol | ~cols.w_req)
                     & (cols.b_req | cols.w_req)
                     & (self.invariant_weights is None))
-            if not results and done.any():
+            if done.any():
                 hit = np.zeros(int(self.run_group.max()) + 1, dtype=bool)
                 hit[cols.group[done]] = True
                 done = hit[cols.group]
@@ -578,51 +586,45 @@ class _SweepPool:
         self.changed, self.active = False, active
         n_active = np.count_nonzero(active)
         admitted = False
-        if results:
-            # the rows that stopped since the last event (all that do not
-            # evolve after a rebuild); a & ~b is a > b on bools
-            going = self._going(active)
-            stop = ~going if self.going is None else self.going > going
-            if stop.any():
-                self._write(stop, nxt)
-            self.going = going
-        elif rewatch or nxt > self.run_due:
+        if rewatch or nxt > self.run_due:
             ended, admitted = self._decide_groups(nxt, hit, on_decided)
             if ended:
                 return True
         action, due = _schedule(
             active, cols.last, n_active, self.n_settled,
             self.queue[0][1] if self.queue else 0, admitted, self.capacity,
-            results, self.run_due)
+            self.run_due)
         if action == "step":
             self.due = due
             self.live = None if n_active == cols.size else active
             self._watch(active)
         elif action != "finish":
-            self._rebuild(self._going(active), action == "admit", nxt)
+            # the rows that still evolve: the active ones not settled
+            keep = active & (cols.last < _NEVER) if self.n_settled else active
+            self._rebuild(keep, action == "admit", nxt)
         return action == "finish"
 
-    def _going(self, active: np.ndarray) -> np.ndarray:
-        """The ``active`` rows that still evolve: those not settled."""
-        return active & (self.cols.last < _NEVER) if self.n_settled else active
-
     def _decide_groups(self, nxt: int, hit, on_decided) -> tuple:
-        """Report the groups decided by pool step ``nxt`` to ``on_decided``:
-        a group is decided once one of its rows fails (``hit``, per group
-        id) or all of them have passed their horizons or settled.  Whether
-        the listener ended the run, and whether it admitted more."""
+        """Take the groups decided by pool step ``nxt``: a group is decided
+        once one of its rows fails (``hit``, per group id) or all of them
+        have passed their horizons or settled.  A pool with ``out`` writes
+        their results there, one without reports them to ``on_decided``.
+        Whether the listener ended the run, and whether it admitted more."""
         free = self.run_waiting & (self.run_end < nxt)
         if hit is not None:
             free |= self.run_waiting & hit[self.run_group]
         ended = admitted = False
         if free.any():
             self.run_waiting &= ~free
-            decided = self.run_group[free]
-            queued = len(self.queue)
-            ended = on_decided(
-                decided, np.ones(decided.size, bool) if hit is None
-                else ~hit[decided])
-            admitted = len(self.queue) > queued
+            if self.out is not None:
+                self._write(free, nxt)
+            else:
+                decided = self.run_group[free]
+                queued = len(self.queue)
+                ended = on_decided(
+                    decided, np.ones(decided.size, bool) if hit is None
+                    else ~hit[decided])
+                admitted = len(self.queue) > queued
         self.run_due = int(self.run_end.min(initial=_NEVER,
                                             where=self.run_waiting))
         return ended, admitted
@@ -650,9 +652,9 @@ class _SweepPool:
         self._arrays()
         # the active set, and with it the finished elements and groups, is
         # made again at the next event, and so is the pool step of the next
-        # event that no check sets off (``due``) and of the listener's next
-        # decision by horizon (``run_due``)
-        self.changed, self.n_settled, self.going = True, 0, None
+        # event that no check sets off (``due``) and of the next group
+        # decided by horizon (``run_due``)
+        self.changed, self.n_settled = True, 0
         self.due, self.run_due = None, _NEVER
         ring = self.ring
         for i in range(s if k else 0):
@@ -678,8 +680,7 @@ class _SweepPool:
                 self.live = None if live.all() else live
                 self._watch(live)
                 self._record(ring[s - 1 - i], nxt - s + i)
-        if self.out is None:
-            self._runs()
+        self._runs()
 
     def _arrays(self) -> None:
         """Make the arrays the pool owns for its rows, all cut from one
@@ -732,9 +733,9 @@ class _SweepPool:
 
     def _flag(self, v, mask, viol, first, at: int) -> None:
         """Mark the elements ``v`` of the watch ``mask`` as failing at pool
-        step ``at``.  A bisection pool watches an element past its horizon
-        until the next event: such an element is dropped from ``v`` and
-        cleared from ``mask``."""
+        step ``at``.  The pool may watch an element past its horizon until
+        the next event (see ``_SweepPool``): such an element is dropped
+        from ``v`` and cleared from ``mask``."""
         late = v & (self.cols.last < at)
         if late.any():
             # a & ~b is a > b on bools
@@ -803,32 +804,32 @@ class _SweepPool:
             self.n_settled += newly
             cols.last[same] = _NEVER
             self.due = nxt + 1
-            if self.out is None:
-                np.minimum(cols.fin, nxt, out=cols.fin, where=same)
-                self.run_end = np.maximum.reduceat(cols.fin, self.starts)
-                self.run_due = nxt
+            np.minimum(cols.fin, nxt, out=cols.fin, where=same)
+            self.run_end = np.maximum.reduceat(cols.fin, self.starts)
+            self.run_due = nxt
 
-    def _write(self, sel: np.ndarray, nxt: int) -> None:
-        """Write the results of the rows ``sel``, which stopped before
-        pool step ``nxt``.  A row's final state is its newest one, or for a
-        horizon inside the startup (it stops at the event after the
-        startup) its state at the horizon, ``nxt - 1 - last`` slots
-        back."""
+    def _write(self, free: np.ndarray, nxt: int) -> None:
+        """Write the results of the runs ``free``, decided before pool step
+        ``nxt``, into ``out``: a sweep's groups are one row each, numbered
+        by their rows of ``out``.  A row's final state is its newest one,
+        or for a horizon inside the startup (it is decided at the event
+        after the startup) its state at the horizon, ``nxt - 1 - last``
+        slots back."""
         out, cols, ring = self.out, self.cols, self.ring
-        at = cols.ids[sel]
-        out.bound_violated[at] = cols.bound_viol[sel]
-        out.weak_violated[at] = cols.weak_viol[sel]
+        rows, at = self.starts[free], self.run_group[free]
+        out.bound_violated[at] = cols.bound_viol[rows]
+        out.weak_violated[at] = cols.weak_viol[rows]
         # a NaN deviation sticks in the running maximum; it is an infinite
         # one, as in a recorded run's monitor
-        dev = cols.inv_dev[sel]
+        dev = cols.inv_dev[rows]
         out.invariant_max_dev[at] = np.where(np.isnan(dev), np.inf, dev)
-        out.first_bound_step[at] = cols.first_bound[sel]
-        out.first_weak_step[at] = cols.first_weak[sel]
-        out.final_states[at] = ring[0][sel]
+        out.first_bound_step[at] = cols.first_bound[rows]
+        out.first_weak_step[at] = cols.first_weak[rows]
+        out.final_states[at] = ring[0][rows]
         for back in range(1, self.method.steps):
-            rows = sel & (cols.last == nxt - 1 - back)
-            if rows.any():
-                out.final_states[cols.ids[rows]] = ring[back][rows]
+            short = cols.last[rows] == nxt - 1 - back
+            if short.any():
+                out.final_states[at[short]] = ring[back][rows[short]]
 
 
 def run_preservation_sweep(problem: OdeProblem, method: Method,
@@ -842,7 +843,8 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     """Advance a batch of runs in lockstep and monitor preserved properties.
 
     Per batch element i: threshold bounds[i], step size dts[i], initial
-    state y0s[i], horizon n_steps[i] steps.  ``dts`` has shape (B,) and
+    state y0s[i], horizon n_steps[i] steps.  ``y0s`` has shape (B, m), m
+    the problem's state dimension, ``dts`` has shape (B,) and
     holds positive finite steps whose horizons n_steps * dts are finite;
     ``n_steps`` holds whole numbers, 0 or more; ``bounds`` and ``n_steps``
     are one value for the whole batch or arrays of shape (B,).  An
@@ -870,15 +872,15 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     The batch runs through one lockstep pool (``_SweepPool``), admitted in
     blocks of at most ``MAX_SWEEP_ELEMENTS // m`` elements, each block
     once the one before has left it, so that a block's rings of states and
-    slopes stay in the processor caches.  Each element's results are
-    written at the step it stops: once every check requested for it has
-    failed, past its horizon, or once it has settled (see the module
-    notes).  Once at most ``COMPACT_AT`` of a block's elements still
-    evolve, the block goes on with them alone, and it ends once every
-    element has stopped.  Elements are independent, so neither blocks,
-    compaction nor settling show in any result.  A block none of whose
-    elements settles pays one compare of its new states with the newest
-    ring state and one count per s steps.
+    slopes stay in the processor caches.  Each element is a group of its
+    own, and its results are written at the event that decides it: once
+    every check requested for it has failed, past its horizon, or once it
+    has settled (see the module notes).  Once at most ``COMPACT_AT`` of a
+    block's elements still evolve, the block goes on with them alone, and
+    it ends once every element has stopped.  Elements are independent, so
+    neither blocks, compaction nor settling show in any result.  A block
+    none of whose elements settles pays one compare of its new states with
+    the newest ring state and one count per s steps.
 
     A step allocates nothing.  The pool owns every (b, m) array its
     kernels write into (see ``integrate._kernel_factory``), all cut from
@@ -898,7 +900,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     and a pass whose output is not line-aligned ran up to twice as slow
     (see ``integrate``); where an array starts changes no result.
     """
-    y0s = np.asarray(y0s, dtype=float)
+    y0s = _batch_states("y0s", y0s, problem)
     B, m = y0s.shape
     require_size(sweep_bytes(B, m),
                  f"a sweep of {B} elements of {m} components")
@@ -940,11 +942,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     if startup is None:
         startup = default_startup(problem, method)
 
-    if phi_kind is PhiKind.IDENTITY:
-        phis = dts.copy()
-    else:
-        phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
-
+    phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
     check_bounds_on = lower is not None or upper is not None
     inputs = {"phis": phis, "dts": dts, "y0s": y0s, "n_steps": n_steps,
               "direction": np.broadcast_to(
@@ -982,7 +980,7 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
         for them."""
         bound = (_bound_inputs(lower[a:b], upper[a:b]) if check_bounds_on
                  else {})
-        return {"ids": np.arange(a, b), **bound,
+        return {"group": np.arange(a, b), **bound,
                 **{key: value[a:b] for key, value in inputs.items()}}
 
     # blocks of near-equal size, each one unit run to its end alone
@@ -1170,8 +1168,11 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
     least one group; tested thresholds beyond that wait in its queue and
     join as room is made.
 
-    A row checks ``prop`` as its initial state's property set states it
-    (see ``qualprops.sweep_checks``).  ``startup`` None is
+    ``y0_states`` holds one initial state per row, of shape (n, m) with m
+    the problem's state dimension, and ``labels`` (None: each state's
+    first component) one value per row.  A row checks ``prop`` as its
+    initial state's property set states it (see
+    ``qualprops.sweep_checks``).  ``startup`` None is
     ``integrate.default_startup``.  ``interval_scale`` is the search
     interval in units of the row's sufficient threshold, 0 < lower < upper,
     both finite.  A bisection of more than ``MAX_WORK`` rhs evaluations,
@@ -1190,14 +1191,20 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         raise ConfigurationError(
             "interval_scale must hold a lower and an upper factor with "
             f"0 < lower < upper, both finite (got {interval_scale!r})")
-    y0_states = np.asarray(y0_states, dtype=float)
+    y0_states = _batch_states("y0_states", y0_states, problem)
+    n_rows = y0_states.shape[0]
+    labels = (y0_states[:, 0] if labels is None
+              else np.asarray(labels, dtype=float))
+    if labels.shape != (n_rows,):
+        raise ConfigurationError(
+            f"labels has shape {labels.shape}, {n_rows} initial states need "
+            f"({n_rows},)")
     dt_grid = np.asarray(dt_grid, dtype=float)
     n_dt = dt_grid.size
     if n_dt == 0:
         raise ValueError("dt_grid is empty")
     if not (np.isfinite(dt_grid).all() and (dt_grid > 0).all()):
         raise ConfigurationError("dt_grid must hold positive finite steps")
-    n_rows = y0_states.shape[0]
     require_size(sharpness_bytes(n_rows, n_dt),
                  f"a sharpness bisection of {n_rows} initial states and "
                  f"{n_dt} step sizes")
@@ -1212,8 +1219,7 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
                  f"{n_dt} step sizes of up to {longest:.3g} steps")
     n_steps = n_steps.astype(int)
 
-    label_values = [float(labels[i]) if labels is not None
-                    else float(y0_states[i, 0]) for i in range(n_rows)]
+    label_values = labels.tolist()
     sufficient = ssp_threshold(method, fe_property_bound(problem, y0_states))
     if problem.property_set is None:
         raise ConfigurationError(
@@ -1251,10 +1257,9 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
             g = slice(a // n_dt, b // n_dt)
             k = g.stop - g.start
             dts = np.tile(dt_grid, k)
-            phis = (dts.copy() if phi_kind is PhiKind.IDENTITY else
-                    np.asarray(phi_value(phi_kind,
-                                         np.repeat(thresholds[g], n_dt), dts)))
-            return {"phis": phis, "dts": dts,
+            return {"phis": np.asarray(phi_value(
+                        phi_kind, np.repeat(thresholds[g], n_dt), dts)),
+                    "dts": dts,
                     "y0s": np.repeat(y0_states[rows[g]], n_dt, axis=0),
                     "n_steps": np.tile(n_steps, k),
                     "direction": np.zeros(b - a, dtype=int),

@@ -1381,6 +1381,40 @@ def test_sweep_rejects_inputs_not_of_the_batch_shape(seir0, seir_y0, name,
         _three_element_sweep(seir0, seir_y0, **{name: value})
 
 
+@pytest.mark.parametrize("problem, y0s", [
+    (n.logistic_problem(2.0), np.ones((2, 2))),
+    (n.logistic_problem(2.0), np.ones(2)),
+    (n.seir_problem(), np.ones((2, 3)))],
+    ids=["logistic-2x2", "logistic-1d", "seir-2x3"])
+def test_sweep_rejects_states_not_of_the_problem_shape(problem, y0s):
+    # a (2, 2) logistic batch used to fail in a numpy broadcast inside the
+    # first admission, a 1-D one in an unpack
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"y0s has shape {y0s.shape}")):
+        run_preservation_sweep(problem, get_method("sspms42"), PhiKind.PHI5,
+                               0.1, np.full(y0s.shape[0], 0.5), y0s, 10,
+                               lower=0.0)
+
+
+@pytest.mark.parametrize("problem, y0_states, labels, match", [
+    (n.logistic_problem(2.0), np.ones((2, 2)), None, "y0_states"),
+    (n.seir_problem(), np.ones((1, 3)), None, "y0_states"),
+    (n.logistic_problem(2.0), np.ones(2), None, "y0_states"),
+    (n.logistic_problem(2.0), np.ones((2, 1)), [0.5], "labels"),
+    (n.logistic_problem(2.0), np.ones((2, 1)), [[0.5], [1.0]], "labels"),
+    (n.logistic_problem(2.0), np.ones((2, 1)), [0.5, 1.0, 2.0], "labels")],
+    ids=["logistic-2x2", "seir-1x3", "logistic-1d", "short-labels",
+         "column-labels", "extra-labels"])
+def test_sharpness_rejects_states_or_labels_not_of_the_row_shape(
+        problem, y0_states, labels, match):
+    # these used to fail in a broadcast, an IndexError or a TypeError, or
+    # (extra labels) drop the extra values silently
+    with pytest.raises(ConfigurationError, match=f"{match} has shape"):
+        sharpness_bisection(problem, get_method("sspms42"), PhiKind.PHI5,
+                            y0_states, np.array([0.5, 1.0]), 5.0,
+                            BOUNDEDNESS, labels=labels)
+
+
 @pytest.mark.parametrize("dt", [np.inf, np.nan, -0.1, 0.0, 1e308])
 def test_sweep_rejects_steps_not_positive_and_finite(seir0, seir_y0, dt):
     # dt=inf used to give NaN outcomes and numpy warnings, dt=-0.1 a bare
@@ -1897,6 +1931,61 @@ def test_bisection_pool_schedule(logistic2, monkeypatch, cap, steps,
     assert pool["events"] < steps / 4
 
 
+def _seir_block():
+    # one block of the benchmark's SEIR sweep: 20 infected fractions x 200
+    # step sizes, 200 steps, every element held to its horizon by the
+    # invariant it watches
+    infected, dts = np.meshgrid(np.linspace(0.001, 0.999, 20),
+                                np.geomspace(0.01, 3.0, 200), indexing="ij")
+    infected = infected.ravel()
+    zeros = 0.0 * infected
+    seir_conservation_sweep(
+        get_method("sspms64"), PhiKind.PHI8,
+        np.stack([1.0 - infected, zeros, infected, zeros], axis=1),
+        dts.ravel(), n_steps=200)
+
+
+def _logistic_grid(method_id):
+    # elements that fail every check, pass their horizons and settle
+    outcome = logistic_preservation_grid(
+        2.0, np.linspace(-0.5, 3.0, 20), np.geomspace(0.01, 5.0, 100),
+        get_method(method_id), PhiKind.PHI5, n_steps=400)
+    assert outcome.bound_violated.any() and outcome.weak_violated.any()
+
+
+def _compacting_sweep():
+    # every other element stops at 12 steps, so the block compacts to the
+    # rest, of which some fail their checks before their 300th step
+    y0s = np.repeat(np.linspace(0.1, 3.0, 20), 30)[:, None]
+    dts = np.tile(np.geomspace(0.01, 5.0, 30), 20)
+    run_preservation_sweep(
+        n.logistic_problem(2.0), get_method("sspms42"), PhiKind.PHI5,
+        np.full(600, 0.4), dts, y0s, np.where(np.arange(600) % 2, 300, 12),
+        lower=0.0, upper=2.0, weak_direction=-1)
+
+
+@pytest.mark.parametrize("sweep, counts", [
+    (_seir_block, (195, 1, 0, 2)),
+    (lambda: _logistic_grid("sspms42"), (397, 1, 0, 173)),
+    (lambda: _logistic_grid("sspms64"), (395, 1, 0, 117)),
+    (_compacting_sweep, (297, 1, 1, 58))],
+    ids=["seir-block", "grid-sspms42", "grid-sspms64", "compacting"])
+def test_sweep_pool_schedule(monkeypatch, sweep, counts):
+    # each sweep is one block, run by one pool: its lockstep steps,
+    # admissions, compactions and events
+    runs = []
+    run = experiments._SweepPool.run
+
+    def counting(pool, *args):
+        run(pool, *args)
+        runs.append(tuple(pool.counts[key] for key in (
+            "steps", "admissions", "compactions", "events")))
+
+    monkeypatch.setattr(experiments._SweepPool, "run", counting)
+    sweep()
+    assert runs == [counts]
+
+
 def _bisection_pool(problem, phis, dts, y0s, n_steps, groups, upper):
     """A grouped sspms42 pool without results, as a bisection makes, of
     hand-made elements that all join at its start: per element its
@@ -1995,12 +2084,12 @@ def test_run_past_its_horizon_does_not_settle(logistic2, monkeypatch):
 
 
 def _schedule(active, last, n_settled=0, head=0, admitted=False,
-              capacity=100, results=False, run_due=experiments._NEVER):
+              capacity=100, run_due=experiments._NEVER):
     """``experiments._schedule`` on hand-made rows."""
     active = np.array(active, dtype=bool)
     return experiments._schedule(
         active, np.array(last, dtype=np.int64), np.count_nonzero(active),
-        n_settled, head, admitted, capacity, results, run_due)
+        n_settled, head, admitted, capacity, run_due)
 
 
 def test_schedule_admits_what_the_listener_admitted_once_it_fits():
@@ -2038,20 +2127,25 @@ def test_schedule_compacts_at_compact_at():
     assert _schedule(rows, last, n_settled=2, head=9)[0] == "admit"
 
 
-def test_schedule_next_due_step_of_each_kind_of_pool():
+def test_schedule_next_due_step_is_the_next_decision_or_compaction():
     never = experiments._NEVER
     rows = [True] * 7 + [False]
     last = [9, 3, 7, 11, 5, 15, 13, 1]
-    # with results: the step after the next horizon of an active row
-    assert _schedule(rows, last, results=True) == ("step", 4)
-    # without: the step at which passed horizons bring the seven counted
-    # rows to COMPACT_AT of the eight (three passed, the third at 7), or
-    # the listener's next decision if that comes first
+    # the step after the horizon at which passed horizons bring the seven
+    # counted rows to COMPACT_AT of the eight (three passed, the third at
+    # 7), or after the next decision by horizon if that comes first: a
+    # sweep's next horizon (3), a group's before the compaction horizon
+    # (5); one after it (10) does not delay it
     assert _schedule(rows, last) == ("step", 8)
+    assert _schedule(rows, last, run_due=3) == ("step", 4)
     assert _schedule(rows, last, run_due=5) == ("step", 6)
+    assert _schedule(rows, last, run_due=10) == ("step", 8)
     # a settled row has no horizon; counted as room while elements queue,
     # it brings the bar nearer (two passed horizons, the second at 5)
     last[5] = never
-    assert _schedule(rows, last, n_settled=1, results=True) == ("step", 4)
     assert _schedule(rows, last, n_settled=1) == ("step", 8)
     assert _schedule(rows, last, n_settled=1, head=99) == ("step", 6)
+    assert _schedule(rows, last, n_settled=1, head=99, run_due=3) == (
+        "step", 4)
+    assert _schedule(rows, last, n_settled=1, head=99, run_due=10) == (
+        "step", 6)

@@ -149,6 +149,30 @@ def test_bench_pairs_summarizes_canned_results():
                                             "q3": 1.5}
 
 
+def test_bench_pairs_records_every_probe_round():
+    bench_pairs = _bench_pairs()
+    # three rounds: the change is faster in two rounds of the first figure
+    # (0.9 < 1.0 and 1.0 < 1.7), and in one of the second, whose first
+    # round is a tie
+    probes = {"parent": [{"a us/step": 1.0, "b us": 20.0},
+                         {"a us/step": 1.2, "b us": 22.0},
+                         {"a us/step": 1.7, "b us": 21.0}],
+              "change": [{"a us/step": 0.9, "b us": 20.0},
+                         {"a us/step": 1.3, "b us": 19.0},
+                         {"a us/step": 1.0, "b us": 25.0}]}
+    summary = bench_pairs.summarize_probes(probes)
+    assert list(summary) == ["a us/step", "b us"]
+    a, b = summary["a us/step"], summary["b us"]
+    assert a["better"] == "lower" and a["wins"] == 2 and b["wins"] == 1
+    assert a["parent"]["runs"] == [1.0, 1.2, 1.7]
+    assert a["parent"]["median"] == 1.2
+    assert a["parent"]["q1"] == pytest.approx(1.1)
+    assert a["parent"]["q3"] == pytest.approx(1.45)
+    assert a["change"]["median"] == 1.0
+    assert b["change"] == {"median": 20.0, "q1": 19.5, "q3": 22.5,
+                           "runs": [20.0, 19.0, 25.0]}
+
+
 CANNED_SOURCE = '''"""A module docstring
 over two lines."""
 
