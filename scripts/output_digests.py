@@ -18,7 +18,9 @@ blocks that compact (so that a block's arrays are made again, and reused
 from step to step, under the same check); their exit is 0.  Then one
 ``[SharpnessReport]`` line, over every row with its status, for each of
 a logistic bisection whose rows end below range, at its top and inside
-it, and a SEIR weak-monotonicity bisection.  Then one ``[inlined kernels]``
+it, a SEIR weak-monotonicity bisection, and two logistic
+weak-monotonicity bisections together (two horizons) whose rows below zero
+have ranges that reach the largest float.  Then one ``[inlined kernels]``
 line for the single-run step kernels of every catalog method and the RK4
 reference kernel with the logistic and the SEIR slope source written in,
 as ``linecache`` holds their names and sources.  Last, one ``[kernels]``
@@ -126,25 +128,37 @@ def sweep_outcomes():
 
 
 def sharpness_reports():
-    """(label, ``SharpnessReport``) of two bisections that every status
+    """(label, ``SharpnessRow`` tuple) of bisections that every status
     and both checked property classes show in: logistic rows of which the
     narrow range puts some below range, one at its top and the others in
-    it, and a SEIR weak-monotonicity bisection started by Runge-Kutta
-    steps."""
+    it, a SEIR weak-monotonicity bisection started by Runge-Kutta steps,
+    and logistic weak-monotonicity bisections over two horizons whose rows
+    below zero have an unconditional sufficient threshold, so that their
+    ranges reach the largest float."""
+    logistic = logistic_problem(2.0)
     y0s = np.array([[0.3], [1.0], [1.9], [2.0], [2.5], [4.0]])
     yield ("sharpness_bisection logistic c=2 sspms64 phi8 boundedness "
            "interval_scale=(1.1, 1.5)",
            experiments.sharpness_bisection(
-               logistic_problem(2.0), get_method("sspms64"), PhiKind.PHI8,
+               logistic, get_method("sspms64"), PhiKind.PHI8,
                y0s, np.geomspace(0.5, 3.0, 12), 30.0, BOUNDEDNESS,
-               interval_scale=(1.1, 1.5), tol=1e-3))
+               interval_scale=(1.1, 1.5), tol=1e-3).rows)
     problem = seir_problem(0.0)
     labels = np.array([0.01, 0.2, 0.6, 0.95])
     yield ("sharpness_bisection seir sspms43 phi7 weak-monotonicity",
            experiments.sharpness_bisection(
                problem, get_method("sspms43"), PhiKind.PHI7,
                problem.sharpness_states(labels), np.geomspace(0.5, 3.0, 8),
-               20.0, WEAK_MONOTONICITY, labels=labels, tol=1e-3))
+               20.0, WEAK_MONOTONICITY, labels=labels, tol=1e-3).rows)
+    # rows below range, at the top of a range that reaches the largest
+    # float, and inside a range
+    yield ("sharpness_bisection logistic c=2 sspms64 phi8 weak-monotonicity "
+           "y0 -1, -0.01, 0.5 t_end 1 and 5",
+           sum((experiments.sharpness_bisection(
+                    logistic, get_method("sspms64"), PhiKind.PHI8,
+                    np.array([[-1.0], [-0.01], [0.5]]),
+                    np.geomspace(0.05, 3.0, 8), t_end, WEAK_MONOTONICITY,
+                    tol=1e-3).rows for t_end in (1.0, 5.0)), ()))
 
 
 def kernel_digest() -> str:
@@ -207,10 +221,9 @@ def main() -> int:
                         for field in dataclasses.fields(outcome))
         lines.append(f"{hashlib.sha256(data).hexdigest()} 0 {label} "
                      "[SweepOutcome]")
-    for label, report in sharpness_reports():
+    for label, rows in sharpness_reports():
         # every row's fields, its status included, as repr writes them
-        lines.append(f"{digest(repr(report.rows))} 0 {label} "
-                     "[SharpnessReport]")
+        lines.append(f"{digest(repr(rows))} 0 {label} [SharpnessReport]")
     lines.append(f"{inlined_kernel_digest()} 0 catalog kernels with slope "
                  "sources [inlined kernels]")
     lines.append(f"{kernel_digest()} 0 catalog kernels [kernels]")

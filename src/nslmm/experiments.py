@@ -411,9 +411,9 @@ def _schedule(active: np.ndarray, last: np.ndarray, n_active: int,
 class _SweepPool:
     """A lockstep pool of sweep elements that elements join between steps.
 
-    Every element of a pool shares its problem, method, startup policy and
-    kinds of checks; each has its own transformed step, step size, initial
-    state, horizon, check values and group.  ``admit`` queues elements;
+    Every element of a pool shares its problem, method and startup policy;
+    each has its own transformed step, step size, initial state, horizon,
+    checks and group.  ``admit`` queues elements;
     ``run`` starts from an empty pool, lets queued elements join as room
     allows and advances them all in lockstep.  ``run_preservation_sweep``
     describes the step, the monitors, compaction and settling;
@@ -458,12 +458,10 @@ class _SweepPool:
     """
 
     def __init__(self, problem: OdeProblem, method: Method, startup, *,
-                 check_bounds: bool, check_weak: bool,
                  weak_component: int = 0, invariant_weights=None,
                  invariant_drift: float = 0.0,
                  out: SweepOutcome | None = None):
         self.problem, self.method, self.startup = problem, method, startup
-        self.check_bounds, self.check_weak = check_bounds, check_weak
         self.weak_component, self.out = weak_component, out
         self.invariant_weights = invariant_weights
         self.invariant_drift = invariant_drift
@@ -687,7 +685,8 @@ class _SweepPool:
         aligned buffer: the kernels' work arrays (scratch pair and stage
         slots), s + 1 slots for the ring's states and s for their slopes;
         the bound edges and the invariant's sums.  Bind the step kernel to
-        the work arrays and the rows' steps."""
+        the work arrays and the rows' steps, and monitor the checks that
+        any row requests."""
         cols, s, m = self.cols, self.method.steps, self.problem.dimension
         n_work = 2 + stage_slots(self.method)
         arrays = _block_arrays(n_work + 2 * s + 1, cols.size, m)
@@ -696,6 +695,8 @@ class _SweepPool:
         self.fring = deque(arrays[n_work + s + 1:])
         self.kernel = _step_kernel(
             self.method, _component_major(cols.phis, m), m, self.work)
+        self.check_bounds = bool(cols.b_req.any())
+        self.check_weak = bool(cols.w_req.any())
         # full (b, m) operands, component-major like the states: numpy
         # multiplies and compares two full arrays several times faster
         # than an array and a (b, 1) column
@@ -854,7 +855,9 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     component and ``weak_direction`` is +1 (windowed increase), -1
     (decrease) or 0 (skip); each is either one value for the whole batch or
     an array of shape (B,).  In an array a missing bound is
-    -inf/+inf, and an element with both bounds missing has no bound check.
+    -inf/+inf, and an element with both bounds missing has no bound check;
+    a NaN bound, a direction of another value and another shape are
+    refused.
     An in-horizon state with a non-finite component, startup states
     included, violates every check requested for its element, and its
     invariant deviation is inf.  The invariant ``invariant_weights`` (one
@@ -918,12 +921,28 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
     if dts.shape != (B,):
         raise ConfigurationError(
             f"dts has shape {dts.shape}, the batch needs ({B},)")
-    for name, value in (("bounds", bounds), ("n_steps", n_steps)):
+    # a missing bound is -inf/+inf, which checks nothing
+    lower, upper = (np.asarray(edge if bound is None else bound, dtype=float)
+                    for bound, edge in ((lower, -np.inf), (upper, np.inf)))
+    direction = np.asarray(weak_direction, dtype=float)
+    per_element = {"bounds": bounds, "n_steps": n_steps, "lower": lower,
+                   "upper": upper, "weak_direction": direction}
+    for name, value in per_element.items():
         if value.ndim and value.shape != (B,):
             raise ConfigurationError(
                 f"{name} has shape {value.shape}, the batch needs ({B},) "
                 "or one value")
-    bounds = np.broadcast_to(bounds, (B,))
+    for name, value in (("lower", lower), ("upper", upper)):
+        if np.isnan(value).any():
+            raise ConfigurationError(
+                f"{name} holds NaN; a missing bound is -inf/+inf")
+    bad = ~np.isin(direction, (-1, 0, 1))
+    if bad.any():
+        raise ConfigurationError(
+            "weak_direction must be +1, -1 or 0 (got "
+            f"{direction[bad][0].item()!r})")
+    bounds, lower, upper = (np.broadcast_to(v, (B,))
+                            for v in (bounds, lower, upper))
     # a finite horizon keeps every invariant target finite; with no drift
     # it is then exactly the initial level
     with np.errstate(over="ignore"):
@@ -943,16 +962,9 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
         startup = default_startup(problem, method)
 
     phis = np.asarray(phi_value(phi_kind, bounds, dts, p))
-    check_bounds_on = lower is not None or upper is not None
     inputs = {"phis": phis, "dts": dts, "y0s": y0s, "n_steps": n_steps,
-              "direction": np.broadcast_to(
-                  np.asarray(weak_direction, dtype=int), (B,))}
-    if check_bounds_on:
-        lower, upper = (np.broadcast_to(np.asarray(bound, dtype=float), (B,))
-                        for bound in (-np.inf if lower is None else lower,
-                                      np.inf if upper is None else upper))
-    check_weak = bool((inputs["direction"] != 0).any())
-    if check_weak and not 0 <= weak_component < m:
+              "direction": np.broadcast_to(direction.astype(int), (B,))}
+    if (direction != 0).any() and not 0 <= weak_component < m:
         raise ConfigurationError(
             f"weak_component {weak_component} is not a component index "
             f"of a state of length {m}")
@@ -970,17 +982,15 @@ def run_preservation_sweep(problem: OdeProblem, method: Method,
                        first_bound_step=np.full(B, -1, dtype=np.int64),
                        first_weak_step=np.full(B, -1, dtype=np.int64),
                        final_states=np.empty((B, m)))
-    pool = _SweepPool(problem, method, startup, check_bounds=check_bounds_on,
-                      check_weak=check_weak, weak_component=weak_component,
-                      invariant_weights=gamma,
+    pool = _SweepPool(problem, method, startup,
+                      weak_component=weak_component, invariant_weights=gamma,
                       invariant_drift=invariant_drift, out=out)
 
     def take(a: int, b: int) -> dict:
         """The inputs of elements a..b-1 of the batch, as ``admit`` asks
         for them."""
-        bound = (_bound_inputs(lower[a:b], upper[a:b]) if check_bounds_on
-                 else {})
-        return {"group": np.arange(a, b), **bound,
+        return {"group": np.arange(a, b),
+                **_bound_inputs(lower[a:b], upper[a:b]),
                 **{key: value[a:b] for key, value in inputs.items()}}
 
     # blocks of near-equal size, each one unit run to its end alone
@@ -1081,6 +1091,13 @@ def sharpness_bytes(n_rows: int, n_dt: int) -> int:
     return 1024 * n_rows + 1280 * n_dt
 
 
+def _midpoint(lo, hi):
+    """The midpoint of [lo, hi], finite up to the largest float: halving is
+    exact for normal floats, so wherever ``0.5 * (lo + hi)`` is finite this
+    is its value bit for bit.  Elementwise over arrays."""
+    return 0.5 * lo + 0.5 * hi
+
+
 def bisect_threshold(predicate, lo: float, hi: float, tol: float,
                      max_iter: int = 60) -> tuple[float, str]:
     """Largest value in [lo, hi] at which a monotone predicate holds.
@@ -1095,13 +1112,13 @@ def bisect_threshold(predicate, lo: float, hi: float, tol: float,
         return hi, "at-range-top"
     iters = 0
     while hi - lo > tol and iters < max_iter:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if predicate(mid):
             lo = mid
         else:
             hi = mid
         iters += 1
-    return 0.5 * (lo + hi), "ok"
+    return _midpoint(lo, hi), "ok"
 
 
 @dataclass(frozen=True)
@@ -1159,9 +1176,7 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
     sweeps of the range ends first took about 890.  A row stops bisecting
     once its lower end has failed or its upper end has held, and the pool
     runs until every range end that counts is decided; a row may so bisect
-    a few levels it did not need, which shows in no output.  A row whose
-    range reaches past half the largest float, whose midpoints could
-    overflow, bisects only once its range ends ask for it.  Every row sees
+    a few levels it did not need, which shows in no output.  Every row sees
     the midpoints ``bisect_threshold`` would give it alone, so the rows
     equal a row-by-row bisection exactly.  The pool holds at most
     ``MAX_SWEEP_ELEMENTS // m`` elements (m the state dimension), and at
@@ -1231,21 +1246,19 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         per_row = {"direction": per_row["weak_direction"]}
     if startup is None:
         startup = default_startup(problem, method)
-    pool = _SweepPool(problem, method, startup,
-                      check_bounds=prop == BOUNDEDNESS,
-                      check_weak=prop == WEAK_MONOTONICITY,
-                      weak_component=weak_component)
-    # per tested threshold (group id): whether it is decided, and held
+    pool = _SweepPool(problem, method, startup, weak_component=weak_component)
+    # per tested threshold (group id): whether it is decided, and held; the
+    # range ends are the first groups, each row's lower end and then its
+    # upper end
     decided = held = np.zeros(0, dtype=bool)
+    low_end, top_end = slice(0, n_rows), slice(n_rows, 2 * n_rows)
 
-    def admit(parts) -> list:
-        """Queue, in one admission, one group per tested threshold of each
-        (rows, thresholds) of ``parts``, thresholds[k] for row rows[k]: one
-        element per step size, with the row's checks, and its first
-        failing element decides it.  The groups' ids, per part."""
+    def admit(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Queue, in one admission, one group per tested threshold,
+        thresholds[k] for row rows[k]: one element per step size, with the
+        row's checks, and its first failing element decides it.  The
+        groups' ids."""
         nonlocal decided, held
-        rows = np.concatenate([r for r, _ in parts])
-        thresholds = np.concatenate([t for _, t in parts])
         if phi_kind is not PhiKind.IDENTITY and not (
                 np.isfinite(thresholds).all() and (thresholds > 0).all()):
             raise ConfigurationError("bounds must be positive and finite")
@@ -1269,39 +1282,30 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
                        for key, v in per_row.items()}}
 
         pool.admit(rows.size * n_dt, n_dt, take)
-        return np.split(np.arange(first, first + rows.size),
-                        np.cumsum([r.size for r, _ in parts[:-1]]))
+        return np.arange(first, first + rows.size)
 
-    def next_round(rows: np.ndarray, ends=()):
-        """Admit ``ends`` (pairs of rows and thresholds) with the next two
-        bisection levels of the ``rows`` whose bracket is still wider than
-        tol and that have a level left: each row's midpoint and the
-        midpoint its next level needs on either side whose half is still
-        wider than tol; the midpoint's verdict picks which counts.  The
-        round (None when no row is in it) and the group ids of ``ends``."""
-        active = rows[(hi[rows] - lo[rows] > tol) & (levels[rows] < max_iter)]
-        parts = list(ends)
-        if active.size:
-            a_lo, a_hi = lo[active], hi[active]
-            mid = 0.5 * (a_lo + a_hi)
-            more = levels[active] + 1 < max_iter
-            left = more & (mid - a_lo > tol)
-            right = more & (a_hi - mid > tol)
-            points = (mid, 0.5 * (a_lo[left] + mid[left]),
-                      0.5 * (mid[right] + a_hi[right]))
-            parts += zip((active, active[left], active[right]), points)
-        if not parts:
-            return None, []
-        ids = admit(parts)
-        if not active.size:
-            return None, ids
-        return (active, left, right, points, ids[len(ends):]), ids[:len(ends)]
-
-    def narrow(rows: np.ndarray, points: np.ndarray, ok: np.ndarray):
-        # one bisection step: a point that holds becomes its row's lower
-        # end, one that fails its upper end
-        lo[rows[ok]] = points[ok]
-        hi[rows[~ok]] = points[~ok]
+    def next_round(rows: np.ndarray):
+        """Admit the next two bisection levels of the ``rows`` whose bracket
+        is still wider than tol and that have a level left: each row's
+        midpoint and the midpoint its next level needs on either side whose
+        half is still wider than tol; the midpoint's verdict picks which
+        counts.  The round as ``(rows, points, ids)``, ``points`` and
+        ``ids`` of shape (3, k) holding the midpoint, left and right (id -1:
+        not tested); None when no row is in it."""
+        rows = rows[(hi[rows] - lo[rows] > tol) & (levels[rows] < max_iter)]
+        if not rows.size:
+            return None
+        a_lo, a_hi = lo[rows], hi[rows]
+        mid = _midpoint(a_lo, a_hi)
+        more = levels[rows] + 1 < max_iter
+        points = np.stack([mid, _midpoint(a_lo, mid), _midpoint(mid, a_hi)])
+        tested = np.stack([np.ones_like(more), more & (mid - a_lo > tol),
+                           more & (a_hi - mid > tol)])
+        ids = np.full(points.shape, -1)
+        # midpoints first, then lefts, then rights
+        ids[tested] = admit(np.broadcast_to(rows, points.shape)[tested],
+                            points[tested])
+        return rows, points, ids
 
     def on_decided(groups: np.ndarray, verdicts: np.ndarray) -> bool:
         """Take the verdicts of newly decided groups.  Once every group of
@@ -1312,38 +1316,33 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
         decided[groups] = True
         held[groups] = verdicts
         if (groups < 2 * n_rows).any():
-            # a range end is decided (they are the first groups admitted):
-            # a row bisects until its lower end fails or its upper end
-            # holds
-            stopped[:] = ((decided[lower] & ~held[lower])
-                          | (decided[upper] & held[upper]))
+            # a row bisects until its lower end fails or its upper end holds
+            stopped[:] = ((decided[low_end] & ~held[low_end])
+                          | (decided[top_end] & held[top_end]))
             awaited = None
         going = np.zeros(0, dtype=int)
         if current is not None:
-            active, left, right, points, ids = current
-            on = ~stopped[active]
+            rows, points, ids = current
+            on = ~stopped[rows]
             if awaited is None:
-                awaited = np.concatenate(
-                    [ids[0][on], ids[1][on[left]], ids[2][on[right]]])
+                awaited = ids[:, on]
+                awaited = awaited[awaited >= 0]
             if not decided[awaited].all():
                 return False
-            ok, ok_left, ok_right = (held[g] for g in ids)
-            narrow(active[on], points[0][on], ok[on])
-            use = ~ok[left] & on[left]
-            narrow(active[left][use], points[1][use], ok_left[use])
-            use = ok[right] & on[right]
-            narrow(active[right][use], points[2][use], ok_right[use])
-            going = active[on]
+            # one bisection step at the midpoint, then one at the side its
+            # verdict picks: a point that holds becomes its row's lower
+            # end, one that fails its upper end
+            col = np.arange(rows.size)
+            for k in (0, np.where(held[ids[0]], 2, 1)):
+                g, p = ids[k, col], points[k, col]
+                ok, use = held[g], on & (g >= 0)
+                lo[rows[use & ok]] = p[use & ok]
+                hi[rows[use & ~ok]] = p[use & ~ok]
+            going = rows[on]
             levels[going] += 2
-        # a late row starts once its range ends ask for a bisection
-        start = (late & decided[lower] & held[lower] & decided[upper]
-                 & ~held[upper])
-        late[start] = False
-        current, _ = next_round(np.concatenate([going,
-                                                np.flatnonzero(start)]))
-        awaited = None
+        current, awaited = next_round(going), None
         return current is None and bool(
-            (decided[lower] & (decided[upper] | ~held[lower])).all())
+            (decided[low_end] & (decided[top_end] | ~held[low_end])).all())
 
     # the same steps as bisect_threshold, for every row at once
     lo = scale_lo * sufficient
@@ -1351,33 +1350,22 @@ def sharpness_bisection(problem: OdeProblem, method: Method,
     hi = capped_product(scale_hi, sufficient)
     top = hi.copy()
     levels = np.zeros(n_rows, dtype=int)
-    # a range reaching past half the largest float could overflow its
-    # midpoints: such a row bisects only once its range ends ask for it,
-    # as alone
-    late = top > np.finfo(float).max / 2
-    all_rows = np.arange(n_rows)
-    lower = upper = all_rows
     # the round under test, the groups it waits for, and the rows that
     # stopped bisecting
     current = awaited = None
     stopped = np.zeros(n_rows, dtype=bool)
     if n_rows:
-        # the range ends and the first round join the pool together; no
-        # later round waits for the range ends' verdicts
-        current, (lower, upper) = next_round(
-            all_rows[~late], [(all_rows, lo), (all_rows, top)])
+        # the range ends and the first round join the pool together, in one
+        # rebuild; no later round waits for the range ends' verdicts
+        all_rows = np.arange(n_rows)
+        admit(np.tile(all_rows, 2), np.concatenate([lo, top]))
+        current = next_round(all_rows)
         pool.run(on_decided)
-    values = np.full(n_rows, np.nan)
-    statuses = []
-    for i in range(n_rows):
-        if not held[lower[i]]:
-            statuses.append("below-range")
-        elif held[upper[i]]:
-            values[i] = top[i]
-            statuses.append("at-range-top")
-        else:
-            values[i] = 0.5 * (lo[i] + hi[i])
-            statuses.append("ok")
+    below, at_top = ~held[low_end], held[top_end]
+    values = np.where(below, np.nan,
+                      np.where(at_top, top, _midpoint(lo, hi)))
+    statuses = np.where(below, "below-range",
+                        np.where(at_top, "at-range-top", "ok")).tolist()
 
     rows_out = tuple(
         SharpnessRow(label_values[i], float(sufficient[i]), float(values[i]),

@@ -234,6 +234,15 @@ def test_bisect_threshold_edges():
     assert (value, status) == (1.0, "at-range-top")
 
 
+def test_bisect_threshold_midpoints_stay_finite_at_the_largest_float():
+    # 0.5 * (lo + hi) overflows here and gave (inf, "ok")
+    top = np.finfo(float).max
+    value, status = bisect_threshold(lambda b: b <= 1e308, 1e304, top, 1e300)
+    assert status == "ok"
+    assert math.isfinite(value) and 1e304 <= value <= top
+    assert value == pytest.approx(1e308, abs=1e300)
+
+
 def test_sharpness_logistic_rows_sound(logistic2):
     m = get_method("sspms42")
     y0s = np.array([[0.5], [1.5], [3.0]])
@@ -1359,25 +1368,28 @@ def test_sweep_rejects_weak_component_out_of_range(seir0, seir_y0, component):
             weak_component=component)
 
 
-def _three_element_sweep(seir0, seir_y0, **kwargs):
-    args = {"bounds": np.full(3, 0.1), "dts": np.full(3, 0.5),
-            "n_steps": np.full(3, 10), **kwargs}
+def _three_element_sweep(seir0, seir_y0, bounds=np.full(3, 0.1),
+                         dts=np.full(3, 0.5), n_steps=np.full(3, 10),
+                         **checks):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return run_preservation_sweep(
-            seir0, get_method("sspms42"), PhiKind.PHI5, args["bounds"],
-            args["dts"], np.tile(seir_y0, (3, 1)), args["n_steps"],
-            lower=0.0, invariant_weights=np.ones(4))
+            seir0, get_method("sspms42"), PhiKind.PHI5, bounds, dts,
+            np.tile(seir_y0, (3, 1)), n_steps,
+            **{"lower": 0.0, "invariant_weights": np.ones(4), **checks})
 
 
 @pytest.mark.parametrize("name, value", [
     ("dts", np.full(2, 0.5)), ("dts", 0.5), ("dts", np.full((3, 1), 0.5)),
     ("bounds", np.full(2, 0.1)), ("n_steps", np.full(4, 10)),
-    ("n_steps", np.full((3, 1), 10))])
+    ("n_steps", np.full((3, 1), 10)), ("lower", np.zeros(2)),
+    ("upper", np.ones((3, 1))), ("weak_direction", np.ones(4))])
 def test_sweep_rejects_inputs_not_of_the_batch_shape(seir0, seir_y0, name,
                                                       value):
-    # a 2-long dts used to fail in a numpy broadcast
-    with pytest.raises(ConfigurationError, match=f"{name} has shape"):
+    # a 2-long dts used to fail in a numpy broadcast, and so did check
+    # arguments of another shape, with a bare ValueError
+    shape = re.escape(f"{name} has shape {np.shape(value)}")
+    with pytest.raises(ConfigurationError, match=shape):
         _three_element_sweep(seir0, seir_y0, **{name: value})
 
 
@@ -1432,6 +1444,26 @@ def test_sweep_rejects_thresholds_not_positive_and_finite(logistic2, bound):
             logistic2, get_method("sspms42"), PhiKind.PHI4,
             np.array([bound]), np.array([0.5]), np.array([[1.0]]), 10,
             lower=0.0, upper=2.0)
+
+
+@pytest.mark.parametrize("name", ["lower", "upper"])
+@pytest.mark.parametrize("value", [np.nan, np.array([0.0, np.nan, 0.0])])
+def test_sweep_rejects_nan_bounds(seir0, seir_y0, name, value):
+    # a NaN bound used to check nothing: bound_edges' fmax/fmin drop it
+    with pytest.raises(ConfigurationError, match=f"{name} holds NaN"):
+        _three_element_sweep(seir0, seir_y0, **{name: value})
+
+
+@pytest.mark.parametrize("direction, shown", [
+    (0.5, "0.5"), (2, "2.0"), (-3, "-3.0"), (np.nan, "nan"),
+    (np.array([1, 0.5, -1]), "0.5")])
+def test_sweep_rejects_weak_directions_other_than_the_three(
+        seir0, seir_y0, direction, shown):
+    # 0.5 used to be cast to 0, so the check was skipped
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("weak_direction must be +1, -1 or 0 "
+                                       f"(got {shown})")):
+        _three_element_sweep(seir0, seir_y0, weak_direction=direction)
 
 
 def test_sweep_rejects_invariant_weights_not_of_the_state_length(seir0,
@@ -1775,8 +1807,7 @@ def _settling_pool(problem):
     about 100 steps, group 1 at 1e-5 creeps and never settles."""
     m = get_method("sspms42")
     pool = experiments._SweepPool(problem, m,
-                                  integrate_mod.default_startup(problem, m),
-                                  check_bounds=True, check_weak=False)
+                                  integrate_mod.default_startup(problem, m))
     thresholds = np.repeat([0.4, 1e-5], 3)
     dts = np.tile([0.25, 0.3, 0.35], 2)
 
@@ -1993,8 +2024,7 @@ def _bisection_pool(problem, phis, dts, y0s, n_steps, groups, upper):
     bound (a lower bound of 0)."""
     m = get_method("sspms42")
     pool = experiments._SweepPool(problem, m,
-                                  integrate_mod.default_startup(problem, m),
-                                  check_bounds=True, check_weak=False)
+                                  integrate_mod.default_startup(problem, m))
     columns = [np.asarray(c) for c in (phis, dts, y0s, n_steps, groups,
                                        upper)]
 

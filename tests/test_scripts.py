@@ -64,7 +64,7 @@ def test_output_digests_prints_one_line_per_output():
                for line in lines), lines
     # stdout and stderr of the README commands but bench, then six
     # convergence CSVs, six sharpness CSVs for each of three settings,
-    # four sweep outcomes, two sharpness reports, the catalog's kernels
+    # four sweep outcomes, three sharpness reports, the catalog's kernels
     # with the slope sources written in and the catalog's kernels
     labels = [line.split(" ", 2)[2] for line in lines]
     assert labels[0].startswith("nslmm solve ")
@@ -74,12 +74,12 @@ def test_output_digests_prints_one_line_per_output():
     assert sum(label.endswith(".csv") for label in labels) == 6 + 18
     assert sum(label.endswith(" [SweepOutcome]") for label in labels) == 4
     assert sum(label.endswith(" [SharpnessReport]")
-               for label in labels) == 2
+               for label in labels) == 3
     assert labels[-2:] == [
         "catalog kernels with slope sources [inlined kernels]",
         "catalog kernels [kernels]"]
     assert len(labels) == 2 * sum(label.endswith(" [stdout]")
-                                  for label in labels) + 6 + 18 + 4 + 2 + 2
+                                  for label in labels) + 6 + 18 + 4 + 3 + 2
     assert sum(label.startswith("run_sharpness.py --setting seir ")
                for label in labels) == 6
     assert "nslmm verify-phi --phi phi8 --p 4 [stderr]" in labels
